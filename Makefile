@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-smoke bench-figures results examples golden-check golden-record golden-validate goldens-rerecord differential chaos policies prefix tenants hetero clean
+.PHONY: install test bench-figures results examples golden-check golden-record golden-validate goldens-rerecord differential chaos policies prefix tenants hetero clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -38,8 +38,8 @@ policies:
 	python -m repro chaos --smoke --admission preemptive --tier-mix interactive=0.5,standard=0.2,best_effort=0.3
 
 # Prefix caching: affinity-vs-blind routing comparison on a shared-prefix
-# workload (see docs/prefix-caching.md).  Exits non-zero unless affinity
-# wins and every KV/conservation check passes.
+# workload (see docs/prefix-caching.md).  Exits non-zero unless warm beats
+# cold, affinity wins, and every invariant holds.
 prefix:
 	python -m repro prefix --smoke --out prefix_smoke.json
 
@@ -55,14 +55,6 @@ tenants:
 # unless both differentials hold and every chaos invariant passes.
 hetero:
 	python -m repro hetero --smoke --out hetero_smoke.json
-
-# Scale benchmark: records the next BENCH_<n>.json perf-trajectory point
-# (see docs/performance.md).  bench-smoke is the seconds-scale CI variant.
-bench:
-	python -m repro bench
-
-bench-smoke:
-	python -m repro bench --smoke --out bench_smoke.json
 
 # Paper-figure benchmarks (pytest-benchmark suite feeding RESULTS.md).
 bench-figures:

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Run single experiments, rate sweeps, or placement searches without writing
-Python::
+Run single experiments, rate sweeps, placement searches and the declared
+comparisons without writing Python::
 
     python -m repro run --system windserve --model opt-13b --dataset sharegpt \
         --rate 4.0 --requests 500
@@ -14,8 +14,16 @@ Python::
     python -m repro chaos --smoke
     python -m repro prefix --smoke
     python -m repro tenants --smoke
+    python -m repro hetero --smoke
     python -m repro models
     python -m repro datasets
+
+The comparison verbs (``differential``, ``chaos``, ``prefix``, ``tenants``,
+``hetero``) are generated from the declarations in
+:mod:`repro.harness.experiments`; each exits non-zero unless every run keeps
+the invariant suite and every declared verdict holds.  Every flag that sets
+a :class:`~repro.harness.cell.Cell` field is declared once, in
+:data:`CELL_FLAGS`, and parse-checked there.
 """
 
 from __future__ import annotations
@@ -23,14 +31,30 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
+from repro.core.config import FleetShape
+from repro.harness.cell import Cell
+from repro.harness.experiments import EXPERIMENTS, TENANCY_FLAGS, TRACE_FLAGS, Experiment
 from repro.harness.placement_search import search_placement
 from repro.harness.report import format_table
-from repro.harness.runner import SYSTEM_NAMES, ExperimentSpec, run_experiment
+from repro.harness.runner import (
+    SYSTEM_NAMES,
+    ExperimentSpec,
+    build_system,
+    generate_workload,
+    resolve_slo,
+    run_experiment,
+)
 from repro.models.registry import MODEL_REGISTRY
+from repro.policies import ADMISSION_POLICIES, ROUTING_POLICIES
+from repro.policies.fairshare import FairShareConfig
+from repro.workloads.arrivals import TierMix
 from repro.workloads.datasets import DATASET_REGISTRY
+from repro.workloads.prefixes import PrefixMix
+from repro.workloads.tenants import TenantMix
 
 
 def _parse_parallel(value: str) -> tuple[int, int]:
@@ -44,40 +68,156 @@ def _parse_parallel(value: str) -> tuple[int, int]:
     raise argparse.ArgumentTypeError(f"cannot parse parallelism {value!r}")
 
 
-def _fairshare_from_args(args: argparse.Namespace):
-    """Build a FairShareConfig from the tenant budget flags (or None)."""
-    weights = getattr(args, "tenant_weights", None)
-    max_inflight = getattr(args, "tenant_max_inflight", None)
-    max_tokens = getattr(args, "tenant_max_tokens", None)
-    if weights is None and max_inflight is None and max_tokens is None:
-        return None
-    from repro.policies.fairshare import FairShareConfig
+def _spec(parse: Callable[[str], object], help: str) -> dict:
+    """Options for a spec-string flag: parse-checked, kept as text."""
 
-    return FairShareConfig(
-        weights=FairShareConfig.parse_weights(weights) if weights else (),
-        max_inflight=max_inflight,
-        max_tokens=max_tokens,
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+
+    return dict(type=check, metavar="SPEC", help=help)
+
+
+#: Cell field -> (flag, argparse options).  The flag's default comes from
+#: the verb's base cell.
+CELL_FLAGS: dict[str, tuple[str, dict]] = {
+    "model": ("--model", dict(choices=sorted(MODEL_REGISTRY))),
+    "dataset": ("--dataset", dict(choices=sorted(DATASET_REGISTRY))),
+    "rate_per_gpu": ("--rate", dict(type=float, help="per-GPU req/s")),
+    "num_requests": ("--requests", dict(type=int)),
+    "seed": ("--seed", dict(type=int)),
+    "decode_parallel": ("--decode-parallel", dict(type=_parse_parallel, metavar="TPxPPy")),
+    "arrival_process": ("--arrivals", dict(choices=("poisson", "bursty"))),
+    "burstiness_cv": ("--burstiness", dict(type=float)),
+    "tier_mix": (
+        "--tier-mix",
+        _spec(
+            TierMix.parse,
+            "SLO-tier mix, e.g. 'interactive=0.2,standard=0.5,best_effort=0.3' "
+            "(default: all requests in the standard tier)",
+        ),
+    ),
+    "prefix_mix": (
+        "--prefix-mix",
+        _spec(
+            PrefixMix.parse,
+            "shared-prefix population, e.g. "
+            "'none=0.25,assistant=0.5:384,fewshot=0.25:640' (name=weight:tokens)",
+        ),
+    ),
+    "tenant_mix": (
+        "--tenant-mix",
+        _spec(
+            TenantMix.parse,
+            "tenant population, e.g. 'acme=0.6,beta=0.25,gamma=0.15' "
+            "(default: all requests owned by the default tenant)",
+        ),
+    ),
+    "tenant_weights": (
+        "--tenant-weights",
+        _spec(
+            FairShareConfig.parse_weights,
+            "WFQ weights for fair-share, e.g. 'acme=1,beta=4' "
+            "(unlisted tenants get weight 1)",
+        ),
+    ),
+    "tenant_max_inflight": (
+        "--tenant-max-inflight",
+        dict(type=int, help="per-tenant concurrent-request budget (fair-share admission)"),
+    ),
+    "tenant_max_tokens": (
+        "--tenant-max-tokens",
+        dict(type=int, help="per-tenant in-flight prompt+output token budget (fair-share)"),
+    ),
+    "admission_policy": (
+        "--admission",
+        dict(
+            choices=ADMISSION_POLICIES.names(),
+            help="admission policy (fair-share enables WFQ + tenant budgets)",
+        ),
+    ),
+    "fleet_policy": (
+        "--router",
+        dict(choices=ROUTING_POLICIES.names(), help="fleet routing policy (default round-robin)"),
+    ),
+    "fleet_nodes": ("--nodes", dict(type=int, help="fleet cluster nodes")),
+    "fleet_pairs_per_node": ("--pairs-per-node", dict(type=int)),
+    "fleet_standby": (
+        "--standby",
+        dict(type=int, help="warm standby members (autoscaled fleet)"),
+    ),
+    "fleet_span_nodes": (
+        "--span-nodes",
+        dict(
+            action="store_true",
+            help="place each pair's decode on the next node (hand-offs cross NICs)",
+        ),
+    ),
+    "fleet_shape": (
+        "--shape",
+        _spec(
+            FleetShape.parse,
+            "fleet shape spec, e.g. 'a800:2,h100' (per-member GPU type + parallelism)",
+        ),
+    ),
+    "fault_plan": ("--fault-plan", dict(help="fault plan the faulted cells run under")),
+    "prefix_cache_tokens": (
+        "--cache-tokens",
+        dict(type=int, help="warm-prefix KV budget per prefill instance (tokens)"),
+    ),
+    "tenant_rate": (
+        "--tenant-rate",
+        dict(
+            type=float,
+            help="per-tenant gateway rate limit in submits/s (fleets; 0 disables it)",
+        ),
+    ),
+    "tenant_burst": (
+        "--tenant-burst",
+        dict(type=float, help="token-bucket burst size (fleets; default max(1, rate))"),
+    ),
+}
+
+
+def _dest(field: str) -> str:
+    return CELL_FLAGS[field][0].lstrip("-").replace("-", "_")
+
+
+def _add_cell_flags(parser: argparse.ArgumentParser, names: Sequence[str], base: Cell) -> None:
+    for name in names:
+        flag, options = CELL_FLAGS[name]
+        parser.add_argument(flag, default=getattr(base, name), **options)
+
+
+def _cell_from_args(args: argparse.Namespace, names: Sequence[str], base: Cell) -> Cell:
+    return replace(base, **{name: getattr(args, _dest(name)) for name in names})
+
+
+# -- single experiments ----------------------------------------------------------
+
+RUN_FLAGS = ("model", "dataset", "num_requests", "seed") + TRACE_FLAGS
+RUN_BASE = Cell(num_requests=500)
+
+
+def _add_spec_args(parser: argparse.ArgumentParser, tenants: bool = False) -> None:
+    _add_cell_flags(parser, RUN_FLAGS + (TENANCY_FLAGS if tenants else ()), RUN_BASE)
+    parser.add_argument(
+        "--prefill-parallel", type=_parse_parallel, default=(2, 1), metavar="TPxPPy"
     )
+    parser.add_argument("--node-gpus", type=int, default=8)
+    parser.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
 
 def _spec_from_args(args: argparse.Namespace, system: str, rate: float) -> ExperimentSpec:
-    return ExperimentSpec(
-        system=system,
-        model=args.model,
-        dataset=args.dataset,
-        rate_per_gpu=rate,
-        num_requests=args.requests,
-        seed=args.seed,
+    names = RUN_FLAGS + (TENANCY_FLAGS if hasattr(args, "tenant_mix") else ())
+    cell = _cell_from_args(args, names, replace(RUN_BASE, system=system, rate_per_gpu=rate))
+    return replace(
+        cell.experiment(),
         prefill_parallel=args.prefill_parallel,
-        decode_parallel=args.decode_parallel,
         num_node_gpus=args.node_gpus,
-        arrival_process=args.arrivals,
-        burstiness_cv=args.burstiness,
-        tier_mix=args.tier_mix,
-        prefix_mix=args.prefix_mix,
-        tenant_mix=getattr(args, "tenant_mix", None),
-        admission_policy=getattr(args, "admission", "nested-caps"),
-        fairshare=_fairshare_from_args(args),
     )
 
 
@@ -89,9 +229,6 @@ def _result_row(result) -> dict:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if (mix_error := _validate_tenant_mix(args)) is not None:
-        print(mix_error, file=sys.stderr)
-        return 2
     result = run_experiment(_spec_from_args(args, args.system, args.rate))
     row = _result_row(result)
     if args.json:
@@ -160,37 +297,14 @@ def cmd_placement(args: argparse.Namespace) -> int:
 def cmd_breakdown(args: argparse.Namespace) -> int:
     from repro.harness.breakdown import breakdown_rows
     from repro.harness.timeline import render_timeline
-    from repro.harness.runner import build_system, resolve_slo
-    from repro.models.registry import get_model
-    from repro.workloads.arrivals import TierMix
-    from repro.workloads.datasets import get_dataset
-    from repro.workloads.prefixes import PrefixMix
-    from repro.workloads.tenants import TenantMix
-    from repro.workloads.trace import generate_trace
 
-    if (mix_error := _validate_tenant_mix(args)) is not None:
-        print(mix_error, file=sys.stderr)
-        return 2
     spec = _spec_from_args(args, args.system, args.rate)
-    slo = resolve_slo(spec)
-    system = build_system(spec, slo)
+    system = build_system(spec, resolve_slo(spec))
     # The timeline needs tracing; flip it on before any batch runs.
     system.trace.enabled = True
     for instance in system.instances:
         instance.trace = system.trace
-    trace = generate_trace(
-        get_dataset(spec.dataset),
-        rate=spec.rate_per_gpu * spec.gpus_used,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        model=get_model(spec.model),
-        arrival_process=spec.arrival_process,
-        burstiness_cv=spec.burstiness_cv,
-        tier_mix=TierMix.parse(spec.tier_mix) if spec.tier_mix else None,
-        prefix_mix=PrefixMix.parse(spec.prefix_mix) if spec.prefix_mix else None,
-        tenant_mix=TenantMix.parse(spec.tenant_mix) if spec.tenant_mix else None,
-    )
-    metrics = system.run_to_completion(trace)
+    metrics = system.run_to_completion(generate_workload(spec))
     rows = breakdown_rows(metrics.completed, label=spec.system)
     if args.json:
         print(json.dumps(rows, indent=2))
@@ -216,44 +330,35 @@ def cmd_golden(args: argparse.Namespace) -> int:
         for scenario in GOLDEN_MATRIX:
             print(scenario.name)
         return 0
-    try:
-        if args.action == "record":
-            for path in record_goldens(
-                args.dir, only=only, reason=args.reason, tag=args.tag
-            ):
-                print(f"recorded {path}")
-            return 0
-        if args.action == "rerecord":
-            if not args.reason:
-                print(
-                    "error: rerecord requires --reason (the provenance line "
-                    "reviewers read)",
-                    file=sys.stderr,
-                )
-                return 2
-            outcomes = rerecord_goldens(
-                args.dir, reason=args.reason, tag=args.tag, only=only
+    if args.action == "record":
+        for path in record_goldens(args.dir, only=only, reason=args.reason, tag=args.tag):
+            print(f"recorded {path}")
+        return 0
+    if args.action == "rerecord":
+        if not args.reason:
+            print(
+                "error: rerecord requires --reason (the provenance line reviewers read)",
+                file=sys.stderr,
             )
-            report = render_migration_report(outcomes)
-            print(report)
-            if args.report_out is not None:
-                args.report_out.write_text(report + "\n")
-                print(f"\nmigration report written to {args.report_out}")
-            return 0
-        if args.action == "validate":
-            problems = validate_golden_store(args.dir, only=only)
-            for problem in problems:
-                print(f"PROVENANCE: {problem}")
-            if problems:
-                print(f"\n{len(problems)} problem(s) in the golden store")
-                return 1
-            count = len(only) if only else len(GOLDEN_MATRIX)
-            print(f"all {count} golden header(s) valid (format + provenance chain)")
-            return 0
-        diffs = check_goldens(args.dir, only=only)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            return 2
+        outcomes = rerecord_goldens(args.dir, reason=args.reason, tag=args.tag, only=only)
+        report = render_migration_report(outcomes)
+        print(report)
+        if args.report_out is not None:
+            args.report_out.write_text(report + "\n")
+            print(f"\nmigration report written to {args.report_out}")
+        return 0
+    if args.action == "validate":
+        problems = validate_golden_store(args.dir, only=only)
+        for problem in problems:
+            print(f"PROVENANCE: {problem}")
+        if problems:
+            print(f"\n{len(problems)} problem(s) in the golden store")
+            return 1
+        count = len(only) if only else len(GOLDEN_MATRIX)
+        print(f"all {count} golden header(s) valid (format + provenance chain)")
+        return 0
+    diffs = check_goldens(args.dir, only=only)
     for diff in diffs:
         print(diff.report())
     failed = sum(not d.passed for d in diffs)
@@ -268,425 +373,36 @@ def cmd_golden(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_differential(args: argparse.Namespace) -> int:
-    from repro.harness.differential import DifferentialSpec, run_differential
-
-    failures = 0
-    for seed in args.seeds:
-        spec = DifferentialSpec(
-            model=args.model,
-            dataset=args.dataset,
-            rate_per_gpu=args.rate,
-            num_requests=args.requests,
-            seed=seed,
-            arrival_process=args.arrivals,
-            burstiness_cv=args.burstiness,
-            systems=tuple(args.systems),
-        )
-        result = run_differential(spec)
-        print(result.report())
-        failures += not result.passed
-    return 1 if failures else 0
-
-
-def _validate_tier_mix(args: argparse.Namespace) -> Optional[str]:
-    """Parse-check ``--tier-mix`` up front; returns an error message or None."""
-    if not args.tier_mix:
-        return None
-    from repro.workloads.arrivals import TierMix
-
-    try:
-        TierMix.parse(args.tier_mix)
-    except ValueError as exc:
-        return f"error: bad --tier-mix: {exc}"
-    return None
-
-
-def _validate_prefix_mix(args: argparse.Namespace) -> Optional[str]:
-    """Parse-check ``--prefix-mix`` up front; returns an error message or None."""
-    if not getattr(args, "prefix_mix", None):
-        return None
-    from repro.workloads.prefixes import PrefixMix
-
-    try:
-        PrefixMix.parse(args.prefix_mix)
-    except ValueError as exc:
-        return f"error: bad --prefix-mix: {exc}"
-    return None
-
-
-def _validate_tenant_mix(args: argparse.Namespace) -> Optional[str]:
-    """Parse-check the tenant flags up front; returns an error message or None."""
-    if getattr(args, "tenant_mix", None):
-        from repro.workloads.tenants import TenantMix
-
-        try:
-            TenantMix.parse(args.tenant_mix)
-        except ValueError as exc:
-            return f"error: bad --tenant-mix: {exc}"
-    try:
-        _fairshare_from_args(args)
-    except ValueError as exc:
-        return f"error: bad tenant budget flags: {exc}"
-    return None
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults import FAULT_PLAN_NAMES
-    from repro.harness.chaos import run_chaos_matrix
-
-    for mix_error in (
-        _validate_tier_mix(args),
-        _validate_prefix_mix(args),
-        _validate_tenant_mix(args),
-    ):
-        if mix_error is not None:
-            print(mix_error, file=sys.stderr)
-            return 2
-    if args.fleet:
-        return _cmd_chaos_fleet(args)
-    systems, plans = args.systems, args.plans
-    if plans is None:
-        plans = ["decode-crash", "link-degrade", "straggler"]
-    requests = args.requests
-    if args.smoke:
-        # One small deterministic cell for CI: fast, but still exercises
-        # crash -> detect -> re-queue -> recover end to end.
-        systems, plans, requests = ["windserve"], ["decode-crash"], min(requests, 60)
-    for plan in plans:
-        if plan not in FAULT_PLAN_NAMES:
-            print(
-                f"error: unknown fault plan {plan!r}; known: {FAULT_PLAN_NAMES}",
-                file=sys.stderr,
-            )
-            return 2
-    results = run_chaos_matrix(
-        systems=systems,
-        plans=plans,
-        model=args.model,
-        dataset=args.dataset,
-        rate_per_gpu=args.rate,
-        num_requests=requests,
-        seed=args.seed,
-        arrival_process=args.arrivals,
-        burstiness_cv=args.burstiness,
-        tier_mix=args.tier_mix,
-        prefix_mix=args.prefix_mix,
-        admission_policy=args.admission,
-        tenant_mix=args.tenant_mix,
-        fairshare=_fairshare_from_args(args),
-    )
-    rows = [r.row() for r in results]
-    if args.json:
-        payload = [
-            {
-                **r.row(),
-                "resilience": r.resilience,
-                "plan_events": r.plan_events,
-                "fingerprint": r.fingerprint,
-                "completion_curve": r.completion_curve,
-                "tier_report": r.tier_report,
-                "violations": r.violations,
-            }
-            for r in results
-        ]
-        print(json.dumps(payload, indent=2))
-    else:
-        print(format_table(rows))
-    failed = [r for r in results if not r.passed]
-    for result in failed:
-        print(
-            f"\n[VIOLATED] {result.spec.system} / {result.spec.fault_plan}:",
-            file=sys.stderr,
-        )
-        for violation in result.violations:
-            print(f"    {violation}", file=sys.stderr)
-    if failed:
-        return 1
-    print(f"\nall {len(results)} chaos run(s) satisfied the resilience invariants")
-    return 0
-
-
-def _cmd_chaos_fleet(args: argparse.Namespace) -> int:
-    from repro.faults import FLEET_FAULT_PLAN_NAMES
-    from repro.harness.chaos import DEFAULT_FLEET_CHAOS_PLANS, run_fleet_chaos_matrix
-
-    plans = args.plans if args.plans is not None else list(DEFAULT_FLEET_CHAOS_PLANS)
-    requests = args.requests
-    nodes, pairs, standby = args.nodes, args.pairs_per_node, args.standby
-    if args.smoke:
-        # One small member-crash cell with a warm standby: exercises the
-        # whole fleet loop (crash -> heartbeat detect -> cross-node re-route
-        # -> standby promotion -> rejoin) in a few seconds.
-        plans, requests = ["member-crash"], min(requests, 48)
-        nodes, pairs, standby = 2, 2, 1
-    for plan in plans:
-        if plan not in FLEET_FAULT_PLAN_NAMES:
-            print(
-                f"error: unknown fleet fault plan {plan!r}; "
-                f"known: {FLEET_FAULT_PLAN_NAMES}",
-                file=sys.stderr,
-            )
-            return 2
-    results = run_fleet_chaos_matrix(
-        plans=plans,
-        model=args.model,
-        dataset=args.dataset,
-        rate_per_gpu=args.rate,
-        num_requests=requests,
-        seed=args.seed,
-        arrival_process=args.arrivals,
-        burstiness_cv=args.burstiness,
-        num_nodes=nodes,
-        pairs_per_node=pairs,
-        policy=args.router or "round-robin",
-        span_nodes=args.span_nodes,
-        standby=standby,
-        tier_mix=args.tier_mix,
-        prefix_mix=args.prefix_mix,
-        admission_policy=args.admission,
-        tenant_mix=args.tenant_mix,
-        fairshare=_fairshare_from_args(args),
-        tenant_rate=args.tenant_rate,
-        tenant_burst=args.tenant_burst,
-    )
-    if args.json:
-        payload = [
-            {
-                **r.row(),
-                "resilience": r.resilience,
-                "fleet_resilience": r.fleet_resilience,
-                "plan_events": r.plan_events,
-                "fingerprint": r.fingerprint,
-                "tier_report": r.tier_report,
-                "violations": r.violations,
-            }
-            for r in results
-        ]
-        print(json.dumps(payload, indent=2))
-    else:
-        print(format_table([r.row() for r in results]))
-    failed = [r for r in results if not r.passed]
-    for result in failed:
-        print(f"\n[VIOLATED] fleet / {result.spec.fault_plan}:", file=sys.stderr)
-        for violation in result.violations:
-            print(f"    {violation}", file=sys.stderr)
-    if failed:
-        return 1
-    print(f"\nall {len(results)} fleet chaos run(s) satisfied the resilience invariants")
-    return 0
-
-
-def cmd_prefix(args: argparse.Namespace) -> int:
-    from repro.harness.prefix_compare import PrefixComparisonSpec, run_prefix_comparison
-
-    if (mix_error := _validate_prefix_mix(args)) is not None:
-        print(mix_error, file=sys.stderr)
-        return 2
-    kwargs = dict(
-        model=args.model,
-        dataset=args.dataset,
-        rate_per_gpu=args.rate,
-        num_requests=args.requests,
-        seed=args.seed,
-        num_nodes=args.nodes,
-        pairs_per_node=args.pairs_per_node,
-        prefix_cache_tokens=args.cache_tokens,
-    )
-    if args.prefix_mix:
-        kwargs["prefix_mix"] = args.prefix_mix
-    if args.smoke:
-        # One fast deterministic comparison cell for CI.
-        kwargs["num_requests"] = min(args.requests, 160)
-    report = run_prefix_comparison(PrefixComparisonSpec(**kwargs))
+def cmd_experiment(experiment: Experiment, args: argparse.Namespace) -> int:
+    """Run one declared comparison; exit 1 on a violation or failed verdict."""
+    base = _cell_from_args(args, experiment.flags, experiment.base)
+    report = experiment.run(base, **{p.dest: getattr(args, p.dest) for p in experiment.params})
     payload = report.as_dict()
-    if args.out:
+    # With --json, stdout carries the report alone.
+    info = sys.stderr if args.json else sys.stdout
+    if getattr(args, "out", None):
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
+        print(f"wrote {args.out}", file=info)
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        rows = [run.as_dict() for run in report.runs.values()]
-        for row in rows:
-            row.pop("violations", None)
-            row["fingerprint"] = row["fingerprint"][:12]
-        print(format_table(rows, precision=4))
-    for name, run in report.runs.items():
+        print(format_table(report.rows(), precision=4))
+    for label, run in report.runs.items():
         for violation in run.violations:
-            print(f"[VIOLATED] {name}: {violation}", file=sys.stderr)
+            print(f"[VIOLATED] {label}: {violation}", file=sys.stderr)
+    for verdict in experiment.verdicts:
+        held = report.verdicts[verdict.name]
+        print(
+            f"  [{'ok' if held else 'FAILED'}] {verdict.name}: {verdict.claim}",
+            file=info if held else sys.stderr,
+        )
     if not report.passed:
         return 1
-    if not report.affinity_beats_blind:
-        print(
-            "prefix-affinity did NOT beat least-loaded on mean TTFT + prefill work",
-            file=sys.stderr,
-        )
-        return 1
+    fleet = "fleet " if all(run.cell.is_fleet for run in report.runs.values()) else ""
     print(
-        "\nprefix-affinity beats least-loaded on mean TTFT and total prefill "
-        "tokens; all KV and conservation checks passed"
+        f"\nall {len(report.runs)} {fleet}{experiment.name} run(s) satisfied the invariant suite",
+        file=info,
     )
-    return 0
-
-
-def cmd_hetero(args: argparse.Namespace) -> int:
-    from repro.harness.hetero_compare import (
-        HeteroComparisonSpec,
-        run_hetero_comparison,
-    )
-
-    kwargs = dict(
-        model=args.model,
-        dataset=args.dataset,
-        rate_per_gpu=args.rate,
-        num_requests=args.requests,
-        seed=args.seed,
-        pairs_per_node=args.pairs_per_node,
-        fault_plan=args.fault_plan,
-    )
-    if args.shape:
-        kwargs["shape"] = args.shape
-    if args.smoke:
-        # One fast deterministic comparison point for CI (the default spec
-        # already runs in ~1s; the cap just keeps explicit larger --requests
-        # honest in smoke mode).
-        kwargs["num_requests"] = min(args.requests, 480)
-    try:
-        spec = HeteroComparisonSpec(**kwargs)
-        spec.parsed_shape()  # surface shape-spec errors as usage errors
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = run_hetero_comparison(spec)
-    payload = report.as_dict()
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        rows = [run.as_dict() for run in report.runs.values()]
-        for row in rows:
-            row.pop("violations", None)
-            row.pop("replans", None)
-            row["fingerprint"] = row["fingerprint"][:12]
-        print(format_table(rows, precision=4))
-    for name, run in report.runs.items():
-        for violation in run.violations:
-            print(f"[VIOLATED] {name}: {violation}", file=sys.stderr)
-    if not report.passed:
-        return 1
-    failed = False
-    if not report.routing_wins:
-        print(
-            "predicted-ttft did NOT beat least-loaded on mean TTFT on the "
-            "mixed fleet",
-            file=sys.stderr,
-        )
-        failed = True
-    if not report.replan_recovers:
-        print(
-            "failure-reactive re-planning did NOT recover SLO goodput >= "
-            "the degraded (no-replan) run",
-            file=sys.stderr,
-        )
-        failed = True
-    if failed:
-        return 1
-    print(
-        "\npredicted-ttft beats least-loaded on the mixed fleet, and "
-        "re-planning recovers at least the degraded run's SLO goodput; "
-        "all chaos invariants passed"
-    )
-    return 0
-
-
-def cmd_tenants(args: argparse.Namespace) -> int:
-    from repro.harness.tenant_compare import (
-        TenantComparisonSpec,
-        run_tenant_comparison,
-    )
-
-    kwargs = dict(
-        model=args.model,
-        dataset=args.dataset,
-        rate_per_gpu=args.rate,
-        num_requests=args.requests,
-        seed=args.seed,
-        num_light=args.light_tenants,
-        light_weight=args.light_weight,
-        tenant_max_inflight=args.tenant_max_inflight,
-        burst_requests=args.burst_requests,
-        isolation_bound=args.bound,
-    )
-    if args.smoke:
-        # One fast deterministic comparison cell for CI.
-        kwargs["num_requests"] = min(args.requests, 80)
-        kwargs["burst_requests"] = min(args.burst_requests, 32)
-    try:
-        spec = TenantComparisonSpec(**kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = run_tenant_comparison(spec)
-    payload = report.as_dict()
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(report.report())
-    for name, run in report.runs.items():
-        for violation in run.violations:
-            print(f"[VIOLATED] {name}: {violation}", file=sys.stderr)
-    if not report.passed:
-        if report.isolation_holds and not report.fifo_violates:
-            print(
-                "experiment did not discriminate: FIFO also held the isolation "
-                "bound (raise the burst or lower --bound)",
-                file=sys.stderr,
-            )
-        return 1
-    print(
-        "\nfair-share held the isolation bound the FIFO baseline violated; "
-        "budgets were never exceeded and all conservation checks passed"
-    )
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.perfbench import (
-        BenchSpec,
-        record_bench,
-        smoke_spec,
-        summarize,
-        validate_bench_payload,
-    )
-
-    if args.smoke:
-        spec = smoke_spec(num_requests=args.requests or 2_000, seed=args.seed)
-    else:
-        spec = BenchSpec(
-            label=args.label,
-            num_requests=args.requests or 100_000,
-            seed=args.seed,
-            model=args.model,
-            dataset=args.dataset,
-        )
-    baseline = None
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text())
-    path, payload = record_bench(
-        spec, out=args.out, root=Path(args.root), baseline=baseline
-    )
-    problems = validate_bench_payload(payload)
-    if problems:  # record_bench already validates; belt-and-braces for --smoke CI
-        for problem in problems:
-            print(f"SCHEMA: {problem}")
-        return 1
-    print(summarize(payload))
-    print(f"wrote {path}")
     return 0
 
 
@@ -721,81 +437,18 @@ def cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_workload_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", default="opt-13b", choices=sorted(MODEL_REGISTRY))
-    parser.add_argument("--dataset", default="sharegpt", choices=sorted(DATASET_REGISTRY))
-    parser.add_argument("--requests", type=int, default=500)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--prefill-parallel", type=_parse_parallel, default=(2, 1), metavar="TPxPPy"
-    )
-    parser.add_argument(
-        "--decode-parallel", type=_parse_parallel, default=(2, 1), metavar="TPxPPy"
-    )
-    parser.add_argument("--node-gpus", type=int, default=8)
-    parser.add_argument("--arrivals", choices=("poisson", "bursty"), default="poisson")
-    parser.add_argument("--burstiness", type=float, default=2.0)
-    parser.add_argument(
-        "--tier-mix",
-        default=None,
-        metavar="SPEC",
-        help="SLO-tier mix, e.g. 'interactive=0.2,standard=0.5,best_effort=0.3' "
-        "(default: all requests in the standard tier)",
-    )
-    parser.add_argument(
-        "--prefix-mix",
-        default=None,
-        metavar="SPEC",
-        help="shared-prefix population, e.g. "
-        "'none=0.25,assistant=0.5:384,fewshot=0.25:640' (name=weight:tokens; "
-        "default: no shared prefixes)",
-    )
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-
-
-def _add_tenant_args(
-    parser: argparse.ArgumentParser, admission: bool = True
-) -> None:
-    """Tenancy flags: population mix, fair-share budgets, admission choice.
-
-    ``admission=False`` skips ``--admission`` for parsers (chaos) that
-    already define it themselves.
-    """
-    parser.add_argument(
-        "--tenant-mix",
-        default=None,
-        metavar="SPEC",
-        help="tenant population, e.g. 'acme=0.6,beta=0.25,gamma=0.15' "
-        "(default: all requests owned by the default tenant)",
-    )
-    parser.add_argument(
-        "--tenant-weights",
-        default=None,
-        metavar="SPEC",
-        help="WFQ weights for fair-share, e.g. 'acme=1,beta=4' "
-        "(unlisted tenants get weight 1)",
-    )
-    parser.add_argument(
-        "--tenant-max-inflight",
-        type=int,
-        default=None,
-        help="per-tenant concurrent-request budget (fair-share admission)",
-    )
-    parser.add_argument(
-        "--tenant-max-tokens",
-        type=int,
-        default=None,
-        help="per-tenant in-flight prompt+output token budget (fair-share)",
-    )
-    if admission:
-        from repro.policies import ADMISSION_POLICIES
-
-        parser.add_argument(
-            "--admission",
-            choices=ADMISSION_POLICIES.names(),
-            default="nested-caps",
-            help="admission policy (fair-share enables WFQ + tenant budgets)",
-        )
+def _add_experiment(sub, experiment: Experiment) -> None:
+    parser = sub.add_parser(experiment.name, help=experiment.help)
+    _add_cell_flags(parser, experiment.flags, experiment.base)
+    for param in experiment.params:
+        if param.default is False:
+            parser.add_argument(param.flag, action="store_true", help=param.help)
+        else:
+            parser.add_argument(
+                param.flag, type=param.type, default=param.default, help=param.help
+            )
+    parser.add_argument("--json", action="store_true", help="emit the JSON report")
+    parser.set_defaults(func=lambda args: cmd_experiment(experiment, args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -807,8 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment")
     run_p.add_argument("--system", default="windserve", choices=SYSTEM_NAMES)
     run_p.add_argument("--rate", type=float, required=True, help="per-GPU req/s")
-    _add_workload_args(run_p)
-    _add_tenant_args(run_p)
+    _add_spec_args(run_p, tenants=True)
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="sweep request rates across systems")
@@ -823,13 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated per-GPU rates",
     )
-    _add_workload_args(sweep_p)
+    _add_spec_args(sweep_p)
     sweep_p.set_defaults(func=cmd_sweep)
 
     place_p = sub.add_parser("placement", help="rank placements by simulation")
     place_p.add_argument("--system", default="distserve", choices=SYSTEM_NAMES)
     place_p.add_argument("--rate", type=float, required=True)
-    _add_workload_args(place_p)
+    _add_spec_args(place_p)
     place_p.set_defaults(func=cmd_placement)
 
     breakdown_p = sub.add_parser(
@@ -837,17 +489,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     breakdown_p.add_argument("--system", default="windserve", choices=SYSTEM_NAMES)
     breakdown_p.add_argument("--rate", type=float, required=True)
-    _add_workload_args(breakdown_p)
-    _add_tenant_args(breakdown_p)
+    _add_spec_args(breakdown_p, tenants=True)
     breakdown_p.set_defaults(func=cmd_breakdown)
 
     golden_p = sub.add_parser(
         "golden",
         help="record, rerecord (with provenance), check, or validate golden traces",
     )
-    golden_p.add_argument(
-        "action", choices=("record", "rerecord", "check", "validate", "list")
-    )
+    golden_p.add_argument("action", choices=("record", "rerecord", "check", "validate", "list"))
     golden_p.add_argument(
         "--dir",
         type=Path,
@@ -877,233 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     golden_p.set_defaults(func=cmd_golden)
 
-    diff_p = sub.add_parser(
-        "differential",
-        help="run all systems on one identical workload and assert shared invariants",
-    )
-    diff_p.add_argument(
-        "--systems",
-        type=lambda s: [x.strip() for x in s.split(",")],
-        default=["windserve", "distserve", "vllm"],
-    )
-    diff_p.add_argument(
-        "--seeds",
-        type=lambda s: [int(x) for x in s.split(",")],
-        default=[0, 1, 2],
-        help="comma-separated seeds, one differential run each",
-    )
-    diff_p.add_argument("--rate", type=float, default=3.0)
-    _add_workload_args(diff_p)
-    # Invariant checks don't need the default 500-request statistical power.
-    diff_p.set_defaults(func=cmd_differential, requests=40)
-
-    chaos_p = sub.add_parser(
-        "chaos",
-        help="inject fault plans and measure degraded-mode behaviour",
-    )
-    chaos_p.add_argument(
-        "--systems",
-        type=lambda s: [x.strip() for x in s.split(",")],
-        default=["windserve", "distserve", "vllm"],
-    )
-    chaos_p.add_argument(
-        "--plans",
-        type=lambda s: [x.strip() for x in s.split(",")],
-        default=None,
-        help="comma-separated fault plans (FAULT_PLAN_NAMES, or "
-        "FLEET_FAULT_PLAN_NAMES with --fleet)",
-    )
-    chaos_p.add_argument("--rate", type=float, default=3.0)
-    chaos_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="single fast cell (CI gate): windserve/decode-crash, or a "
-        "member-crash fleet with warm standby under --fleet",
-    )
-    chaos_p.add_argument(
-        "--fleet",
-        action="store_true",
-        help="run fleet-scope plans (member/node/NIC faults) against a "
-        "WindServe fleet over a multi-node cluster",
-    )
-    chaos_p.add_argument("--nodes", type=int, default=2, help="fleet cluster nodes")
-    chaos_p.add_argument("--pairs-per-node", type=int, default=2)
-    chaos_p.add_argument(
-        "--standby", type=int, default=0, help="warm standby members (autoscaled fleet)"
-    )
-    chaos_p.add_argument(
-        "--span-nodes",
-        action="store_true",
-        help="place each pair's decode on the next node (hand-offs cross NICs)",
-    )
-    from repro.policies import ADMISSION_POLICIES, ROUTING_POLICIES
-
-    chaos_p.add_argument(
-        "--router",
-        choices=ROUTING_POLICIES.names(),
-        default=None,
-        help="fleet routing policy (with --fleet; default round-robin)",
-    )
-    chaos_p.add_argument(
-        "--admission",
-        choices=ADMISSION_POLICIES.names(),
-        default="nested-caps",
-        help="degraded-mode admission policy",
-    )
-    chaos_p.add_argument(
-        "--tenant-rate",
-        type=float,
-        default=0.0,
-        help="per-tenant gateway rate limit in submits/s (with --fleet; "
-        "0 disables the token-bucket limiter)",
-    )
-    chaos_p.add_argument(
-        "--tenant-burst",
-        type=float,
-        default=0.0,
-        help="token-bucket burst size (with --fleet; default max(1, rate))",
-    )
-    _add_workload_args(chaos_p)
-    _add_tenant_args(chaos_p, admission=False)
-    # Chaos checks invariants, not percentiles; keep runs quick.
-    chaos_p.set_defaults(func=cmd_chaos, requests=120)
-
-    prefix_p = sub.add_parser(
-        "prefix",
-        help="compare prefix-affinity vs locality-blind routing on a "
-        "shared-prefix workload",
-    )
-    prefix_p.add_argument("--rate", type=float, default=3.0, help="per-GPU req/s")
-    prefix_p.add_argument("--requests", type=int, default=240)
-    prefix_p.add_argument("--seed", type=int, default=0)
-    prefix_p.add_argument("--model", default="opt-13b", choices=sorted(MODEL_REGISTRY))
-    prefix_p.add_argument(
-        "--dataset", default="sharegpt", choices=sorted(DATASET_REGISTRY)
-    )
-    prefix_p.add_argument("--nodes", type=int, default=2, help="fleet cluster nodes")
-    prefix_p.add_argument("--pairs-per-node", type=int, default=2)
-    prefix_p.add_argument(
-        "--cache-tokens",
-        type=int,
-        default=2048,
-        help="warm-prefix KV budget per prefill instance (tokens)",
-    )
-    prefix_p.add_argument(
-        "--prefix-mix",
-        default=None,
-        metavar="SPEC",
-        help="shared-prefix population (default: 8 x 512-token prefixes, 20%% none)",
-    )
-    prefix_p.add_argument(
-        "--smoke", action="store_true", help="fast deterministic CI cell"
-    )
-    prefix_p.add_argument("--out", default=None, help="write the JSON report here")
-    prefix_p.add_argument("--json", action="store_true")
-    prefix_p.set_defaults(func=cmd_prefix)
-
-    hetero_p = sub.add_parser(
-        "hetero",
-        help="heterogeneous-fleet differentials: seconds-based routing vs "
-        "count-based, and failure-reactive re-planning vs running degraded",
-    )
-    hetero_p.add_argument(
-        "--shape",
-        default=None,
-        metavar="SPEC",
-        help="fleet shape spec, e.g. 'a800:2,h100' (default: narrow A800 "
-        "pair beside an H100 pair; member 1 is the crash target)",
-    )
-    hetero_p.add_argument("--rate", type=float, default=3.0, help="per-GPU req/s")
-    hetero_p.add_argument("--requests", type=int, default=480)
-    hetero_p.add_argument("--seed", type=int, default=0)
-    hetero_p.add_argument("--model", default="opt-13b", choices=sorted(MODEL_REGISTRY))
-    hetero_p.add_argument(
-        "--dataset", default="sharegpt", choices=sorted(DATASET_REGISTRY)
-    )
-    hetero_p.add_argument("--pairs-per-node", type=int, default=1)
-    hetero_p.add_argument(
-        "--fault-plan",
-        default="member-crash",
-        help="fleet fault plan the re-planning arm runs under",
-    )
-    hetero_p.add_argument(
-        "--smoke", action="store_true", help="fast deterministic CI cell"
-    )
-    hetero_p.add_argument("--out", default=None, help="write the JSON report here")
-    hetero_p.add_argument("--json", action="store_true")
-    hetero_p.set_defaults(func=cmd_hetero)
-
-    tenants_p = sub.add_parser(
-        "tenants",
-        help="compare fair-share vs FIFO-within-tier isolation under a "
-        "heavy-tenant burst",
-    )
-    tenants_p.add_argument("--rate", type=float, default=3.0, help="per-GPU req/s")
-    tenants_p.add_argument("--requests", type=int, default=160)
-    tenants_p.add_argument("--seed", type=int, default=0)
-    tenants_p.add_argument("--model", default="opt-13b", choices=sorted(MODEL_REGISTRY))
-    tenants_p.add_argument(
-        "--dataset", default="sharegpt", choices=sorted(DATASET_REGISTRY)
-    )
-    tenants_p.add_argument(
-        "--light-tenants", type=int, default=2, help="light tenants sharing the system"
-    )
-    tenants_p.add_argument(
-        "--light-weight", type=float, default=4.0, help="WFQ weight per light tenant"
-    )
-    tenants_p.add_argument(
-        "--tenant-max-inflight",
-        type=int,
-        default=8,
-        help="per-tenant concurrency budget in the fair-share runs",
-    )
-    tenants_p.add_argument(
-        "--burst-requests", type=int, default=48, help="heavy-tenant burst size"
-    )
-    tenants_p.add_argument(
-        "--bound",
-        type=float,
-        default=1.5,
-        help="isolation bound: max light P99 TTFT degradation vs no-burst baseline",
-    )
-    tenants_p.add_argument(
-        "--smoke", action="store_true", help="fast deterministic CI cell"
-    )
-    tenants_p.add_argument("--out", default=None, help="write the JSON report here")
-    tenants_p.add_argument("--json", action="store_true")
-    tenants_p.set_defaults(func=cmd_tenants)
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="scale benchmark: record a BENCH_<n>.json perf-trajectory point",
-    )
-    bench_p.add_argument(
-        "--requests",
-        type=int,
-        default=None,
-        help="single-phase request count (default: 100000, or 2000 with --smoke)",
-    )
-    bench_p.add_argument(
-        "--smoke", action="store_true", help="seconds-scale CI configuration"
-    )
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument("--label", default="scale")
-    bench_p.add_argument("--model", default="opt-13b", choices=sorted(MODEL_REGISTRY))
-    bench_p.add_argument(
-        "--dataset", default="sharegpt", choices=sorted(DATASET_REGISTRY)
-    )
-    bench_p.add_argument(
-        "--out", default=None, help="explicit output path (default: next BENCH_<n>.json)"
-    )
-    bench_p.add_argument(
-        "--root", default=".", help="directory holding the BENCH_<n>.json trajectory"
-    )
-    bench_p.add_argument(
-        "--baseline",
-        default=None,
-        help="JSON file with pre-optimisation numbers to embed under 'baseline'",
-    )
-    bench_p.set_defaults(func=cmd_bench)
+    for experiment in EXPERIMENTS:
+        _add_experiment(sub, experiment)
 
     models_p = sub.add_parser("models", help="list known model architectures")
     models_p.set_defaults(func=cmd_models)
@@ -1119,7 +543,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for system in getattr(args, "systems", []) or []:
         if system not in SYSTEM_NAMES:
             parser.error(f"unknown system {system!r}; known: {SYSTEM_NAMES}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,4 +1,4 @@
-"""Experiment harness: SLO derivation, system builders, rate sweeps, reports."""
+"""Experiment harness: SLO derivation, system builders, declared cells and comparisons, reports."""
 
 from repro.harness.slo import PAPER_SLOS, derive_slo, paper_slo
 from repro.harness.runner import (
@@ -14,26 +14,8 @@ from repro.harness.timeline import TimelineReport, render_timeline, sparkline
 from repro.harness.capacity import CapacityResult, find_capacity
 from repro.harness.comparison import Comparison, compare_systems
 from repro.harness.breakdown import aggregate_breakdown, breakdown_rows, render_breakdown
-from repro.harness.differential import (
-    DifferentialReport,
-    DifferentialSpec,
-    run_differential,
-)
-from repro.harness.chaos import (
-    ChaosResult,
-    ChaosSpec,
-    chaos_invariants,
-    run_chaos,
-    run_chaos_matrix,
-)
-from repro.harness.golden import (
-    GOLDEN_MATRIX,
-    GoldenDiff,
-    GoldenScenario,
-    check_goldens,
-    record_goldens,
-    run_scenario,
-)
+from repro.harness.cell import Cell, CellRun, Workload
+from repro.harness.golden import GOLDEN_MATRIX, GoldenDiff, check_goldens, record_goldens
 
 __all__ = [
     "PAPER_SLOS",
@@ -56,18 +38,11 @@ __all__ = [
     "aggregate_breakdown",
     "breakdown_rows",
     "render_breakdown",
-    "DifferentialReport",
-    "DifferentialSpec",
-    "run_differential",
-    "ChaosResult",
-    "ChaosSpec",
-    "chaos_invariants",
-    "run_chaos",
-    "run_chaos_matrix",
+    "Cell",
+    "CellRun",
+    "Workload",
     "GOLDEN_MATRIX",
     "GoldenDiff",
-    "GoldenScenario",
     "check_goldens",
     "record_goldens",
-    "run_scenario",
 ]

@@ -28,22 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.faults.config import ResilienceConfig
-from repro.harness.runner import ExperimentSpec, build_system, resolve_slo
-from repro.policies.fairshare import FairShareConfig
-from repro.models.registry import get_model
-from repro.workloads.arrivals import TierMix
-from repro.serving.instance import InstanceConfig
-from repro.sim.fingerprint import (
-    RunFingerprint,
-    canonical_json,
-    request_row,
-)
-from repro.sim.trace import TraceLog
-from repro.workloads.datasets import get_dataset
-from repro.workloads.prefixes import PrefixMix
-from repro.workloads.tenants import TenantMix
-from repro.workloads.trace import generate_trace
+from repro.harness.cell import Cell, CellRun
+from repro.sim.fingerprint import RunFingerprint, canonical_json
 
 #: Default location of the golden store, relative to the repo root.
 DEFAULT_GOLDEN_DIR = Path("tests") / "golden"
@@ -104,342 +90,136 @@ PROVENANCE_FORMAT_VERSION = 1
 INITIAL_RECORD_REASON = "initial record"
 
 
-@dataclass(frozen=True)
-class GoldenScenario:
-    """One {scheduler x workload x seed} cell of the golden matrix."""
-
-    name: str
-    system: str
-    rate_per_gpu: float
-    seed: int
-    num_requests: int = 25
-    model: str = "opt-13b"
-    dataset: str = "sharegpt"
-    arrival_process: str = "poisson"
-    burstiness_cv: float = 2.0
-    # Shrinking the KV pool forces the memory-pressure paths (swaps,
-    # recompute preemptions, WindServe rescheduling) into the golden trace.
-    kv_override_tokens: Optional[int] = None
-    decode_parallel: tuple[int, int] = (2, 1)
-    # Chaos cells: inject this named fault plan (see repro.faults.plan).
-    fault_plan: Optional[str] = None
-    # SLO-tier cells: deterministic tier mix spec and a tightened degraded-
-    # mode in-flight cap so priority shedding actually fires in the trace.
-    tier_mix: Optional[str] = None
-    shed_limit: Optional[int] = None
-    # Fleet cells: ``fleet_nodes > 0`` runs a WindServe fleet over a cluster
-    # instead of a single system; ``fault_plan`` then names a fleet plan.
-    fleet_nodes: int = 0
-    fleet_pairs_per_node: int = 2
-    fleet_standby: int = 0
-    fleet_span_nodes: bool = False
-    # Scheduling-policy cells: non-default router/admission choices.
-    fleet_policy: str = "round-robin"
-    admission_policy: str = "nested-caps"
-    # Heterogeneous-fleet cells: a fleet-shape spec (per-member GPU type +
-    # parallelism) and the failure-reactive re-planner.
-    fleet_shape: Optional[str] = None
-    fleet_replan: bool = False
-    # Prefix-caching cells: a shared-prefix workload plus a per-instance
-    # warm-prefix KV budget (0 keeps the cache off, the default behaviour).
-    prefix_mix: Optional[str] = None
-    prefix_cache_tokens: int = 0
-    # Tenancy cells: a tenant population plus fair-share knobs (used with
-    # ``admission_policy="fair-share"``); None/unset keeps runs tenant-free.
-    tenant_mix: Optional[str] = None
-    tenant_weights: Optional[str] = None
-    tenant_max_inflight: Optional[int] = None
-    tenant_max_tokens: Optional[int] = None
-
-    def fairshare_config(self) -> Optional[FairShareConfig]:
-        if (
-            self.tenant_weights is None
-            and self.tenant_max_inflight is None
-            and self.tenant_max_tokens is None
-        ):
-            return None
-        return FairShareConfig(
-            weights=(
-                FairShareConfig.parse_weights(self.tenant_weights)
-                if self.tenant_weights
-                else ()
-            ),
-            max_inflight=self.tenant_max_inflight,
-            max_tokens=self.tenant_max_tokens,
-        )
-
-    def spec(self) -> ExperimentSpec:
-        instance = InstanceConfig(prefix_cache_tokens=self.prefix_cache_tokens)
-        if self.kv_override_tokens is not None:
-            instance = InstanceConfig(
-                kv_capacity_override_tokens=self.kv_override_tokens,
-                cpu_swap_gb=16.0,
-                prefix_cache_tokens=self.prefix_cache_tokens,
-            )
-        resilience = None
-        if self.shed_limit is not None:
-            resilience = ResilienceConfig(degraded_inflight_limit=self.shed_limit)
-        return ExperimentSpec(
-            system=self.system,
-            model=self.model,
-            dataset=self.dataset,
-            rate_per_gpu=self.rate_per_gpu,
-            num_requests=self.num_requests,
-            seed=self.seed,
-            arrival_process=self.arrival_process,
-            burstiness_cv=self.burstiness_cv,
-            instance_config=instance,
-            decode_parallel=self.decode_parallel,
-            tier_mix=self.tier_mix,
-            prefix_mix=self.prefix_mix,
-            resilience=resilience,
-            admission_policy=self.admission_policy,
-            tenant_mix=self.tenant_mix,
-            fairshare=self.fairshare_config(),
-        )
-
-    def meta(self) -> dict:
-        meta = {
-            "name": self.name,
-            "system": self.system,
-            "model": self.model,
-            "dataset": self.dataset,
-            "rate_per_gpu": self.rate_per_gpu,
-            "num_requests": self.num_requests,
-            "seed": self.seed,
-            "arrival_process": self.arrival_process,
-            "burstiness_cv": self.burstiness_cv,
-            "kv_override_tokens": self.kv_override_tokens,
-            "decode_parallel": list(self.decode_parallel),
-        }
-        # Feature keys appear only when the scenario uses them: a fresh
-        # recording of an older scenario must stay byte-identical to its
-        # committed golden.
-        if self.fault_plan is not None:
-            meta["fault_plan"] = self.fault_plan
-        if self.tier_mix is not None:
-            meta["tier_mix"] = self.tier_mix
-        if self.shed_limit is not None:
-            meta["shed_limit"] = self.shed_limit
-        if self.fleet_nodes:
-            meta["fleet_nodes"] = self.fleet_nodes
-            meta["fleet_pairs_per_node"] = self.fleet_pairs_per_node
-            meta["fleet_standby"] = self.fleet_standby
-            meta["fleet_span_nodes"] = self.fleet_span_nodes
-        if self.fleet_policy != "round-robin":
-            meta["fleet_policy"] = self.fleet_policy
-        if self.fleet_shape is not None:
-            meta["fleet_shape"] = self.fleet_shape
-        if self.fleet_replan:
-            meta["fleet_replan"] = self.fleet_replan
-        if self.admission_policy != "nested-caps":
-            meta["admission_policy"] = self.admission_policy
-        if self.prefix_mix is not None:
-            meta["prefix_mix"] = self.prefix_mix
-        if self.prefix_cache_tokens:
-            meta["prefix_cache_tokens"] = self.prefix_cache_tokens
-        if self.tenant_mix is not None:
-            meta["tenant_mix"] = self.tenant_mix
-        if self.tenant_weights is not None:
-            meta["tenant_weights"] = self.tenant_weights
-        if self.tenant_max_inflight is not None:
-            meta["tenant_max_inflight"] = self.tenant_max_inflight
-        if self.tenant_max_tokens is not None:
-            meta["tenant_max_tokens"] = self.tenant_max_tokens
-        return meta
-
-
-def _matrix() -> tuple[GoldenScenario, ...]:
-    cells = []
-    for system in ("windserve", "distserve", "vllm"):
-        cells.append(
-            GoldenScenario(
-                name=f"{system}-poisson-r3-s0", system=system, rate_per_gpu=3.0, seed=0
-            )
-        )
-        cells.append(
-            GoldenScenario(
+#: The recorded matrix, one named :class:`~repro.harness.cell.Cell` per
+#: golden.  Keep scenarios small (tens of requests): goldens live in git and
+#: the check runs on every push.
+GOLDEN_MATRIX: tuple[Cell, ...] = (
+    *(
+        cell
+        for system in ("windserve", "distserve", "vllm")
+        for cell in (
+            Cell(name=f"{system}-poisson-r3-s0", system=system, num_requests=25),
+            Cell(
                 name=f"{system}-bursty-r3.5-s7",
                 system=system,
                 rate_per_gpu=3.5,
                 seed=7,
+                num_requests=25,
                 arrival_process="bursty",
-            )
+            ),
         )
+    ),
     # Memory-pressure cells: a tiny KV pool on a single-GPU decode instance
     # makes swaps and WindServe migrations fire, pinning those code paths.
-    for system in ("windserve", "distserve"):
-        cells.append(
-            GoldenScenario(
-                name=f"{system}-pressure-r3.5-s3",
-                system=system,
-                rate_per_gpu=3.5,
-                seed=3,
-                num_requests=50,
-                kv_override_tokens=4096,
-                decode_parallel=(1, 1),
-            )
+    *(
+        Cell(
+            name=f"{system}-pressure-r3.5-s3",
+            system=system,
+            rate_per_gpu=3.5,
+            seed=3,
+            num_requests=50,
+            kv_override_tokens=4096,
+            decode_parallel=(1, 1),
         )
+        for system in ("windserve", "distserve")
+    ),
     # Chaos cells: pin the failure-detection, re-queue, and retry paths so a
     # scheduler change cannot silently alter recovery behaviour.
-    cells.append(
-        GoldenScenario(
-            name="windserve-chaos-crash-s1",
-            system="windserve",
-            rate_per_gpu=3.0,
-            seed=1,
-            num_requests=40,
-            fault_plan="decode-crash",
-        )
-    )
-    cells.append(
-        GoldenScenario(
-            name="windserve-chaos-linkdeg-s2",
-            system="windserve",
-            rate_per_gpu=3.0,
-            seed=2,
-            num_requests=40,
-            arrival_process="bursty",
-            fault_plan="link-degrade",
-        )
-    )
+    Cell(name="windserve-chaos-crash-s1", seed=1, fault_plan="decode-crash"),
+    Cell(
+        name="windserve-chaos-linkdeg-s2",
+        seed=2,
+        arrival_process="bursty",
+        fault_plan="link-degrade",
+    ),
     # Baseline chaos cell: pins a baseline system's retry-with-backoff path
     # under a hard link outage (the windserve cells cover crash/degrade).
-    cells.append(
-        GoldenScenario(
-            name="distserve-chaos-outage-s4",
-            system="distserve",
-            rate_per_gpu=3.0,
-            seed=4,
-            num_requests=40,
-            fault_plan="link-outage",
-        )
-    )
+    Cell(
+        name="distserve-chaos-outage-s4", system="distserve", seed=4, fault_plan="link-outage"
+    ),
     # Fleet chaos cells: a correlated node crash forces detection plus
     # cross-node re-routing; a member crash with warm standby pins the
     # failure-reactive promotion path (member-replace).
-    cells.append(
-        GoldenScenario(
-            name="fleet-chaos-node-s5",
-            system="windserve",
-            rate_per_gpu=2.0,
-            seed=5,
-            num_requests=40,
-            fault_plan="node-crash",
-            fleet_nodes=2,
-        )
-    )
-    cells.append(
-        GoldenScenario(
-            name="fleet-chaos-promote-s6",
-            system="windserve",
-            rate_per_gpu=2.0,
-            seed=6,
-            num_requests=40,
-            fault_plan="member-crash",
-            fleet_nodes=2,
-            fleet_standby=1,
-        )
-    )
+    Cell(
+        name="fleet-chaos-node-s5",
+        rate_per_gpu=2.0,
+        seed=5,
+        fault_plan="node-crash",
+        fleet_nodes=2,
+    ),
+    Cell(
+        name="fleet-chaos-promote-s6",
+        rate_per_gpu=2.0,
+        seed=6,
+        fault_plan="member-crash",
+        fleet_nodes=2,
+        fleet_standby=1,
+    ),
     # Baseline chaos coverage: the straggler (slow-GPU) and mixed
     # (crash+degrade+straggler) plans on DistServe, and a crash plan on
     # vLLM (its injector targets the last replica), so every baseline's
     # recovery path is pinned — not just WindServe's.
-    cells.append(
-        GoldenScenario(
-            name="distserve-chaos-straggler-s8",
-            system="distserve",
-            rate_per_gpu=3.0,
-            seed=8,
-            num_requests=40,
-            fault_plan="straggler",
-        )
-    )
-    cells.append(
-        GoldenScenario(
-            name="distserve-chaos-mixed-s9",
-            system="distserve",
-            rate_per_gpu=3.0,
-            seed=9,
-            num_requests=40,
-            arrival_process="bursty",
-            fault_plan="mixed",
-        )
-    )
-    cells.append(
-        GoldenScenario(
-            name="vllm-chaos-crash-s10",
-            system="vllm",
-            rate_per_gpu=3.0,
-            seed=10,
-            num_requests=40,
-            fault_plan="decode-crash",
-        )
-    )
+    Cell(
+        name="distserve-chaos-straggler-s8", system="distserve", seed=8, fault_plan="straggler"
+    ),
+    Cell(
+        name="distserve-chaos-mixed-s9",
+        system="distserve",
+        seed=9,
+        arrival_process="bursty",
+        fault_plan="mixed",
+    ),
+    Cell(name="vllm-chaos-crash-s10", system="vllm", seed=10, fault_plan="decode-crash"),
     # SLO-tier cell: a three-tier mix under a crash with a tight degraded
     # in-flight cap pins priority-ordered admission/shedding (best-effort
     # shed first) and the tiered trace payloads.
-    cells.append(
-        GoldenScenario(
-            name="windserve-chaos-tiered-s11",
-            system="windserve",
-            rate_per_gpu=3.5,
-            seed=11,
-            num_requests=60,
-            fault_plan="decode-crash",
-            tier_mix="interactive=0.25,standard=0.5,best_effort=0.25",
-            shed_limit=8,
-        )
-    )
+    Cell(
+        name="windserve-chaos-tiered-s11",
+        rate_per_gpu=3.5,
+        seed=11,
+        num_requests=60,
+        fault_plan="decode-crash",
+        tier_mix="interactive=0.25,standard=0.5,best_effort=0.25",
+        shed_limit=8,
+    ),
     # Scheduling-policy cell: a tiered fleet under a member crash routed by
     # the tier-aware policy — pins the tier-weighted routing decisions (and
     # the non-baseline policy identity in the fingerprint).
-    cells.append(
-        GoldenScenario(
-            name="windserve-fleet-tieraware-s12",
-            system="windserve",
-            rate_per_gpu=2.0,
-            seed=12,
-            num_requests=48,
-            fault_plan="member-crash",
-            fleet_nodes=2,
-            fleet_policy="tier-aware",
-            tier_mix="interactive=0.25,standard=0.5,best_effort=0.25",
-        )
-    )
+    Cell(
+        name="windserve-fleet-tieraware-s12",
+        rate_per_gpu=2.0,
+        seed=12,
+        num_requests=48,
+        fault_plan="member-crash",
+        fleet_nodes=2,
+        fleet_policy="tier-aware",
+        tier_mix="interactive=0.25,standard=0.5,best_effort=0.25",
+    ),
     # Prefix-caching cell: a shared-prefix workload against a WindServe
     # system with the warm-prefix index on — pins the shortened-prefill
     # (prefix-hit) and cache-publication (prefix-insert) decisions, the
     # prefix-carrying request rows, and the prefix RNG stream.
-    cells.append(
-        GoldenScenario(
-            name="windserve-prefix-s13",
-            system="windserve",
-            rate_per_gpu=3.0,
-            seed=13,
-            num_requests=40,
-            prefix_mix="none=0.25,assistant=0.5:384,fewshot=0.25:640",
-            prefix_cache_tokens=4096,
-        )
-    )
+    Cell(
+        name="windserve-prefix-s13",
+        seed=13,
+        prefix_mix="none=0.25,assistant=0.5:384,fewshot=0.25:640",
+        prefix_cache_tokens=4096,
+    ),
     # Tenancy cell: a 1-heavy/2-light tenant mix over SLO tiers under
     # fair-share admission with a tight per-tenant in-flight budget — pins
     # the WFQ queue ordering, the per-tenant budget-shed decisions, the
     # tenant-carrying request rows, and the tenants RNG stream.
-    cells.append(
-        GoldenScenario(
-            name="windserve-tenants-s14",
-            system="windserve",
-            rate_per_gpu=3.5,
-            seed=14,
-            num_requests=60,
-            admission_policy="fair-share",
-            tier_mix="interactive=0.25,standard=0.5,best_effort=0.25",
-            tenant_mix="acme=0.6,beta=0.2,gamma=0.2",
-            tenant_weights="acme=1,beta=3,gamma=3",
-            tenant_max_inflight=4,
-        )
-    )
+    Cell(
+        name="windserve-tenants-s14",
+        rate_per_gpu=3.5,
+        seed=14,
+        num_requests=60,
+        admission_policy="fair-share",
+        tier_mix="interactive=0.25,standard=0.5,best_effort=0.25",
+        tenant_mix="acme=0.6,beta=0.2,gamma=0.2",
+        tenant_weights="acme=1,beta=3,gamma=3",
+        tenant_max_inflight=4,
+    ),
     # Heterogeneous-fleet cell: a mixed narrow-A800/H100 shape routed in
     # estimated seconds (predicted-ttft), with the member-crash plan taking
     # out the H100 and the failure-reactive re-planner widening a survivor
@@ -447,147 +227,18 @@ def _matrix() -> tuple[GoldenScenario, ...]:
     # request rows, the replan decisions (member-replan[-done]), the
     # crash-requeue conservation path, and the fleet-shape + replan policy
     # identity in the fingerprint.
-    cells.append(
-        GoldenScenario(
-            name="windserve-hetero-s15",
-            system="windserve",
-            rate_per_gpu=3.0,
-            seed=15,
-            num_requests=48,
-            fault_plan="member-crash",
-            fleet_nodes=3,
-            fleet_pairs_per_node=1,
-            fleet_policy="predicted-ttft",
-            fleet_shape="a800:1:1x1+1x1,h100:1:2x1+2x1,a800:1:1x1+1x1",
-            fleet_replan=True,
-        )
-    )
-    return tuple(cells)
-
-
-#: The recorded matrix.  Keep scenarios small (tens of requests): goldens
-#: live in git and the check runs on every push.
-GOLDEN_MATRIX: tuple[GoldenScenario, ...] = _matrix()
-
-
-@dataclass
-class GoldenRun:
-    """In-memory result of running one scenario with golden tracing on."""
-
-    scenario: GoldenScenario
-    fingerprint: RunFingerprint
-    event_rows: list[dict]
-    request_rows: list[dict]
-    rng_registry: tuple[str, ...]
-
-
-def _run_fleet_scenario(scenario: GoldenScenario) -> GoldenRun:
-    from repro.faults import FleetFaultInjector, build_fleet_fault_plan
-    from repro.harness.chaos import FleetChaosSpec, build_chaos_fleet
-
-    spec = FleetChaosSpec(
-        fault_plan=scenario.fault_plan or "none",
-        model=scenario.model,
-        dataset=scenario.dataset,
-        rate_per_gpu=scenario.rate_per_gpu,
-        num_requests=scenario.num_requests,
-        seed=scenario.seed,
-        arrival_process=scenario.arrival_process,
-        burstiness_cv=scenario.burstiness_cv,
-        num_nodes=scenario.fleet_nodes,
-        pairs_per_node=scenario.fleet_pairs_per_node,
-        policy=scenario.fleet_policy,
-        span_nodes=scenario.fleet_span_nodes,
-        standby=scenario.fleet_standby,
-        tier_mix=scenario.tier_mix,
-        prefix_mix=scenario.prefix_mix,
-        prefix_cache_tokens=scenario.prefix_cache_tokens,
-        admission_policy=scenario.admission_policy,
-        tenant_mix=scenario.tenant_mix,
-        fairshare=scenario.fairshare_config(),
-        shape=scenario.fleet_shape,
-        replan=scenario.fleet_replan,
-    )
-    fleet = build_chaos_fleet(spec)
-    golden_log = TraceLog(enabled=True, tag_filter=lambda tag: tag in GOLDEN_TAGS)
-    fleet.trace = golden_log
-    for member in fleet.members:
-        member.trace = golden_log
-        member.transfers.trace = golden_log
-        for instance in member.instances:
-            instance.trace = golden_log
-    workload = generate_trace(
-        get_dataset(spec.dataset),
-        rate=spec.rate_per_gpu * fleet.num_gpus,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        model=get_model(spec.model),
-        arrival_process=spec.arrival_process,
-        burstiness_cv=spec.burstiness_cv,
-        tier_mix=spec.parsed_tier_mix(),
-        prefix_mix=spec.parsed_prefix_mix(),
-        tenant_mix=spec.parsed_tenant_mix(),
-    )
-    horizon = max(r.arrival_time for r in workload)
-    plan = build_fleet_fault_plan(spec.fault_plan, horizon, seed=spec.seed)
-    FleetFaultInjector(fleet, plan).arm()
-    metrics = fleet.run_to_completion(workload)
-    return GoldenRun(
-        scenario=scenario,
-        fingerprint=fleet.run_fingerprint(workload.rng_registry),
-        event_rows=golden_log.to_rows(),
-        request_rows=sorted(
-            (request_row(r) for r in metrics.completed), key=lambda r: r["id"]
-        ),
-        rng_registry=workload.rng_registry,
-    )
-
-
-def run_scenario(scenario: GoldenScenario) -> GoldenRun:
-    """Run one golden scenario deterministically and capture its artefacts."""
-    if scenario.fleet_nodes:
-        return _run_fleet_scenario(scenario)
-    spec = scenario.spec()
-    system = build_system(spec, resolve_slo(spec))
-    # Tracing is off by default for speed; golden runs need the filtered
-    # stream, and instances share the system's TraceLog object.
-    golden_log = TraceLog(enabled=True, tag_filter=lambda tag: tag in GOLDEN_TAGS)
-    system.trace = golden_log
-    system.transfers.trace = golden_log
-    for instance in system.instances:
-        instance.trace = golden_log
-    workload = generate_trace(
-        get_dataset(spec.dataset),
-        rate=spec.rate_per_gpu * spec.gpus_used,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        model=get_model(spec.model),
-        arrival_process=spec.arrival_process,
-        burstiness_cv=spec.burstiness_cv,
-        tier_mix=TierMix.parse(scenario.tier_mix) if scenario.tier_mix else None,
-        prefix_mix=(
-            PrefixMix.parse(scenario.prefix_mix) if scenario.prefix_mix else None
-        ),
-        tenant_mix=(
-            TenantMix.parse(scenario.tenant_mix) if scenario.tenant_mix else None
-        ),
-    )
-    if scenario.fault_plan is not None:
-        from repro.faults import FaultInjector, build_fault_plan
-
-        horizon = max(r.arrival_time for r in workload)
-        plan = build_fault_plan(scenario.fault_plan, horizon, seed=spec.seed)
-        FaultInjector(system, plan).arm()
-    system.run_to_completion(workload)
-    return GoldenRun(
-        scenario=scenario,
-        fingerprint=system.run_fingerprint(workload.rng_registry),
-        event_rows=system.trace.to_rows(),
-        request_rows=sorted(
-            (request_row(r) for r in system.metrics.completed), key=lambda r: r["id"]
-        ),
-        rng_registry=workload.rng_registry,
-    )
+    Cell(
+        name="windserve-hetero-s15",
+        seed=15,
+        num_requests=48,
+        fault_plan="member-crash",
+        fleet_nodes=3,
+        fleet_pairs_per_node=1,
+        fleet_policy="predicted-ttft",
+        fleet_shape="a800:1:1x1+1x1,h100:1:2x1+2x1,a800:1:1x1+1x1",
+        fleet_replan=True,
+    ),
+)
 
 
 # -- store I/O ----------------------------------------------------------------
@@ -612,14 +263,14 @@ def initial_provenance(reason: Optional[str] = None, tag: Optional[str] = None) 
 
 
 def save_golden(
-    run: GoldenRun, directory: Path, provenance: Optional[dict] = None
+    run: CellRun, directory: Path, provenance: Optional[dict] = None
 ) -> Path:
     """Write one scenario's golden JSONL (header line, then one event/line)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     header = {
         "golden": GOLDEN_FORMAT_VERSION,
-        "scenario": run.scenario.meta(),
+        "scenario": run.cell.meta(),
         "fingerprint": run.fingerprint.as_dict(),
         "combined": run.fingerprint.value,
         "events": len(run.event_rows),
@@ -627,7 +278,7 @@ def save_golden(
         "requests": run.request_rows,
         "provenance": provenance if provenance is not None else initial_provenance(),
     }
-    path = golden_path(directory, run.scenario.name)
+    path = golden_path(directory, run.cell.name)
     with path.open("w") as fh:
         fh.write(canonical_json(header) + "\n")
         for row in run.event_rows:
@@ -678,7 +329,8 @@ def record_goldens(
     paths = []
     provenance = initial_provenance(reason, tag)
     for scenario in _select(only):
-        paths.append(save_golden(run_scenario(scenario), directory, dict(provenance)))
+        run = scenario.run(trace_tags=GOLDEN_TAGS)
+        paths.append(save_golden(run, directory, dict(provenance)))
     return paths
 
 
@@ -767,7 +419,7 @@ def rerecord_goldens(
                 f"with `python -m repro golden record`, not rerecord"
             )
         old_header, old_events = load_golden(path, allow_old=True)
-        run = run_scenario(scenario)
+        run = scenario.run(trace_tags=GOLDEN_TAGS)
         prior_fp = _fingerprint_from_header(old_header["fingerprint"])
         changed = prior_fp.explain_mismatch(run.fingerprint)
         old_provenance = old_header.get("provenance") or {}
@@ -1009,9 +661,9 @@ def _first_request_divergence(
     return None
 
 
-def diff_against_golden(path: Path, run: GoldenRun) -> GoldenDiff:
+def diff_against_golden(path: Path, run: CellRun) -> GoldenDiff:
     """Compare a fresh run against its stored golden file."""
-    diff = GoldenDiff(scenario=run.scenario.name)
+    diff = GoldenDiff(scenario=run.cell.name)
     header, expected_events = load_golden(path)
     if header["combined"] == run.fingerprint.value:
         return diff
@@ -1064,11 +716,11 @@ def check_goldens(
                 )
             )
             continue
-        diffs.append(diff_against_golden(path, run_scenario(scenario)))
+        diffs.append(diff_against_golden(path, scenario.run(trace_tags=GOLDEN_TAGS)))
     return diffs
 
 
-def _select(only: Optional[Sequence[str]]) -> tuple[GoldenScenario, ...]:
+def _select(only: Optional[Sequence[str]]) -> tuple[Cell, ...]:
     if not only:
         return GOLDEN_MATRIX
     wanted = set(only)

@@ -30,7 +30,7 @@ from repro.workloads.arrivals import TierMix
 from repro.workloads.datasets import get_dataset
 from repro.workloads.prefixes import PrefixMix
 from repro.workloads.tenants import TenantMix
-from repro.workloads.trace import generate_trace
+from repro.workloads.trace import Trace, generate_trace
 
 SYSTEM_NAMES = (
     "windserve",
@@ -163,26 +163,31 @@ def build_system(spec: ExperimentSpec, slo: Optional[SLO] = None) -> ServingSyst
     return WindServeSystem(config, ws_config=ws, placement=placement, topology=topology)
 
 
-def run_experiment(spec: ExperimentSpec, warmup_fraction: float = 0.05) -> ExperimentResult:
-    """Run one measurement point to completion and summarise it."""
-    model = get_model(spec.model)
-    dataset = get_dataset(spec.dataset)
-    slo = resolve_slo(spec)
-    system = build_system(spec, slo)
-    total_rate = spec.rate_per_gpu * spec.gpus_used
-    trace = generate_trace(
-        dataset,
-        rate=total_rate,
+def generate_workload(spec: ExperimentSpec, gpus: Optional[int] = None) -> Trace:
+    """The arrival trace an :class:`ExperimentSpec` describes.
+
+    The total rate follows the paper's linear scaling rule: per-GPU rate x
+    the GPUs used (``gpus`` overrides the spec's own count, e.g. a fleet's).
+    """
+    return generate_trace(
+        get_dataset(spec.dataset),
+        rate=spec.rate_per_gpu * (gpus or spec.gpus_used),
         num_requests=spec.num_requests,
         seed=spec.seed,
-        model=model,
+        model=get_model(spec.model),
         arrival_process=spec.arrival_process,
         burstiness_cv=spec.burstiness_cv,
         tier_mix=TierMix.parse(spec.tier_mix) if spec.tier_mix else None,
         prefix_mix=PrefixMix.parse(spec.prefix_mix) if spec.prefix_mix else None,
         tenant_mix=TenantMix.parse(spec.tenant_mix) if spec.tenant_mix else None,
     )
-    metrics = system.run_to_completion(trace)
+
+
+def run_experiment(spec: ExperimentSpec, warmup_fraction: float = 0.05) -> ExperimentResult:
+    """Run one measurement point to completion and summarise it."""
+    slo = resolve_slo(spec)
+    system = build_system(spec, slo)
+    metrics = system.run_to_completion(generate_workload(spec))
 
     # Exclude the cold-start prefix from percentile statistics.
     warmup = int(len(metrics.completed) * warmup_fraction)

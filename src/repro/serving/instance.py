@@ -150,7 +150,13 @@ class Instance:
             return None
         from repro.kvcache.prefix import PrefixCacheIndex
 
-        return PrefixCacheIndex(self.kv, self.config.prefix_cache_tokens)
+        cache = PrefixCacheIndex(self.kv, self.config.prefix_cache_tokens)
+        previous = getattr(self, "prefix_cache", None)
+        if previous is not None:
+            # A rebuilt cache starts cold, but its ledger spans the
+            # instance's whole history, as the saved-tokens counter does.
+            cache.stats = previous.stats
+        return cache
 
     def _kv_capacity_tokens(self) -> int:
         if self.config.kv_capacity_override_tokens is not None:
@@ -628,7 +634,7 @@ class Instance:
             bytes_per_token=self.spec.kv_bytes_per_token,
         )
         # The recovered instance comes back with a cold prefix cache over
-        # the fresh pool (its old stats were already folded into metrics).
+        # the fresh pool (the cache ledger carries over).
         self.prefix_cache = self._build_prefix_cache()
         self.lanes = [Lane(i) for i in range(self.parallel.pp)]
         self.swapped = []

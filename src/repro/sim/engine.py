@@ -5,8 +5,8 @@ monotonically advancing clock, and cancellable event handles.  Determinism is
 guaranteed by a tie-breaking sequence number, so two events scheduled for the
 same instant always fire in scheduling order regardless of heap internals.
 
-Performance notes (the scale benchmark in :mod:`repro.harness.perfbench`
-drives millions of events through this loop):
+Performance notes (the benchmark under ``bench/`` drives millions of
+events through this loop):
 
 * Heap entries are ``(time, seq, event)`` tuples, so ordering comparisons
   run entirely in C on floats/ints — ``Event.__lt__`` never fires (``seq``

@@ -8,10 +8,10 @@ matches the reported mean — three published moments, three parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 # Standard-normal quantile for P90.
 Z90 = 1.2815515655446004
@@ -50,9 +50,14 @@ def _clipped_lognormal_mean(mu: float, sigma: float, cap: float) -> float:
     if cap <= 0:
         return 0.0
     ln_c = np.log(cap)
-    below = np.exp(mu + sigma**2 / 2) * norm.cdf((ln_c - mu - sigma**2) / sigma)
-    above = cap * (1.0 - norm.cdf((ln_c - mu) / sigma))
+    below = np.exp(mu + sigma**2 / 2) * _norm_cdf((ln_c - mu - sigma**2) / sigma)
+    above = cap * (1.0 - _norm_cdf((ln_c - mu) / sigma))
     return float(below + above)
+
+
+def _norm_cdf(x: float) -> float:
+    """Standard-normal CDF via the complementary error function."""
+    return 0.5 * math.erfc(-x / math.sqrt(2))
 
 
 def fitted_lognormal(

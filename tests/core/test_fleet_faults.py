@@ -14,7 +14,7 @@ from repro.faults import (
     build_fleet_fault_plan,
 )
 from repro.hardware.cluster import ClusterTopology
-from repro.harness.chaos import FleetChaosSpec, run_fleet_chaos
+from repro.harness.cell import Cell
 from repro.models.parallelism import ParallelConfig
 from repro.models.registry import get_model
 from repro.serving.metrics import SLO
@@ -164,13 +164,17 @@ class TestSubmitAccounting:
         assert sum(fleet.routed) == 40
 
 
+def run_fleet_chaos(**kw):
+    """One fleet chaos cell on the default 2-node x 2-pair fleet."""
+    return Cell(**{"rate_per_gpu": 2.0, "num_requests": 160, "fleet_nodes": 2, **kw}).run()
+
+
 class TestDetectionWindow:
     def test_detection_latency_is_positive_and_bounded(self):
-        spec = FleetChaosSpec(fault_plan="member-crash", num_requests=60)
-        result = run_fleet_chaos(spec)
+        result = run_fleet_chaos(fault_plan="member-crash", num_requests=60)
         assert result.passed, result.violations
-        res = result.spec.resilience or fleet_default_resilience()
-        latency = result.fleet_resilience["member_detection_latency_s"]
+        res = fleet_default_resilience()
+        latency = result.target.fleet_resilience_summary()["member_detection_latency_s"]
         assert latency > 0
         assert latency <= res.detection_delay_s + res.heartbeat_interval_s + 1e-9
 
@@ -195,47 +199,44 @@ def fleet_default_resilience():
 
 class TestFleetChaosEndToEnd:
     def test_node_crash_conserves_requests_across_nodes(self):
-        spec = FleetChaosSpec(fault_plan="node-crash", num_requests=80)
-        result = run_fleet_chaos(spec)
+        result = run_fleet_chaos(fault_plan="node-crash", num_requests=80)
         assert result.passed, result.violations
-        assert result.completed + result.shed == result.submitted == 80
-        assert result.fleet_resilience["member_crashes"] == 2
-        assert result.cross_node_retries > 0
-        assert result.fleet_resilience["member_downtime_s"] > 0
+        metrics = result.metrics
+        assert len(metrics.completed) + len(metrics.shed) == len(result.submitted) == 80
+        fleet_resilience = result.target.fleet_resilience_summary()
+        assert fleet_resilience["member_crashes"] == 2
+        assert result.target.cross_node_retries > 0
+        assert fleet_resilience["member_downtime_s"] > 0
 
     def test_nic_outage_forces_transfer_retries(self):
-        spec = FleetChaosSpec(fault_plan="nic-outage", num_requests=60, span_nodes=True)
-        result = run_fleet_chaos(spec)
+        result = run_fleet_chaos(fault_plan="nic-outage", num_requests=60, fleet_span_nodes=True)
         assert result.passed, result.violations
-        assert result.resilience["transfer_retries"] > 0
+        assert result.metrics.resilience_summary()["transfer_retries"] > 0
         # A NIC fault degrades transfers; it must not kill members.
-        assert result.fleet_resilience["member_crashes"] == 0
+        assert result.target.fleet_resilience_summary()["member_crashes"] == 0
 
     def test_fleet_mixed_with_spanning_members(self):
-        spec = FleetChaosSpec(
-            fault_plan="fleet-mixed", num_requests=60, num_nodes=3, span_nodes=True
+        result = run_fleet_chaos(
+            fault_plan="fleet-mixed", num_requests=60, fleet_nodes=3, fleet_span_nodes=True
         )
-        result = run_fleet_chaos(spec)
         assert result.passed, result.violations
-        assert result.completed + result.shed == result.submitted
+        assert len(result.metrics.completed) + len(result.metrics.shed) == len(result.submitted)
 
     def test_correlated_node_crash_of_every_member_rejected(self):
         # With 2 nodes and spanning pairs every member touches node 1, so a
         # node-1 crash would take out the whole fleet; detection refuses to
         # declare the last member rather than route into nothing.
-        spec = FleetChaosSpec(fault_plan="node-crash", num_requests=40, span_nodes=True)
         with pytest.raises(RuntimeError, match="every fleet member"):
-            run_fleet_chaos(spec)
+            run_fleet_chaos(fault_plan="node-crash", num_requests=40, fleet_span_nodes=True)
 
 
 class TestStandbyPromotion:
     def test_replacement_within_startup_delay(self):
-        spec = FleetChaosSpec(
-            fault_plan="member-crash", num_requests=60, standby=1, startup_delay=0.5
+        result = run_fleet_chaos(
+            fault_plan="member-crash", num_requests=60, fleet_standby=1, startup_delay=0.5
         )
-        result = run_fleet_chaos(spec)
         assert result.passed, result.violations
-        lag = result.fleet_resilience["replacement_lag_s"]
+        lag = result.target.fleet_resilience_summary()["replacement_lag_s"]
         assert lag == pytest.approx(0.5, abs=1e-6)
 
     def test_promotion_records_member_replace_event(self):

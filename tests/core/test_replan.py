@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import FleetShape
 from repro.core.fleet import build_windserve_fleet
 from repro.core.replan import FleetReplanner, ReplanConfig
-from repro.harness.chaos import chaos_kv_lifecycle, fleet_chaos_invariants
+from repro.harness.invariants import check_kv_lifecycle, check_run
 from repro.models.registry import get_model
 from repro.serving.metrics import SLO
 from repro.serving.system import SystemConfig
@@ -81,7 +81,7 @@ class TestReplanOnFailure:
     def test_requeue_conservation(self):
         fleet = make_fleet()
         reqs = self.run_crash(fleet)
-        assert fleet_chaos_invariants(fleet, reqs) == []
+        assert check_run(fleet, reqs) == []
         record = fleet.replanner.replans[0]
         assert fleet.replan_requeues == record["requeued"]
         # Replan requeues are a subset of all retries (crash adds its own).
@@ -92,7 +92,7 @@ class TestReplanOnFailure:
         self.run_crash(fleet)
         # The rebuilt member archived its pre-replan pools into retired_kv;
         # the freed-exactly-once audit walks those too.
-        assert chaos_kv_lifecycle(fleet.members[0]) == []
+        assert check_kv_lifecycle(fleet.members[0]) == []
 
     def test_dead_member_gpus_never_reclaimed(self):
         fleet = make_fleet()
@@ -110,7 +110,7 @@ class TestReplanOnFailure:
         reqs = self.run_crash(fleet)
         assert fleet.replanned_members == 0
         assert fleet.replan_requeues == 0
-        assert fleet_chaos_invariants(fleet, reqs) == []
+        assert check_run(fleet, reqs) == []
 
 
 class TestDoubleFault:
@@ -129,9 +129,9 @@ class TestDoubleFault:
         fleet.restart_member(1)
         fleet.restart_member(0)
         fleet.sim.run_until_idle()
-        assert fleet_chaos_invariants(fleet, reqs) == []
+        assert check_run(fleet, reqs) == []
         for member in fleet.members:
-            assert chaos_kv_lifecycle(member) == []
+            assert check_kv_lifecycle(member) == []
 
     def test_rebuilt_member_survives_crash_and_restart(self):
         fleet = make_fleet()
@@ -146,7 +146,7 @@ class TestDoubleFault:
         fleet.sim.run(until=0.9)
         fleet.restart_member(1)
         fleet.sim.run_until_idle()
-        assert fleet_chaos_invariants(fleet, reqs) == []
+        assert check_run(fleet, reqs) == []
 
 
 class TestReplannerPolicy:

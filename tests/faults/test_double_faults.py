@@ -10,10 +10,12 @@ silently dropped, none runs twice, and no tier loses requests.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 from repro.faults import FleetFaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.harness.chaos import FleetChaosSpec, build_chaos_fleet, fleet_chaos_invariants
+from repro.harness.cell import Cell
+from repro.harness.invariants import check_run
 from repro.models.registry import get_model
 from repro.workloads.arrivals import TierMix
 from repro.workloads.datasets import SHAREGPT
@@ -24,8 +26,8 @@ MODEL = get_model("opt-13b")
 TIER_MIX = "interactive=1,standard=1,best_effort=1"
 
 
-def _run_double_fault(plan: FaultPlan, spec: FleetChaosSpec, n: int = 80, seed: int = 0):
-    fleet = build_chaos_fleet(spec)
+def _run_double_fault(plan: FaultPlan, spec: Cell, n: int = 80, seed: int = 0):
+    fleet = spec.build()
     workload = generate_trace(
         SHAREGPT,
         rate=2.0 * fleet.num_gpus,
@@ -53,15 +55,15 @@ def _overlapping_member_crashes() -> FaultPlan:
 
 class TestCrashWhileRestarting:
     def test_invariants_hold_across_overlapping_crashes(self):
-        spec = FleetChaosSpec(fault_plan="none", num_nodes=2, pairs_per_node=2)
+        spec = Cell(fleet_nodes=2)
         fleet, submitted, metrics = _run_double_fault(
             _overlapping_member_crashes(), spec
         )
-        assert fleet_chaos_invariants(fleet, submitted) == []
+        assert check_run(fleet, submitted) == []
         assert fleet.fleet_resilience_summary()["member_crashes"] == 2
 
     def test_no_request_completes_twice(self):
-        spec = FleetChaosSpec(fault_plan="none", num_nodes=2, pairs_per_node=2)
+        spec = Cell(fleet_nodes=2)
         _, submitted, metrics = _run_double_fault(_overlapping_member_crashes(), spec)
         completed_ids = [r.request_id for r in metrics.completed]
         assert len(completed_ids) == len(set(completed_ids))
@@ -73,13 +75,11 @@ class TestCrashWhileRestarting:
         assert first.time < second.time < first.end
 
     def test_tier_conservation_under_double_crash(self):
-        spec = FleetChaosSpec(
-            fault_plan="none", num_nodes=2, pairs_per_node=2, tier_mix=TIER_MIX
-        )
+        spec = Cell(fleet_nodes=2, tier_mix=TIER_MIX)
         fleet, submitted, metrics = _run_double_fault(
             _overlapping_member_crashes(), spec
         )
-        assert fleet_chaos_invariants(fleet, submitted) == []
+        assert check_run(fleet, submitted) == []
         by_tier_in = Counter(r.tier for r in submitted)
         by_tier_out = Counter(r.tier for r in metrics.completed)
         by_tier_out.update(r.tier for r in metrics.shed)
@@ -87,16 +87,9 @@ class TestCrashWhileRestarting:
 
 
 class TestCrashWhileStandbyWarming:
-    def _spec(self) -> FleetChaosSpec:
+    def _spec(self) -> Cell:
         # 2 nodes x 2 pairs with one parked standby; promotion takes 1s.
-        return FleetChaosSpec(
-            fault_plan="none",
-            num_nodes=2,
-            pairs_per_node=2,
-            standby=1,
-            startup_delay=1.0,
-            check_interval=0.25,
-        )
+        return Cell(fleet_nodes=2, fleet_standby=1, startup_delay=1.0, check_interval=0.25)
 
     def _plan(self) -> FaultPlan:
         # The first crash triggers failure-reactive promotion of the
@@ -111,7 +104,7 @@ class TestCrashWhileStandbyWarming:
 
     def test_invariants_hold_when_crash_hits_warmup_window(self):
         fleet, submitted, metrics = _run_double_fault(self._plan(), self._spec())
-        assert fleet_chaos_invariants(fleet, submitted) == []
+        assert check_run(fleet, submitted) == []
         assert fleet.fleet_resilience_summary()["member_crashes"] == 2
         # The standby was promoted (the fleet recorded a replacement).
         kinds = {e["kind"] for e in fleet.metrics.fault_events}
@@ -126,12 +119,9 @@ class TestCrashWhileStandbyWarming:
         assert first.time < second.time < first.time + 0.2 + 1.0
 
     def test_no_double_runs_and_tiers_conserved(self):
-        spec = self._spec()
-        spec = FleetChaosSpec(
-            **{**spec.__dict__, "tier_mix": TIER_MIX}
-        )
+        spec = replace(self._spec(), tier_mix=TIER_MIX)
         fleet, submitted, metrics = _run_double_fault(self._plan(), spec)
-        assert fleet_chaos_invariants(fleet, submitted) == []
+        assert check_run(fleet, submitted) == []
         completed_ids = [r.request_id for r in metrics.completed]
         assert len(completed_ids) == len(set(completed_ids))
         tier_in = Counter(r.tier for r in submitted)

@@ -1,18 +1,13 @@
-"""Tests for the chaos harness: invariants, conservation, reproducibility."""
+"""Tests for the chaos comparison: invariants, conservation, reproducibility."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.faults.plan import FAULT_PLAN_NAMES
-from repro.harness.chaos import (
-    ChaosResult,
-    ChaosSpec,
-    chaos_conservation,
-    completion_curve,
-    run_chaos,
-    run_chaos_matrix,
-)
+from repro.harness.cell import Cell
+from repro.harness.experiments import CHAOS, completion_curve
+from repro.harness.invariants import check_conservation
 from repro.serving.request import Phase, Request
 
 
@@ -27,30 +22,30 @@ class TestConservationChecker:
         submitted = [_req(i) for i in range(3)]
         done = [_req(0), _req(1)]
         shed = [_req(2, Phase.SHED)]
-        assert chaos_conservation(submitted, done, shed) == []
+        assert check_conservation(submitted, done, shed) == []
 
     def test_detects_silent_drop(self):
         submitted = [_req(i) for i in range(3)]
-        problems = chaos_conservation(submitted, [_req(0)], [_req(1, Phase.SHED)])
+        problems = check_conservation(submitted, [_req(0)], [_req(1, Phase.SHED)])
         assert any("dropped" in p for p in problems)
 
     def test_detects_duplicate_completion(self):
         submitted = [_req(0), _req(1)]
-        problems = chaos_conservation(submitted, [_req(0), _req(0), _req(1)], [])
+        problems = check_conservation(submitted, [_req(0), _req(0), _req(1)], [])
         assert problems
 
     def test_detects_overlap(self):
         submitted = [_req(0), _req(1)]
-        problems = chaos_conservation(submitted, [_req(0), _req(1)], [_req(1, Phase.SHED)])
+        problems = check_conservation(submitted, [_req(0), _req(1)], [_req(1, Phase.SHED)])
         assert problems
 
     def test_detects_phantom(self):
-        problems = chaos_conservation([_req(0)], [_req(0), _req(7)], [])
+        problems = check_conservation([_req(0)], [_req(0), _req(7)], [])
         assert problems
 
     def test_shed_requests_must_be_marked(self):
         submitted = [_req(0), _req(1)]
-        problems = chaos_conservation(submitted, [_req(0)], [_req(1, Phase.WAITING_PREFILL)])
+        problems = check_conservation(submitted, [_req(0)], [_req(1, Phase.WAITING_PREFILL)])
         assert any("phase" in p for p in problems)
 
 
@@ -73,71 +68,74 @@ class TestCompletionCurve:
 CHAOS_KW = dict(num_requests=40, rate_per_gpu=3.0, seed=7)
 
 
+def run_chaos(**kw):
+    return Cell(**{**CHAOS_KW, **kw}).run()
+
+
+def chaos_report(plans, **kw):
+    return CHAOS.run(Cell(**{**CHAOS_KW, **kw}), systems=["windserve"], plans=plans)
+
+
 class TestRunChaos:
     def test_decode_crash_zero_silent_drops(self):
-        result = run_chaos(ChaosSpec(system="windserve", fault_plan="decode-crash", **CHAOS_KW))
+        result = run_chaos(fault_plan="decode-crash")
         assert result.passed, result.violations
-        assert result.submitted == 40
-        assert result.completed + result.shed == 40
-        assert result.resilience["instance_crashes"] >= 1
+        assert len(result.submitted) == 40
+        assert len(result.metrics.completed) + len(result.metrics.shed) == 40
+        assert result.metrics.resilience_summary()["instance_crashes"] >= 1
 
     def test_invariants_hold_for_every_plan(self):
         for plan in FAULT_PLAN_NAMES:
-            result = run_chaos(ChaosSpec(system="windserve", fault_plan=plan, **CHAOS_KW))
+            result = run_chaos(fault_plan=plan)
             assert result.passed, f"{plan}: {result.violations}"
 
     def test_same_seed_same_fingerprint(self):
-        spec = ChaosSpec(system="windserve", fault_plan="decode-crash", **CHAOS_KW)
-        a = run_chaos(spec)
-        b = run_chaos(spec)
+        a = run_chaos(fault_plan="decode-crash")
+        b = run_chaos(fault_plan="decode-crash")
         assert a.fingerprint == b.fingerprint
-        assert a.completed == b.completed
+        assert len(a.metrics.completed) == len(b.metrics.completed)
 
     def test_different_seed_different_fingerprint(self):
-        base = dict(CHAOS_KW)
-        base.pop("seed")
-        a = run_chaos(ChaosSpec(system="windserve", fault_plan="decode-crash", seed=1, **base))
-        b = run_chaos(ChaosSpec(system="windserve", fault_plan="decode-crash", seed=2, **base))
+        a = run_chaos(fault_plan="decode-crash", seed=1)
+        b = run_chaos(fault_plan="decode-crash", seed=2)
         assert a.fingerprint != b.fingerprint
 
     def test_goodput_relative_to_healthy_baseline(self):
-        healthy = run_chaos(ChaosSpec(system="windserve", fault_plan="none", **CHAOS_KW))
-        assert healthy.resilience["instance_crashes"] == 0
-        faulted = run_chaos(
-            ChaosSpec(system="windserve", fault_plan="decode-crash", **CHAOS_KW),
-            healthy_completed=healthy.completed,
-        )
-        assert faulted.goodput_vs_healthy is not None
-        assert 0.0 <= faulted.goodput_vs_healthy <= 1.5
+        report = chaos_report(["decode-crash"])
+        healthy = report.runs["windserve/none"]
+        assert healthy.fields["resilience"]["instance_crashes"] == 0
+        assert healthy.fields["goodput_vs_healthy"] is None  # it is the anchor
+        goodput = report.runs["windserve/decode-crash"].fields["goodput_vs_healthy"]
+        assert goodput is not None
+        assert 0.0 <= goodput <= 1.5
 
     def test_row_shape(self):
-        result = run_chaos(ChaosSpec(system="windserve", fault_plan="none", **CHAOS_KW))
-        row = result.row()
-        for key in ("system", "plan", "completed", "shed", "invariants"):
+        (row,) = chaos_report(["none"]).rows()
+        for key in ("run", "system", "plan", "completed", "shed", "invariants"):
             assert key in row
 
 
 class TestRunChaosMatrix:
     def test_baseline_prepended_per_system(self):
-        results = run_chaos_matrix(["windserve"], ["decode-crash"], **CHAOS_KW)
-        assert [r.spec.fault_plan for r in results] == ["none", "decode-crash"]
-        assert results[1].goodput_vs_healthy is not None
-        for r in results:
+        report = chaos_report(["decode-crash"])
+        assert [r.cell.fault_plan for r in report.runs.values()] == ["none", "decode-crash"]
+        assert report.runs["windserve/decode-crash"].fields["goodput_vs_healthy"] is not None
+        for r in report.runs.values():
             assert r.passed, r.violations
 
     def test_unknown_plan_rejected(self):
         with pytest.raises(ValueError):
-            run_chaos(ChaosSpec(system="windserve", fault_plan="nope", **CHAOS_KW))
+            run_chaos(fault_plan="nope")
+        with pytest.raises(ValueError, match="unknown fault plan"):
+            chaos_report(["nope"])
 
 
 class TestBaselineSystems:
     @pytest.mark.parametrize("system", ["distserve", "vllm"])
     def test_decode_crash_conserves_requests(self, system):
-        result = run_chaos(ChaosSpec(system=system, fault_plan="decode-crash", **CHAOS_KW))
+        result = run_chaos(system=system, fault_plan="decode-crash")
         assert result.passed, result.violations
 
     def test_distserve_prefill_crash(self):
-        result = run_chaos(
-            ChaosSpec(system="distserve", fault_plan="prefill-crash", **CHAOS_KW)
-        )
+        result = run_chaos(system="distserve", fault_plan="prefill-crash")
         assert result.passed, result.violations

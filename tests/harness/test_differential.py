@@ -1,40 +1,42 @@
-"""Tests for the differential runner and its shared invariants."""
+"""Tests for the differential comparison and its shared invariants."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.harness.differential import (
-    DifferentialSpec,
+from repro.harness.cell import Cell, clone_requests
+from repro.harness.experiments import DIFFERENTIAL
+from repro.harness.invariants import (
     check_conservation,
     check_monotonic_times,
     check_token_causality,
-    clone_requests,
-    run_differential,
-    workload_rows,
 )
 from repro.serving.request import Phase, Request
 
 # The acceptance matrix: >= 3 workload/seed combinations, all systems.
 COMBOS = (
-    DifferentialSpec(rate_per_gpu=3.0, seed=0, num_requests=40),
-    DifferentialSpec(rate_per_gpu=3.5, seed=3, num_requests=40, arrival_process="bursty"),
-    DifferentialSpec(rate_per_gpu=2.0, seed=11, num_requests=40),
+    (Cell(rate_per_gpu=3.0, num_requests=40), 0),
+    (Cell(rate_per_gpu=3.5, num_requests=40, arrival_process="bursty"), 3),
+    (Cell(rate_per_gpu=2.0, num_requests=40), 11),
 )
 
 
-@pytest.mark.parametrize("spec", COMBOS, ids=lambda s: f"r{s.rate_per_gpu}-s{s.seed}")
-def test_all_systems_share_invariants(spec):
-    report = run_differential(spec)
-    assert {o.system for o in report.outcomes} == set(spec.systems)
-    assert report.passed, "\n" + report.report()
+@pytest.mark.parametrize(
+    "base, seed", COMBOS, ids=[f"r{c.rate_per_gpu}-s{seed}" for c, seed in COMBOS]
+)
+def test_all_systems_share_invariants(base, seed):
+    report = DIFFERENTIAL.run(base, seeds=[seed])
+    assert {run.cell.system for run in report.runs.values()} == {"windserve", "distserve", "vllm"}
+    for label, run in report.runs.items():
+        assert run.passed, f"{label}: {run.violations}"
+    assert report.passed
 
 
 def test_workload_is_byte_identical_across_clones():
-    spec = DifferentialSpec(num_requests=10)
-    report_a = run_differential(spec)
-    report_b = run_differential(spec)
-    assert report_a.workload_fingerprint == report_b.workload_fingerprint
+    report_a = DIFFERENTIAL.run(Cell(num_requests=10), seeds=[0])
+    report_b = DIFFERENTIAL.run(Cell(num_requests=10), seeds=[0])
+    digests = {run.fields["workload"] for r in (report_a, report_b) for run in r.runs.values()}
+    assert len(digests) == 1  # every system, both reports: the same bytes
 
 
 def test_clones_are_fresh_objects():
@@ -46,9 +48,12 @@ def test_clones_are_fresh_objects():
 
 
 def test_mismatched_gpu_counts_rejected():
-    spec = DifferentialSpec(systems=("windserve", "vllm"), num_requests=5)
-    # Sanity: the default specs use equal GPU counts, so this should run.
-    assert run_differential(spec).passed
+    # The default cells use equal GPU counts, so this runs ...
+    assert DIFFERENTIAL.run(Cell(num_requests=5), systems=["windserve", "vllm"], seeds=[0]).passed
+    # ... while handing a cell a workload sized for other hardware is refused.
+    workload = Cell(num_requests=5).workload()
+    with pytest.raises(ValueError, match="shared rate would differ"):
+        Cell(num_requests=5, decode_parallel=(1, 1)).run(workload)
 
 
 class TestInvariantCheckers:
@@ -69,12 +74,12 @@ class TestInvariantCheckers:
     def test_conservation_catches_loss_and_duplicates(self):
         submitted = [self._finished(0), self._finished(1)]
         completed = [self._finished(0), self._finished(0)]
-        problems = check_conservation(submitted, completed)
-        assert any("lost" in p for p in problems)
+        problems = check_conservation(submitted, completed, [])
+        assert any("dropped" in p for p in problems)
         assert any("more than once" in p for p in problems)
 
     def test_conservation_catches_phantoms(self):
-        problems = check_conservation([self._finished(0)], [self._finished(0), self._finished(9)])
+        problems = check_conservation([self._finished(0)], [self._finished(0), self._finished(9)], [])
         assert any("phantom" in p for p in problems)
 
     def test_causality_catches_token_before_prefill(self):
@@ -97,6 +102,6 @@ class TestInvariantCheckers:
 
     def test_clean_requests_produce_no_violations(self):
         good = [self._finished(0), self._finished(1)]
-        assert check_conservation(good, good) == []
+        assert check_conservation(good, good, []) == []
         assert check_token_causality(good) == []
         assert check_monotonic_times(good) == []

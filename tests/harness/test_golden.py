@@ -7,37 +7,37 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness.cell import Cell
 from repro.harness.golden import (
     GOLDEN_MATRIX,
-    GoldenScenario,
+    GOLDEN_TAGS,
     check_goldens,
     diff_against_golden,
     first_event_divergence,
     golden_path,
     load_golden,
     record_goldens,
-    run_scenario,
     save_golden,
 )
 
 REPO_GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
 # One small, fast scenario reused by the unit tests below.
-SMALL = GoldenScenario(
+SMALL = Cell(
     name="unit-small", system="windserve", rate_per_gpu=3.0, seed=0, num_requests=10
 )
 
 
 class TestStoreRoundTrip:
     def test_record_then_check_passes(self, tmp_path):
-        run = run_scenario(SMALL)
+        run = SMALL.run(trace_tags=GOLDEN_TAGS)
         path = save_golden(run, tmp_path)
         assert path.exists()
-        diff = diff_against_golden(path, run_scenario(SMALL))
+        diff = diff_against_golden(path, SMALL.run(trace_tags=GOLDEN_TAGS))
         assert diff.passed, diff.report()
 
     def test_header_contains_scenario_and_fingerprint(self, tmp_path):
-        path = save_golden(run_scenario(SMALL), tmp_path)
+        path = save_golden(SMALL.run(trace_tags=GOLDEN_TAGS), tmp_path)
         header, events = load_golden(path)
         assert header["scenario"]["system"] == "windserve"
         assert header["events"] == len(events)
@@ -55,7 +55,7 @@ class TestStoreRoundTrip:
         assert "no golden recorded" in diffs[0].messages[0]
 
     def test_version_mismatch_rejected(self, tmp_path):
-        path = save_golden(run_scenario(SMALL), tmp_path)
+        path = save_golden(SMALL.run(trace_tags=GOLDEN_TAGS), tmp_path)
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
         header["golden"] = 999
@@ -66,7 +66,7 @@ class TestStoreRoundTrip:
 
 class TestDiffing:
     def test_perturbed_event_yields_first_divergence(self, tmp_path):
-        run = run_scenario(SMALL)
+        run = SMALL.run(trace_tags=GOLDEN_TAGS)
         path = save_golden(run, tmp_path)
         # Simulate a scheduler perturbation: change one event payload deep
         # in the stored stream.
@@ -81,7 +81,7 @@ class TestDiffing:
         lines[0] = json.dumps(header)
         path.write_text("\n".join(lines) + "\n")
 
-        diff = diff_against_golden(path, run_scenario(SMALL))
+        diff = diff_against_golden(path, SMALL.run(trace_tags=GOLDEN_TAGS))
         assert not diff.passed
         report = diff.report()
         assert "first divergence at event #9" in report
@@ -89,7 +89,7 @@ class TestDiffing:
         assert "perturbed" in report
 
     def test_truncated_golden_reports_extra_events(self, tmp_path):
-        path = save_golden(run_scenario(SMALL), tmp_path)
+        path = save_golden(SMALL.run(trace_tags=GOLDEN_TAGS), tmp_path)
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
         dropped = lines[:-3]  # drop the last 3 events
@@ -99,7 +99,7 @@ class TestDiffing:
         dropped[0] = json.dumps(header)
         path.write_text("\n".join(dropped) + "\n")
 
-        diff = diff_against_golden(path, run_scenario(SMALL))
+        diff = diff_against_golden(path, SMALL.run(trace_tags=GOLDEN_TAGS))
         assert any("extra events" in m for m in diff.messages)
 
     def test_first_event_divergence_formats_payload_delta(self):
@@ -122,5 +122,5 @@ class TestRepoGoldens:
     @pytest.mark.parametrize("scenario", GOLDEN_MATRIX, ids=lambda s: s.name)
     def test_checked_in_goldens_match(self, scenario):
         path = golden_path(REPO_GOLDEN_DIR, scenario.name)
-        diff = diff_against_golden(path, run_scenario(scenario))
+        diff = diff_against_golden(path, scenario.run(trace_tags=GOLDEN_TAGS))
         assert diff.passed, "\n" + diff.report()

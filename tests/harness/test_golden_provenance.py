@@ -13,18 +13,18 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness.cell import Cell
 from repro.harness.golden import (
     GOLDEN_FORMAT_VERSION,
     GOLDEN_MATRIX,
+    GOLDEN_TAGS,
     PROVENANCE_FORMAT_VERSION,
-    GoldenScenario,
     check_goldens,
     golden_path,
     load_golden,
     record_goldens,
     render_migration_report,
     rerecord_goldens,
-    run_scenario,
     save_golden,
     scenario_metrics,
     validate_golden_store,
@@ -33,7 +33,7 @@ from repro.harness.golden import (
 
 REPO_GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
-SMALL = GoldenScenario(
+SMALL = Cell(
     name="unit-small", system="windserve", rate_per_gpu=3.0, seed=0, num_requests=10
 )
 SMALL_NAME = GOLDEN_MATRIX[0].name  # matrix cell used for store-level verbs
@@ -103,7 +103,7 @@ class TestProvenanceRoundTrip:
     def test_rerecord_migrates_old_format_versions(self, tmp_path):
         """The rerecord path reads the previous format version — the store
         migration this PR itself performed."""
-        path = save_golden(run_scenario(SMALL), tmp_path)
+        path = save_golden(SMALL.run(trace_tags=GOLDEN_TAGS), tmp_path)
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
         header["golden"] = GOLDEN_FORMAT_VERSION - 1

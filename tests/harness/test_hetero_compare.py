@@ -1,24 +1,21 @@
-"""Heterogeneous-fleet differential harness: report structure + verdicts."""
+"""Heterogeneous-fleet comparison: report structure + verdicts."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.harness.hetero_compare import (
-    DEFAULT_SHAPE,
-    HeteroComparisonReport,
-    HeteroComparisonSpec,
-    HeteroRunResult,
-    run_hetero_comparison,
-)
+from repro.harness.cell import Cell, CellRun
+from repro.harness.experiments import DEFAULT_SHAPE, HETERO, HETERO_ROUTERS, Report
 
 #: One shared small comparison — four fleet runs is the expensive part.
-SPEC = HeteroComparisonSpec(num_requests=48, seed=3)
+BASE = replace(HETERO.base, num_requests=48, seed=3)
 
 
 @pytest.fixture(scope="module")
 def report():
-    return run_hetero_comparison(SPEC)
+    return HETERO.run(BASE)
 
 
 CELLS = (
@@ -29,61 +26,56 @@ CELLS = (
 )
 
 
-def stub_run(label, **overrides) -> HeteroRunResult:
-    base = dict(
-        label=label,
-        router="predicted-ttft",
-        fault_plan=None,
-        replan=False,
-        submitted=10,
-        completed=10,
-        shed=0,
-        retried=0,
-        mean_ttft=0.1,
-        slo_attainment=1.0,
-        slo_goodput=10,
-        members_replanned=0,
-        replan_requeues=0,
-        replans=[],
-        fingerprint="deadbeef",
+def stub_run(label, **overrides) -> CellRun:
+    fields = dict(mean_ttft=0.1, slo_goodput=10, members_replanned=0)
+    fields.update(overrides)
+    return CellRun(
+        cell=Cell(name=label),
+        target=None,
+        submitted=[],
+        metrics=None,
+        fingerprint=None,
+        fields=fields,
     )
-    base.update(overrides)
-    return HeteroRunResult(**base)
+
+
+def judge(runs) -> Report:
+    return Report("hetero", runs, {v.name: v.check(runs, {}) for v in HETERO.verdicts})
 
 
 class TestReportStructure:
     def test_four_cells_with_expected_labels(self, report):
         assert tuple(report.runs) == CELLS
-        for label, run in report.runs.items():
-            assert run.label == label
 
     def test_every_cell_passes_the_invariant_suite(self, report):
+        # Only the invariants: this small point is not sized for the verdicts.
         for run in report.runs.values():
             assert run.violations == []
-        assert report.passed
+            assert run.passed
 
     def test_cells_conserve_the_workload(self, report):
         for run in report.runs.values():
-            assert run.submitted == SPEC.num_requests
-            assert run.completed + run.shed == run.submitted
+            assert run.fields["submitted"] == BASE.num_requests
+            assert run.fields["completed"] + run.fields["shed"] == run.fields["submitted"]
 
     def test_routing_cells_are_fault_free(self, report):
-        for router in SPEC.routers:
+        for router in HETERO_ROUTERS:
             run = report.runs[f"route:{router}"]
-            assert run.fault_plan is None
-            assert run.retried == 0
-            assert run.members_replanned == 0
+            assert run.fields["fault_plan"] is None
+            assert run.fields["retried"] == 0
+            assert run.fields["members_replanned"] == 0
 
     def test_crash_cells_share_the_fault_plan(self, report):
         for label in ("crash:no-replan", "crash:replan"):
-            assert report.runs[label].fault_plan == SPEC.fault_plan
-            assert report.runs[label].router == SPEC.replan_router
-        assert report.runs["crash:no-replan"].members_replanned == 0
-        replanned = report.runs["crash:replan"]
-        assert replanned.members_replanned >= 1
-        assert len(replanned.replans) == replanned.members_replanned
+            assert report.runs[label].fields["fault_plan"] == BASE.fault_plan
+            assert report.runs[label].fields["router"] == HETERO_ROUTERS[-1]
+        assert report.runs["crash:no-replan"].fields["members_replanned"] == 0
+        replanned = report.runs["crash:replan"].fields
+        assert replanned["members_replanned"] >= 1
+        assert len(replanned["replans"]) == replanned["members_replanned"]
 
     def test_same_router_same_workload_same_fingerprint_prefault(self, report):
+        assert len({run.fields["workload"] for run in report.runs.values()}) == 1
         # The two routing cells differ only by router, so their
         # fingerprints must differ (policy identity is hashed) ...
         assert (
@@ -98,13 +90,12 @@ class TestReportStructure:
 
     def test_as_dict_round_trip(self, report):
         payload = report.as_dict()
-        assert payload["spec"]["shape"] == DEFAULT_SHAPE
+        assert payload["cells"]["route:least-loaded"]["fleet_shape"] == DEFAULT_SHAPE
         assert set(payload["runs"]) == set(CELLS)
-        for verdict in ("routing_wins", "replan_recovers", "passed"):
+        for verdict in ("routing_wins", "replan_fired", "replan_recovers", "passed"):
             assert isinstance(payload[verdict], bool)
         cell = payload["runs"]["crash:replan"]
         for key in (
-            "label",
             "mean_ttft",
             "slo_goodput",
             "members_replanned",
@@ -117,46 +108,47 @@ class TestReportStructure:
 
 class TestVerdicts:
     def test_missing_runs_mean_no_verdict(self):
-        empty = HeteroComparisonReport(spec=SPEC, runs={})
-        assert not empty.routing_wins
-        assert not empty.replan_recovers
-        assert empty.passed  # vacuous: no runs, no violations
+        empty = judge({})
+        assert not any(empty.verdicts.values())
+        assert not empty.passed
 
     def test_routing_wins_compares_mean_ttft(self):
         runs = {
             "route:least-loaded": stub_run("route:least-loaded", mean_ttft=0.2),
             "route:predicted-ttft": stub_run("route:predicted-ttft", mean_ttft=0.1),
         }
-        assert HeteroComparisonReport(spec=SPEC, runs=runs).routing_wins
-        runs["route:predicted-ttft"].mean_ttft = 0.3
-        assert not HeteroComparisonReport(spec=SPEC, runs=runs).routing_wins
+        assert judge(runs).verdicts["routing_wins"]
+        runs["route:predicted-ttft"].fields["mean_ttft"] = 0.3
+        assert not judge(runs).verdicts["routing_wins"]
 
     def test_replan_recovers_needs_an_actual_replan(self):
         runs = {
             "crash:no-replan": stub_run("crash:no-replan", slo_goodput=5),
-            "crash:replan": stub_run(
-                "crash:replan", slo_goodput=8, members_replanned=0
-            ),
+            "crash:replan": stub_run("crash:replan", slo_goodput=8, members_replanned=0),
         }
         # Better goodput without a replan event does not count.
-        assert not HeteroComparisonReport(spec=SPEC, runs=runs).replan_recovers
-        runs["crash:replan"].members_replanned = 1
-        assert HeteroComparisonReport(spec=SPEC, runs=runs).replan_recovers
-        runs["crash:replan"].slo_goodput = 4
-        assert not HeteroComparisonReport(spec=SPEC, runs=runs).replan_recovers
+        assert not judge(runs).verdicts["replan_recovers"]
+        runs["crash:replan"].fields["members_replanned"] = 1
+        assert judge(runs).verdicts["replan_recovers"]
+        runs["crash:replan"].fields["slo_goodput"] = 4
+        assert not judge(runs).verdicts["replan_recovers"]
 
     def test_violations_fail_the_report(self):
-        runs = {"route:least-loaded": stub_run("route:least-loaded")}
-        assert HeteroComparisonReport(spec=SPEC, runs=runs).passed
+        runs = {
+            "route:least-loaded": stub_run("route:least-loaded", mean_ttft=0.2),
+            "route:predicted-ttft": stub_run("route:predicted-ttft"),
+            "crash:no-replan": stub_run("crash:no-replan"),
+            "crash:replan": stub_run("crash:replan", members_replanned=1),
+        }
+        assert judge(runs).passed
         runs["route:least-loaded"].violations = ["lost a request"]
-        assert not HeteroComparisonReport(spec=SPEC, runs=runs).passed
+        assert not judge(runs).passed
 
 
 class TestDefaultSpecVerdicts:
-    """The CI smoke runs the default spec; pin that both verdicts hold."""
+    """The CI smoke runs the default declaration; pin that every verdict holds."""
 
     def test_default_spec_discriminates(self):
-        report = run_hetero_comparison(HeteroComparisonSpec())
-        assert report.routing_wins
-        assert report.replan_recovers
+        report = HETERO.run()
+        assert all(report.verdicts.values()), report.verdicts
         assert report.passed

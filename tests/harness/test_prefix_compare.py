@@ -1,22 +1,19 @@
-"""Tests for the prefix-affinity vs locality-blind comparison harness."""
+"""Tests for the prefix-affinity vs locality-blind comparison."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.harness.prefix_compare import (
-    DEFAULT_PREFIX_MIX,
-    PrefixComparisonSpec,
-    run_prefix_comparison,
-)
+from repro.harness.experiments import DEFAULT_PREFIX_MIX, PREFIX
 from repro.workloads.prefixes import PrefixMix
 
 
 @pytest.fixture(scope="module")
 def report():
-    return run_prefix_comparison(PrefixComparisonSpec(num_requests=160))
+    return PREFIX.run(replace(PREFIX.base, num_requests=160))
 
 
 def test_default_mix_parses():
@@ -27,31 +24,33 @@ def test_default_mix_parses():
 def test_both_runs_clean(report):
     for name, run in report.runs.items():
         assert run.violations == [], f"{name}: {run.violations}"
-        assert run.completed == run.submitted
+        assert run.fields["completed"] == run.fields["submitted"]
     assert report.passed
 
 
 def test_affinity_beats_blind(report):
     """The headline claim: KV-locality-aware routing wins on latency AND
     total prefill work when the prefix population overflows one cache."""
-    blind = report.runs["least-loaded"]
-    affine = report.runs["prefix-affinity"]
-    assert affine.mean_ttft < blind.mean_ttft
-    assert affine.prefill_tokens_computed < blind.prefill_tokens_computed
-    assert affine.prefix_hit_rate > blind.prefix_hit_rate
-    assert report.affinity_beats_blind
+    blind = report.runs["least-loaded"].fields
+    affine = report.runs["prefix-affinity"].fields
+    assert affine["mean_ttft"] < blind["mean_ttft"]
+    assert affine["prefill_tokens_computed"] < blind["prefill_tokens_computed"]
+    assert affine["prefix_hit_rate"] > blind["prefix_hit_rate"]
+    assert report.verdicts["affinity_beats_blind"]
 
 
 def test_warm_beats_cold_in_both_runs(report):
     for name, run in report.runs.items():
-        assert run.warm_requests > 0, name
-        assert run.cold_requests > 0, name
-        assert run.warm_ttft < run.cold_ttft, name
+        assert run.fields["warm_requests"] > 0, name
+        assert run.fields["cold_requests"] > 0, name
+        assert run.fields["warm_ttft"] < run.fields["cold_ttft"], name
+    assert report.verdicts["warm_beats_cold"]
 
 
 def test_identical_workload_different_fingerprints(report):
     """Both routers consumed the same bytes but scheduled differently."""
-    fingerprints = {run.fingerprint for run in report.runs.values()}
+    assert len({run.fields["workload"] for run in report.runs.values()}) == 1
+    fingerprints = {run.fingerprint.value for run in report.runs.values()}
     assert len(fingerprints) == len(report.runs)
 
 
@@ -59,13 +58,14 @@ def test_saved_tokens_are_hit_consistent(report):
     """Every saved prefill token corresponds to a recorded hit, and hits
     only happen on requests that actually carried a prefix."""
     for run in report.runs.values():
-        assert run.prefix_hits == run.warm_requests
-        assert run.prefix_tokens_saved > 0
-        assert run.prefix_tokens_saved <= run.prefix_hits * 512  # mix max len
+        fields = run.fields
+        assert fields["prefix_hits"] == fields["warm_requests"]
+        assert fields["prefix_tokens_saved"] > 0
+        assert fields["prefix_tokens_saved"] <= fields["prefix_hits"] * 512  # mix max len
 
 
 def test_report_is_json_serialisable(report):
     payload = json.loads(json.dumps(report.as_dict()))
     assert payload["affinity_beats_blind"] is True
     assert set(payload["runs"]) == {"least-loaded", "prefix-affinity"}
-    assert payload["spec"]["prefix_mix"] == DEFAULT_PREFIX_MIX
+    assert payload["cells"]["least-loaded"]["prefix_mix"] == DEFAULT_PREFIX_MIX

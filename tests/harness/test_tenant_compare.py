@@ -7,65 +7,64 @@ conservation, budget-watermark, and drained-system checks green.
 
 from __future__ import annotations
 
-from repro.harness.chaos import chaos_tenant_conservation
-from repro.harness.tenant_compare import (
+from dataclasses import replace
+
+from repro.harness.experiments import (
     BASELINE_RUN,
+    BURST_WINDOW,
     FAIRSHARE_RUN,
     FIFO_RUN,
-    TenantComparisonSpec,
+    TENANTS,
     burst_rows,
-    run_tenant_comparison,
 )
+from repro.harness.invariants import check_tenant_conservation
 from repro.serving.metrics import MetricsCollector
 from repro.serving.request import Request
 
 
-def _small_spec(**overrides):
-    defaults = dict(num_requests=80, burst_requests=32, seed=0)
-    defaults.update(overrides)
-    return TenantComparisonSpec(**defaults)
+def _small(num_requests=80, burst_requests=32):
+    base = replace(TENANTS.base, num_requests=num_requests, seed=0)
+    return TENANTS.run(base, burst_requests=burst_requests)
 
 
 def test_comparison_discriminates_and_keeps_invariants():
-    report = run_tenant_comparison(_small_spec())
+    report = _small()
     assert set(report.runs) == {BASELINE_RUN, FAIRSHARE_RUN, FIFO_RUN}
     for name, run in report.runs.items():
         assert not run.violations, f"{name}: {run.violations}"
-    assert report.isolation_holds, "fair-share broke the isolation bound"
-    assert report.fifo_violates, "FIFO held the bound: cell not discriminating"
-    assert report.fairshare_beats_fifo
+    assert report.verdicts["isolation_holds"], "fair-share broke the isolation bound"
+    assert report.verdicts["fifo_violates"], "FIFO held the bound: cell not discriminating"
+    assert report.verdicts["fairshare_beats_fifo"]
     assert report.passed
     # Budgets actually bit in the fair-share burst run, and never in FIFO.
-    assert report.runs[FAIRSHARE_RUN].budget_sheds > 0
-    assert report.runs[FIFO_RUN].budget_sheds == 0
+    assert report.runs[FAIRSHARE_RUN].fields["budget_sheds"] > 0
+    assert report.runs[FIFO_RUN].fields["budget_sheds"] == 0
 
 
 def test_burst_rows_are_deterministic_and_heavy_owned():
-    spec = _small_spec()
     base = [
         {"id": i, "arrival": float(i), "prompt": 100, "output": 50}
         for i in range(10)
     ]
-    rows = burst_rows(spec, base)
-    assert rows == burst_rows(spec, base)
-    assert len(rows) == spec.burst_requests
+    rows = burst_rows(base, 32)
+    assert rows == burst_rows(base, 32)
+    assert len(rows) == 32
     assert all(row["tenant"] == "heavy" for row in rows)
     assert min(row["id"] for row in rows) == 10  # continues after the base ids
     arrivals = [row["arrival"] for row in rows]
     assert arrivals == sorted(arrivals)
-    assert max(arrivals) - min(arrivals) <= spec.burst_window
+    assert max(arrivals) - min(arrivals) <= BURST_WINDOW
 
 
 def test_report_serialises_to_json_payload():
-    report = run_tenant_comparison(_small_spec(num_requests=40, burst_requests=16))
-    payload = report.as_dict()
+    payload = _small(num_requests=40, burst_requests=16).as_dict()
     assert set(payload["runs"]) == {BASELINE_RUN, FAIRSHARE_RUN, FIFO_RUN}
     for run in payload["runs"].values():
         assert {"light_p99_ttft", "budget_sheds", "tenant_report"} <= set(run)
     assert isinstance(payload["passed"], bool)
 
 
-# -- chaos_tenant_conservation unit -------------------------------------------
+# -- check_tenant_conservation unit -------------------------------------------
 
 
 def _request(rid, tenant):
@@ -82,19 +81,19 @@ def test_tenant_conservation_accepts_balanced_outcomes():
     submitted = [_request(1, "a"), _request(2, "a"), _request(3, "b")]
     completed = [submitted[0], submitted[2]]
     shed = [submitted[1]]
-    assert chaos_tenant_conservation(submitted, completed, shed) == []
+    assert check_tenant_conservation(submitted, completed, shed) == []
 
 
 def test_tenant_conservation_flags_lost_requests():
     submitted = [_request(1, "a"), _request(2, "b")]
-    problems = chaos_tenant_conservation(submitted, [submitted[0]], [])
+    problems = check_tenant_conservation(submitted, [submitted[0]], [])
     assert any("'b' lost requests" in p for p in problems)
 
 
 def test_tenant_conservation_flags_mutated_ownership():
     submitted = [_request(1, "a")]
     mutated = _request(1, "b")
-    problems = chaos_tenant_conservation(submitted, [mutated], [])
+    problems = check_tenant_conservation(submitted, [mutated], [])
     assert any("changed tenant" in p for p in problems)
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.faults import FaultInjector, ResilienceConfig
 from repro.faults.config import should_shed_tier, tier_inflight_limit
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.harness.chaos import chaos_invariants
+from repro.harness.invariants import check_run
 from repro.harness.runner import ExperimentSpec, build_system, resolve_slo
 from repro.harness.slo import TIER_SLO_SCALE, tier_slo, tier_slos
 from repro.models.registry import get_model
@@ -293,7 +293,7 @@ class TestDegradedModeOrdering:
 
     def test_invariants_hold(self, tiered_crash_run):
         system, submitted, _, _ = tiered_crash_run
-        assert chaos_invariants(system, submitted) == []
+        assert check_run(system, submitted) == []
 
     def test_shed_counts_ordered_against_priority(self, tiered_crash_run):
         _, _, metrics, _ = tiered_crash_run

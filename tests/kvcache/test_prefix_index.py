@@ -157,16 +157,16 @@ def test_insert_rejects_oversized_and_counts_skips():
 def test_chaos_member_crash_with_cache_frees_kv_exactly_once():
     """Crash mid-prefill with warm cache references: the retired pool and
     the replacement pool must both balance alloc/free exactly."""
-    from repro.harness.chaos import FleetChaosSpec, run_fleet_chaos
+    from repro.harness.cell import Cell
 
-    result = run_fleet_chaos(
-        FleetChaosSpec(
-            fault_plan="member-crash",
-            num_requests=48,
-            seed=3,
-            prefix_mix="none=0.2,p0=0.4:384,p1=0.4:512",
-            prefix_cache_tokens=2048,
-        )
-    )
+    result = Cell(
+        rate_per_gpu=2.0,
+        fleet_nodes=2,
+        fault_plan="member-crash",
+        num_requests=48,
+        seed=3,
+        prefix_mix="none=0.2,p0=0.4:384,p1=0.4:512",
+        prefix_cache_tokens=2048,
+    ).run()
     assert result.violations == []
-    assert result.completed + result.shed == result.submitted
+    assert len(result.metrics.completed) + len(result.metrics.shed) == len(result.submitted)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import FleetShape
 from repro.core.fleet import build_windserve_fleet
-from repro.harness.differential import clone_requests, workload_rows
+from repro.harness.cell import clone_requests, workload_rows
 from repro.models.registry import get_model
 from repro.policies.routing import PredictedTTFTRouting
 from repro.serving.metrics import SLO

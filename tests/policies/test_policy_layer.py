@@ -19,15 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultInjector, ResilienceConfig, build_fault_plan
-from repro.harness.chaos import (
-    ChaosSpec,
-    FleetChaosSpec,
-    chaos_invariants,
-    run_fleet_chaos,
-)
-from repro.harness.differential import clone_requests, workload_rows
+from repro.harness.cell import Cell
 from repro.harness.runner import ExperimentSpec, build_system, resolve_slo
+from repro.harness.slo import tier_slos
+from repro.harness.invariants import check_run
 from repro.models.registry import get_model
 from repro.policies import (
     ADMISSION_POLICIES,
@@ -41,8 +36,6 @@ from repro.policies.routing import PredictedTTFTRouting, TierAwareRouting
 from repro.serving.instance import InstanceConfig
 from repro.serving.request import Request
 from repro.sim.fingerprint import RunFingerprint
-from repro.workloads.datasets import get_dataset
-from repro.workloads.trace import generate_trace
 
 MODEL = get_model("opt-13b")
 
@@ -263,27 +256,10 @@ PREEMPT_KW = dict(
 
 def _run_degraded_chaos(admission_policy):
     """One tiered prefill-crash chaos run, returning (system, metrics, sent)."""
-    spec = ChaosSpec(
-        resilience=ResilienceConfig(degraded_inflight_limit=4),
-        admission_policy=admission_policy,
-        **PREEMPT_KW,
-    )
-    experiment = spec.experiment()
-    system = build_system(experiment, resolve_slo(experiment))
-    system.trace.enabled = True  # capture preempt-displace rows
-    workload = generate_trace(
-        get_dataset(spec.dataset),
-        rate=spec.rate_per_gpu * experiment.gpus_used,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        model=MODEL,
-        tier_mix=spec.parsed_tier_mix(),
-    )
-    submitted = clone_requests(workload_rows(workload))
-    horizon = max(r.arrival_time for r in submitted)
-    FaultInjector(system, build_fault_plan(spec.fault_plan, horizon, seed=spec.seed)).arm()
-    metrics = system.run_to_completion(submitted)
-    return system, metrics, submitted
+    cell = Cell(shed_limit=4, admission_policy=admission_policy, **PREEMPT_KW)
+    # Capture the preempt-displace rows.
+    run = cell.run(trace_tags=frozenset({"preempt-displace"}))
+    return run.target, run.metrics, run.submitted
 
 
 @pytest.fixture(scope="module")
@@ -323,7 +299,7 @@ class TestPreemptiveDisplacement:
         """Preempted requests are swapped out, not lost: both runs keep
         every chaos invariant (conservation, KV lifecycle, clean drain)."""
         for name, (system, _, submitted) in preemption_runs.items():
-            assert chaos_invariants(system, submitted) == [], name
+            assert check_run(system, submitted) == [], name
 
     def test_preemptive_runs_carry_policy_fingerprint(self, preemption_runs):
         system, _, _ = preemption_runs["preemptive"]
@@ -337,15 +313,19 @@ FLEET_KW = dict(
     rate_per_gpu=2.0,
     num_requests=48,
     seed=12,
-    num_nodes=2,
+    fleet_nodes=2,
     tier_mix="interactive=0.25,standard=0.5,best_effort=0.25",
 )
+
+
+def _tier_report(run):
+    return run.metrics.tier_report(tier_slos(run.cell.slo()))
 
 
 @pytest.fixture(scope="module")
 def fleet_runs():
     return {
-        policy: run_fleet_chaos(FleetChaosSpec(policy=policy, **FLEET_KW))
+        policy: Cell(fleet_policy=policy, **FLEET_KW).run()
         for policy in ("least-loaded", "tier-aware")
     }
 
@@ -359,16 +339,16 @@ class TestTierAwareFleetAcceptance:
         """The ISSUE acceptance: tier-aware routing demonstrably raises
         interactive-tier SLO attainment over least-loaded in a tiered
         member-crash fleet."""
-        base = fleet_runs["least-loaded"].tier_report["interactive"]
-        tiered = fleet_runs["tier-aware"].tier_report["interactive"]
+        base = _tier_report(fleet_runs["least-loaded"])["interactive"]
+        tiered = _tier_report(fleet_runs["tier-aware"])["interactive"]
         assert tiered["attainment"] > base["attainment"]
         assert tiered["goodput"] >= base["goodput"]
 
     def test_best_effort_not_sacrificed(self, fleet_runs):
         # Routing best-effort to the hot member absorbs stragglers without
         # collapsing that tier's throughput.
-        base = fleet_runs["least-loaded"].tier_report["best_effort"]
-        tiered = fleet_runs["tier-aware"].tier_report["best_effort"]
+        base = _tier_report(fleet_runs["least-loaded"])["best_effort"]
+        tiered = _tier_report(fleet_runs["tier-aware"])["best_effort"]
         assert tiered["completed"] + tiered["shed"] == base["completed"] + base["shed"]
         assert tiered["goodput"] >= base["goodput"]
 

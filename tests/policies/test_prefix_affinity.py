@@ -109,13 +109,12 @@ def test_warm_set_is_lru_bounded():
 def test_warm_hit_beats_cold_ttft_end_to_end():
     """On a real affinity-routed fleet, prefix-hit requests see lower TTFT
     than cold shared-prefix requests (the shortened prefill is visible)."""
-    from repro.harness.prefix_compare import (
-        PrefixComparisonSpec,
-        run_prefix_comparison,
-    )
+    from dataclasses import replace
 
-    report = run_prefix_comparison(PrefixComparisonSpec(num_requests=120))
+    from repro.harness.experiments import PREFIX
+
+    report = PREFIX.run(replace(PREFIX.base, num_requests=120))
     run = report.runs["prefix-affinity"]
     assert run.violations == []
-    assert run.warm_requests > 0 and run.cold_requests > 0
-    assert run.warm_ttft < run.cold_ttft
+    assert run.fields["warm_requests"] > 0 and run.fields["cold_requests"] > 0
+    assert run.fields["warm_ttft"] < run.fields["cold_ttft"]

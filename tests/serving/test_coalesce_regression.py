@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.golden import GOLDEN_MATRIX, run_scenario
+from repro.harness.golden import GOLDEN_MATRIX, GOLDEN_TAGS
 from repro.serving.instance import Instance
 
 # One scenario per interruption mode the coalescing loop must split exactly:
@@ -37,11 +37,11 @@ def _disable_coalescing(monkeypatch) -> None:
 @pytest.mark.parametrize("name", INTERRUPTION_SCENARIOS)
 def test_interrupted_decode_matches_per_token_path(name, monkeypatch):
     scenario = _BY_NAME[name]
-    coalesced = run_scenario(scenario)
+    coalesced = scenario.run(trace_tags=GOLDEN_TAGS)
 
     with monkeypatch.context() as patch:
         _disable_coalescing(patch)
-        per_token = run_scenario(scenario)
+        per_token = scenario.run(trace_tags=GOLDEN_TAGS)
 
     # Token timestamps live in the request rows (first_token/decode/finish);
     # compare them field-by-field before the aggregate hashes so a mismatch
@@ -71,31 +71,20 @@ def test_per_token_path_still_matches_recorded_golden(name, monkeypatch):
 
 def test_coalesce_config_switch(monkeypatch):
     """InstanceConfig(coalesce_ticks=False) selects the per-token path."""
-    from repro.harness.runner import build_system, resolve_slo
-    from repro.serving.instance import InstanceConfig
-    from repro.workloads.datasets import get_dataset
-    from repro.workloads.trace import generate_trace
-    from repro.models.registry import get_model
     from dataclasses import replace
+
+    from repro.harness.runner import build_system, generate_workload, resolve_slo
 
     def run(coalesce: bool):
         scenario = _BY_NAME["windserve-poisson-r3-s0"]
-        spec = scenario.spec()
+        spec = scenario.experiment()
         spec = replace(
             spec,
             num_requests=40,
             instance_config=replace(spec.instance_config, coalesce_ticks=coalesce),
         )
         system = build_system(spec, resolve_slo(spec))
-        workload = generate_trace(
-            get_dataset(spec.dataset),
-            rate=spec.rate_per_gpu * spec.gpus_used,
-            num_requests=spec.num_requests,
-            seed=spec.seed,
-            model=get_model(spec.model),
-            arrival_process=spec.arrival_process,
-            burstiness_cv=spec.burstiness_cv,
-        )
+        workload = generate_workload(spec)
         system.run_to_completion(workload)
         return system.run_fingerprint(workload.rng_registry), system.sim.events_processed
 

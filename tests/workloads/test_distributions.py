@@ -102,3 +102,19 @@ def test_property_fit_is_well_formed(median, ratio, mean_factor):
     assert dist.cap >= p90 or dist.cap == pytest.approx(p90)
     samples = dist.sample(np.random.default_rng(0), 1000)
     assert samples.min() >= dist.min_value
+
+
+def test_import_does_not_pull_in_scipy():
+    """The package needs only numpy: importing it must not load SciPy."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    probe = "import sys, repro; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
