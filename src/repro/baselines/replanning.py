@@ -156,4 +156,13 @@ class ReplanningDistServeSystem(DistServeSystem):
         self.trace.emit(self.sim.now, "replanner", "replan-done", placement=placement.label())
         self.prefill_instance.kick()
         self.decode_instance.kick()
-        self._pump_handoffs()
+        self.pump_handoffs()
+
+    def on_kv_dropped(self, request: Request, instance) -> None:
+        """A replanning restart lost this request's KV: recompute it.
+
+        The request re-prefills its full live context on the prefill
+        instance and re-enters the decode pipeline via a fresh hand-off."""
+        request.restart_prefill()
+        self.metrics.bump("replan_recompute")
+        self.prefill_instance.enqueue(request)

@@ -376,7 +376,9 @@ def cmd_golden(args: argparse.Namespace) -> int:
 def cmd_experiment(experiment: Experiment, args: argparse.Namespace) -> int:
     """Run one declared comparison; exit 1 on a violation or failed verdict."""
     base = _cell_from_args(args, experiment.flags, experiment.base)
-    report = experiment.run(base, **{p.dest: getattr(args, p.dest) for p in experiment.params})
+    # Only the params given on the command line: ``--smoke`` fills the rest.
+    params = {p.dest: vars(args)[p.dest] for p in experiment.params if p.dest in vars(args)}
+    report = experiment.run(base, **params)
     payload = report.as_dict()
     # With --json, stdout carries the report alone.
     info = sys.stderr if args.json else sys.stdout
@@ -441,11 +443,14 @@ def _add_experiment(sub, experiment: Experiment) -> None:
     parser = sub.add_parser(experiment.name, help=experiment.help)
     _add_cell_flags(parser, experiment.flags, experiment.base)
     for param in experiment.params:
+        # Unset params stay off ``args``; Experiment.run supplies defaults.
         if param.default is False:
-            parser.add_argument(param.flag, action="store_true", help=param.help)
+            parser.add_argument(
+                param.flag, action="store_true", default=argparse.SUPPRESS, help=param.help
+            )
         else:
             parser.add_argument(
-                param.flag, type=param.type, default=param.default, help=param.help
+                param.flag, type=param.type, default=argparse.SUPPRESS, help=param.help
             )
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
     parser.set_defaults(func=lambda args: cmd_experiment(experiment, args))

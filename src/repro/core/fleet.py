@@ -26,6 +26,7 @@ crash + immediate detection.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core.config import FleetShape, WindServeConfig
@@ -613,8 +614,9 @@ def build_windserve_fleet(
     shape's per-node GPU types.
 
     All pairs share the cluster's simulator and links.  ``system_factory``
-    swaps in a different member system type (e.g. ``DistServeSystem``) for
-    comparisons.  With ``span_nodes``, a member keeps its prefill instance
+    swaps in a different P/D member system type (e.g. ``DistServeSystem``)
+    for comparisons; every factory gets the same arguments (``ws_config``
+    binds only the default WindServe factory).  With ``span_nodes``, a member keeps its prefill instance
     on its home node ``k`` but places its decode instance on node
     ``(k+1) % num_nodes`` — every KV hand-off then crosses the RDMA NICs,
     which is what makes ``nic:<k>`` fault targets bite.  ``fleet_factory``
@@ -637,7 +639,7 @@ def build_windserve_fleet(
     sim = Simulator()
     members: list[ServingSystem] = []
     gpus_needed = prefill_parallel.num_gpus + decode_parallel.num_gpus
-    factory = system_factory or WindServeSystem
+    factory = system_factory or partial(WindServeSystem, ws_config=ws_config)
 
     def _slots(node: int, start_local: int, count: int) -> tuple[int, ...]:
         base = node * cluster.gpus_per_node
@@ -679,13 +681,8 @@ def build_windserve_fleet(
                     cluster, decode_parallel, decode_gpus
                 ),
             )
-            kwargs = {}
-            if factory is WindServeSystem:
-                kwargs["ws_config"] = ws_config
-            member = factory(
-                config, placement=placement, topology=cluster, sim=sim, **kwargs
-            )
-            member.name = f"{getattr(factory, 'name', 'member')}-{node}.{pair}"
+            member = factory(config, placement=placement, topology=cluster, sim=sim)
+            member.name = f"{member.name}-{node}.{pair}"
             members.append(member)
     build_fleet = fleet_factory or ServingFleet
     return build_fleet(members, policy=policy)
@@ -712,7 +709,7 @@ def _build_shaped_fleet(
             f"shape has {len(shape.members)} members"
         )
     sim = Simulator()
-    factory = system_factory or WindServeSystem
+    factory = system_factory or partial(WindServeSystem, ws_config=ws_config)
     home_node = [i // pairs_per_node for i in range(len(shape.members))]
     # Per-node prefill-block sizes (span mode packs every home prefill at
     # the front of its node; decode blocks stack behind the *next* node's
@@ -786,17 +783,14 @@ def _build_shaped_fleet(
             decode_parallel=parallel_with_link(cluster, d_cfg, decode_gpus),
         )
         member_config = replace(config, gpu=gpu_spec)
-        kwargs = {}
-        if factory is WindServeSystem:
-            kwargs["ws_config"] = ws_config
-            if decode_spec != gpu_spec:
-                kwargs["decode_gpu"] = decode_spec
         member = factory(
-            member_config, placement=placement, topology=cluster, sim=sim, **kwargs
+            member_config,
+            placement=placement,
+            topology=cluster,
+            sim=sim,
+            decode_gpu=decode_spec,
         )
-        member.name = (
-            f"{getattr(factory, 'name', 'member')}-{node}.{i % pairs_per_node}"
-        )
+        member.name = f"{member.name}-{node}.{i % pairs_per_node}"
         members.append(member)
     build_fleet = fleet_factory or ServingFleet
     fleet = build_fleet(members, policy=policy)

@@ -131,7 +131,8 @@ class Experiment:
     flags: tuple[str, ...]
     cells: Callable[[Cell, Mapping[str, Any]], dict[str, Cell]]
     params: tuple[Param, ...] = ()
-    #: ``--smoke`` shrinks the base cell / params to a CI-sized point.
+    #: ``--smoke`` shrinks the base cell to a CI-sized point and returns the
+    #: params it fills in where the caller passed none.
     smoke: Optional[Callable[[Cell, dict], tuple[Cell, dict]]] = None
     #: Per-label rewrite of the workload rows (same bytes in, same out).
     rows: Optional[Callable[[str, list[dict], Mapping[str, Any]], list[dict]]] = None
@@ -143,10 +144,11 @@ class Experiment:
         unknown = set(params) - set(known)
         if unknown:
             raise TypeError(f"{self.name}: unknown parameter(s) {sorted(unknown)}")
-        params = {**known, **params}
+        given, params = params, {**known, **params}
         base = base or self.base
         if self.smoke is not None and params.get("smoke"):
-            base, params = self.smoke(base, params)
+            base, fills = self.smoke(base, params)
+            params = {**params, **fills, **given}
         runs: dict[str, CellRun] = {}
         for label, cell in self.cells(base, params).items():
             workload = None
@@ -267,10 +269,10 @@ def _chaos_smoke(base: Cell, p: dict) -> tuple[Cell, dict]:
             fleet_pairs_per_node=2,
             fleet_standby=1,
         )
-        return base, {**p, "plans": ["member-crash"]}
+        return base, {"plans": ["member-crash"]}
     # crash -> detect -> re-queue -> recover, end to end.
     base = replace(base, num_requests=min(base.num_requests, 60))
-    return base, {**p, "systems": ["windserve"], "plans": ["decode-crash"]}
+    return base, {"systems": ["windserve"], "plans": ["decode-crash"]}
 
 
 def _chaos_fields(run: CellRun, runs: Runs) -> dict:
@@ -395,7 +397,7 @@ PREFIX = Experiment(
     + ("fleet_nodes", "fleet_pairs_per_node", "prefix_cache_tokens", "prefix_mix"),
     params=(SMOKE, OUT),
     cells=lambda base, p: {r: replace(base, fleet_policy=r) for r in PREFIX_ROUTERS},
-    smoke=lambda base, p: (replace(base, num_requests=min(base.num_requests, 160)), p),
+    smoke=lambda base, p: (replace(base, num_requests=min(base.num_requests, 160)), {}),
     fields=_prefix_fields,
     verdicts=(
         Verdict(
@@ -526,7 +528,7 @@ TENANTS = Experiment(
     cells=_tenant_cells,
     smoke=lambda base, p: (
         replace(base, num_requests=min(base.num_requests, 80)),
-        {**p, "burst_requests": min(p["burst_requests"], 32)},
+        {"burst_requests": 32},
     ),
     rows=_with_burst,
     fields=_tenant_fields,
@@ -605,7 +607,7 @@ HETERO = Experiment(
     flags=WORKLOAD_FLAGS + ("fleet_shape", "fleet_pairs_per_node", "fault_plan"),
     params=(SMOKE, OUT),
     cells=_hetero_cells,
-    smoke=lambda base, p: (replace(base, num_requests=min(base.num_requests, 480)), p),
+    smoke=lambda base, p: (replace(base, num_requests=min(base.num_requests, 480)), {}),
     fields=_hetero_fields,
     verdicts=(
         Verdict(

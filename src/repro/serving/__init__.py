@@ -5,6 +5,7 @@ from repro.serving.metrics import LatencyStats, MetricsCollector, SLO, percentil
 from repro.serving.instance import Instance, InstanceConfig, Lane
 from repro.serving.system import ServingSystem, SystemConfig
 from repro.serving.placement import Placement, plan_pd_placement, plan_colocated_placement
+from repro.serving.disaggregated import DisaggregatedSystem
 
 __all__ = [
     "Phase",
@@ -18,6 +19,7 @@ __all__ = [
     "Lane",
     "ServingSystem",
     "SystemConfig",
+    "DisaggregatedSystem",
     "Placement",
     "plan_pd_placement",
     "plan_colocated_placement",

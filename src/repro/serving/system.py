@@ -205,7 +205,7 @@ class ServingSystem:
     def _reset_for_requeue(self, request: Request) -> None:
         """Roll a crash-orphaned request back to a clean re-prefill state."""
         request.extra.pop("chunk_in_flight", None)
-        request.extra.pop("handoff_ready", None)
+        request.extra.pop("handoff", None)
         request.extra.pop("migrating", None)
         if (
             request.phase is not Phase.WAITING_PREFILL
@@ -341,12 +341,6 @@ class ServingSystem:
                 for request in pool:
                     if not request.finished:
                         lost[request.request_id] = request
-        for request in getattr(self, "_handoff", []):
-            if not request.finished:
-                lost[request.request_id] = request
-        # Requests mid-transfer (phase TRANSFERRING) are tracked by their
-        # pending hand-off timestamps; collect anything we submitted that
-        # has not completed and is not already accounted for.
         return list(lost.values())
 
     def crash(self) -> list[Request]:
@@ -376,11 +370,6 @@ class ServingSystem:
             for request in bucket:
                 lost.setdefault(request.request_id, request)
         self._orphans.clear()
-        handoff = getattr(self, "_handoff", None)
-        if handoff is not None:
-            for request in handoff:
-                lost.setdefault(request.request_id, request)
-            handoff.clear()
         self.halted = True
         for instance in self.instances:
             instance.halted = True

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.cli import main
 from repro.faults.plan import FAULT_PLAN_NAMES
 from repro.harness.cell import Cell
 from repro.harness.experiments import CHAOS, completion_curve
@@ -139,3 +142,16 @@ class TestBaselineSystems:
     def test_distserve_prefill_crash(self):
         result = run_chaos(system="distserve", fault_plan="prefill-crash")
         assert result.passed, result.violations
+
+
+class TestSmoke:
+    def test_smoke_keeps_given_systems_and_plans(self, capsys):
+        argv = "chaos --smoke --systems distserve --plans prefill-crash --json"
+        assert main(argv.split()) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report["runs"]) == ["distserve/none", "distserve/prefill-crash"]
+        assert all(cell["num_requests"] == 60 for cell in report["cells"].values())
+
+    def test_smoke_fills_unset_params(self):
+        report = CHAOS.run(smoke=True, systems=["distserve"])
+        assert list(report.runs) == ["distserve/none", "distserve/decode-crash"]
