@@ -32,6 +32,7 @@ chaos:
 	python -m repro chaos --smoke
 	python -m repro chaos --smoke --systems distserve --plans prefill-crash,decode-crash --seed 1
 	python -m repro chaos --fleet --smoke
+	python -m repro chaos --fleet --smoke --plans nic-outage --span-nodes
 	python -m repro chaos --fleet --smoke --tier-mix interactive=0.25,standard=0.5,best_effort=0.25
 
 policies:

@@ -589,6 +589,41 @@ def cluster_for_shape(
     )
 
 
+class GpuLedger:
+    """The GPU ids taken in one cluster; every fleet placement claims here.
+
+    A claim takes a node's lowest free ids, so members claiming in order
+    pack each node front to back.  Ids are only ever taken or free: a dead
+    member keeps its GPUs (it rejoins on its original placement).
+    """
+
+    def __init__(self, cluster: ClusterTopology, taken: Iterable[int] = ()) -> None:
+        self.cluster = cluster
+        self.taken: set[int] = set(taken)
+
+    def free_on(self, node: int) -> list[int]:
+        """The node's free GPU ids, ascending."""
+        base = node * self.cluster.gpus_per_node
+        return [
+            g for g in range(base, base + self.cluster.gpus_per_node) if g not in self.taken
+        ]
+
+    def claim(self, node: int, count: int, label: str) -> tuple[int, ...]:
+        """Take the node's ``count`` lowest free ids for ``label``."""
+        free = self.free_on(node)
+        if count > len(free):
+            raise ValueError(
+                f"node {node} cannot host {label} ({count} GPUs, {len(free)} free "
+                f"of {self.cluster.gpus_per_node})"
+            )
+        gpus = tuple(free[:count])
+        self.taken.update(gpus)
+        return gpus
+
+    def release(self, gpus: Iterable[int]) -> None:
+        self.taken.difference_update(gpus)
+
+
 def build_windserve_fleet(
     config: SystemConfig,
     cluster: Optional[ClusterTopology] = None,
@@ -608,189 +643,79 @@ def build_windserve_fleet(
     of ``prefill_parallel``/``decode_parallel`` members on ``config.gpu``
     devices (the original homogeneous layout, byte-identical to pre-shape
     runs).  With a :class:`~repro.core.config.FleetShape`, member ``i``
-    takes its *own* GPU type and parallelism from ``shape.members[i]`` and
-    homes on node ``i // pairs_per_node``; ``cluster`` may then be omitted
-    (one is derived via :func:`cluster_for_shape`) or must match the
-    shape's per-node GPU types.
+    takes its *own* GPU type and parallelism from ``shape.members[i]``;
+    ``cluster`` may then be omitted (one is derived via
+    :func:`cluster_for_shape`) or must match the shape's per-node GPU types.
+
+    Either way member ``i`` homes on node ``i // pairs_per_node`` and its
+    GPUs come from one :class:`GpuLedger`: each member claims its prefill
+    block, then its decode block, on its home node.  With ``span_nodes``,
+    every member first claims its prefill block at home, then each claims
+    its decode block on node ``(home+1) % num_nodes`` — every KV hand-off
+    then crosses the RDMA NICs, which is what makes ``nic:<k>`` fault
+    targets bite.
 
     All pairs share the cluster's simulator and links.  ``system_factory``
     swaps in a different P/D member system type (e.g. ``DistServeSystem``)
     for comparisons; every factory gets the same arguments (``ws_config``
-    binds only the default WindServe factory).  With ``span_nodes``, a member keeps its prefill instance
-    on its home node ``k`` but places its decode instance on node
-    ``(k+1) % num_nodes`` — every KV hand-off then crosses the RDMA NICs,
-    which is what makes ``nic:<k>`` fault targets bite.  ``fleet_factory``
-    wraps the members in a fleet subclass (e.g. ``AutoscalingFleet``).
+    binds only the default WindServe factory).  ``fleet_factory`` wraps the
+    members in a fleet subclass (e.g. ``AutoscalingFleet``).
     """
-    if shape is not None:
-        return _build_shaped_fleet(
-            config,
-            shape,
-            cluster=cluster,
-            pairs_per_node=pairs_per_node,
-            policy=policy,
-            ws_config=ws_config,
-            system_factory=system_factory,
-            span_nodes=span_nodes,
-            fleet_factory=fleet_factory,
+    if shape is None:
+        if cluster is None:
+            raise ValueError("a shape-less fleet needs an explicit cluster")
+        specs = [(config, prefill_parallel, decode_parallel)] * (
+            cluster.num_nodes * pairs_per_node
         )
-    if cluster is None:
-        raise ValueError("a shape-less fleet needs an explicit cluster")
-    sim = Simulator()
-    members: list[ServingSystem] = []
-    gpus_needed = prefill_parallel.num_gpus + decode_parallel.num_gpus
-    factory = system_factory or partial(WindServeSystem, ws_config=ws_config)
-
-    def _slots(node: int, start_local: int, count: int) -> tuple[int, ...]:
-        base = node * cluster.gpus_per_node
-        if start_local + count > cluster.gpus_per_node:
+    else:
+        if cluster is None:
+            cluster = cluster_for_shape(shape, pairs_per_node=pairs_per_node)
+        if len(shape.members) > cluster.num_nodes * pairs_per_node:
             raise ValueError(
-                f"node {node} cannot host {pairs_per_node} pairs of "
-                f"{gpus_needed} GPUs"
+                f"cluster has {cluster.num_nodes} nodes x {pairs_per_node} slots; "
+                f"shape has {len(shape.members)} members"
             )
-        return tuple(range(base + start_local, base + start_local + count))
-
-    for node in range(cluster.num_nodes):
-        for pair in range(pairs_per_node):
-            if span_nodes:
-                # Prefill slots pack the front of the home node; decode
-                # slots pack behind the *next* node's prefill block.
-                decode_node = (node + 1) % cluster.num_nodes
-                prefill_gpus = _slots(
-                    node, pair * prefill_parallel.num_gpus, prefill_parallel.num_gpus
-                )
-                decode_gpus = _slots(
-                    decode_node,
-                    pairs_per_node * prefill_parallel.num_gpus
-                    + pair * decode_parallel.num_gpus,
-                    decode_parallel.num_gpus,
-                )
-            else:
-                start = pair * gpus_needed
-                prefill_gpus = _slots(node, start, prefill_parallel.num_gpus)
-                decode_gpus = _slots(
-                    node, start + prefill_parallel.num_gpus, decode_parallel.num_gpus
-                )
-            placement = Placement(
-                prefill_gpus=prefill_gpus,
-                decode_gpus=decode_gpus,
-                prefill_parallel=parallel_with_link(
-                    cluster, prefill_parallel, prefill_gpus
-                ),
-                decode_parallel=parallel_with_link(
-                    cluster, decode_parallel, decode_gpus
-                ),
+        specs = [
+            (
+                replace(config, gpu=get_gpu(m.gpu)),
+                ParallelConfig(*m.prefill_parallel),
+                ParallelConfig(*m.decode_parallel),
             )
-            member = factory(config, placement=placement, topology=cluster, sim=sim)
-            member.name = f"{member.name}-{node}.{pair}"
-            members.append(member)
-    build_fleet = fleet_factory or ServingFleet
-    return build_fleet(members, policy=policy)
-
-
-def _build_shaped_fleet(
-    config: SystemConfig,
-    shape: FleetShape,
-    cluster: Optional[ClusterTopology] = None,
-    pairs_per_node: int = 2,
-    policy: str = "predicted-ttft",
-    ws_config: Optional[WindServeConfig] = None,
-    system_factory: Optional[Callable[..., ServingSystem]] = None,
-    span_nodes: bool = False,
-    fleet_factory: Optional[Callable[..., "ServingFleet"]] = None,
-) -> ServingFleet:
-    """The heterogeneous layout: per-member GPU types and placements."""
-    if cluster is None:
-        cluster = cluster_for_shape(shape, pairs_per_node=pairs_per_node)
-    num_nodes = cluster.num_nodes
-    if len(shape.members) > num_nodes * pairs_per_node:
-        raise ValueError(
-            f"cluster has {num_nodes} nodes x {pairs_per_node} slots; "
-            f"shape has {len(shape.members)} members"
-        )
-    sim = Simulator()
-    factory = system_factory or partial(WindServeSystem, ws_config=ws_config)
-    home_node = [i // pairs_per_node for i in range(len(shape.members))]
-    # Per-node prefill-block sizes (span mode packs every home prefill at
-    # the front of its node; decode blocks stack behind the *next* node's
-    # prefill block, generalising the uniform-shape offset math).
-    prefill_total = [0] * num_nodes
-    for i, member_shape in enumerate(shape.members):
-        p_tp, p_pp = member_shape.prefill_parallel
-        prefill_total[home_node[i]] += p_tp * p_pp
-    # Per-node allocation cursors.
-    used = [0] * num_nodes
-    decode_used = [0] * num_nodes  # span mode: decode GPUs landed per node
-    if span_nodes:
-        used = list(prefill_total)
-
-    def _claim(node: int, count: int, label: str) -> tuple[int, ...]:
-        start = used[node]
-        if start + count > cluster.gpus_per_node:
-            raise ValueError(
-                f"node {node} cannot host the shape's {label} block "
-                f"({start + count} > {cluster.gpus_per_node} GPUs)"
-            )
-        used[node] += count
-        base = node * cluster.gpus_per_node
-        return tuple(range(base + start, base + start + count))
-
-    members: list[ServingSystem] = []
-    prefill_cursor = [0] * num_nodes
-    for i, member_shape in enumerate(shape.members):
-        node = home_node[i]
-        gpu_spec = get_gpu(member_shape.gpu)
-        if cluster.gpu_spec_of(node * cluster.gpus_per_node) != gpu_spec:
-            raise ValueError(
-                f"member {i} wants {member_shape.gpu} but node {node} "
-                f"hosts {cluster.gpu_spec_of(node * cluster.gpus_per_node).name}"
-            )
-        p_cfg = ParallelConfig(
-            tp=member_shape.prefill_parallel[0], pp=member_shape.prefill_parallel[1]
-        )
-        d_cfg = ParallelConfig(
-            tp=member_shape.decode_parallel[0], pp=member_shape.decode_parallel[1]
-        )
-        decode_spec = gpu_spec
-        if span_nodes:
-            decode_node = (node + 1) % num_nodes
-            base = node * cluster.gpus_per_node
-            start = prefill_cursor[node]
-            if start + p_cfg.num_gpus > prefill_total[node]:
-                raise ValueError(f"node {node} prefill block overflow")
-            prefill_gpus = tuple(range(base + start, base + start + p_cfg.num_gpus))
-            prefill_cursor[node] += p_cfg.num_gpus
-            d_base = decode_node * cluster.gpus_per_node
-            d_start = prefill_total[decode_node] + decode_used[decode_node]
-            if d_start + d_cfg.num_gpus > cluster.gpus_per_node:
+            for m in shape.members
+        ]
+        for i, (member_config, _, _) in enumerate(specs):
+            node_gpu = cluster.gpu_spec_of((i // pairs_per_node) * cluster.gpus_per_node)
+            if member_config.gpu != node_gpu:
                 raise ValueError(
-                    f"node {decode_node} cannot host member {i}'s decode "
-                    f"block ({d_start + d_cfg.num_gpus} > "
-                    f"{cluster.gpus_per_node} GPUs)"
+                    f"member {i} wants {shape.members[i].gpu} but node "
+                    f"{i // pairs_per_node} hosts {node_gpu.name}"
                 )
-            decode_gpus = tuple(
-                range(d_base + d_start, d_base + d_start + d_cfg.num_gpus)
-            )
-            decode_used[decode_node] += d_cfg.num_gpus
-            decode_spec = cluster.gpu_spec_of(decode_gpus[0])
-        else:
-            prefill_gpus = _claim(node, p_cfg.num_gpus, f"member {i} prefill")
-            decode_gpus = _claim(node, d_cfg.num_gpus, f"member {i} decode")
+    ledger = GpuLedger(cluster)
+    homes = [i // pairs_per_node for i in range(len(specs))]
+    prefill_gpus, decode_gpus = [], []
+    for i, (_, p_cfg, d_cfg) in enumerate(specs):
+        prefill_gpus.append(ledger.claim(homes[i], p_cfg.num_gpus, f"member {i}'s prefill"))
+        if not span_nodes:
+            decode_gpus.append(ledger.claim(homes[i], d_cfg.num_gpus, f"member {i}'s decode"))
+    if span_nodes:
+        for i, (_, _, d_cfg) in enumerate(specs):
+            node = (homes[i] + 1) % cluster.num_nodes
+            decode_gpus.append(ledger.claim(node, d_cfg.num_gpus, f"member {i}'s decode"))
+
+    sim = Simulator()
+    factory = system_factory or partial(WindServeSystem, ws_config=ws_config)
+    members: list[ServingSystem] = []
+    for i, (member_config, p_cfg, d_cfg) in enumerate(specs):
         placement = Placement(
-            prefill_gpus=prefill_gpus,
-            decode_gpus=decode_gpus,
-            prefill_parallel=parallel_with_link(cluster, p_cfg, prefill_gpus),
-            decode_parallel=parallel_with_link(cluster, d_cfg, decode_gpus),
+            prefill_gpus=prefill_gpus[i],
+            decode_gpus=decode_gpus[i],
+            prefill_parallel=parallel_with_link(cluster, p_cfg, prefill_gpus[i]),
+            decode_parallel=parallel_with_link(cluster, d_cfg, decode_gpus[i]),
         )
-        member_config = replace(config, gpu=gpu_spec)
-        member = factory(
-            member_config,
-            placement=placement,
-            topology=cluster,
-            sim=sim,
-            decode_gpu=decode_spec,
-        )
-        member.name = f"{member.name}-{node}.{i % pairs_per_node}"
+        # A shaped member's decode device is whatever its decode node hosts.
+        extra = {} if shape is None else {"decode_gpu": cluster.gpu_spec_of(decode_gpus[i][0])}
+        member = factory(member_config, placement=placement, topology=cluster, sim=sim, **extra)
+        member.name = f"{member.name}-{homes[i]}.{i % pairs_per_node}"
         members.append(member)
     build_fleet = fleet_factory or ServingFleet
     fleet = build_fleet(members, policy=policy)

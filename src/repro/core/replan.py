@@ -3,10 +3,10 @@
 When the fleet's heartbeat sweep declares a member dead, the survivors are
 suddenly over-subscribed — and on a heterogeneous fleet the lost capacity
 may be the *fast* kind (trade a lost H100 for two surviving A800s).  The
-:class:`FleetReplanner` reacts by widening surviving members onto their
+:class:`FleetReplanner` reacts by widening one surviving member onto its
 home node's spare (never-assigned) GPUs: it re-runs the placement search
-over each survivor's aggregate GPU budget, picks a strictly-wider
-placement, and rebuilds the member through
+over the slowest eligible survivor's aggregate GPU budget, picks a
+strictly-wider placement, and rebuilds that one member through
 :meth:`~repro.core.fleet.ServingFleet.replan_member` — which drains and
 re-queues the member's in-flight work through the existing crash-requeue
 path, so conservation invariants hold by construction.
@@ -45,8 +45,6 @@ DEFAULT_REPLAN_CANDIDATES: tuple[tuple[tuple[int, int], tuple[int, int]], ...] =
 class ReplanConfig:
     """Knobs of the failure-reactive re-planner."""
 
-    #: Survivors widened per failure (slowest hardware first).
-    max_members: int = 1
     #: Candidate (prefill, decode) parallelism shapes.
     candidates: tuple = DEFAULT_REPLAN_CANDIDATES
     #: Rank candidates by short simulation (harness.placement_search)
@@ -74,18 +72,18 @@ class FleetReplanner:
     # -- the reaction ---------------------------------------------------------
 
     def on_member_failure(self, fleet: "ServingFleet", dead_index: int) -> None:
-        """Re-plan up to ``max_members`` survivors onto spare home GPUs."""
-        from repro.core.fleet import parallel_with_link
+        """Re-plan the first eligible survivor onto spare home GPUs."""
+        from repro.core.fleet import GpuLedger, parallel_with_link
 
         cluster = fleet.cluster
         if cluster is None:
             return
-        # GPUs owned by *any* member — including dead ones, which rejoin
-        # with their original placement when their fault window closes.
-        owned: set[int] = set()
-        for member in fleet.members:
-            for instance in member.instances:
-                owned.update(instance.gpus)
+        # Every member's GPUs are taken — including dead members', which
+        # rejoin with their original placement when their fault window closes.
+        ledger = GpuLedger(
+            cluster,
+            (g for member in fleet.members for inst in member.instances for g in inst.gpus),
+        )
         survivors = [
             i
             for i in range(len(fleet.members))
@@ -101,10 +99,7 @@ class FleetReplanner:
                 i,
             )
         )
-        replanned = 0
         for index in survivors:
-            if replanned >= self.config.max_members:
-                break
             member = fleet.members[index]
             if not hasattr(member, "rebuild_placement"):
                 continue
@@ -112,23 +107,19 @@ class FleetReplanner:
             if len(nodes) != 1:
                 continue  # span-node members keep their placement
             node = next(iter(nodes))
-            base = node * cluster.gpus_per_node
-            spare = [
-                g for g in range(base, base + cluster.gpus_per_node) if g not in owned
-            ]
+            spare = ledger.free_on(node)
             if not spare:
                 continue
-            own = sorted(g for inst in member.instances for g in inst.gpus)
+            own = [g for inst in member.instances for g in inst.gpus]
             choice = self._choose(member, budget=len(own) + len(spare))
             if choice is None:
                 continue
-            p_par, d_par = choice
-            total = p_par[0] * p_par[1] + d_par[0] * d_par[1]
-            slots = sorted(own + spare)[:total]
-            prefill_gpus = tuple(slots[: p_par[0] * p_par[1]])
-            decode_gpus = tuple(slots[p_par[0] * p_par[1] :])
-            p_cfg = ParallelConfig(tp=p_par[0], pp=p_par[1])
-            d_cfg = ParallelConfig(tp=d_par[0], pp=d_par[1])
+            p_cfg, d_cfg = (ParallelConfig(*par) for par in choice)
+            # Release-then-claim: the member keeps its lowest ids and
+            # widens over the node's lowest spares.
+            ledger.release(own)
+            prefill_gpus = ledger.claim(node, p_cfg.num_gpus, f"{member.name}'s prefill")
+            decode_gpus = ledger.claim(node, d_cfg.num_gpus, f"{member.name}'s decode")
             placement = Placement(
                 prefill_gpus=prefill_gpus,
                 decode_gpus=decode_gpus,
@@ -137,8 +128,6 @@ class FleetReplanner:
             )
             old_label = member.placement.label()
             requeued = fleet.replan_member(index, placement)
-            owned.update(slots)
-            replanned += 1
             self.replans.append(
                 {
                     "time": fleet.sim.now,
@@ -149,6 +138,7 @@ class FleetReplanner:
                     "requeued": requeued,
                 }
             )
+            return
 
     # -- candidate choice -----------------------------------------------------
 

@@ -74,6 +74,15 @@ def _tp_link_gbps(topology: NodeTopology, group: tuple[int, ...]) -> float:
     return worst
 
 
+def _with_link(cfg: ParallelConfig, link: float) -> ParallelConfig:
+    """Bind a TP config to its group's slowest link (TP-1 stays as given)."""
+    if cfg.tp == 1 or link == float("inf"):
+        return cfg
+    return ParallelConfig(
+        tp=cfg.tp, pp=cfg.pp, tp_link_gbps=link, tp_efficiency=cfg.tp_efficiency
+    )
+
+
 def plan_pd_placement(
     topology: NodeTopology,
     prefill_parallel: ParallelConfig,
@@ -108,13 +117,6 @@ def plan_pd_placement(
     p_link = min(_tp_link_gbps(topology, grp) for grp in prefill_groups)
     d_link = min(_tp_link_gbps(topology, grp) for grp in decode_groups)
 
-    def _with_link(cfg: ParallelConfig, link: float) -> ParallelConfig:
-        if cfg.tp == 1 or link == float("inf"):
-            return cfg
-        return ParallelConfig(
-            tp=cfg.tp, pp=cfg.pp, tp_link_gbps=link, tp_efficiency=cfg.tp_efficiency
-        )
-
     return Placement(
         prefill_gpus=prefill_gpus,
         decode_gpus=decode_gpus,
@@ -137,13 +139,5 @@ def plan_colocated_placement(
             groups += _tp_groups(topology, parallel.tp, 1, taken)
         gpus = tuple(g for grp in groups for g in grp)
         link = min(_tp_link_gbps(topology, grp) for grp in groups)
-        cfg = parallel
-        if parallel.tp > 1 and link != float("inf"):
-            cfg = ParallelConfig(
-                tp=parallel.tp,
-                pp=parallel.pp,
-                tp_link_gbps=link,
-                tp_efficiency=parallel.tp_efficiency,
-            )
-        replicas.append((gpus, cfg))
+        replicas.append((gpus, _with_link(parallel, link)))
     return replicas

@@ -49,6 +49,15 @@ PINNED = (
         },
         {},
     ),
+    # The span layout (decode on the next node); recorded before the fleet
+    # builders were merged onto one GPU ledger.
+    (
+        'chaos --fleet --smoke --plans nic-outage --span-nodes',
+        {
+            'nic-outage': '2978a3d751954af3a67f351bf5d3f5dc6146b8eea741d064649fc20bff8b722f',
+        },
+        {},
+    ),
     (
         'chaos --fleet --smoke --tier-mix interactive=0.25,standard=0.5,best_effort=0.25',
         {
