@@ -5,6 +5,7 @@ install:
 
 test:
 	pytest tests/
+	pytest benchmarks --collect-only -q
 
 golden-check:
 	python -m repro golden check

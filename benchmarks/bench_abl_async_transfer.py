@@ -13,7 +13,7 @@ from conftest import save_report
 
 from repro.core.config import WindServeConfig
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
 
 SCENARIOS = [
     ("llama2-13b", "longbench", 0.8, (2, 1)),  # MHA: 800 KiB KV per token
@@ -28,20 +28,18 @@ def run_async_ablation():
             ("async", WindServeConfig()),
             ("blocking", WindServeConfig(async_transfer=False)),
         ):
-            result = run_experiment(
-                ExperimentSpec(
-                    system="windserve",
-                    model=model,
-                    dataset=dataset,
-                    rate_per_gpu=rate,
-                    num_requests=300,
-                    seed=61,
-                    prefill_parallel=parallel,
-                    decode_parallel=parallel,
-                    ws_config=ws,
-                )
-            )
-            s = result.summary
+            result = Cell(
+                system="windserve",
+                model=model,
+                dataset=dataset,
+                rate_per_gpu=rate,
+                num_requests=300,
+                seed=61,
+                prefill_parallel=parallel,
+                decode_parallel=parallel,
+                ws_config=ws,
+            ).run()
+            s = result.summary()
             rows.append(
                 {
                     "model": model,

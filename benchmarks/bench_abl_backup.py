@@ -9,23 +9,18 @@ memory pressure.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from conftest import save_report
 
 from repro.core.config import WindServeConfig
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec, build_system, resolve_slo
-from repro.models.registry import get_model
+from repro.harness.cell import Cell
 from repro.serving.instance import InstanceConfig
-from repro.workloads.datasets import get_dataset
-from repro.workloads.trace import generate_trace
 
 
 def run_backup_ablation():
     rows = []
     for label, enabled in (("backups-on", True), ("backups-off", False)):
-        spec = ExperimentSpec(
+        cell = Cell(
             system="windserve",
             model="opt-13b",
             dataset="sharegpt",
@@ -38,15 +33,8 @@ def run_backup_ablation():
                 backup_enabled=enabled, backup_min_prompt_tokens=512
             ),
         )
-        system = build_system(spec)
-        trace = generate_trace(
-            get_dataset(spec.dataset),
-            rate=spec.rate_per_gpu * spec.gpus_used,
-            num_requests=spec.num_requests,
-            seed=spec.seed,
-            model=get_model(spec.model),
-        )
-        metrics = system.run_to_completion(trace)
+        run = cell.run()
+        system, metrics = run.target, run.metrics
         bulk_bytes = sum(
             job.nbytes
             for job in system.transfers.completed
@@ -65,7 +53,7 @@ def run_backup_ablation():
                 ),
                 "backups kept": metrics.counters.get("backup_kept", 0),
                 "tpot_p99 (s)": metrics.tpot_stats().p99,
-                "slo attainment": metrics.slo_attainment(resolve_slo(spec)),
+                "slo attainment": metrics.slo_attainment(cell.slo()),
             }
         )
     return rows

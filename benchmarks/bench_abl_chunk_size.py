@@ -10,7 +10,7 @@ from __future__ import annotations
 from conftest import save_report
 
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
 from repro.hardware.gpu import A800_80GB
 from repro.models.parallelism import ParallelConfig
 from repro.models.registry import get_model
@@ -41,18 +41,16 @@ def run_analytic_sweep():
 def run_end_to_end_sweep():
     rows = []
     for chunk in (128, 512, 2048):
-        result = run_experiment(
-            ExperimentSpec(
-                system="vllm",
-                model="opt-13b",
-                dataset="sharegpt",
-                rate_per_gpu=2.5,
-                num_requests=300,
-                seed=73,
-                instance_config=InstanceConfig(max_batched_tokens=chunk),
-            )
-        )
-        s = result.summary
+        result = Cell(
+            system="vllm",
+            model="opt-13b",
+            dataset="sharegpt",
+            rate_per_gpu=2.5,
+            num_requests=300,
+            seed=73,
+            instance_config=InstanceConfig(max_batched_tokens=chunk),
+        ).run()
+        s = result.summary()
         rows.append(
             {
                 "chunk": chunk,

@@ -12,7 +12,7 @@ from conftest import save_report
 
 from repro.core.config import WindServeConfig
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
 
 MODES = {
     "sbd": WindServeConfig(colocation_mode="sbd"),
@@ -26,18 +26,16 @@ MODES = {
 def run_modes():
     rows = []
     for label, ws in MODES.items():
-        result = run_experiment(
-            ExperimentSpec(
-                system="windserve",
-                model="opt-13b",
-                dataset="sharegpt",
-                rate_per_gpu=4.0,
-                num_requests=400,
-                seed=53,
-                ws_config=ws,
-            )
-        )
-        s = result.summary
+        result = Cell(
+            system="windserve",
+            model="opt-13b",
+            dataset="sharegpt",
+            rate_per_gpu=4.0,
+            num_requests=400,
+            seed=53,
+            ws_config=ws,
+        ).run()
+        s = result.summary()
         rows.append(
             {
                 "colocation": label,
@@ -45,7 +43,7 @@ def run_modes():
                 "tpot_p90 (s)": s["tpot_p90"],
                 "tpot_p99 (s)": s["tpot_p99"],
                 "slo attainment": s["slo_attainment"],
-                "dispatched": result.counters.get("dispatched_prefill", 0),
+                "dispatched": result.metrics.counters.get("dispatched_prefill", 0),
             }
         )
     return rows

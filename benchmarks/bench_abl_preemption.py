@@ -12,32 +12,30 @@ from __future__ import annotations
 from conftest import save_report
 
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
 from repro.serving.instance import InstanceConfig
 
 
 def run_preemption_modes():
     rows = []
     for mode in ("swap", "recompute"):
-        result = run_experiment(
-            ExperimentSpec(
-                system="vllm",
-                model="opt-13b",
-                dataset="sharegpt",
-                rate_per_gpu=3.0,
-                num_requests=400,
-                seed=71,
-                instance_config=InstanceConfig(
-                    preemption_mode=mode, kv_capacity_override_tokens=24576
-                ),
-            )
-        )
-        s = result.summary
+        result = Cell(
+            system="vllm",
+            model="opt-13b",
+            dataset="sharegpt",
+            rate_per_gpu=3.0,
+            num_requests=400,
+            seed=71,
+            instance_config=InstanceConfig(
+                preemption_mode=mode, kv_capacity_override_tokens=24576
+            ),
+        ).run()
+        s = result.summary()
         rows.append(
             {
                 "preemption": mode,
-                "swap events": result.counters.get("swap_out", 0),
-                "recompute events": result.counters.get("recompute_preempt", 0),
+                "swap events": result.metrics.counters.get("swap_out", 0),
+                "recompute events": result.metrics.counters.get("recompute_preempt", 0),
                 "ttft_p99 (s)": s["ttft_p99"],
                 "tpot_p99 (s)": s["tpot_p99"],
                 "slo attainment": s["slo_attainment"],

@@ -13,16 +13,13 @@ from conftest import save_report
 
 from repro.core.config import WindServeConfig
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec, build_system, resolve_slo
-from repro.models.registry import get_model
-from repro.workloads.datasets import get_dataset
-from repro.workloads.trace import generate_trace
+from repro.harness.cell import Cell
 
 
 def run_policies():
     rows = []
     for policy in ("longest-context", "shortest-context"):
-        spec = ExperimentSpec(
+        cell = Cell(
             system="windserve",
             model="opt-13b",
             dataset="sharegpt",
@@ -32,22 +29,15 @@ def run_policies():
             decode_parallel=(1, 1),
             ws_config=WindServeConfig(reschedule_policy=policy),
         )
-        system = build_system(spec)
-        trace = generate_trace(
-            get_dataset(spec.dataset),
-            rate=spec.rate_per_gpu * spec.gpus_used,
-            num_requests=spec.num_requests,
-            seed=spec.seed,
-            model=get_model(spec.model),
-        )
-        metrics = system.run_to_completion(trace)
+        run = cell.run()
+        system, metrics = run.target, run.metrics
         migration_bytes = sum(
             job.nbytes
             for job in system.transfers.completed
             if job.kind.startswith("migration")
         )
         migrations = metrics.counters.get("reschedule_completed", 0)
-        slo = resolve_slo(spec)
+        slo = cell.slo()
         rows.append(
             {
                 "policy": policy,

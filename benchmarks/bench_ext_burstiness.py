@@ -12,26 +12,24 @@ from __future__ import annotations
 from conftest import save_report
 
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
 
 
 def run_burstiness():
     rows = []
     for process, cv in (("poisson", 1.0), ("bursty", 3.0)):
         for system in ("windserve", "distserve", "vllm"):
-            result = run_experiment(
-                ExperimentSpec(
-                    system=system,
-                    model="opt-13b",
-                    dataset="sharegpt",
-                    rate_per_gpu=3.0,
-                    num_requests=400,
-                    seed=83,
-                    arrival_process=process,
-                    burstiness_cv=cv,
-                )
-            )
-            s = result.summary
+            result = Cell(
+                system=system,
+                model="opt-13b",
+                dataset="sharegpt",
+                rate_per_gpu=3.0,
+                num_requests=400,
+                seed=83,
+                arrival_process=process,
+                burstiness_cv=cv,
+            ).run()
+            s = result.summary()
             rows.append(
                 {
                     "arrivals": f"{process} (cv={cv:g})",

@@ -14,7 +14,7 @@ from conftest import save_report
 
 from repro.harness.capacity import find_capacity
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec
+from repro.harness.cell import Cell
 
 SCENARIOS = {
     "opt-13b/sharegpt": dict(model="opt-13b", dataset="sharegpt", high=8.0),
@@ -27,7 +27,7 @@ def run_capacity():
     rows = []
     for label, cfg in SCENARIOS.items():
         for system in SYSTEMS:
-            spec = ExperimentSpec(
+            cell = Cell(
                 system=system,
                 model=cfg["model"],
                 dataset=cfg["dataset"],
@@ -36,7 +36,7 @@ def run_capacity():
                 seed=107,
             )
             result = find_capacity(
-                spec, target_attainment=0.7, low=0.2, high=cfg["high"], iterations=6
+                cell, target_attainment=0.7, low=0.2, high=cfg["high"], iterations=6
             )
             rows.append(
                 {

@@ -15,7 +15,7 @@ from __future__ import annotations
 from conftest import save_report
 
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
 
 RATES = [3.0, 4.0, 5.0, 6.0]
 NUM_REQUESTS = 500
@@ -24,23 +24,22 @@ NUM_REQUESTS = 500
 def run_fig1a():
     rows = []
     for rate in RATES:
-        result = run_experiment(
-            ExperimentSpec(
-                system="distserve",
-                model="opt-13b",
-                dataset="sharegpt",
-                rate_per_gpu=rate,
-                num_requests=NUM_REQUESTS,
-                seed=17,
-                decode_parallel=(1, 1),
-            )
-        )
+        result = Cell(
+            system="distserve",
+            model="opt-13b",
+            dataset="sharegpt",
+            rate_per_gpu=rate,
+            num_requests=NUM_REQUESTS,
+            seed=17,
+            decode_parallel=(1, 1),
+        ).run()
+        summary = result.summary()
         rows.append(
             {
                 "rate/gpu": rate,
-                "mean decode queue delay (s)": result.summary["mean_decode_queue_delay"],
-                "swap events": result.summary["swap_events"],
-                "tpot_p99 (s)": result.summary["tpot_p99"],
+                "mean decode queue delay (s)": summary["mean_decode_queue_delay"],
+                "swap events": summary["swap_events"],
+                "tpot_p99 (s)": summary["tpot_p99"],
             }
         )
     return rows
@@ -50,23 +49,22 @@ def run_fig1b():
     rows = []
     for rate in RATES:
         for system in ("distserve", "vllm"):
-            result = run_experiment(
-                ExperimentSpec(
-                    system=system,
-                    model="opt-13b",
-                    dataset="sharegpt",
-                    rate_per_gpu=rate,
-                    num_requests=NUM_REQUESTS,
-                    seed=17,
-                )
-            )
+            result = Cell(
+                system=system,
+                model="opt-13b",
+                dataset="sharegpt",
+                rate_per_gpu=rate,
+                num_requests=NUM_REQUESTS,
+                seed=17,
+            ).run()
+            summary = result.summary()
             rows.append(
                 {
                     "rate/gpu": rate,
                     "system": system,
-                    "slo attainment": result.summary["slo_attainment"],
-                    "ttft_p50 (s)": result.summary["ttft_p50"],
-                    "tpot_p99 (s)": result.summary["tpot_p99"],
+                    "slo attainment": summary["slo_attainment"],
+                    "ttft_p50 (s)": summary["ttft_p50"],
+                    "tpot_p99 (s)": summary["tpot_p99"],
                 }
             )
     return rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 from conftest import save_report
 
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
 
 SCENARIOS = [
     ("opt-13b", (2, 1), (2, 1), 2.5),
@@ -23,26 +23,24 @@ SCENARIOS = [
 def run_utilization():
     rows = []
     for model, prefill_par, decode_par, rate in SCENARIOS:
-        result = run_experiment(
-            ExperimentSpec(
-                system="distserve",
-                model=model,
-                dataset="sharegpt",
-                rate_per_gpu=rate,
-                num_requests=400,
-                seed=23,
-                prefill_parallel=prefill_par,
-                decode_parallel=decode_par,
-            )
-        )
-        util = result.utilization
+        metrics = Cell(
+            system="distserve",
+            model=model,
+            dataset="sharegpt",
+            rate_per_gpu=rate,
+            num_requests=400,
+            seed=23,
+            prefill_parallel=prefill_par,
+            decode_parallel=decode_par,
+        ).run().metrics
+        prefill, decode = metrics.utilization["prefill"], metrics.utilization["decode"]
         rows.append(
             {
                 "model": model,
-                "Tensor Core(P)": util["prefill"]["compute"],
-                "Mem BW(P)": util["prefill"]["memory_bw"],
-                "Tensor Core(D)": util["decode"]["compute"],
-                "Mem BW(D)": util["decode"]["memory_bw"],
+                "Tensor Core(P)": prefill.compute_utilization(metrics.horizon),
+                "Mem BW(P)": prefill.io_utilization(metrics.horizon),
+                "Tensor Core(D)": decode.compute_utilization(metrics.horizon),
+                "Mem BW(D)": decode.io_utilization(metrics.horizon),
             }
         )
     return rows

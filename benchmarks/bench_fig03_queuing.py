@@ -15,7 +15,7 @@ import numpy as np
 from conftest import save_report
 
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
 
 RATE = 4.0
 CONFIGS = [
@@ -27,19 +27,18 @@ CONFIGS = [
 def run_queuing():
     rows = []
     for label, prefill_par, decode_par in CONFIGS:
-        result = run_experiment(
-            ExperimentSpec(
-                system="distserve",
-                model="opt-13b",
-                dataset="sharegpt",
-                rate_per_gpu=RATE,
-                num_requests=500,
-                seed=29,
-                prefill_parallel=prefill_par,
-                decode_parallel=decode_par,
-            )
-        )
-        completed = result.metrics.completed
+        result = Cell(
+            system="distserve",
+            model="opt-13b",
+            dataset="sharegpt",
+            rate_per_gpu=RATE,
+            num_requests=500,
+            seed=29,
+            prefill_parallel=prefill_par,
+            decode_parallel=decode_par,
+        ).run()
+        summary = result.summary()
+        completed = result.metrics.after_warmup(0.05).completed
         prefill_qd = [
             r.prefill_start - r.arrival_time
             for r in completed
@@ -49,8 +48,8 @@ def run_queuing():
             {
                 "placement": label,
                 "mean prefill queuing (s)": float(np.mean(prefill_qd)) if prefill_qd else 0.0,
-                "mean decode queuing (s)": result.summary["mean_decode_queue_delay"],
-                "swap events": result.summary["swap_events"],
+                "mean decode queuing (s)": summary["mean_decode_queue_delay"],
+                "swap events": summary["swap_events"],
             }
         )
     return rows

@@ -13,7 +13,7 @@ from conftest import save_report
 
 from repro.core.config import WindServeConfig
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
 
 FRACTIONS = [0.1, 0.3, 0.6, 0.9, 1.5, 3.0]
 SCENARIOS = [
@@ -26,25 +26,24 @@ def run_threshold_sweep():
     rows = []
     for model, dataset, rate in SCENARIOS:
         for frac in FRACTIONS:
-            result = run_experiment(
-                ExperimentSpec(
-                    system="windserve",
-                    model=model,
-                    dataset=dataset,
-                    rate_per_gpu=rate,
-                    num_requests=400,
-                    seed=31,
-                    ws_config=WindServeConfig(dispatch_threshold_frac=frac),
-                )
-            )
+            result = Cell(
+                system="windserve",
+                model=model,
+                dataset=dataset,
+                rate_per_gpu=rate,
+                num_requests=400,
+                seed=31,
+                ws_config=WindServeConfig(dispatch_threshold_frac=frac),
+            ).run()
+            summary = result.summary()
             rows.append(
                 {
                     "scenario": f"{model}/{dataset}",
                     "thrd / TTFT-SLO": frac,
-                    "slo attainment": result.summary["slo_attainment"],
-                    "ttft_p50 (s)": result.summary["ttft_p50"],
-                    "tpot_p99 (s)": result.summary["tpot_p99"],
-                    "dispatched": result.counters.get("dispatched_prefill", 0),
+                    "slo attainment": summary["slo_attainment"],
+                    "ttft_p50 (s)": summary["ttft_p50"],
+                    "tpot_p99 (s)": summary["tpot_p99"],
+                    "dispatched": result.metrics.counters.get("dispatched_prefill", 0),
                 }
             )
     return rows

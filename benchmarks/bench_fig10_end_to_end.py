@@ -17,7 +17,7 @@ import pytest
 from conftest import save_report
 
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
 
 NUM_REQUESTS = 400
 SYSTEMS = ("windserve", "distserve", "vllm")
@@ -47,19 +47,17 @@ def run_panel(panel: str) -> list[dict]:
     rows = []
     for rate in cfg["rates"]:
         for system in SYSTEMS:
-            result = run_experiment(
-                ExperimentSpec(
-                    system=system,
-                    model=cfg["model"],
-                    dataset=cfg["dataset"],
-                    rate_per_gpu=rate,
-                    num_requests=NUM_REQUESTS,
-                    seed=37,
-                    prefill_parallel=cfg["parallel"][0],
-                    decode_parallel=cfg["parallel"][1],
-                )
-            )
-            s = result.summary
+            result = Cell(
+                system=system,
+                model=cfg["model"],
+                dataset=cfg["dataset"],
+                rate_per_gpu=rate,
+                num_requests=NUM_REQUESTS,
+                seed=37,
+                prefill_parallel=cfg["parallel"][0],
+                decode_parallel=cfg["parallel"][1],
+            ).run()
+            s = result.summary()
             rows.append(
                 {
                     "rate/gpu": rate,

@@ -11,7 +11,7 @@ import pytest
 from conftest import save_report
 
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
 
 SYSTEMS = ("windserve", "distserve", "vllm")
 SCENARIOS = {
@@ -25,23 +25,22 @@ def run_scenario(name: str) -> list[dict]:
     rows = []
     for rate in cfg["rates"]:
         for system in SYSTEMS:
-            result = run_experiment(
-                ExperimentSpec(
-                    system=system,
-                    model=cfg["model"],
-                    dataset=cfg["dataset"],
-                    rate_per_gpu=rate,
-                    num_requests=400,
-                    seed=41,
-                )
-            )
+            result = Cell(
+                system=system,
+                model=cfg["model"],
+                dataset=cfg["dataset"],
+                rate_per_gpu=rate,
+                num_requests=400,
+                seed=41,
+            ).run()
+            summary = result.summary()
             rows.append(
                 {
                     "rate/gpu": rate,
                     "system": system,
-                    "slo attainment": result.summary["slo_attainment"],
-                    "ttft attainment": result.summary["ttft_attainment"],
-                    "tpot attainment": result.summary["tpot_attainment"],
+                    "slo attainment": summary["slo_attainment"],
+                    "ttft attainment": summary["ttft_attainment"],
+                    "tpot attainment": summary["tpot_attainment"],
                 }
             )
     return rows

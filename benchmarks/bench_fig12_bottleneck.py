@@ -14,7 +14,7 @@ import pytest
 from conftest import save_report
 
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
 
 CONFIGS = {
     "tp2-tp1": dict(decode_parallel=(1, 1), rates=[2.5, 3.5]),
@@ -27,18 +27,16 @@ def run_config(name: str) -> list[dict]:
     rows = []
     for rate in cfg["rates"]:
         for system in ("windserve", "distserve"):
-            result = run_experiment(
-                ExperimentSpec(
-                    system=system,
-                    model="opt-13b",
-                    dataset="sharegpt",
-                    rate_per_gpu=rate,
-                    num_requests=400,
-                    seed=43,
-                    decode_parallel=cfg["decode_parallel"],
-                )
-            )
-            s = result.summary
+            result = Cell(
+                system=system,
+                model="opt-13b",
+                dataset="sharegpt",
+                rate_per_gpu=rate,
+                num_requests=400,
+                seed=43,
+                decode_parallel=cfg["decode_parallel"],
+            ).run()
+            s = result.summary()
             rows.append(
                 {
                     "rate/gpu": rate,
@@ -46,8 +44,8 @@ def run_config(name: str) -> list[dict]:
                     "slo attainment": s["slo_attainment"],
                     "ttft attainment": s["ttft_attainment"],
                     "tpot attainment": s["tpot_attainment"],
-                    "dispatched": result.counters.get("dispatched_prefill", 0),
-                    "rescheduled": result.counters.get("reschedule_completed", 0),
+                    "dispatched": result.metrics.counters.get("dispatched_prefill", 0),
+                    "rescheduled": result.metrics.counters.get("reschedule_completed", 0),
                 }
             )
     return rows

@@ -13,24 +13,22 @@ from __future__ import annotations
 from conftest import save_report
 
 from repro.harness.report import format_table
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
 
 
 def run_no_split():
     rows = []
     for system in ("windserve", "windserve-no-split"):
         for rate in (1.2, 1.8):
-            result = run_experiment(
-                ExperimentSpec(
-                    system=system,
-                    model="opt-13b",
-                    dataset="longbench",
-                    rate_per_gpu=rate,
-                    num_requests=400,
-                    seed=47,
-                )
-            )
-            s = result.summary
+            result = Cell(
+                system=system,
+                model="opt-13b",
+                dataset="longbench",
+                rate_per_gpu=rate,
+                num_requests=400,
+                seed=47,
+            ).run()
+            s = result.summary()
             rows.append(
                 {
                     "system": system,
@@ -47,18 +45,16 @@ def run_no_resche():
     rows = []
     for system in ("windserve", "windserve-no-resche"):
         for rate in (2.5, 3.5):
-            result = run_experiment(
-                ExperimentSpec(
-                    system=system,
-                    model="opt-13b",
-                    dataset="sharegpt",
-                    rate_per_gpu=rate,
-                    num_requests=400,
-                    seed=47,
-                    decode_parallel=(1, 1),
-                )
-            )
-            s = result.summary
+            result = Cell(
+                system=system,
+                model="opt-13b",
+                dataset="sharegpt",
+                rate_per_gpu=rate,
+                num_requests=400,
+                seed=47,
+                decode_parallel=(1, 1),
+            ).run()
+            s = result.summary()
             rows.append(
                 {
                     "system": system,

@@ -13,7 +13,7 @@ Two deliberately imbalanced placements for OPT-13B on ShareGPT:
 Run:  python examples/bottleneck_aware.py
 """
 
-from repro import ExperimentSpec, format_table, run_experiment
+from repro import Cell, format_table
 
 CONFIGS = {
     "[TP-2 | TP-1] (decode-bound)": dict(decode_parallel=(1, 1), rate_per_gpu=3.5),
@@ -25,7 +25,7 @@ def main() -> None:
     rows = []
     for label, kwargs in CONFIGS.items():
         for system in ("windserve", "distserve"):
-            spec = ExperimentSpec(
+            cell = Cell(
                 system=system,
                 model="opt-13b",
                 dataset="sharegpt",
@@ -33,8 +33,8 @@ def main() -> None:
                 seed=5,
                 **kwargs,
             )
-            result = run_experiment(spec)
-            s, c = result.summary, result.counters
+            run = cell.run()
+            s, c = run.summary(), run.metrics.counters
             rows.append(
                 {
                     "placement": label,

@@ -11,7 +11,7 @@ Run:  python examples/chatbot_sharegpt.py  [--fast]
 
 import sys
 
-from repro import ExperimentSpec, format_table, run_experiment
+from repro import Cell, format_table
 
 
 def main(fast: bool = False) -> None:
@@ -21,7 +21,7 @@ def main(fast: bool = False) -> None:
     rows = []
     for rate in rates:
         for system in ("windserve", "distserve", "vllm"):
-            spec = ExperimentSpec(
+            cell = Cell(
                 system=system,
                 model="opt-13b",
                 dataset="sharegpt",
@@ -29,8 +29,7 @@ def main(fast: bool = False) -> None:
                 num_requests=num_requests,
                 seed=13,
             )
-            result = run_experiment(spec)
-            s = result.summary
+            s = cell.run().summary()
             rows.append(
                 {
                     "rate/gpu": rate,

@@ -12,7 +12,7 @@ Run:  python examples/heterogeneous_cluster.py
 
 from repro import (
     A800_80GB,
-    ExperimentSpec,
+    Cell,
     format_table,
     get_model,
     ParallelConfig,
@@ -53,8 +53,8 @@ def main() -> None:
 
     # End-to-end: a 4090-based node serving prefill-heavy summarisation.
     rows = []
-    for gpu, label in ((A800_80GB, "all-A800"), (RTX_4090, "all-RTX4090")):
-        spec = ExperimentSpec(
+    for gpu, label in (("a800-80gb", "all-A800"), ("rtx-4090", "all-RTX4090")):
+        cell = Cell(
             system="windserve",
             model="llama2-7b",
             dataset="longbench",
@@ -63,8 +63,7 @@ def main() -> None:
             seed=3,
             gpu=gpu,
         )
-        result = run_experiment_with_gpu(spec)
-        s = result.summary
+        s = cell.run().summary()
         rows.append(
             {
                 "node": label,
@@ -74,12 +73,6 @@ def main() -> None:
             }
         )
     print(format_table(rows, title="WindServe on homogeneous nodes (LLaMA2-7B / LongBench)"))
-
-
-def run_experiment_with_gpu(spec: ExperimentSpec):
-    from repro import run_experiment
-
-    return run_experiment(spec)
 
 
 if __name__ == "__main__":

@@ -13,24 +13,23 @@ mechanisms visible:
 Run:  python examples/latency_breakdown.py
 """
 
-from repro import ExperimentSpec, format_table, run_experiment
+from repro import Cell, format_table
 from repro.harness.breakdown import breakdown_rows
 
 
 def main() -> None:
     rows = []
     for system in ("windserve", "distserve", "vllm"):
-        result = run_experiment(
-            ExperimentSpec(
-                system=system,
-                model="llama2-13b",
-                dataset="longbench",
-                rate_per_gpu=1.0,
-                num_requests=300,
-                seed=9,
-            )
+        cell = Cell(
+            system=system,
+            model="llama2-13b",
+            dataset="longbench",
+            rate_per_gpu=1.0,
+            num_requests=300,
+            seed=9,
         )
-        rows += breakdown_rows(result.metrics.completed, label=system)
+        completed = cell.run().metrics.after_warmup(0.05).completed
+        rows += breakdown_rows(completed, label=system)
     print(
         format_table(
             rows,

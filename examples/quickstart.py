@@ -8,11 +8,11 @@ prints the latency/SLO summary plus what the Global Scheduler did.
 Run:  python examples/quickstart.py
 """
 
-from repro import ExperimentSpec, run_experiment
+from repro import Cell
 
 
 def main() -> None:
-    spec = ExperimentSpec(
+    cell = Cell(
         system="windserve",
         model="opt-13b",
         dataset="sharegpt",
@@ -22,19 +22,20 @@ def main() -> None:
         prefill_parallel=(2, 1),
         decode_parallel=(2, 1),
     )
-    result = run_experiment(spec)
+    run = cell.run()
+    slo = cell.slo()
 
-    print(f"WindServe serving {spec.model} on {spec.gpus_used} GPUs "
-          f"({spec.rate_per_gpu} req/s per GPU, {spec.num_requests} requests)")
-    print(f"derived SLO: TTFT <= {result.slo.ttft * 1e3:.0f} ms, "
-          f"TPOT <= {result.slo.tpot * 1e3:.0f} ms\n")
+    print(f"WindServe serving {cell.model} on {cell.gpus_used} GPUs "
+          f"({cell.rate_per_gpu} req/s per GPU, {cell.num_requests} requests)")
+    print(f"derived SLO: TTFT <= {slo.ttft * 1e3:.0f} ms, "
+          f"TPOT <= {slo.tpot * 1e3:.0f} ms\n")
 
-    s = result.summary
+    s = run.summary()
     print(f"TTFT   p50 {s['ttft_p50'] * 1e3:8.1f} ms   p99 {s['ttft_p99'] * 1e3:8.1f} ms")
     print(f"TPOT   p90 {s['tpot_p90'] * 1e3:8.1f} ms   p99 {s['tpot_p99'] * 1e3:8.1f} ms")
     print(f"SLO attainment: {s['slo_attainment'] * 100:.1f}%\n")
 
-    c = result.counters
+    c = run.metrics.counters
     print("Global Scheduler activity:")
     print(f"  prefills dispatched to the decode instance : {c.get('dispatched_prefill', 0)}")
     print(f"  assist prefills run via separate stream    : {c.get('assist_prefill', 0)}")

@@ -7,28 +7,26 @@ against, the A800 testbed hardware model, and the full experiment harness.
 
 Quickstart::
 
-    from repro import ExperimentSpec, run_experiment
+    from repro import Cell
 
-    spec = ExperimentSpec(
+    cell = Cell(
         system="windserve", model="opt-13b", dataset="sharegpt",
         rate_per_gpu=4.0, num_requests=500,
     )
-    result = run_experiment(spec)
-    print(result.summary)
+    run = cell.run()
+    print(run.summary())
 """
 
 from repro.core import WindServeConfig, WindServeSystem
 from repro.baselines import DistServeSystem, VLLMSystem
 from repro.harness import (
-    ExperimentResult,
-    ExperimentSpec,
+    Cell,
+    CellRun,
     build_system,
     derive_slo,
     format_table,
     paper_slo,
-    run_experiment,
     search_placement,
-    sweep_rates,
 )
 from repro.hardware import A800_80GB, GPUSpec, NodeTopology
 from repro.models import MODEL_REGISTRY, ModelSpec, ParallelConfig, get_model
@@ -42,10 +40,8 @@ __all__ = [
     "WindServeConfig",
     "DistServeSystem",
     "VLLMSystem",
-    "ExperimentSpec",
-    "ExperimentResult",
-    "run_experiment",
-    "sweep_rates",
+    "Cell",
+    "CellRun",
     "build_system",
     "search_placement",
     "derive_slo",

@@ -40,14 +40,7 @@ from repro.harness.cell import Cell
 from repro.harness.experiments import EXPERIMENTS, TENANCY_FLAGS, TRACE_FLAGS, Experiment
 from repro.harness.placement_search import search_placement
 from repro.harness.report import format_table
-from repro.harness.runner import (
-    SYSTEM_NAMES,
-    ExperimentSpec,
-    build_system,
-    generate_workload,
-    resolve_slo,
-    run_experiment,
-)
+from repro.harness.runner import SYSTEM_NAMES, generate_workload
 from repro.models.registry import MODEL_REGISTRY
 from repro.policies import ADMISSION_POLICIES, ROUTING_POLICIES
 from repro.policies.fairshare import FairShareConfig
@@ -89,7 +82,9 @@ CELL_FLAGS: dict[str, tuple[str, dict]] = {
     "rate_per_gpu": ("--rate", dict(type=float, help="per-GPU req/s")),
     "num_requests": ("--requests", dict(type=int)),
     "seed": ("--seed", dict(type=int)),
+    "prefill_parallel": ("--prefill-parallel", dict(type=_parse_parallel, metavar="TPxPPy")),
     "decode_parallel": ("--decode-parallel", dict(type=_parse_parallel, metavar="TPxPPy")),
+    "num_node_gpus": ("--node-gpus", dict(type=int)),
     "arrival_process": ("--arrivals", dict(choices=("poisson", "bursty"))),
     "burstiness_cv": ("--burstiness", dict(type=float)),
     "tier_mix": (
@@ -198,55 +193,56 @@ def _cell_from_args(args: argparse.Namespace, names: Sequence[str], base: Cell) 
 
 # -- single experiments ----------------------------------------------------------
 
-RUN_FLAGS = ("model", "dataset", "num_requests", "seed") + TRACE_FLAGS
+RUN_FLAGS = ("model", "dataset", "num_requests", "seed", "prefill_parallel", "num_node_gpus")
+RUN_FLAGS += TRACE_FLAGS
 RUN_BASE = Cell(num_requests=500)
 
 
-def _add_spec_args(parser: argparse.ArgumentParser, tenants: bool = False) -> None:
+def _add_run_args(parser: argparse.ArgumentParser, tenants: bool = False) -> None:
     _add_cell_flags(parser, RUN_FLAGS + (TENANCY_FLAGS if tenants else ()), RUN_BASE)
-    parser.add_argument(
-        "--prefill-parallel", type=_parse_parallel, default=(2, 1), metavar="TPxPPy"
-    )
-    parser.add_argument("--node-gpus", type=int, default=8)
     parser.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
 
-def _spec_from_args(args: argparse.Namespace, system: str, rate: float) -> ExperimentSpec:
+def _run_cell(args: argparse.Namespace, **fields) -> Cell:
     names = RUN_FLAGS + (TENANCY_FLAGS if hasattr(args, "tenant_mix") else ())
-    cell = _cell_from_args(args, names, replace(RUN_BASE, system=system, rate_per_gpu=rate))
-    return replace(
-        cell.experiment(),
-        prefill_parallel=args.prefill_parallel,
-        num_node_gpus=args.node_gpus,
-    )
+    return _cell_from_args(args, names, replace(RUN_BASE, **fields))
 
 
-def _result_row(result) -> dict:
-    row = result.row()
-    row["slo_ttft_s"] = result.slo.ttft
-    row["slo_tpot_s"] = result.slo.tpot
-    return row
+def _run_row(cell: Cell) -> tuple[dict, dict]:
+    """One run's table row (cell, summary, SLO) and its counters."""
+    run = cell.run()
+    slo = cell.slo()
+    row = {
+        "system": cell.system,
+        "model": cell.model,
+        "dataset": cell.dataset,
+        "rate_per_gpu": cell.rate_per_gpu,
+        **run.summary(),
+        "slo_ttft_s": slo.ttft,
+        "slo_tpot_s": slo.tpot,
+    }
+    return row, run.metrics.counters
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    result = run_experiment(_spec_from_args(args, args.system, args.rate))
-    row = _result_row(result)
+    row, counters = _run_row(_run_cell(args, system=args.system, rate_per_gpu=args.rate))
     if args.json:
-        print(json.dumps({"summary": row, "counters": result.counters}, indent=2))
+        print(json.dumps({"summary": row, "counters": counters}, indent=2))
     else:
         print(format_table([row], columns=list(row)[:12]))
-        interesting = {k: v for k, v in result.counters.items() if v}
+        interesting = {k: v for k, v in counters.items() if v}
         if interesting:
             print("\ncounters:", ", ".join(f"{k}={v}" for k, v in sorted(interesting.items())))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rows = []
-    for rate in args.rates:
-        for system in args.systems:
-            result = run_experiment(_spec_from_args(args, system, rate))
-            rows.append(_result_row(result))
+    cell = _run_cell(args)
+    rows = [
+        _run_row(replace(cell, system=system, rate_per_gpu=rate))[0]
+        for rate in args.rates
+        for system in args.systems
+    ]
     if args.json:
         print(json.dumps(rows, indent=2))
     else:
@@ -269,14 +265,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_placement(args: argparse.Namespace) -> int:
+    cell = _run_cell(args, system=args.system, rate_per_gpu=args.rate)
     scores = search_placement(
-        system=args.system,
-        model=args.model,
-        dataset=args.dataset,
-        rate_per_gpu=args.rate,
-        num_requests=args.requests,
-        num_node_gpus=args.node_gpus,
-        seed=args.seed,
+        cell.system,
+        cell.model,
+        cell.dataset,
+        cell.rate_per_gpu,
+        num_requests=cell.num_requests,
+        num_node_gpus=cell.num_node_gpus,
+        seed=cell.seed,
     )
     rows = [
         {
@@ -298,14 +295,14 @@ def cmd_breakdown(args: argparse.Namespace) -> int:
     from repro.harness.breakdown import breakdown_rows
     from repro.harness.timeline import render_timeline
 
-    spec = _spec_from_args(args, args.system, args.rate)
-    system = build_system(spec, resolve_slo(spec))
+    cell = _run_cell(args, system=args.system, rate_per_gpu=args.rate)
+    system = cell.build()
     # The timeline needs tracing; flip it on before any batch runs.
     system.trace.enabled = True
     for instance in system.instances:
         instance.trace = system.trace
-    metrics = system.run_to_completion(generate_workload(spec))
-    rows = breakdown_rows(metrics.completed, label=spec.system)
+    metrics = system.run_to_completion(generate_workload(cell))
+    rows = breakdown_rows(metrics.completed, label=cell.system)
     if args.json:
         print(json.dumps(rows, indent=2))
         return 0
@@ -465,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment")
     run_p.add_argument("--system", default="windserve", choices=SYSTEM_NAMES)
     run_p.add_argument("--rate", type=float, required=True, help="per-GPU req/s")
-    _add_spec_args(run_p, tenants=True)
+    _add_run_args(run_p, tenants=True)
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="sweep request rates across systems")
@@ -480,13 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated per-GPU rates",
     )
-    _add_spec_args(sweep_p)
+    _add_run_args(sweep_p)
     sweep_p.set_defaults(func=cmd_sweep)
 
     place_p = sub.add_parser("placement", help="rank placements by simulation")
     place_p.add_argument("--system", default="distserve", choices=SYSTEM_NAMES)
     place_p.add_argument("--rate", type=float, required=True)
-    _add_spec_args(place_p)
+    _add_run_args(place_p)
     place_p.set_defaults(func=cmd_placement)
 
     breakdown_p = sub.add_parser(
@@ -494,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     breakdown_p.add_argument("--system", default="windserve", choices=SYSTEM_NAMES)
     breakdown_p.add_argument("--rate", type=float, required=True)
-    _add_spec_args(breakdown_p, tenants=True)
+    _add_run_args(breakdown_p, tenants=True)
     breakdown_p.set_defaults(func=cmd_breakdown)
 
     golden_p = sub.add_parser(

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.hardware.gpu import A800_80GB, gpu_key
 from repro.models.parallelism import ParallelConfig
 from repro.serving.placement import Placement
 
@@ -199,7 +200,7 @@ class FleetReplanner:
             candidates=list(eligible),
             num_requests=cfg.search_requests,
             num_node_gpus=budget,
-            gpu=member.instances[0].gpu if member.instances else None,
+            gpu=gpu_key(member.instances[0].gpu if member.instances else A800_80GB),
         )
         if not scores:
             return None

@@ -1,18 +1,11 @@
 """Experiment harness: SLO derivation, system builders, declared cells and comparisons, reports."""
 
 from repro.harness.slo import PAPER_SLOS, derive_slo, paper_slo
-from repro.harness.runner import (
-    ExperimentResult,
-    ExperimentSpec,
-    build_system,
-    run_experiment,
-    sweep_rates,
-)
+from repro.harness.runner import build_system
 from repro.harness.report import format_table
 from repro.harness.placement_search import search_placement
 from repro.harness.timeline import TimelineReport, render_timeline, sparkline
 from repro.harness.capacity import CapacityResult, find_capacity
-from repro.harness.comparison import Comparison, compare_systems
 from repro.harness.breakdown import aggregate_breakdown, breakdown_rows, render_breakdown
 from repro.harness.cell import Cell, CellRun, Workload
 from repro.harness.golden import GOLDEN_MATRIX, GoldenDiff, check_goldens, record_goldens
@@ -21,11 +14,7 @@ __all__ = [
     "PAPER_SLOS",
     "derive_slo",
     "paper_slo",
-    "ExperimentResult",
-    "ExperimentSpec",
     "build_system",
-    "run_experiment",
-    "sweep_rates",
     "format_table",
     "search_placement",
     "TimelineReport",
@@ -33,8 +22,6 @@ __all__ = [
     "sparkline",
     "CapacityResult",
     "find_capacity",
-    "Comparison",
-    "compare_systems",
     "aggregate_breakdown",
     "breakdown_rows",
     "render_breakdown",

@@ -8,9 +8,9 @@ rate (modulo simulation noise), so a bracketed bisection finds the knee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
 
 
 @dataclass
@@ -32,19 +32,18 @@ class CapacityResult:
         }
 
 
-def attainment_at(spec: ExperimentSpec, rate: float) -> float:
-    result = run_experiment(spec.with_rate(rate))
-    return result.summary.get("slo_attainment", 0.0)
+def attainment_at(cell: Cell, rate: float) -> float:
+    return replace(cell, rate_per_gpu=rate).run().summary().get("slo_attainment", 0.0)
 
 
 def find_capacity(
-    spec: ExperimentSpec,
+    cell: Cell,
     target_attainment: float = 0.9,
     low: float = 0.1,
     high: float = 8.0,
     iterations: int = 7,
 ) -> CapacityResult:
-    """Bisect for the highest per-GPU rate holding ``target_attainment``.
+    """Bisect ``cell``'s per-GPU rate for the highest holding ``target_attainment``.
 
     ``low`` must meet the target and ``high`` should violate it; if ``low``
     already fails, capacity is reported as ``low`` with its attainment; if
@@ -56,25 +55,25 @@ def find_capacity(
         raise ValueError("need 0 < low < high")
     probes: list[tuple[float, float]] = []
 
-    low_att = attainment_at(spec, low)
+    low_att = attainment_at(cell, low)
     probes.append((low, low_att))
     if low_att < target_attainment:
-        return CapacityResult(spec.system, target_attainment, low, low_att, probes)
+        return CapacityResult(cell.system, target_attainment, low, low_att, probes)
 
-    high_att = attainment_at(spec, high)
+    high_att = attainment_at(cell, high)
     probes.append((high, high_att))
     if high_att >= target_attainment:
-        return CapacityResult(spec.system, target_attainment, high, high_att, probes)
+        return CapacityResult(cell.system, target_attainment, high, high_att, probes)
 
     best_rate, best_att = low, low_att
     lo, hi = low, high
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        att = attainment_at(spec, mid)
+        att = attainment_at(cell, mid)
         probes.append((mid, att))
         if att >= target_attainment:
             best_rate, best_att = mid, att
             lo = mid
         else:
             hi = mid
-    return CapacityResult(spec.system, target_attainment, best_rate, best_att, probes)
+    return CapacityResult(cell.system, target_attainment, best_rate, best_att, probes)

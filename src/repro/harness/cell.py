@@ -1,15 +1,18 @@
 """One declared measurement cell: a serving target, its workload, its faults.
 
-Every comparison the reproduction makes — WindServe vs the baselines on an
-identical trace, a system under a fault plan, prefix-affinity vs blind
-routing, fair-share vs FIFO, a mixed-hardware fleet with and without
-re-planning, and each golden-trace scenario — is a set of :class:`Cell`
-declarations.  A cell knows how to build its target (a single
-:class:`~repro.serving.system.ServingSystem` or a WindServe fleet), how to
-generate its workload, and how to run it: :meth:`Cell.run` clones the
-workload rows into fresh requests, arms the fault plan, drains the target,
-fingerprints it and applies the shared invariant suite
-(:func:`repro.harness.invariants.check_run`).
+Every run the reproduction makes is a :class:`Cell`: a figure point, a
+paper-claim test, a ``repro run``/``sweep`` row, a placement or capacity
+probe.  Every comparison — WindServe vs the baselines on an identical
+trace, a system under a fault plan, prefix-affinity vs blind routing,
+fair-share vs FIFO, a mixed-hardware fleet with and without re-planning,
+and each golden-trace scenario — is a set of cells.  A cell knows how to
+build its target (a single :class:`~repro.serving.system.ServingSystem`
+or a WindServe fleet), how to generate its workload, and how to run it:
+:meth:`Cell.run` clones the workload rows into fresh requests, arms the
+fault plan, drains the target, fingerprints it and applies the shared
+invariant suite (:func:`repro.harness.invariants.check_run`);
+:meth:`CellRun.summary` reports its latency percentiles and SLO
+attainment past the warm-up.
 
 Cells with identical workload fields see byte-identical workloads; a
 comparison may also hand several cells one explicit :class:`Workload`
@@ -18,11 +21,11 @@ comparison may also hand several cells one explicit :class:`Workload`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional, Sequence
 
 from repro.core.autoscaler import AutoscalerConfig, AutoscalingFleet
-from repro.core.config import FleetShape
+from repro.core.config import FleetShape, WindServeConfig
 from repro.core.fleet import build_windserve_fleet
 from repro.core.replan import FleetReplanner
 from repro.faults import (
@@ -33,7 +36,7 @@ from repro.faults import (
     build_fleet_fault_plan,
 )
 from repro.hardware.cluster import ClusterTopology
-from repro.harness.runner import ExperimentSpec, build_system, generate_workload, resolve_slo
+from repro.harness.runner import build_system, generate_workload, resolve_slo
 from repro.harness.invariants import check_run, metrics_of, systems_of
 from repro.models.registry import get_model
 from repro.policies.fairshare import FairShareConfig, TenantRateLimiter
@@ -62,6 +65,17 @@ class Cell:
     # preemptions, WindServe rescheduling).
     kv_override_tokens: Optional[int] = None
     decode_parallel: tuple[int, int] = (2, 1)
+    # Single-system layout: prefill (tp, pp), the node's GPU count and its
+    # device type (a ``repro.hardware.gpu.GPU_REGISTRY`` key).
+    prefill_parallel: tuple[int, int] = (2, 1)
+    num_node_gpus: int = 8
+    gpu: str = "a800-80gb"
+    # Single-system config overrides: the base instance config (the KV and
+    # prefix-cache scalars apply on top of it when set), a decode-side
+    # instance config, and the WindServe scheduler config.
+    instance_config: Optional[InstanceConfig] = None
+    decode_instance_config: Optional[InstanceConfig] = None
+    ws_config: Optional[WindServeConfig] = None
     # Named fault plan (repro.faults.plan; a fleet plan for fleet cells).
     fault_plan: Optional[str] = None
     # SLO-tier mix spec and a tightened degraded-mode in-flight cap.
@@ -111,43 +125,29 @@ class Cell:
             max_tokens=self.tenant_max_tokens,
         )
 
-    def _instance_config(self) -> InstanceConfig:
-        if self.kv_override_tokens is None:
-            return InstanceConfig(prefix_cache_tokens=self.prefix_cache_tokens)
-        return InstanceConfig(
-            kv_capacity_override_tokens=self.kv_override_tokens,
-            cpu_swap_gb=16.0,
-            prefix_cache_tokens=self.prefix_cache_tokens,
-        )
+    @property
+    def gpus_used(self) -> int:
+        """GPUs of the single-system layout (prefill plus decode)."""
+        (ptp, ppp), (dtp, dpp) = self.prefill_parallel, self.decode_parallel
+        return ptp * ppp + dtp * dpp
 
-    def _resilience(self) -> Optional[ResilienceConfig]:
+    def instance(self) -> InstanceConfig:
+        config = self.instance_config or InstanceConfig()
+        if self.kv_override_tokens is not None:
+            config = replace(
+                config, kv_capacity_override_tokens=self.kv_override_tokens, cpu_swap_gb=16.0
+            )
+        if self.prefix_cache_tokens:
+            config = replace(config, prefix_cache_tokens=self.prefix_cache_tokens)
+        return config
+
+    def resilience(self) -> Optional[ResilienceConfig]:
         if self.shed_limit is None:
             return None
         return ResilienceConfig(degraded_inflight_limit=self.shed_limit)
 
-    def experiment(self) -> ExperimentSpec:
-        """The single-system spec (also the workload and SLO descriptor)."""
-        return ExperimentSpec(
-            system=self.system,
-            model=self.model,
-            dataset=self.dataset,
-            rate_per_gpu=self.rate_per_gpu,
-            num_requests=self.num_requests,
-            seed=self.seed,
-            arrival_process=self.arrival_process,
-            burstiness_cv=self.burstiness_cv,
-            instance_config=self._instance_config(),
-            decode_parallel=self.decode_parallel,
-            tier_mix=self.tier_mix,
-            prefix_mix=self.prefix_mix,
-            resilience=self._resilience(),
-            admission_policy=self.admission_policy,
-            tenant_mix=self.tenant_mix,
-            fairshare=self.fairshare(),
-        )
-
     def slo(self) -> SLO:
-        return resolve_slo(self.experiment())
+        return resolve_slo(self)
 
     def meta(self) -> dict:
         """Identifying fields (the golden header's ``scenario`` block).
@@ -167,12 +167,11 @@ class Cell:
     def build(self):
         """The serving target: a single system, or a WindServe fleet."""
         if not self.is_fleet:
-            spec = self.experiment()
-            return build_system(spec, resolve_slo(spec))
+            return build_system(self)
         config = SystemConfig(
             model=get_model(self.model),
-            instance=self._instance_config(),
-            resilience=self._resilience() or ResilienceConfig(),
+            instance=self.instance(),
+            resilience=self.resilience() or ResilienceConfig(),
             admission_policy=self.admission_policy,
             fairshare=self.fairshare(),
         )
@@ -216,12 +215,12 @@ class Cell:
     def gpus(self, target=None) -> int:
         """GPUs the arrival rate scales with (builds a probe fleet if needed)."""
         if not self.is_fleet:
-            return self.experiment().gpus_used
+            return self.gpus_used
         return (target or self.build()).num_gpus
 
     def workload(self, gpus: Optional[int] = None) -> "Workload":
         gpus = gpus or self.gpus()
-        trace = generate_workload(self.experiment(), gpus)
+        trace = generate_workload(self, gpus)
         return Workload(workload_rows(trace), trace.rng_registry, gpus)
 
     def run(
@@ -322,6 +321,10 @@ class CellRun:
     @property
     def event_rows(self) -> list[dict]:
         return self.trace.to_rows() if self.trace is not None else []
+
+    def summary(self, warmup_fraction: float = 0.05) -> dict:
+        """Headline latency and SLO numbers without the cold-start prefix."""
+        return self.metrics.after_warmup(warmup_fraction).summary(self.cell.slo())
 
     @property
     def request_rows(self) -> list[dict]:

@@ -8,11 +8,11 @@ fit the node, run a short workload through each, and rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.hardware.gpu import A800_80GB, GPUSpec, get_gpu
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
+from repro.harness.runner import SYSTEM_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import FleetShape
@@ -53,42 +53,42 @@ def search_placement(
     num_requests: int = 300,
     num_node_gpus: int = 8,
     seed: int = 0,
-    gpu: Optional[GPUSpec] = None,
+    gpu: str = "a800-80gb",
 ) -> list[PlacementScore]:
     """Rank candidate placements by simulated SLO attainment (ties: goodput).
 
-    ``gpu`` searches on a specific device type (heterogeneous fleets rank
-    per-member placements on each member's own hardware); the default is
-    the paper's A800 testbed.
+    ``gpu`` (a ``GPU_REGISTRY`` key) searches on a specific device type
+    (heterogeneous fleets rank per-member placements on each member's own
+    hardware); the default is the paper's A800 testbed.
     """
+    if system not in SYSTEM_NAMES:
+        raise ValueError(f"unknown system {system!r}; known: {SYSTEM_NAMES}")
+    base = Cell(
+        system=system,
+        model=model,
+        dataset=dataset,
+        rate_per_gpu=rate_per_gpu,
+        num_requests=num_requests,
+        seed=seed,
+        num_node_gpus=num_node_gpus,
+        gpu=gpu,
+    )
     scores: list[PlacementScore] = []
     for prefill_par, decode_par in candidates or DEFAULT_CANDIDATES:
-        gpus = prefill_par[0] * prefill_par[1] + decode_par[0] * decode_par[1]
-        if gpus > num_node_gpus:
+        cell = replace(base, prefill_parallel=prefill_par, decode_parallel=decode_par)
+        if cell.gpus_used > num_node_gpus:
             continue
-        spec = ExperimentSpec(
-            system=system,
-            model=model,
-            dataset=dataset,
-            rate_per_gpu=rate_per_gpu,
-            num_requests=num_requests,
-            seed=seed,
-            prefill_parallel=prefill_par,
-            decode_parallel=decode_par,
-            num_node_gpus=num_node_gpus,
-            gpu=gpu if gpu is not None else A800_80GB,
-        )
         try:
-            result = run_experiment(spec)
+            summary = cell.run().summary()
         except ValueError:
             continue  # model does not fit this parallelism
-        attainment = result.summary.get("slo_attainment", 0.0)
+        attainment = summary.get("slo_attainment", 0.0)
         goodput = attainment * rate_per_gpu
         scores.append(
             PlacementScore(
                 prefill_parallel=prefill_par,
                 decode_parallel=decode_par,
-                gpus_used=gpus,
+                gpus_used=cell.gpus_used,
                 slo_attainment=attainment,
                 goodput_per_gpu=goodput,
             )
@@ -129,7 +129,7 @@ def plan_shape_placements(
                 num_requests=num_requests,
                 num_node_gpus=budget,
                 seed=seed,
-                gpu=get_gpu(member.gpu),
+                gpu=member.gpu,
             )
             if not scores:
                 raise ValueError(

@@ -162,6 +162,22 @@ class MetricsCollector:
 
     # -- summaries -----------------------------------------------------------
 
+    def after_warmup(self, fraction: float) -> "MetricsCollector":
+        """The completions past the first ``fraction`` by arrival time.
+
+        Counters, utilization and horizon are shared with this collector;
+        percentile statistics read the trimmed completions only.
+        """
+        warmup = int(len(self.completed) * fraction)
+        if not warmup:
+            return self
+        trimmed = MetricsCollector()
+        trimmed.completed.extend(sorted(self.completed, key=lambda r: r.arrival_time)[warmup:])
+        trimmed.counters = self.counters
+        trimmed.utilization = self.utilization
+        trimmed.horizon = self.horizon
+        return trimmed
+
     @property
     def ttfts(self) -> list[float]:
         return [r.ttft for r in self.completed if r.ttft is not None]

@@ -89,19 +89,18 @@ class TestAggregation:
 class TestEndToEndDecomposition:
     def test_windserve_shrinks_handoff_vs_distserve(self):
         """The async hand-off claim, seen through the decomposition."""
-        from repro.harness.runner import ExperimentSpec, run_experiment
+        from repro.harness.cell import Cell
 
         parts = {}
         for system in ("windserve", "distserve"):
-            result = run_experiment(
-                ExperimentSpec(
-                    system=system,
-                    model="llama2-13b",
-                    dataset="longbench",
-                    rate_per_gpu=0.8,
-                    num_requests=120,
-                    seed=6,
-                )
+            cell = Cell(
+                system=system,
+                model="llama2-13b",
+                dataset="longbench",
+                rate_per_gpu=0.8,
+                num_requests=120,
+                seed=6,
             )
-            parts[system] = aggregate_breakdown(result.metrics.completed)
+            completed = cell.run().metrics.after_warmup(0.05).completed
+            parts[system] = aggregate_breakdown(completed)
         assert parts["windserve"]["handoff"].p50 < parts["distserve"]["handoff"].p50

@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.capacity import CapacityResult, find_capacity
-from repro.harness.runner import ExperimentSpec
+from repro.harness.cell import Cell
 
 
-def spec(system="windserve") -> ExperimentSpec:
-    return ExperimentSpec(
+def spec(system="windserve") -> Cell:
+    return Cell(
         system=system,
         model="opt-13b",
         dataset="sharegpt",

@@ -74,3 +74,9 @@ class TestSearch:
         )
         assert len(scores) == 1
         assert scores[0].prefill_parallel == (2, 1)
+
+    def test_unknown_system_rejected(self):
+        """A misspelt system is an error, not an empty ranking that reads
+        as "no feasible placement"."""
+        with pytest.raises(ValueError, match="unknown system"):
+            search_placement("windserv", "opt-13b", "sharegpt", 1.0)

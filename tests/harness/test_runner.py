@@ -1,28 +1,21 @@
-"""Tests for the experiment runner."""
+"""Tests for the single-system builders and a cell's run summary."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from repro.baselines.distserve import DistServeSystem
 from repro.baselines.vllm import VLLMSystem
 from repro.core.windserve import WindServeSystem
-from repro.harness.runner import ExperimentSpec, build_system, run_experiment, sweep_rates
+from repro.harness.cell import Cell
+from repro.harness.runner import build_system
 
 
-def spec(**overrides) -> ExperimentSpec:
-    base = dict(
-        system="windserve",
-        model="opt-13b",
-        dataset="sharegpt",
-        rate_per_gpu=3.0,
-        num_requests=60,
-        seed=0,
-    )
-    base.update(overrides)
-    return ExperimentSpec(**base)
+def spec(**overrides) -> Cell:
+    return Cell(**{"num_requests": 60, **overrides})
 
 
 class TestSpec:
@@ -32,9 +25,11 @@ class TestSpec:
 
     def test_with_rate_and_system_return_new_specs(self):
         s = spec()
-        assert s.with_rate(9.0).rate_per_gpu == 9.0
-        assert s.with_system("vllm").system == "vllm"
+        assert replace(s, rate_per_gpu=9.0).rate_per_gpu == 9.0
+        assert replace(s, system="vllm").system == "vllm"
         assert s.rate_per_gpu == 3.0  # original untouched
+        with pytest.raises(FrozenInstanceError):
+            s.rate_per_gpu = 9.0
 
 
 class TestBuildSystem:
@@ -63,44 +58,47 @@ class TestBuildSystem:
 
 class TestRunExperiment:
     def test_summary_has_headline_metrics(self):
-        result = run_experiment(spec())
+        summary = spec().run().summary()
         for key in ("ttft_p50", "ttft_p99", "tpot_p90", "tpot_p99", "slo_attainment"):
-            assert key in result.summary
-            assert not math.isnan(result.summary[key])
+            assert key in summary
+            assert not math.isnan(summary[key])
 
     def test_all_requests_complete(self):
-        result = run_experiment(spec())
-        assert result.summary["completed"] >= 0.9 * 60  # warm-up trimmed
+        run = spec().run()
+        assert len(run.metrics.completed) == 60
+        assert run.summary()["completed"] == 57  # 5% warm-up trimmed
 
     def test_deterministic(self):
-        a = run_experiment(spec())
-        b = run_experiment(spec())
-        assert a.summary == b.summary
+        a = spec().run()
+        b = spec().run()
+        assert a.summary() == b.summary()
 
     def test_seed_changes_results(self):
-        a = run_experiment(spec(seed=1))
-        b = run_experiment(spec(seed=2))
-        assert a.summary["ttft_p50"] != b.summary["ttft_p50"]
+        a = spec(seed=1).run()
+        b = spec(seed=2).run()
+        assert a.summary()["ttft_p50"] != b.summary()["ttft_p50"]
 
     def test_utilization_reported_per_instance(self):
-        result = run_experiment(spec())
-        assert "prefill" in result.utilization
-        assert "decode" in result.utilization
-        for entry in result.utilization.values():
-            assert 0.0 <= entry["compute"] <= 1.0
-            assert 0.0 <= entry["memory_bw"] <= 1.0
+        metrics = spec().run().metrics
+        assert "prefill" in metrics.utilization
+        assert "decode" in metrics.utilization
+        for sample in metrics.utilization.values():
+            assert 0.0 <= sample.compute_utilization(metrics.horizon) <= 1.0
+            assert 0.0 <= sample.io_utilization(metrics.horizon) <= 1.0
 
     def test_row_is_flat(self):
-        row = run_experiment(spec()).row()
-        assert row["system"] == "windserve"
-        assert isinstance(row["ttft_p50"], float)
+        summary = spec().run().summary()
+        assert all(isinstance(v, (int, float)) for v in summary.values())
+        assert isinstance(summary["ttft_p50"], float)
 
 
 class TestSweep:
     def test_sweep_runs_every_rate(self):
-        results = sweep_rates(spec(num_requests=40), [1.0, 3.0])
-        assert [r.spec.rate_per_gpu for r in results] == [1.0, 3.0]
+        cell = spec(num_requests=40)
+        runs = [replace(cell, rate_per_gpu=rate).run() for rate in (1.0, 3.0)]
+        assert [r.cell.rate_per_gpu for r in runs] == [1.0, 3.0]
 
     def test_latency_degrades_with_rate(self):
-        results = sweep_rates(spec(system="distserve", num_requests=150), [1.0, 6.0])
-        assert results[1].summary["ttft_p50"] > results[0].summary["ttft_p50"]
+        cell = spec(system="distserve", num_requests=150)
+        lo, hi = (replace(cell, rate_per_gpu=rate).run().summary() for rate in (1.0, 6.0))
+        assert hi["ttft_p50"] > lo["ttft_p50"]

@@ -16,11 +16,10 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import WindServeConfig
-from repro.faults.config import ResilienceConfig
-from repro.hardware.gpu import RTX_4090
 from repro.harness.capacity import find_capacity
+from repro.harness.cell import Cell
 from repro.harness.placement_search import search_placement
-from repro.harness.runner import SYSTEM_NAMES, ExperimentSpec, run_experiment
+from repro.harness.runner import SYSTEM_NAMES
 from repro.serving.instance import InstanceConfig
 from repro.sim.fingerprint import canonical_json
 
@@ -31,47 +30,38 @@ def _digest(value) -> str:
     return hashlib.sha256(canonical_json(value).encode()).hexdigest()
 
 
-def _spec(**overrides) -> ExperimentSpec:
-    base = dict(
-        system="windserve",
-        model="opt-13b",
-        dataset="sharegpt",
-        rate_per_gpu=3.0,
-        num_requests=120,
-        seed=0,
-    )
-    base.update(overrides)
-    return ExperimentSpec(**base)
+def _cell(**overrides) -> Cell:
+    return Cell(**{"num_requests": 120, **overrides})
 
 
-def _run(spec: ExperimentSpec) -> dict:
-    result = run_experiment(spec)
-    return {"summary": result.summary, "counters": dict(result.counters)}
+def _run(cell: Cell) -> dict:
+    run = cell.run()
+    return {"summary": run.summary(), "counters": dict(run.metrics.counters)}
 
 
 RUNS = {
     **{
-        f"{system}/opt-13b/sharegpt": _spec(system=system, rate_per_gpu=4.5)
+        f"{system}/opt-13b/sharegpt": _cell(system=system, rate_per_gpu=4.5)
         for system in SYSTEM_NAMES
     },
     **{
-        f"{system}/llama2-13b/longbench": _spec(
+        f"{system}/llama2-13b/longbench": _cell(
             system=system, model="llama2-13b", dataset="longbench", rate_per_gpu=2.2
         )
         for system in SYSTEM_NAMES
     },
-    "ws_config": _spec(ws_config=WindServeConfig(dispatch_threshold_frac=0.5)),
-    "instance_config": _spec(
+    "ws_config": _cell(ws_config=WindServeConfig(dispatch_threshold_frac=0.5)),
+    "instance_config": _cell(
         system="vllm", instance_config=InstanceConfig(max_batched_tokens=256)
     ),
-    "decode_instance_config": _spec(
+    "decode_instance_config": _cell(
         decode_instance_config=InstanceConfig(kv_capacity_override_tokens=16384)
     ),
-    "prefill_parallel": _spec(prefill_parallel=(2, 2)),
-    "num_node_gpus": _spec(num_node_gpus=4, prefill_parallel=(1, 1), decode_parallel=(1, 1)),
-    "gpu": _spec(model="llama2-7b", gpu=RTX_4090, rate_per_gpu=1.5),
-    "shed_limit": _spec(resilience=ResilienceConfig(degraded_inflight_limit=8), tier_mix=TIERS),
-    "preemptive": _spec(
+    "prefill_parallel": _cell(prefill_parallel=(2, 2)),
+    "num_node_gpus": _cell(num_node_gpus=4, prefill_parallel=(1, 1), decode_parallel=(1, 1)),
+    "gpu": _cell(model="llama2-7b", gpu="rtx-4090", rate_per_gpu=1.5),
+    "shed_limit": _cell(shed_limit=8, tier_mix=TIERS),
+    "preemptive": _cell(
         admission_policy="preemptive",
         instance_config=InstanceConfig(
             preemption_policy="tier-aware", kv_capacity_override_tokens=8192
@@ -92,12 +82,12 @@ SEARCHES = {
     ),
     "placement/rtx-4090": lambda: _ranking(
         search_placement(
-            "windserve", "llama2-7b", "sharegpt", 1.5, num_requests=60, gpu=RTX_4090
+            "windserve", "llama2-7b", "sharegpt", 1.5, num_requests=60, gpu="rtx-4090"
         )
     ),
     "capacity": lambda: vars(
         find_capacity(
-            _spec(num_requests=60, seed=5), target_attainment=0.5, low=0.5, high=8.0,
+            _cell(num_requests=60, seed=5), target_attainment=0.5, low=0.5, high=8.0,
             iterations=3,
         )
     ),

@@ -19,7 +19,7 @@ from repro.faults import FaultInjector, ResilienceConfig
 from repro.faults.config import should_shed_tier, tier_inflight_limit
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.harness.invariants import check_run
-from repro.harness.runner import ExperimentSpec, build_system, resolve_slo
+from repro.harness.cell import Cell
 from repro.harness.slo import TIER_SLO_SCALE, tier_slo, tier_slos
 from repro.models.registry import get_model
 from repro.serving.metrics import SLO
@@ -259,14 +259,8 @@ def tiered_crash_run():
     lengths), so by pointwise monotonicity of the nested caps the per-tier
     shed counts are exactly ordered — no seed sensitivity.
     """
-    spec = ExperimentSpec(
-        system="windserve",
-        model="opt-13b",
-        dataset="sharegpt",
-        rate_per_gpu=3.0,
-        resilience=ResilienceConfig(degraded_inflight_limit=8),
-    )
-    system = build_system(spec, resolve_slo(spec))
+    cell = Cell(shed_limit=8)
+    system = cell.build()
     submitted = []
     for k in range(50):
         for j, tier in enumerate(TIERS):
@@ -285,7 +279,7 @@ def tiered_crash_run():
     )
     FaultInjector(system, plan).arm()
     metrics = system.run_to_completion(list(submitted))
-    return system, submitted, metrics, resolve_slo(spec)
+    return system, submitted, metrics, cell.slo()
 
 
 class TestDegradedModeOrdering:

@@ -6,12 +6,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.harness.runner import ExperimentSpec, build_system, resolve_slo
-from repro.models.registry import get_model
+from repro.harness.cell import Cell
+from repro.harness.runner import generate_workload
 from repro.serving.audit import audit_request, audit_system
 from repro.serving.request import Request
-from repro.workloads.datasets import get_dataset
-from repro.workloads.trace import generate_trace
 
 SYSTEMS = (
     "windserve",
@@ -23,23 +21,15 @@ SYSTEMS = (
 
 
 def run_audited(system: str, rate: float, seed: int, decode_parallel=(2, 1), n=80):
-    spec = ExperimentSpec(
+    cell = Cell(
         system=system,
-        model="opt-13b",
-        dataset="sharegpt",
         rate_per_gpu=rate,
         num_requests=n,
         seed=seed,
         decode_parallel=decode_parallel,
     )
-    built = build_system(spec, resolve_slo(spec))
-    trace = generate_trace(
-        get_dataset("sharegpt"),
-        rate=rate * spec.gpus_used,
-        num_requests=n,
-        seed=seed,
-        model=get_model("opt-13b"),
-    )
+    built = cell.build()
+    trace = generate_workload(cell)
     built.run_to_completion(trace)
     return built, list(trace)
 

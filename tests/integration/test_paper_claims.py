@@ -4,19 +4,20 @@ These are the load-bearing assertions of the reproduction: the *shape* of
 the evaluation (who wins, roughly by what factor, where the effects appear)
 must hold in the simulator.  Scales are reduced (hundreds of requests, not
 thousands) to keep the suite fast; the benchmark harness runs the full
-versions.
+versions.  Every run must also keep the shared invariant suite.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.harness.runner import ExperimentSpec, run_experiment
+from repro.harness.cell import Cell
 
 HIGH_RATE = 4.5  # per-GPU req/s, past the DistServe knee for OPT-13B/ShareGPT
 
 
-def spec(system: str, **overrides) -> ExperimentSpec:
+def run(system: str, **overrides) -> dict:
+    """One claim cell's warm-up-trimmed summary; the run must be clean."""
     base = dict(
         system=system,
         model="opt-13b",
@@ -25,16 +26,14 @@ def spec(system: str, **overrides) -> ExperimentSpec:
         num_requests=400,
         seed=7,
     )
-    base.update(overrides)
-    return ExperimentSpec(**base)
+    result = Cell(**{**base, **overrides}).run()
+    assert result.violations == []
+    return result.summary()
 
 
 @pytest.fixture(scope="module")
 def high_load_results():
-    return {
-        name: run_experiment(spec(name))
-        for name in ("windserve", "distserve", "vllm")
-    }
+    return {name: run(name) for name in ("windserve", "distserve", "vllm")}
 
 
 class TestHeadlineClaims:
@@ -43,83 +42,77 @@ class TestHeadlineClaims:
 
         Open-loop queueing makes the exact factor scale-sensitive; we require
         at least the paper's lower bound (1.65x)."""
-        ws = high_load_results["windserve"].summary["ttft_p50"]
-        ds = high_load_results["distserve"].summary["ttft_p50"]
+        ws = high_load_results["windserve"]["ttft_p50"]
+        ds = high_load_results["distserve"]["ttft_p50"]
         assert ds / ws >= 1.65
 
     def test_tpot_p99_improvement_over_distserve(self, high_load_results):
         """Abstract: ~1.5x TPOT P99 reduction at high load."""
-        ws = high_load_results["windserve"].summary["tpot_p99"]
-        ds = high_load_results["distserve"].summary["tpot_p99"]
+        ws = high_load_results["windserve"]["tpot_p99"]
+        ds = high_load_results["distserve"]["tpot_p99"]
         assert ds / ws >= 1.2
 
     def test_slo_attainment_beats_both_baselines(self, high_load_results):
         """Fig. 11: WindServe SLO attainment >= 1.5x baselines at high rates."""
-        ws = high_load_results["windserve"].summary["slo_attainment"]
-        ds = high_load_results["distserve"].summary["slo_attainment"]
-        vl = high_load_results["vllm"].summary["slo_attainment"]
+        ws = high_load_results["windserve"]["slo_attainment"]
+        ds = high_load_results["distserve"]["slo_attainment"]
+        vl = high_load_results["vllm"]["slo_attainment"]
         assert ws >= 1.5 * max(ds, vl, 0.01)
 
     def test_vllm_tpot_worse_than_distserve_at_moderate_load(self):
         """Fig. 1/10: colocation inflates TPOT versus disaggregation
         (prefill-decode interference) before DistServe's queueing collapse."""
-        vl = run_experiment(spec("vllm", rate_per_gpu=2.0))
-        ds = run_experiment(spec("distserve", rate_per_gpu=2.0))
-        assert vl.summary["tpot_p90"] > ds.summary["tpot_p90"]
+        vl = run("vllm", rate_per_gpu=2.0)
+        ds = run("distserve", rate_per_gpu=2.0)
+        assert vl["tpot_p90"] > ds["tpot_p90"]
 
 
 class TestFig1Motivation:
     """DistServe's decode-side pathology under a decode-bound placement."""
 
     def test_distserve_swaps_and_queues_under_pressure(self):
-        ds = run_experiment(
-            spec("distserve", decode_parallel=(1, 1), rate_per_gpu=3.5, num_requests=300)
-        )
-        assert ds.summary["swap_events"] > 0
-        assert ds.summary["mean_decode_queue_delay"] > 0.05
+        ds = run("distserve", decode_parallel=(1, 1), rate_per_gpu=3.5, num_requests=300)
+        assert ds["swap_events"] > 0
+        assert ds["mean_decode_queue_delay"] > 0.05
 
     def test_windserve_avoids_both(self):
-        ws = run_experiment(
-            spec("windserve", decode_parallel=(1, 1), rate_per_gpu=3.5, num_requests=300)
-        )
-        ds = run_experiment(
-            spec("distserve", decode_parallel=(1, 1), rate_per_gpu=3.5, num_requests=300)
-        )
-        assert ws.summary["swap_events"] < ds.summary["swap_events"]
-        assert ws.summary["mean_decode_queue_delay"] < ds.summary["mean_decode_queue_delay"]
+        ws = run("windserve", decode_parallel=(1, 1), rate_per_gpu=3.5, num_requests=300)
+        ds = run("distserve", decode_parallel=(1, 1), rate_per_gpu=3.5, num_requests=300)
+        assert ws["swap_events"] < ds["swap_events"]
+        assert ws["mean_decode_queue_delay"] < ds["mean_decode_queue_delay"]
 
 
 class TestFig12BottleneckAwareness:
     def test_decode_bound_config_fixed_by_rescheduling(self):
         """[TP-2, TP-1]: TPOT limits DistServe; WindServe mitigates it."""
-        ws = run_experiment(spec("windserve", decode_parallel=(1, 1), rate_per_gpu=3.0))
-        ds = run_experiment(spec("distserve", decode_parallel=(1, 1), rate_per_gpu=3.0))
-        assert ws.summary["tpot_p99"] < ds.summary["tpot_p99"]
+        ws = run("windserve", decode_parallel=(1, 1), rate_per_gpu=3.0)
+        ds = run("distserve", decode_parallel=(1, 1), rate_per_gpu=3.0)
+        assert ws["tpot_p99"] < ds["tpot_p99"]
 
     def test_prefill_bound_config_fixed_by_dispatch(self):
         """[TP-2, TP-2]: TTFT limits DistServe; WindServe dispatches."""
-        ws = run_experiment(spec("windserve", rate_per_gpu=4.0))
-        ds = run_experiment(spec("distserve", rate_per_gpu=4.0))
-        assert ws.summary["ttft_p50"] < ds.summary["ttft_p50"]
+        ws = run("windserve", rate_per_gpu=4.0)
+        ds = run("distserve", rate_per_gpu=4.0)
+        assert ws["ttft_p50"] < ds["ttft_p50"]
 
 
 class TestFig13Ablations:
     def test_no_split_hurts_tpot(self):
-        full = run_experiment(spec("windserve"))
-        nosplit = run_experiment(spec("windserve-no-split"))
-        assert full.summary["tpot_p99"] < nosplit.summary["tpot_p99"]
+        full = run("windserve")
+        nosplit = run("windserve-no-split")
+        assert full["tpot_p99"] < nosplit["tpot_p99"]
 
     def test_no_split_minimal_ttft_impact(self):
         """Paper: 'both technologies have minimal impact on TTFT'."""
-        full = run_experiment(spec("windserve"))
-        nosplit = run_experiment(spec("windserve-no-split"))
-        assert nosplit.summary["ttft_p50"] <= 3 * full.summary["ttft_p50"]
+        full = run("windserve")
+        nosplit = run("windserve-no-split")
+        assert nosplit["ttft_p50"] <= 3 * full["ttft_p50"]
 
     def test_no_resche_hurts_tpot_under_memory_pressure(self):
         kw = dict(decode_parallel=(1, 1), rate_per_gpu=3.5, num_requests=300)
-        full = run_experiment(spec("windserve", **kw))
-        noresche = run_experiment(spec("windserve-no-resche", **kw))
-        assert full.summary["tpot_p99"] < noresche.summary["tpot_p99"]
+        full = run("windserve", **kw)
+        noresche = run("windserve-no-resche", **kw)
+        assert full["tpot_p99"] < noresche["tpot_p99"]
 
 
 class TestLongBenchScenario:
@@ -127,9 +120,9 @@ class TestLongBenchScenario:
         """Fig. 10c: 1.65-2.1x TTFT median improvement on summarisation."""
         kw = dict(model="llama2-13b", dataset="longbench", rate_per_gpu=2.2,
                   num_requests=300)
-        ws = run_experiment(spec("windserve", **kw))
-        ds = run_experiment(spec("distserve", **kw))
-        assert ds.summary["ttft_p50"] / ws.summary["ttft_p50"] >= 1.3
+        ws = run("windserve", **kw)
+        ds = run("distserve", **kw)
+        assert ds["ttft_p50"] / ws["ttft_p50"] >= 1.3
 
     def test_gqa_shrinks_transfer_benefit(self):
         """Fig. 10d: LLaMA2-70B's GQA reduces KV transfer overhead, so the

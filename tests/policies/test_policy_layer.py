@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.harness.cell import Cell
-from repro.harness.runner import ExperimentSpec, build_system, resolve_slo
+from repro.harness.cell import Cell
 from repro.harness.slo import tier_slos
 from repro.harness.invariants import check_run
 from repro.models.registry import get_model
@@ -127,22 +127,15 @@ class TestPolicyIdentity:
         assert any("polic" in line for line in base.explain_mismatch(tiered))
 
     def test_system_identity_default_is_empty(self):
-        spec = ExperimentSpec(
-            system="windserve", model="opt-13b", dataset="sharegpt", rate_per_gpu=1.0
-        )
-        system = build_system(spec, resolve_slo(spec))
+        system = Cell(rate_per_gpu=1.0).build()
         assert system.policy_identity() == ()
 
     def test_system_identity_reports_deviations(self):
-        spec = ExperimentSpec(
-            system="windserve",
-            model="opt-13b",
-            dataset="sharegpt",
+        system = Cell(
             rate_per_gpu=1.0,
             admission_policy="preemptive",
             instance_config=InstanceConfig(preemption_policy="tier-aware"),
-        )
-        system = build_system(spec, resolve_slo(spec))
+        ).build()
         assert system.policy_identity() == (
             ("admission", "preemptive"),
             ("preemption", "tier-aware"),
@@ -217,10 +210,7 @@ class TestPredictedTTFTFallback:
         """A vLLM member's score is an estimated TTFT in seconds — the
         prompt through its own prefill latency model — not the old raw
         request count (which mis-ranked mixed fleets)."""
-        spec = ExperimentSpec(
-            system="vllm", model="opt-13b", dataset="sharegpt", rate_per_gpu=1.0
-        )
-        member = build_system(spec, resolve_slo(spec))
+        member = Cell(system="vllm", rate_per_gpu=1.0).build()
         request = _req(0, prompt=256)
         score = PredictedTTFTRouting.predicted_ttft(member, request)
         expected = min(
@@ -233,10 +223,7 @@ class TestPredictedTTFTFallback:
         assert 0.0 < score < 10.0
 
     def test_all_instances_down_falls_back_to_load(self):
-        spec = ExperimentSpec(
-            system="vllm", model="opt-13b", dataset="sharegpt", rate_per_gpu=1.0
-        )
-        member = build_system(spec, resolve_slo(spec))
+        member = Cell(system="vllm", rate_per_gpu=1.0).build()
         for inst in member.instances:
             inst.failed = True
         assert PredictedTTFTRouting.predicted_ttft(member, _req(0)) == 0.0

@@ -73,18 +73,13 @@ def test_coalesce_config_switch(monkeypatch):
     """InstanceConfig(coalesce_ticks=False) selects the per-token path."""
     from dataclasses import replace
 
-    from repro.harness.runner import build_system, generate_workload, resolve_slo
+    from repro.harness.runner import generate_workload
 
     def run(coalesce: bool):
-        scenario = _BY_NAME["windserve-poisson-r3-s0"]
-        spec = scenario.experiment()
-        spec = replace(
-            spec,
-            num_requests=40,
-            instance_config=replace(spec.instance_config, coalesce_ticks=coalesce),
-        )
-        system = build_system(spec, resolve_slo(spec))
-        workload = generate_workload(spec)
+        cell = replace(_BY_NAME["windserve-poisson-r3-s0"], num_requests=40)
+        cell = replace(cell, instance_config=replace(cell.instance(), coalesce_ticks=coalesce))
+        system = cell.build()
+        workload = generate_workload(cell)
         system.run_to_completion(workload)
         return system.run_fingerprint(workload.rng_registry), system.sim.events_processed
 

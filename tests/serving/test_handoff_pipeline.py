@@ -9,7 +9,7 @@ hand-off pipeline can move between modules without any run drifting.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass
 
 import pytest
 
@@ -17,7 +17,6 @@ from repro.faults import FaultInjector, ResilienceConfig
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.harness.cell import Cell, clone_requests
 from repro.harness.invariants import check_run
-from repro.harness.runner import build_system, resolve_slo
 
 # (cell, counter that must fire, pinned run fingerprint)
 CRASH_CASES = (
@@ -63,11 +62,18 @@ OUTAGE_FINGERPRINTS = {
 }
 
 
+@dataclass(frozen=True)
+class _OneRetryCell(Cell):
+    """A cell whose hand-off copies give up after a single retry."""
+
+    def resilience(self) -> ResilienceConfig:
+        return ResilienceConfig(transfer_max_retries=1)
+
+
 @pytest.mark.parametrize("system", sorted(OUTAGE_FINGERPRINTS))
 def test_permanent_handoff_failure_reprefills(system):
-    cell = Cell(system=system)
-    spec = replace(cell.experiment(), resilience=ResilienceConfig(transfer_max_retries=1))
-    target = build_system(spec, resolve_slo(spec))
+    cell = _OneRetryCell(system=system)
+    target = cell.build()
     workload = cell.workload()
     submitted = clone_requests(workload.rows)
     FaultInjector(target, PD_OUTAGE).arm()
