@@ -132,6 +132,7 @@ class Cell:
         return ptp * ppp + dtp * dpp
 
     def instance(self) -> InstanceConfig:
+        """``instance_config`` (or the default) with the KV and prefix-cache scalars applied."""
         config = self.instance_config or InstanceConfig()
         if self.kv_override_tokens is not None:
             config = replace(
