@@ -10,18 +10,21 @@ test:
 golden-check:
 	python -m repro golden check
 
-# Record brand-new scenarios (stamps an initial provenance block).
+# Record brand-new pins (stamps an initial provenance block).
 golden-record:
 	python -m repro golden record
 
-# Cheap header audit: format version + provenance chain of every golden.
+# Cheap header audit of every pin: format version, stored-value digest,
+# provenance chain.  Runs no producer.
 golden-validate:
 	python -m repro golden validate
 
-# Provenance-tracked re-record after an intentional behaviour change:
+# Provenance-tracked re-record of every pin (trace goldens and value pins:
+# verb reports, runs, searches, fleet layouts) after an intentional
+# behaviour change:
 #   make goldens-rerecord REASON="why the store moves" [TAG=pr<N>-slug]
-# Writes the prior fingerprint chain into each golden and prints the
-# per-scenario migration report (see docs/determinism.md).
+# Chains each replaced digest into the pin's provenance header and prints
+# one migration report of per-pin deltas (see docs/determinism.md).
 goldens-rerecord:
 	@test -n "$(REASON)" || { echo 'usage: make goldens-rerecord REASON="why" [TAG=pr<N>-slug]'; exit 1; }
 	python -m repro golden rerecord --reason "$(REASON)" $(if $(TAG),--tag "$(TAG)")

@@ -314,7 +314,7 @@ def cmd_breakdown(args: argparse.Namespace) -> int:
 
 def cmd_golden(args: argparse.Namespace) -> int:
     from repro.harness.golden import (
-        GOLDEN_MATRIX,
+        PINS,
         check_goldens,
         record_goldens,
         render_migration_report,
@@ -324,8 +324,8 @@ def cmd_golden(args: argparse.Namespace) -> int:
 
     only = args.only or None
     if args.action == "list":
-        for scenario in GOLDEN_MATRIX:
-            print(scenario.name)
+        for pin in PINS:
+            print(pin.name)
         return 0
     if args.action == "record":
         for path in record_goldens(args.dir, only=only, reason=args.reason, tag=args.tag):
@@ -352,8 +352,8 @@ def cmd_golden(args: argparse.Namespace) -> int:
         if problems:
             print(f"\n{len(problems)} problem(s) in the golden store")
             return 1
-        count = len(only) if only else len(GOLDEN_MATRIX)
-        print(f"all {count} golden header(s) valid (format + provenance chain)")
+        count = len(only) if only else len(PINS)
+        print(f"all {count} pin header(s) valid (format + digest + provenance chain)")
         return 0
     diffs = check_goldens(args.dir, only=only)
     for diff in diffs:
@@ -361,12 +361,12 @@ def cmd_golden(args: argparse.Namespace) -> int:
     failed = sum(not d.passed for d in diffs)
     if failed:
         print(
-            f"\n{failed}/{len(diffs)} golden scenario(s) diverged. If the behaviour "
+            f"\n{failed}/{len(diffs)} pin(s) diverged. If the behaviour "
             "change is intentional, re-record with `python -m repro golden rerecord "
             "--reason ...` (see docs/determinism.md)."
         )
         return 1
-    print(f"\nall {len(diffs)} golden scenario(s) match")
+    print(f"\nall {len(diffs)} pin(s) match")
     return 0
 
 
@@ -496,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     golden_p = sub.add_parser(
         "golden",
-        help="record, rerecord (with provenance), check, or validate golden traces",
+        help="record, rerecord (with provenance), check, or validate pinned outputs",
     )
     golden_p.add_argument("action", choices=("record", "rerecord", "check", "validate", "list"))
     golden_p.add_argument(
@@ -508,13 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
     golden_p.add_argument(
         "--only",
         action="append",
-        metavar="SCENARIO",
-        help="restrict to a named scenario (repeatable; see `golden list`)",
+        metavar="PIN",
+        help="restrict to a named pin (repeatable; see `golden list`)",
     )
     golden_p.add_argument(
         "--reason",
         help="why the store is being re-recorded (required for rerecord; "
-        "stamped into each golden's provenance header)",
+        "stamped into each pin's provenance header)",
     )
     golden_p.add_argument(
         "--tag",

@@ -254,8 +254,3 @@ class MigrationManager:
             system.decode_instance.start_decoding(request)
         system.metrics.bump("reschedule_aborted")
         system.decode_instance.kick()
-
-    # -- queries ----------------------------------------------------------------
-
-    def is_migrating(self, request: Request) -> bool:
-        return request.request_id in self.active

@@ -1,37 +1,58 @@
-"""Golden-trace store: record and diff deterministic regression traces.
+"""Pin store: record, check, re-record and validate pinned outputs.
 
 Every figure the reproduction claims rests on the simulator producing
-identical event streams for identical seeds.  This module pins that down:
-a small matrix of {scheduler x workload x seed} scenarios is run with
-tracing on, and the tag-filtered event stream + final per-request metrics
-+ RNG registry are captured as compact JSONL *goldens* under
-``tests/golden/``.  ``python -m repro golden check`` re-runs the matrix
-and names the first diverging event (time, component, tag, payload delta)
-when a scheduler change perturbs behaviour.
+identical outputs for identical seeds.  This module pins that down.  A
+*pin* is a named producer declared here plus its recorded output under
+``tests/golden/``.  There are two kinds:
 
-Refreshing the store after an *intentional* change goes through
-``python -m repro golden rerecord --reason "..."``: each golden keeps a
-**provenance** header chaining every fingerprint it ever replaced (reason,
-PR tag, prior fingerprint, per-component mismatch summary), and the
-rerecord emits a migration report of per-scenario metric deltas (mean
-TTFT/TPOT, makespan, shed/requeue counts) so reviewers audit *what
-changed and by how much* instead of diffing SHA-256 hashes.  ``python -m
-repro golden record`` stays the verb for brand-new scenarios; ``python -m
-repro golden validate`` checks every stored header's format version and
-provenance chain (see ``docs/determinism.md``).
+- **trace** pins (:data:`GOLDEN_MATRIX`): small {scheduler x workload x
+  seed} cells run with tracing on, stored as JSONL — a header with the run
+  fingerprint, RNG registry and final per-request metrics, then one
+  tag-filtered event per line.  A failed check names the first diverging
+  event (time, component, tag, payload delta).
+- **value** pins (:data:`VALUE_PINS`): a CLI verb's ``--json`` report, a
+  run's summary and counters, a search result, or the fleet GPU layouts,
+  stored whole as readable JSON.  A failed check names the changed keys
+  and their deltas.
+
+Both kinds share one header: format version, combined digest, and a
+**provenance** block.  ``python -m repro golden check`` re-runs every
+producer and diffs it against its recording.  ``python -m repro golden
+rerecord --reason "..."`` refreshes pins after an intentional change: each
+header chains every digest it ever replaced (reason, PR tag, prior digest,
+what changed), and the rerecord prints one migration report of per-pin
+deltas so reviewers audit *what changed and by how much* instead of
+diffing SHA-256 hashes.  ``golden record`` stamps brand-new pins, and
+``golden validate`` audits every stored header without re-running
+anything (see ``docs/determinism.md``).
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Union
 
+from repro.baselines.distserve import DistServeSystem
+from repro.core.config import FleetShape, WindServeConfig
+from repro.core.fleet import build_windserve_fleet
+from repro.core.replan import FleetReplanner
+from repro.hardware.cluster import ClusterTopology
+from repro.harness.capacity import find_capacity
 from repro.harness.cell import Cell, CellRun
+from repro.harness.placement_search import search_placement
+from repro.harness.runner import SYSTEM_NAMES
+from repro.models.parallelism import ParallelConfig
+from repro.models.registry import get_model
+from repro.serving.instance import InstanceConfig
+from repro.serving.system import SystemConfig
 from repro.sim.fingerprint import RunFingerprint, canonical_json
 
-#: Default location of the golden store, relative to the repo root.
+#: Default location of the pin store, relative to the repo root.
 DEFAULT_GOLDEN_DIR = Path("tests") / "golden"
 
 #: Trace tags captured into goldens.  Scheduling decisions (batch launches,
@@ -78,15 +99,14 @@ GOLDEN_TAGS = frozenset(
     }
 )
 
-# Version 2 added the provenance header (PR 8); version-1 files are only
-# readable through the rerecord migration path (``load_golden(allow_old=True)``).
+#: Format version of every stored header (version 2 added provenance).
 GOLDEN_FORMAT_VERSION = 2
 
 #: Schema version of the ``provenance`` header block.
 PROVENANCE_FORMAT_VERSION = 1
 
 #: Reason stamped by ``golden record`` when none is given: a fresh
-#: recording of a new scenario, with no prior fingerprint to chain.
+#: recording of a new pin, with no prior digest to chain.
 INITIAL_RECORD_REASON = "initial record"
 
 
@@ -241,15 +261,278 @@ GOLDEN_MATRIX: tuple[Cell, ...] = (
 )
 
 
+# -- value pins ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ValuePin:
+    """A named producer whose JSON output is pinned whole.
+
+    ``render`` is the text the pin's digest hashes — canonical JSON by
+    default, a verb's exact ``--json`` stdout for :func:`_verb` pins — and
+    the stored value is that text parsed back.
+    """
+
+    name: str
+    produce: Callable[[], Any]
+    render: Callable[[Any], str] = canonical_json
+
+    def digest(self, value: Any) -> str:
+        return _sha256(self.render(value))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _verb_stdout(report: Any) -> str:
+    """What ``--json`` prints: the report at indent 2, then a newline."""
+    return json.dumps(report, indent=2) + "\n"
+
+
+def _verb(name: str, command: str) -> ValuePin:
+    """Pin the ``--json`` report of one ``python -m repro`` command line.
+
+    The verb must exit 0 (for a comparison verb: every invariant held and
+    every verdict passed) and print its report and nothing else.
+    """
+    argv = [*command.split(), "--json"]
+
+    def produce() -> Any:
+        from repro.cli import main  # the CLI imports this module
+
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(argv)
+        if status != 0:
+            raise ValueError(f"`repro {command}` exited {status}: {err.getvalue().strip()}")
+        report = json.loads(out.getvalue())
+        if _verb_stdout(report) != out.getvalue():
+            raise ValueError(f"`repro {command} --json` stdout is not its report at indent 2")
+        return report
+
+    return ValuePin(f"verb-{name}", produce, _verb_stdout)
+
+
+def _run(name: str, **fields: Any) -> ValuePin:
+    """Pin one 120-request cell's warm-up-trimmed summary plus its counters."""
+    cell = Cell(**{"num_requests": 120, **fields})
+
+    def produce() -> dict:
+        run = cell.run()
+        return {"summary": run.summary(), "counters": dict(run.metrics.counters)}
+
+    return ValuePin(f"run-{name}", produce)
+
+
+def _ranking(scores) -> list:
+    return [[s.label(), s.slo_attainment, s.goodput_per_gpu] for s in scores]
+
+
+def _layout(fleet) -> list[dict]:
+    """Per member: its name, and each instance's GPU ids, type, TP, PP and
+    bound TP link bandwidth."""
+
+    def instance(inst) -> dict:
+        p = inst.parallel
+        return {
+            "gpus": list(inst.gpus),
+            "gpu": inst.gpu.name,
+            "tp": p.tp,
+            "pp": p.pp,
+            "tp_link_gbps": p.tp_link_gbps,
+        }
+
+    return [
+        {
+            "name": m.name,
+            "prefill": instance(m.prefill_instance),
+            "decode": instance(m.decode_instance),
+        }
+        for m in fleet.members
+    ]
+
+
+def _fleet_layouts() -> dict:
+    """Every fleet layout the builders and the re-planner produce, by case.
+
+    Cases: the fleet goldens; homogeneous WindServe/DistServe fleets over
+    node counts, pairs per node, span mode and three parallelisms; shaped
+    fleets; and hetero-s15 with one or two members failed under the
+    re-planner.  An input the builder rejects is recorded as
+    ``"ValueError"``.
+    """
+
+    def config() -> SystemConfig:
+        return SystemConfig(model=get_model("opt-13b"))
+
+    def homogeneous(system, nodes, pairs, span, prefill, decode):
+        return build_windserve_fleet(
+            config(),
+            ClusterTopology(num_nodes=nodes, gpus_per_node=8),
+            prefill_parallel=ParallelConfig(*prefill),
+            decode_parallel=ParallelConfig(*decode),
+            pairs_per_node=pairs,
+            system_factory=DistServeSystem if system == "distserve" else None,
+            span_nodes=span,
+        )
+
+    def shaped(spec, pairs, span):
+        return build_windserve_fleet(
+            config(), pairs_per_node=pairs, span_nodes=span, shape=FleetShape.parse(spec)
+        )
+
+    def replan(*deaths):
+        fleet = shaped("a800:1:1x1+1x1,h100:1:2x1+2x1,a800:1:1x1+1x1", 1, False)
+        fleet.replanner = FleetReplanner()
+        for index in deaths:
+            fleet.fail_member(index)
+        return fleet
+
+    parallelisms = {
+        "tp2/tp2": ((2, 1), (2, 1)),
+        "tp1/tp2": ((1, 1), (2, 1)),
+        "tp2pp2/tp1": ((2, 2), (1, 1)),
+    }
+    shapes = ("a800,h100,a800", "a800:2,h100:2", "a800:1:1x1+1x1,h100", "h100:2:2x1+2x2")
+    cases = {f"golden:{c.name}": (c.build,) for c in GOLDEN_MATRIX if c.is_fleet}
+    for system in ("windserve", "distserve"):
+        for nodes in (1, 2, 3):
+            for pairs in (1, 2):
+                for span in (False, True):
+                    for par, (prefill, decode) in parallelisms.items():
+                        key = f"{system}:n{nodes}:p{pairs}:span={span}:{par}"
+                        cases[key] = (homogeneous, system, nodes, pairs, span, prefill, decode)
+    for spec in shapes:
+        for pairs in (1, 2):
+            for span in (False, True):
+                cases[f"shape:{spec}:p{pairs}:span={span}"] = (shaped, spec, pairs, span)
+    for first in range(3):
+        cases[f"replan:{first}"] = (replan, first)
+        for second in range(3):
+            if second != first:
+                cases[f"replan:{first},{second}"] = (replan, first, second)
+
+    layouts = {}
+    for key, (build, *args) in cases.items():
+        try:
+            layouts[key] = _layout(build(*args))
+        except ValueError:
+            layouts[key] = "ValueError"
+    return layouts
+
+
+_FLEET_TIERS = "interactive=0.25,standard=0.5,best_effort=0.25"
+_TIERS = "interactive=0.3,standard=0.4,best_effort=0.3"
+
+#: The value pins.  Keep producers to seconds each: the check runs them all.
+VALUE_PINS: tuple[ValuePin, ...] = (
+    # Every comparison verb CI relies on, each report pinned whole.
+    _verb("differential", "differential --seeds 0,1,2 --requests 40"),
+    _verb("chaos-smoke", "chaos --smoke"),
+    _verb(
+        "chaos-distserve-smoke",
+        "chaos --smoke --systems distserve --plans prefill-crash,decode-crash --seed 1",
+    ),
+    _verb("chaos-fleet-smoke", "chaos --fleet --smoke"),
+    _verb("chaos-fleet-span-smoke", "chaos --fleet --smoke --plans nic-outage --span-nodes"),
+    _verb("chaos-fleet-tiers-smoke", f"chaos --fleet --smoke --tier-mix {_FLEET_TIERS}"),
+    _verb(
+        "chaos-fleet-tieraware-smoke",
+        f"chaos --fleet --smoke --router tier-aware --tier-mix {_FLEET_TIERS}",
+    ),
+    _verb(
+        "chaos-preemptive-smoke",
+        "chaos --smoke --admission preemptive "
+        "--tier-mix interactive=0.5,standard=0.2,best_effort=0.3",
+    ),
+    _verb("prefix-smoke", "prefix --smoke"),
+    _verb("tenants-smoke", "tenants --smoke"),
+    _verb("hetero-smoke", "hetero --smoke"),
+    # The single-system verbs.
+    _verb("run", "run --system distserve --rate 3 --requests 40"),
+    _verb("sweep", "sweep --systems windserve,vllm --rates 2,4 --requests 40"),
+    _verb("placement", "placement --rate 1.5 --node-gpus 4 --requests 40"),
+    _verb("breakdown", "breakdown --rate 2 --prefill-parallel 1 --requests 40"),
+    # Every system on both headline workloads, then one run per Cell field
+    # the run path threads through to the system it builds.
+    *(_run(f"{s}-opt-13b-sharegpt", system=s, rate_per_gpu=4.5) for s in SYSTEM_NAMES),
+    *(
+        _run(
+            f"{s}-llama2-13b-longbench",
+            system=s,
+            model="llama2-13b",
+            dataset="longbench",
+            rate_per_gpu=2.2,
+        )
+        for s in SYSTEM_NAMES
+    ),
+    _run("ws_config", ws_config=WindServeConfig(dispatch_threshold_frac=0.5)),
+    _run("instance_config", system="vllm", instance_config=InstanceConfig(max_batched_tokens=256)),
+    _run(
+        "decode_instance_config",
+        decode_instance_config=InstanceConfig(kv_capacity_override_tokens=16384),
+    ),
+    _run("prefill_parallel", prefill_parallel=(2, 2)),
+    _run("num_node_gpus", num_node_gpus=4, prefill_parallel=(1, 1), decode_parallel=(1, 1)),
+    _run("gpu", model="llama2-7b", gpu="rtx-4090", rate_per_gpu=1.5),
+    _run("shed_limit", shed_limit=8, tier_mix=_TIERS),
+    _run(
+        "preemptive",
+        admission_policy="preemptive",
+        instance_config=InstanceConfig(
+            preemption_policy="tier-aware", kv_capacity_override_tokens=8192
+        ),
+        tier_mix=_TIERS,
+        rate_per_gpu=4.5,
+    ),
+    # The searches: two placement rankings and a capacity bisection.
+    ValuePin(
+        "search-placement-opt-13b",
+        lambda: _ranking(
+            search_placement("distserve", "opt-13b", "sharegpt", 1.5, num_requests=60)
+        ),
+    ),
+    ValuePin(
+        "search-placement-rtx-4090",
+        lambda: _ranking(
+            search_placement(
+                "windserve", "llama2-7b", "sharegpt", 1.5, num_requests=60, gpu="rtx-4090"
+            )
+        ),
+    ),
+    ValuePin(
+        "search-capacity",
+        lambda: vars(
+            find_capacity(
+                Cell(num_requests=60, seed=5),
+                target_attainment=0.5,
+                low=0.5,
+                high=8.0,
+                iterations=3,
+            )
+        ),
+    ),
+    ValuePin("fleet-layouts", _fleet_layouts),
+)
+
+Pin = Union[Cell, ValuePin]
+
+#: Every pin, trace pins first.
+PINS: tuple[Pin, ...] = (*GOLDEN_MATRIX, *VALUE_PINS)
+
+
 # -- store I/O ----------------------------------------------------------------
 
 
 def golden_path(directory: Path, name: str) -> Path:
-    return Path(directory) / f"{name}.jsonl"
+    """A pin's file: ``<name>.json`` for a value pin, else ``<name>.jsonl``."""
+    value = any(isinstance(p, ValuePin) and p.name == name for p in PINS)
+    return Path(directory) / f"{name}.{'json' if value else 'jsonl'}"
 
 
 def initial_provenance(reason: Optional[str] = None, tag: Optional[str] = None) -> dict:
-    """Provenance block for a first recording: no prior fingerprint."""
+    """Provenance block for a first recording: no prior digest."""
     provenance = {
         "format": PROVENANCE_FORMAT_VERSION,
         "reason": reason or INITIAL_RECORD_REASON,
@@ -262,13 +545,8 @@ def initial_provenance(reason: Optional[str] = None, tag: Optional[str] = None) 
     return provenance
 
 
-def save_golden(
-    run: CellRun, directory: Path, provenance: Optional[dict] = None
-) -> Path:
-    """Write one scenario's golden JSONL (header line, then one event/line)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    header = {
+def _trace_header(run: CellRun) -> dict:
+    return {
         "golden": GOLDEN_FORMAT_VERSION,
         "scenario": run.cell.meta(),
         "fingerprint": run.fingerprint.as_dict(),
@@ -276,41 +554,60 @@ def save_golden(
         "events": len(run.event_rows),
         "rng": list(run.rng_registry),
         "requests": run.request_rows,
-        "provenance": provenance if provenance is not None else initial_provenance(),
     }
-    path = golden_path(directory, run.cell.name)
-    with path.open("w") as fh:
-        fh.write(canonical_json(header) + "\n")
-        for row in run.event_rows:
-            fh.write(canonical_json(row) + "\n")
+
+
+def _record(pin: Pin) -> tuple[dict, Any]:
+    """Run one pin's producer: the header (less provenance) and body to store."""
+    if isinstance(pin, Cell):
+        run = pin.run(trace_tags=GOLDEN_TAGS)
+        return _trace_header(run), run.event_rows
+    text = pin.render(pin.produce())
+    header = {"golden": GOLDEN_FORMAT_VERSION, "pin": pin.name, "combined": _sha256(text)}
+    return header, json.loads(text)
+
+
+def _write(path: Path, header: dict, body: Any) -> Path:
+    """Store one recording: JSONL (the header, then one event per line) for
+    a trace pin, one indented JSON document for a value pin."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.suffix == ".jsonl":
+        path.write_text("".join(canonical_json(row) + "\n" for row in [header, *body]))
+    else:
+        path.write_text(json.dumps({**header, "value": body}, indent=1) + "\n")
     return path
 
 
-def load_golden(path: Path, *, allow_old: bool = False) -> tuple[dict, list[dict]]:
-    """Read a golden file back as (header, event rows).
+def save_golden(run: CellRun, directory: Path, provenance: Optional[dict] = None) -> Path:
+    """Write one trace run's golden JSONL."""
+    if provenance is None:
+        provenance = initial_provenance()
+    header = {**_trace_header(run), "provenance": provenance}
+    return _write(golden_path(directory, run.cell.name), header, run.event_rows)
 
-    ``allow_old=True`` accepts headers from earlier format versions — the
-    rerecord migration path, which needs to read the store it is about to
-    replace.  Checks always demand the current version.
+
+def load_golden(path: Path) -> tuple[dict, Any]:
+    """Read a recording back as (header, body).
+
+    The body is the event rows of a trace pin, the stored value of a value
+    pin.  Only the current format version is accepted.
     """
-    with Path(path).open() as fh:
-        lines = [line for line in fh.read().splitlines() if line]
-    if not lines:
-        raise ValueError(f"golden file {path} is empty")
-    header = json.loads(lines[0])
-    version = header.get("golden")
-    acceptable = (
-        isinstance(version, int) and 1 <= version <= GOLDEN_FORMAT_VERSION
-        if allow_old
-        else version == GOLDEN_FORMAT_VERSION
-    )
-    if not acceptable:
+    path = Path(path)
+    if path.suffix == ".jsonl":
+        lines = [line for line in path.read_text().splitlines() if line]
+        if not lines:
+            raise ValueError(f"golden file {path} is empty")
+        header, body = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+    else:
+        header = json.loads(path.read_text())
+        body = header.pop("value", None)
+    if header.get("golden") != GOLDEN_FORMAT_VERSION:
         raise ValueError(
-            f"golden file {path} has format version {version!r}; "
+            f"golden file {path} has format version {header.get('golden')!r}; "
             f"expected {GOLDEN_FORMAT_VERSION} — re-record with "
             f"`python -m repro golden rerecord --reason ...`"
         )
-    return header, [json.loads(line) for line in lines[1:]]
+    return header, body
 
 
 def record_goldens(
@@ -319,18 +616,19 @@ def record_goldens(
     reason: Optional[str] = None,
     tag: Optional[str] = None,
 ) -> list[Path]:
-    """Run the matrix (or a named subset) and write/refresh golden files.
+    """Run every pin (or a named subset) and write its recording.
 
-    This is the verb for *new* scenarios: it stamps an initial provenance
-    block with no prior fingerprint.  Refreshing an existing golden after
-    an intentional behaviour change should go through
-    :func:`rerecord_goldens`, which preserves the fingerprint chain.
+    This is the verb for *new* pins: it stamps an initial provenance block
+    with no prior digest.  Refreshing an existing pin after an intentional
+    behaviour change goes through :func:`rerecord_goldens`, which preserves
+    the digest chain.
     """
-    paths = []
     provenance = initial_provenance(reason, tag)
-    for scenario in _select(only):
-        run = scenario.run(trace_tags=GOLDEN_TAGS)
-        paths.append(save_golden(run, directory, dict(provenance)))
+    paths = []
+    for pin in _select(only):
+        header, body = _record(pin)
+        path = golden_path(directory, pin.name)
+        paths.append(_write(path, {**header, "provenance": provenance}, body))
     return paths
 
 
@@ -351,7 +649,7 @@ def _fingerprint_from_header(fp: dict) -> RunFingerprint:
 
 
 def scenario_metrics(request_rows: Sequence[dict], event_rows: Sequence[dict]) -> dict:
-    """Reviewer-facing summary metrics of one recorded scenario.
+    """Reviewer-facing summary metrics of one recorded trace.
 
     Derived purely from a golden's stored artefacts so old and new sides of
     a rerecord are measured identically: mean TTFT/TPOT and makespan from
@@ -374,11 +672,54 @@ def scenario_metrics(request_rows: Sequence[dict], event_rows: Sequence[dict]) -
     }
 
 
+def _flatten(value: Any, prefix: str = "") -> dict:
+    """A JSON value's leaves keyed by dotted path (empty containers are leaves)."""
+    if isinstance(value, dict) and value:
+        items = value.items()
+    elif isinstance(value, list) and value:
+        items = enumerate(value)
+    else:
+        return {prefix or "value": value}
+    flat = {}
+    for key, item in items:
+        flat.update(_flatten(item, f"{prefix}.{key}" if prefix else str(key)))
+    return flat
+
+
+def _metrics(pin: Pin, header: dict, body: Any) -> dict:
+    """The flat values a migration report compares for one recording."""
+    if isinstance(pin, Cell):
+        return scenario_metrics(header["requests"], body)
+    return _flatten(body)
+
+
+_ABSENT = "<absent>"
+
+
+def _changed_keys(old: dict, new: dict) -> list[str]:
+    return [
+        key
+        for key in dict.fromkeys([*old, *new])
+        if repr(old.get(key, _ABSENT)) != repr(new.get(key, _ABSENT))
+    ]
+
+
+def _changed(pin: Pin, old_header: dict, old_body: Any, header: dict, body: Any) -> list[str]:
+    """What moved: fingerprint components of a trace pin, top-level keys of a
+    value pin."""
+    if isinstance(pin, Cell):
+        prior = _fingerprint_from_header(old_header["fingerprint"])
+        return prior.explain_mismatch(_fingerprint_from_header(header["fingerprint"]))
+    if isinstance(old_body, dict) and isinstance(body, dict):
+        return _changed_keys(old_body, body)
+    return [] if repr(old_body) == repr(body) else ["value"]
+
+
 @dataclass
 class RerecordOutcome:
-    """One scenario's before/after accounting from a provenance rerecord."""
+    """One pin's before/after accounting from a provenance rerecord."""
 
-    scenario: str
+    pin: str
     path: Path
     prior_combined: str
     new_combined: str
@@ -398,101 +739,102 @@ def rerecord_goldens(
     tag: Optional[str] = None,
     only: Optional[Sequence[str]] = None,
 ) -> list[RerecordOutcome]:
-    """Re-run each scenario and replace its golden, chaining provenance.
+    """Re-run each pin and replace its recording, chaining provenance.
 
-    For every selected scenario the existing golden *must* be present: its
-    fingerprint becomes the new header's ``provenance.prior``, is appended
-    to ``provenance.chain`` (oldest first), and the per-component
-    :meth:`RunFingerprint.explain_mismatch` summary is stored as
-    ``provenance.changed``.  Returns one :class:`RerecordOutcome` per
-    scenario for the migration report.
+    For every selected pin the existing recording *must* be present: its
+    combined digest (and, for a trace pin, its fingerprint) becomes the new
+    header's ``provenance.prior``, the digest is appended to
+    ``provenance.chain`` (oldest first), and what changed is stored as
+    ``provenance.changed``.  Returns one :class:`RerecordOutcome` per pin
+    for the migration report.
     """
     if not reason or not reason.strip():
         raise ValueError("rerecord requires a non-empty --reason")
-    directory = Path(directory)
     outcomes = []
-    for scenario in _select(only):
-        path = golden_path(directory, scenario.name)
+    for pin in _select(only):
+        path = golden_path(directory, pin.name)
         if not path.exists():
             raise ValueError(
-                f"no golden recorded at {path} — new scenarios are recorded "
+                f"no golden recorded at {path} — new pins are recorded "
                 f"with `python -m repro golden record`, not rerecord"
             )
-        old_header, old_events = load_golden(path, allow_old=True)
-        run = scenario.run(trace_tags=GOLDEN_TAGS)
-        prior_fp = _fingerprint_from_header(old_header["fingerprint"])
-        changed = prior_fp.explain_mismatch(run.fingerprint)
-        old_provenance = old_header.get("provenance") or {}
+        old_header, old_body = load_golden(path)
+        header, body = _record(pin)
+        changed = _changed(pin, old_header, old_body, header, body)
         provenance = {
             "format": PROVENANCE_FORMAT_VERSION,
             "reason": reason,
-            "prior": {
-                "combined": old_header["combined"],
-                "fingerprint": old_header["fingerprint"],
-            },
-            "chain": list(old_provenance.get("chain", [])) + [old_header["combined"]],
+            "prior": {k: old_header[k] for k in ("combined", "fingerprint") if k in old_header},
+            "chain": [*old_header["provenance"]["chain"], old_header["combined"]],
             "changed": changed,
         }
         if tag:
             provenance["tag"] = tag
-        save_golden(run, directory, provenance)
+        _write(path, {**header, "provenance": provenance}, body)
         outcomes.append(
             RerecordOutcome(
-                scenario=scenario.name,
+                pin=pin.name,
                 path=path,
                 prior_combined=old_header["combined"],
-                new_combined=run.fingerprint.value,
+                new_combined=header["combined"],
                 changed=changed,
-                old_metrics=scenario_metrics(
-                    old_header.get("requests", []), old_events
-                ),
-                new_metrics=scenario_metrics(run.request_rows, run.event_rows),
+                old_metrics=_metrics(pin, old_header, old_body),
+                new_metrics=_metrics(pin, header, body),
             )
         )
     return outcomes
 
 
-_REPORT_COLUMNS = (
-    # (metric key, column label, format)
-    ("mean_ttft", "mean TTFT (s)", "{:+.6f}"),
-    ("mean_tpot", "mean TPOT (s)", "{:+.6f}"),
-    ("makespan", "makespan (s)", "{:+.6f}"),
-    ("completed", "completed", "{:+d}"),
-    ("shed", "shed", "{:+d}"),
-    ("requeued", "requeued", "{:+d}"),
-)
+#: Changed keys listed per pin in a report or a failed check.
+_REPORT_KEYS = 12
+
+
+def _delta(old: Any, new: Any) -> str:
+    def short(v: Any) -> str:
+        text = repr(v)
+        return text if len(text) <= 24 else text[:20] + "..."
+
+    numbers = [v for v in (old, new) if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    if len(numbers) < 2:
+        return f"{short(old)} -> {short(new)}"
+    delta = new - old
+    rel = f" ({delta / old:+.3%})" if old else ""
+    change = f"{delta:+d}" if isinstance(delta, int) else f"{delta:+.6g}"
+    return f"{old:.9g} -> {new:.9g}  {change}{rel}"
+
+
+def _delta_lines(old: dict, new: dict) -> list[str]:
+    """One line per changed key of two flat dicts, numbers with their deltas."""
+    keys = _changed_keys(old, new)
+    lines = [
+        f"{key}  {_delta(old.get(key, _ABSENT), new.get(key, _ABSENT))}"
+        for key in keys[:_REPORT_KEYS]
+    ]
+    if len(keys) > _REPORT_KEYS:
+        lines.append(f"... and {len(keys) - _REPORT_KEYS} more changed key(s)")
+    return lines
 
 
 def render_migration_report(outcomes: Sequence[RerecordOutcome]) -> str:
-    """Human-readable per-scenario metric deltas from a rerecord.
+    """Human-readable per-pin deltas from a rerecord.
 
-    This is the artefact a reviewer reads instead of 19 hash diffs: what
-    each scenario's headline metrics did under the intentional change.
+    This is the artefact a reviewer reads instead of a stack of hash
+    diffs: what each pin's values did under the intentional change — the
+    headline metrics of a trace pin, the changed keys of a value pin.
     """
     lines = ["golden migration report", "======================="]
     changed_count = sum(not o.identical for o in outcomes)
     lines.append(
-        f"{len(outcomes)} scenario(s) re-recorded; "
+        f"{len(outcomes)} pin(s) re-recorded; "
         f"{changed_count} changed, {len(outcomes) - changed_count} byte-identical"
     )
     for o in outcomes:
         lines.append("")
         status = "unchanged" if o.identical else "changed: " + ", ".join(o.changed)
-        lines.append(f"{o.scenario}  [{status}]")
-        lines.append(f"    fingerprint {o.prior_combined[:12]} -> {o.new_combined[:12]}")
-        if o.identical:
-            continue
-        for key, label, fmt in _REPORT_COLUMNS:
-            old, new = o.old_metrics[key], o.new_metrics[key]
-            delta = new - old
-            if not delta:
-                continue
-            rel = f" ({delta / old:+.2%})" if isinstance(old, float) and old else ""
-            lines.append(
-                f"    {label:<14} {old:.6f} -> {new:.6f}  {fmt.format(delta)}{rel}"
-                if isinstance(old, float)
-                else f"    {label:<14} {old} -> {new}  {fmt.format(delta)}"
-            )
+        lines.append(f"{o.pin}  [{status}]")
+        lines.append(f"    digest {o.prior_combined[:12]} -> {o.new_combined[:12]}")
+        if not o.identical:
+            lines.extend(f"    {line}" for line in _delta_lines(o.old_metrics, o.new_metrics))
     return "\n".join(lines)
 
 
@@ -509,8 +851,11 @@ def _is_combined_digest(value: object) -> bool:
     )
 
 
-def validate_provenance(provenance: object) -> list[str]:
-    """Problems with one header's provenance block (empty list = valid)."""
+def validate_provenance(provenance: object, *, trace: bool = True) -> list[str]:
+    """Problems with one header's provenance block (empty list = valid).
+
+    A trace pin's prior also carries the replaced run fingerprint.
+    """
     if not isinstance(provenance, dict):
         return ["provenance block missing or not an object"]
     problems = []
@@ -541,14 +886,13 @@ def validate_provenance(provenance: object) -> list[str]:
     elif isinstance(prior, dict):
         if not _is_combined_digest(prior.get("combined")):
             problems.append("provenance prior.combined is not a digest")
-        if not isinstance(prior.get("fingerprint"), dict):
+        if trace and not isinstance(prior.get("fingerprint"), dict):
             problems.append("provenance prior.fingerprint missing")
-        elif chain is not None:
-            if not chain or chain[-1] != prior.get("combined"):
-                problems.append(
-                    "provenance chain does not end at prior.combined — the "
-                    "prior-fingerprint chain is broken"
-                )
+        elif chain is not None and (not chain or chain[-1] != prior.get("combined")):
+            problems.append(
+                "provenance chain does not end at prior.combined — the "
+                "prior-digest chain is broken"
+            )
     else:
         problems.append("provenance prior must be null or an object")
     return problems
@@ -557,34 +901,41 @@ def validate_provenance(provenance: object) -> list[str]:
 def validate_golden_store(
     directory: Path = DEFAULT_GOLDEN_DIR, only: Optional[Sequence[str]] = None
 ) -> list[str]:
-    """Validate every stored golden's format version and provenance header.
+    """Validate every stored pin's header against its body.
 
-    Cheap (no simulation): parses each file, checks the format version
-    matches, the provenance block is well-formed, its chain is intact, and
-    the header's event count matches the stored stream.  Returns a flat
-    list of ``"<scenario>: <problem>"`` strings; empty means the store is
-    auditable.
+    Cheap (no producer runs): parses each file, checks the format version,
+    that the provenance block is well-formed and its chain intact, and that
+    the header agrees with the stored body — a trace's event count, a
+    value's digest.  Returns a flat list of ``"<pin>: <problem>"`` strings;
+    empty means the store is auditable.
     """
     problems = []
-    for scenario in _select(only):
-        path = golden_path(Path(directory), scenario.name)
+    for pin in _select(only):
+        path = golden_path(directory, pin.name)
         if not path.exists():
-            problems.append(f"{scenario.name}: no golden recorded at {path}")
+            problems.append(f"{pin.name}: no golden recorded at {path}")
             continue
         try:
-            header, events = load_golden(path)
+            header, body = load_golden(path)
         except ValueError as exc:
-            problems.append(f"{scenario.name}: {exc}")
+            problems.append(f"{pin.name}: {exc}")
             continue
-        if header.get("events") != len(events):
+        trace = isinstance(pin, Cell)
+        if trace and header.get("events") != len(body):
             problems.append(
-                f"{scenario.name}: header says {header.get('events')} events, "
-                f"file holds {len(events)}"
+                f"{pin.name}: header says {header.get('events')} events, "
+                f"file holds {len(body)}"
             )
         if not _is_combined_digest(header.get("combined")):
-            problems.append(f"{scenario.name}: combined digest malformed")
+            problems.append(f"{pin.name}: combined digest malformed")
+        elif not trace and pin.digest(body) != header["combined"]:
+            problems.append(
+                f"{pin.name}: stored value does not hash to the header's combined "
+                f"digest — edited by hand?"
+            )
         problems.extend(
-            f"{scenario.name}: {p}" for p in validate_provenance(header.get("provenance"))
+            f"{pin.name}: {p}"
+            for p in validate_provenance(header.get("provenance"), trace=trace)
         )
     return problems
 
@@ -594,9 +945,9 @@ def validate_golden_store(
 
 @dataclass
 class GoldenDiff:
-    """Outcome of checking one scenario against its recorded golden."""
+    """Outcome of checking one pin against its recording."""
 
-    scenario: str
+    pin: str
     messages: list[str] = field(default_factory=list)
 
     @property
@@ -605,7 +956,7 @@ class GoldenDiff:
 
     def report(self) -> str:
         status = "ok" if self.passed else "DIVERGED"
-        lines = [f"[{status}] {self.scenario}"]
+        lines = [f"[{status}] {self.pin}"]
         lines.extend(f"    {m}" for m in self.messages)
         return "\n".join(lines)
 
@@ -661,26 +1012,25 @@ def _first_request_divergence(
     return None
 
 
-def diff_against_golden(path: Path, run: CellRun) -> GoldenDiff:
-    """Compare a fresh run against its stored golden file."""
-    diff = GoldenDiff(scenario=run.cell.name)
-    header, expected_events = load_golden(path)
-    if header["combined"] == run.fingerprint.value:
-        return diff
-
-    recorded = _fingerprint_from_header(header["fingerprint"])
-    components = recorded.explain_mismatch(run.fingerprint)
-    diff.messages.append(
-        "fingerprint mismatch in: " + (", ".join(components) or "combined digest")
-    )
-    event_diff = first_event_divergence(expected_events, run.event_rows)
+def _divergence(pin: Pin, header: dict, body: Any, new_header: dict, new_body: Any) -> list[str]:
+    """Why a fresh recording differs from the stored one (empty: it does not)."""
+    if header["combined"] == new_header["combined"]:
+        return []
+    changed = _changed(pin, header, body, new_header, new_body)
+    if not isinstance(pin, Cell):
+        return [
+            "value mismatch in: " + (", ".join(changed) or "digest"),
+            *_delta_lines(_flatten(body), _flatten(new_body)),
+        ]
+    messages = ["fingerprint mismatch in: " + (", ".join(changed) or "combined digest")]
+    event_diff = first_event_divergence(body, new_body)
     if event_diff is not None:
-        diff.messages.append(event_diff)
-    request_diff = _first_request_divergence(header.get("requests", []), run.request_rows)
+        messages.append(event_diff)
+    request_diff = _first_request_divergence(header.get("requests", []), new_header["requests"])
     if request_diff is not None:
-        diff.messages.append(request_diff)
-    if list(header.get("rng", [])) != list(run.rng_registry):
-        recorded_rng, actual_rng = set(header.get("rng", [])), set(run.rng_registry)
+        messages.append(request_diff)
+    if list(header.get("rng", [])) != new_header["rng"]:
+        recorded_rng, actual_rng = set(header.get("rng", [])), set(new_header["rng"])
         added = sorted(actual_rng - recorded_rng)
         removed = sorted(recorded_rng - actual_rng)
         parts = []
@@ -688,45 +1038,53 @@ def diff_against_golden(path: Path, run: CellRun) -> GoldenDiff:
             parts.append(f"new streams {added}")
         if removed:
             parts.append(f"vanished streams {removed}")
-        diff.messages.append(
-            "RNG stream registry changed: " + ("; ".join(parts) or "order changed")
-        )
-    return diff
+        messages.append("RNG stream registry changed: " + ("; ".join(parts) or "order changed"))
+    return messages
+
+
+def diff_against_golden(path: Path, run: CellRun) -> GoldenDiff:
+    """Compare a fresh trace run against its stored golden file."""
+    header, events = load_golden(path)
+    return GoldenDiff(
+        run.cell.name, _divergence(run.cell, header, events, _trace_header(run), run.event_rows)
+    )
 
 
 def check_goldens(
     directory: Path = DEFAULT_GOLDEN_DIR, only: Optional[Sequence[str]] = None
 ) -> list[GoldenDiff]:
-    """Re-run the matrix and diff each scenario against its golden file.
+    """Re-run every pin (or a named subset) and diff it against its recording.
 
-    Returns one :class:`GoldenDiff` per scenario; all ``passed`` means the
-    store is clean.  A missing golden file is reported as a failure (run
-    ``python -m repro golden record`` first).
+    Returns one :class:`GoldenDiff` per pin; all ``passed`` means the store
+    is clean.  A missing recording, or a producer that fails (a verb that
+    exits non-zero), is reported as a failure.
     """
     diffs = []
-    for scenario in _select(only):
-        path = golden_path(Path(directory), scenario.name)
+    for pin in _select(only):
+        diff = GoldenDiff(pin.name)
+        path = golden_path(directory, pin.name)
         if not path.exists():
-            diffs.append(
-                GoldenDiff(
-                    scenario=scenario.name,
-                    messages=[
-                        f"no golden recorded at {path} — run `python -m repro golden record`"
-                    ],
-                )
+            diff.messages.append(
+                f"no golden recorded at {path} — run `python -m repro golden record`"
             )
-            continue
-        diffs.append(diff_against_golden(path, scenario.run(trace_tags=GOLDEN_TAGS)))
+        else:
+            header, body = load_golden(path)
+            try:
+                diff.messages = _divergence(pin, header, body, *_record(pin))
+            except ValueError as exc:
+                diff.messages.append(f"producer failed: {exc}")
+        diffs.append(diff)
     return diffs
 
 
-def _select(only: Optional[Sequence[str]]) -> tuple[Cell, ...]:
+def _select(only: Optional[Sequence[str]]) -> tuple[Pin, ...]:
     if not only:
-        return GOLDEN_MATRIX
+        return PINS
     wanted = set(only)
-    selected = tuple(s for s in GOLDEN_MATRIX if s.name in wanted)
-    unknown = wanted - {s.name for s in selected}
+    selected = tuple(p for p in PINS if p.name in wanted)
+    unknown = wanted - {p.name for p in selected}
     if unknown:
-        known = ", ".join(s.name for s in GOLDEN_MATRIX)
-        raise ValueError(f"unknown golden scenario(s) {sorted(unknown)}; known: {known}")
+        raise ValueError(
+            f"unknown golden pin(s) {sorted(unknown)}; see `python -m repro golden list`"
+        )
     return selected

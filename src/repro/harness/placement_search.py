@@ -9,13 +9,10 @@ fit the node, run a short workload through each, and rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.harness.cell import Cell
 from repro.harness.runner import SYSTEM_NAMES
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.config import FleetShape
 
 
 @dataclass
@@ -95,46 +92,3 @@ def search_placement(
         )
     scores.sort(key=lambda s: (s.slo_attainment, s.goodput_per_gpu), reverse=True)
     return scores
-
-
-def plan_shape_placements(
-    shape: "FleetShape",
-    system: str = "windserve",
-    model: str = "opt-13b",
-    dataset: str = "sharegpt",
-    rate_per_gpu: float = 3.0,
-    num_requests: int = 120,
-    seed: int = 0,
-    gpu_budget: Optional[int] = None,
-) -> list[PlacementScore]:
-    """Best searched placement per fleet-shape member, member order.
-
-    Each distinct (GPU type, GPU budget) pair is searched once on that
-    member's own hardware; members sharing hardware share the result.
-    ``gpu_budget`` caps each member's search at that many GPUs (default:
-    the member's declared footprint), which is how the re-planner asks
-    "what would this member do with N more GPUs?".
-    """
-    cache: dict[tuple[str, int], PlacementScore] = {}
-    plans: list[PlacementScore] = []
-    for member in shape.members:
-        budget = gpu_budget or member.num_gpus
-        key = (member.gpu, budget)
-        if key not in cache:
-            scores = search_placement(
-                system,
-                model,
-                dataset,
-                rate_per_gpu,
-                num_requests=num_requests,
-                num_node_gpus=budget,
-                seed=seed,
-                gpu=member.gpu,
-            )
-            if not scores:
-                raise ValueError(
-                    f"no feasible placement for {member.gpu} within {budget} GPUs"
-                )
-            cache[key] = scores[0]
-        plans.append(cache[key])
-    return plans

@@ -98,12 +98,3 @@ def tier_slos(base: SLO) -> dict[str, SLO]:
     """Per-tier targets for every known tier, derived from one base SLO."""
     return {tier: tier_slo(base, tier) for tier in TIERS}
 
-
-def derive_tier_slos(
-    model: ModelSpec,
-    dataset: DatasetProfile,
-    decode_parallel: ParallelConfig,
-    gpu: GPUSpec = A800_80GB,
-) -> dict[str, SLO]:
-    """Apply the paper's SLO rule, then fan it out across the SLO tiers."""
-    return tier_slos(derive_slo(model, dataset, decode_parallel, gpu))

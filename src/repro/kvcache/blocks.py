@@ -89,10 +89,6 @@ class KVBlockManager:
         return self._gpu.used
 
     @property
-    def gpu_utilization(self) -> float:
-        return self._gpu.utilization
-
-    @property
     def free_gpu_tokens(self) -> int:
         return self._gpu.free * self.block_size
 

@@ -197,10 +197,6 @@ class FairShareClock:
         if start > self.virtual_time:
             self.virtual_time = start
 
-    def tenant_backlog(self, tenant: str) -> float:
-        """Virtual service this tenant is ahead of the clock by."""
-        return max(0.0, self._finish.get(tenant, 0.0) - self.virtual_time)
-
 
 class FairShareQueue:
     """A standalone min-key queue over :class:`FairShareClock` keys.

@@ -97,7 +97,6 @@ class ServingSystem:
         # shed / forget — O(1) per request, so always-on costs nothing.
         self._tenant_inflight: dict[str, int] = {}
         self._tenant_tokens: dict[str, int] = {}
-        self._submitted_by_tenant: dict[str, int] = {}
         self.finish_listeners.append(self._release_tenant_usage)
         self.halted = False
         # Scheduler-visible failure knowledge (filled at heartbeat
@@ -259,14 +258,6 @@ class ServingSystem:
             self._tenant_tokens.get(tenant, 0),
         )
 
-    def tenant_inflight(self) -> dict[str, int]:
-        """Unresolved request count per tenant (only non-zero entries)."""
-        return {t: n for t, n in self._tenant_inflight.items() if n}
-
-    def submitted_by_tenant(self) -> dict[str, int]:
-        """Total arrivals per tenant (conservation invariants read this)."""
-        return dict(self._submitted_by_tenant)
-
     def _charge_tenant_usage(self, request: Request) -> None:
         tenant = request.tenant
         self._tenant_inflight[tenant] = self._tenant_inflight.get(tenant, 0) + 1
@@ -408,9 +399,6 @@ class ServingSystem:
         self._submitted_by_tier[request.tier] = (
             self._submitted_by_tier.get(request.tier, 0) + 1
         )
-        self._submitted_by_tenant[request.tenant] = (
-            self._submitted_by_tenant.get(request.tenant, 0) + 1
-        )
         # The ledger includes the arriving request while admission runs, so
         # budget policies compare with strict ``>`` (admit up to the cap).
         self._charge_tenant_usage(request)
@@ -431,9 +419,6 @@ class ServingSystem:
         self.submitted -= 1
         self._submitted_by_tier[request.tier] = (
             self._submitted_by_tier.get(request.tier, 0) - 1
-        )
-        self._submitted_by_tenant[request.tenant] = (
-            self._submitted_by_tenant.get(request.tenant, 0) - 1
         )
         self._release_tenant_usage(request)
 

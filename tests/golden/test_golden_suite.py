@@ -1,11 +1,12 @@
-"""Tier-1 golden-suite check: every recorded scenario, in-process.
+"""Tier-1 pin-store check: every pin, in-process.
 
-Before this suite existed, byte-identity of the golden store was only
-enforced by the separate ``golden check`` CI step; an optimisation that
-perturbed a trace would pass the unit tests and fail a later pipeline
-stage.  Parameterising over :data:`~repro.harness.golden.GOLDEN_MATRIX`
-puts each scenario's diff directly into ``pytest``, one test per scenario,
-with the diff messages as the assertion text.
+Parameterising over :data:`~repro.harness.golden.PINS` puts each pin's
+diff directly into ``pytest``, one test per pin, with the diff messages as
+the assertion text.  A trace pin names its first diverging event; a value
+pin (a verb's ``--json`` report, a run's summary and counters, a search,
+the fleet layouts) names its changed keys.  A verb pin also fails when
+the verb exits non-zero, i.e. on any invariant violation or failed
+verdict.
 """
 
 from __future__ import annotations
@@ -14,22 +15,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.golden import GOLDEN_MATRIX, check_goldens, golden_path
+from repro.harness.golden import PINS, check_goldens, golden_path
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
 
 def test_matrix_matches_recorded_files():
-    """Every matrix entry has a recording and every recording is in the matrix."""
-    recorded = {p.stem for p in GOLDEN_DIR.glob("*.jsonl")}
-    expected = {s.name for s in GOLDEN_MATRIX}
-    assert recorded == expected
+    """Every pin has a recording and every recording is a pin."""
+    recorded = {p.name for p in GOLDEN_DIR.glob("*.json*")}
+    assert recorded == {golden_path(GOLDEN_DIR, pin.name).name for pin in PINS}
 
 
-@pytest.mark.parametrize("scenario", GOLDEN_MATRIX, ids=lambda s: s.name)
-def test_golden_scenario(scenario):
-    assert golden_path(GOLDEN_DIR, scenario.name).exists(), (
-        f"no golden recorded for {scenario.name} — run `python -m repro golden record`"
-    )
-    (diff,) = check_goldens(GOLDEN_DIR, only=[scenario.name])
+@pytest.mark.parametrize("pin", PINS, ids=lambda p: p.name)
+def test_golden_scenario(pin):
+    (diff,) = check_goldens(GOLDEN_DIR, only=[pin.name])
     assert diff.passed, "\n".join(diff.messages)

@@ -45,7 +45,7 @@ class TestStoreRoundTrip:
         assert header["rng"]  # the workload touched named streams
 
     def test_unknown_scenario_name_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown golden scenario"):
+        with pytest.raises(ValueError, match="unknown golden pin"):
             record_goldens(tmp_path, only=["no-such-scenario"])
 
     def test_missing_golden_reported_as_failure(self, tmp_path):

@@ -1,9 +1,9 @@
-"""Tests for the provenance-tracked golden re-record workflow (PR 8).
+"""Tests for the provenance-tracked pin re-record workflow.
 
-A golden store is only auditable if every re-record explains itself: the
-header must chain each replaced fingerprint, `golden check` must stay
-green on the refreshed store, and the migration report must surface the
-metric deltas a reviewer actually reads.
+A pin store is only auditable if every re-record explains itself: the
+header must chain each replaced digest, `golden check` must stay green on
+the refreshed store, and the migration report must surface the metric
+deltas a reviewer actually reads — for trace and value pins alike.
 """
 
 from __future__ import annotations
@@ -13,19 +13,20 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
+from repro.harness import golden
 from repro.harness.cell import Cell
 from repro.harness.golden import (
-    GOLDEN_FORMAT_VERSION,
     GOLDEN_MATRIX,
-    GOLDEN_TAGS,
+    PINS,
     PROVENANCE_FORMAT_VERSION,
+    ValuePin,
     check_goldens,
     golden_path,
     load_golden,
     record_goldens,
     render_migration_report,
     rerecord_goldens,
-    save_golden,
     scenario_metrics,
     validate_golden_store,
     validate_provenance,
@@ -33,9 +34,6 @@ from repro.harness.golden import (
 
 REPO_GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
-SMALL = Cell(
-    name="unit-small", system="windserve", rate_per_gpu=3.0, seed=0, num_requests=10
-)
 SMALL_NAME = GOLDEN_MATRIX[0].name  # matrix cell used for store-level verbs
 
 
@@ -99,20 +97,6 @@ class TestProvenanceRoundTrip:
         record_goldens(tmp_path, only=[SMALL_NAME])
         with pytest.raises(ValueError, match="reason"):
             rerecord_goldens(tmp_path, reason="   ", only=[SMALL_NAME])
-
-    def test_rerecord_migrates_old_format_versions(self, tmp_path):
-        """The rerecord path reads the previous format version — the store
-        migration this PR itself performed."""
-        path = save_golden(SMALL.run(trace_tags=GOLDEN_TAGS), tmp_path)
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["golden"] = GOLDEN_FORMAT_VERSION - 1
-        del header["provenance"]
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        with pytest.raises(ValueError, match="format version"):
-            load_golden(path)
-        migrated, _ = load_golden(path, allow_old=True)
-        assert migrated["golden"] == GOLDEN_FORMAT_VERSION - 1
 
 
 class TestValidation:
@@ -192,6 +176,79 @@ class TestMigrationReport:
         assert "byte-identical" in report
 
 
+@pytest.fixture
+def value_pin(monkeypatch):
+    """A cheap value pin, added to the store's pins, whose output the test
+    controls through ``state``; ``state["runs"]`` counts producer runs."""
+    state = {"mean_ttft": 0.5, "completed": 10, "runs": 0}
+
+    def produce():
+        state["runs"] += 1
+        return {
+            "summary": {"mean_ttft": state["mean_ttft"], "completed": state["completed"]},
+            "passed": True,
+        }
+
+    pin = ValuePin("unit-value", produce)
+    monkeypatch.setattr(golden, "PINS", (*PINS, pin))
+    return pin, state
+
+
+class TestValuePins:
+    def test_perturbed_producer_rerecords_with_chain_and_deltas(self, tmp_path, value_pin):
+        pin, state = value_pin
+        (path,) = record_goldens(tmp_path, only=[pin.name])
+        assert path.name == "unit-value.json"
+        old_header, _ = load_golden(path)
+        state.update(mean_ttft=0.75, completed=12)
+
+        (diff,) = check_goldens(tmp_path, only=[pin.name])
+        assert not diff.passed
+        assert diff.messages[0] == "value mismatch in: summary"
+
+        outcomes = rerecord_goldens(tmp_path, reason="perturbed producer", only=[pin.name])
+        header, value = load_golden(path)
+        provenance = header["provenance"]
+        assert provenance["reason"] == "perturbed producer"
+        assert provenance["prior"] == {"combined": old_header["combined"]}
+        assert provenance["chain"] == [old_header["combined"]]
+        assert provenance["changed"] == ["summary"]
+        assert value == {"summary": {"completed": 12, "mean_ttft": 0.75}, "passed": True}
+        assert header["combined"] == pin.digest(value)
+
+        report = render_migration_report(outcomes)
+        assert "unit-value  [changed: summary]" in report
+        assert "summary.mean_ttft  0.5 -> 0.75  +0.25 (+50.000%)" in report
+        assert "summary.completed  10 -> 12  +2 (+20.000%)" in report
+        assert "passed" not in report  # only the changed keys are listed
+        assert validate_golden_store(tmp_path, only=[pin.name]) == []
+        assert all(d.passed for d in check_goldens(tmp_path, only=[pin.name]))
+
+    def test_validate_flags_hand_edited_value_without_running(
+        self, tmp_path, value_pin, monkeypatch, capsys
+    ):
+        pin, state = value_pin
+        (path,) = record_goldens(tmp_path, only=[pin.name])
+        stored = REPO_GOLDEN_DIR / "run-gpu.json"
+        (tmp_path / stored.name).write_text(stored.read_text())
+        for edited in (path, tmp_path / stored.name):
+            doc = json.loads(edited.read_text())
+            doc["value"]["summary"]["completed"] += 1
+            edited.write_text(json.dumps(doc, indent=1) + "\n")
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("validate must not run a simulation")
+
+        monkeypatch.setattr(Cell, "run", no_simulation)
+        runs = state["runs"]
+        argv = ["golden", "validate", "--dir", str(tmp_path), "--only", pin.name]
+        assert main([*argv, "--only", "run-gpu"]) == 1
+        out = capsys.readouterr().out
+        for name in (pin.name, "run-gpu"):
+            assert f"{name}: stored value does not hash to the header's combined digest" in out
+        assert state["runs"] == runs
+
+
 class TestRepoStoreProvenance:
     """The checked-in store must carry valid provenance (PR-8 re-record)."""
 
@@ -199,7 +256,7 @@ class TestRepoStoreProvenance:
         assert validate_golden_store(REPO_GOLDEN_DIR) == []
 
     def test_repo_store_priors_are_chained(self):
-        for scenario in GOLDEN_MATRIX:
+        for scenario in PINS:
             header, _ = load_golden(golden_path(REPO_GOLDEN_DIR, scenario.name))
             provenance = header["provenance"]
             if provenance["prior"] is None:
