@@ -40,7 +40,7 @@ from repro.policies.base import policy_identity
 from repro.policies.fairshare import TenantRateLimiter
 from repro.policies.routing import ROUTING_POLICIES, member_load as _member_load
 from repro.serving.metrics import MetricsCollector
-from repro.serving.placement import Placement
+from repro.serving.placement import Placement, bind_tp_link
 from repro.serving.request import Phase, Request, tier_ordered
 from repro.serving.system import ServingSystem, SystemConfig
 from repro.sim.engine import Simulator
@@ -525,30 +525,6 @@ class ServingFleet:
         return sum(m.num_gpus for m in self.members)
 
 
-def group_link_gbps(cluster: ClusterTopology, group: tuple[int, ...]) -> float:
-    """Worst pairwise path bottleneck inside a TP group, in GiB/s."""
-    worst = float("inf")
-    for i in range(len(group)):
-        for j in range(i + 1, len(group)):
-            path = cluster.path(group[i], group[j])
-            worst = min(worst, path.bottleneck_bytes_per_s / 1024**3)
-    return worst
-
-
-def parallel_with_link(
-    cluster: ClusterTopology, cfg: ParallelConfig, group: tuple[int, ...]
-) -> ParallelConfig:
-    """Bind a parallel config to its GPU group's real TP link bandwidth."""
-    if cfg.tp == 1:
-        return cfg
-    return ParallelConfig(
-        tp=cfg.tp,
-        pp=cfg.pp,
-        tp_link_gbps=group_link_gbps(cluster, group),
-        tp_efficiency=cfg.tp_efficiency,
-    )
-
-
 def cluster_for_shape(
     shape: FleetShape,
     pairs_per_node: int = 2,
@@ -709,8 +685,8 @@ def build_windserve_fleet(
         placement = Placement(
             prefill_gpus=prefill_gpus[i],
             decode_gpus=decode_gpus[i],
-            prefill_parallel=parallel_with_link(cluster, p_cfg, prefill_gpus[i]),
-            decode_parallel=parallel_with_link(cluster, d_cfg, decode_gpus[i]),
+            prefill_parallel=bind_tp_link(cluster, p_cfg, prefill_gpus[i]),
+            decode_parallel=bind_tp_link(cluster, d_cfg, decode_gpus[i]),
         )
         # A shaped member's decode device is whatever its decode node hosts.
         extra = {} if shape is None else {"decode_gpu": cluster.gpu_spec_of(decode_gpus[i][0])}

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.hardware.gpu import A800_80GB, gpu_key
 from repro.models.parallelism import ParallelConfig
-from repro.serving.placement import Placement
+from repro.serving.placement import Placement, bind_tp_link
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.fleet import ServingFleet
@@ -74,7 +74,7 @@ class FleetReplanner:
 
     def on_member_failure(self, fleet: "ServingFleet", dead_index: int) -> None:
         """Re-plan the first eligible survivor onto spare home GPUs."""
-        from repro.core.fleet import GpuLedger, parallel_with_link
+        from repro.core.fleet import GpuLedger
 
         cluster = fleet.cluster
         if cluster is None:
@@ -124,8 +124,8 @@ class FleetReplanner:
             placement = Placement(
                 prefill_gpus=prefill_gpus,
                 decode_gpus=decode_gpus,
-                prefill_parallel=parallel_with_link(cluster, p_cfg, prefill_gpus),
-                decode_parallel=parallel_with_link(cluster, d_cfg, decode_gpus),
+                prefill_parallel=bind_tp_link(cluster, p_cfg, prefill_gpus),
+                decode_parallel=bind_tp_link(cluster, d_cfg, decode_gpus),
             )
             old_label = member.placement.label()
             requeued = fleet.replan_member(index, placement)

@@ -10,7 +10,9 @@ choices DistServe's placement simulation makes on this hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
+from repro.hardware.cluster import ClusterTopology
 from repro.hardware.topology import NodeTopology
 from repro.models.parallelism import ParallelConfig
 
@@ -62,22 +64,23 @@ def _tp_groups(topology: NodeTopology, tp: int, count: int, taken: set[int]) -> 
     return groups
 
 
-def _tp_link_gbps(topology: NodeTopology, group: tuple[int, ...]) -> float:
-    """Bandwidth of the slowest link inside a TP group."""
-    if len(group) == 1:
-        return float("inf")
-    worst = float("inf")
-    for i in range(len(group)):
-        for j in range(i + 1, len(group)):
-            path = topology.path(group[i], group[j])
-            worst = min(worst, path.bottleneck_bytes_per_s / 1024**3)
-    return worst
+def bind_tp_link(
+    topology: NodeTopology | ClusterTopology, cfg: ParallelConfig, gpus: Sequence[int]
+) -> ParallelConfig:
+    """Bind a config to its worst per-stage TP-group link, in GiB/s.
 
-
-def _with_link(cfg: ParallelConfig, link: float) -> ParallelConfig:
-    """Bind a TP config to its group's slowest link (TP-1 stays as given)."""
-    if cfg.tp == 1 or link == float("inf"):
+    Pipeline stage ``k`` runs on ``gpus[k * tp:(k + 1) * tp]``; only GPUs
+    inside one stage exchange all-reduces, so the link between stages never
+    prices TP.  TP-1 stays as given.
+    """
+    if cfg.tp == 1:
         return cfg
+    link = min(
+        topology.path(a, b).bottleneck_bytes_per_s / 1024**3
+        for start in range(0, len(gpus), cfg.tp)
+        for i, a in enumerate(gpus[start : start + cfg.tp])
+        for b in gpus[start + i + 1 : start + cfg.tp]
+    )
     return ParallelConfig(
         tp=cfg.tp, pp=cfg.pp, tp_link_gbps=link, tp_efficiency=cfg.tp_efficiency
     )
@@ -114,14 +117,11 @@ def plan_pd_placement(
 
     prefill_gpus = tuple(g for grp in prefill_groups for g in grp)
     decode_gpus = tuple(g for grp in decode_groups for g in grp)
-    p_link = min(_tp_link_gbps(topology, grp) for grp in prefill_groups)
-    d_link = min(_tp_link_gbps(topology, grp) for grp in decode_groups)
-
     return Placement(
         prefill_gpus=prefill_gpus,
         decode_gpus=decode_gpus,
-        prefill_parallel=_with_link(prefill_parallel, p_link),
-        decode_parallel=_with_link(decode_parallel, d_link),
+        prefill_parallel=bind_tp_link(topology, prefill_parallel, prefill_gpus),
+        decode_parallel=bind_tp_link(topology, decode_parallel, decode_gpus),
     )
 
 
@@ -138,6 +138,5 @@ def plan_colocated_placement(
         for _stage in range(parallel.pp):
             groups += _tp_groups(topology, parallel.tp, 1, taken)
         gpus = tuple(g for grp in groups for g in grp)
-        link = min(_tp_link_gbps(topology, grp) for grp in groups)
-        replicas.append((gpus, _with_link(parallel, link)))
+        replicas.append((gpus, bind_tp_link(topology, parallel, gpus)))
     return replicas

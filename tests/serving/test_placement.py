@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.hardware.cluster import ClusterTopology
 from repro.hardware.topology import NodeTopology
 from repro.models.parallelism import ParallelConfig
 from repro.serving.placement import (
     PlacementError,
+    bind_tp_link,
     plan_colocated_placement,
     plan_pd_placement,
 )
@@ -81,3 +83,23 @@ class TestColocatedPlacement:
         topo = NodeTopology(num_gpus=4)
         with pytest.raises(PlacementError):
             plan_colocated_placement(topo, ParallelConfig(tp=2), 3)
+
+
+class TestBindTpLink:
+    def test_pp_stages_do_not_price_the_link_between_them(self):
+        """GPUs 0-1 and 2-3 are NVLink pairs joined by PCIe: a TP-2xPP-2
+        instance on them all-reduces over NVLink only."""
+        cluster = ClusterTopology(num_nodes=1, gpus_per_node=8)
+        cfg = bind_tp_link(cluster, ParallelConfig(tp=2, pp=2), (0, 1, 2, 3))
+        nvlink = bind_tp_link(cluster, ParallelConfig(tp=2), (0, 1)).tp_link_gbps
+        assert cfg.tp_link_gbps == nvlink > 100
+        assert (cfg.tp, cfg.pp) == (2, 2)
+
+    def test_one_pcie_stage_prices_the_whole_instance(self):
+        cluster = ClusterTopology(num_nodes=1, gpus_per_node=8)
+        cfg = bind_tp_link(cluster, ParallelConfig(tp=2, pp=2), (0, 1, 2, 4))
+        assert cfg.tp_link_gbps < 100
+
+    def test_tp1_keeps_its_config(self):
+        cfg = ParallelConfig(tp=1, pp=2)
+        assert bind_tp_link(ClusterTopology(num_nodes=1), cfg, (0, 1)) is cfg
