@@ -34,6 +34,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, field
+from itertools import permutations, product
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -396,22 +397,16 @@ def _fleet_layouts() -> dict:
     }
     shapes = ("a800,h100,a800", "a800:2,h100:2", "a800:1:1x1+1x1,h100", "h100:2:2x1+2x2")
     cases = {f"golden:{c.name}": (c.build,) for c in GOLDEN_MATRIX if c.is_fleet}
-    for system in ("windserve", "distserve"):
-        for nodes in (1, 2, 3):
-            for pairs in (1, 2):
-                for span in (False, True):
-                    for par, (prefill, decode) in parallelisms.items():
-                        key = f"{system}:n{nodes}:p{pairs}:span={span}:{par}"
-                        cases[key] = (homogeneous, system, nodes, pairs, span, prefill, decode)
-    for spec in shapes:
-        for pairs in (1, 2):
-            for span in (False, True):
-                cases[f"shape:{spec}:p{pairs}:span={span}"] = (shaped, spec, pairs, span)
-    for first in range(3):
-        cases[f"replan:{first}"] = (replan, first)
-        for second in range(3):
-            if second != first:
-                cases[f"replan:{first},{second}"] = (replan, first, second)
+    for system, nodes, pairs, span, par in product(
+        ("windserve", "distserve"), (1, 2, 3), (1, 2), (False, True), parallelisms
+    ):
+        cases[f"{system}:n{nodes}:p{pairs}:span={span}:{par}"] = (
+            homogeneous, system, nodes, pairs, span, *parallelisms[par]
+        )
+    for spec, pairs, span in product(shapes, (1, 2), (False, True)):
+        cases[f"shape:{spec}:p{pairs}:span={span}"] = (shaped, spec, pairs, span)
+    for deaths in (*permutations(range(3), 1), *permutations(range(3), 2)):
+        cases["replan:" + ",".join(map(str, deaths))] = (replan, *deaths)
 
     layouts = {}
     for key, (build, *args) in cases.items():
