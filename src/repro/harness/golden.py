@@ -34,6 +34,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations, product
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
@@ -354,14 +355,13 @@ def _layout(fleet) -> list[dict]:
     ]
 
 
-def _fleet_layouts() -> dict:
-    """Every fleet layout the builders and the re-planner produce, by case.
+def fleet_layout_cases() -> dict[str, Callable[[], Any]]:
+    """Every fleet the layout pin records, by case: a zero-argument builder.
 
     Cases: the fleet goldens; homogeneous WindServe/DistServe fleets over
     node counts, pairs per node, span mode and three parallelisms; shaped
     fleets; and hetero-s15 with one or two members failed under the
-    re-planner.  An input the builder rejects is recorded as
-    ``"ValueError"``.
+    re-planner.
     """
 
     def config() -> SystemConfig:
@@ -396,25 +396,30 @@ def _fleet_layouts() -> dict:
         "tp2pp2/tp1": ((2, 2), (1, 1)),
     }
     shapes = ("a800,h100,a800", "a800:2,h100:2", "a800:1:1x1+1x1,h100", "h100:2:2x1+2x2")
-    cases = {f"golden:{c.name}": (c.build,) for c in GOLDEN_MATRIX if c.is_fleet}
+    cases = {f"golden:{c.name}": c.build for c in GOLDEN_MATRIX if c.is_fleet}
     for system, nodes, pairs, span, par in product(
         ("windserve", "distserve"), (1, 2, 3), (1, 2), (False, True), parallelisms
     ):
-        cases[f"{system}:n{nodes}:p{pairs}:span={span}:{par}"] = (
+        cases[f"{system}:n{nodes}:p{pairs}:span={span}:{par}"] = partial(
             homogeneous, system, nodes, pairs, span, *parallelisms[par]
         )
     for spec, pairs, span in product(shapes, (1, 2), (False, True)):
-        cases[f"shape:{spec}:p{pairs}:span={span}"] = (shaped, spec, pairs, span)
+        cases[f"shape:{spec}:p{pairs}:span={span}"] = partial(shaped, spec, pairs, span)
     for deaths in (*permutations(range(3), 1), *permutations(range(3), 2)):
-        cases["replan:" + ",".join(map(str, deaths))] = (replan, *deaths)
+        cases["replan:" + ",".join(map(str, deaths))] = partial(replan, *deaths)
+    return cases
 
-    layouts = {}
-    for key, (build, *args) in cases.items():
-        try:
-            layouts[key] = _layout(build(*args))
-        except ValueError:
-            layouts[key] = "ValueError"
-    return layouts
+
+def fleet_layout(build: Callable[[], Any]) -> Union[list, str]:
+    """One case's layout, or ``"ValueError"`` if the builder rejects it."""
+    try:
+        return _layout(build())
+    except ValueError:
+        return "ValueError"
+
+
+def _fleet_layouts() -> dict:
+    return {key: fleet_layout(build) for key, build in fleet_layout_cases().items()}
 
 
 _FLEET_TIERS = "interactive=0.25,standard=0.5,best_effort=0.25"
