@@ -11,9 +11,9 @@ identical outputs for identical seeds.  This module pins that down.  A
   tag-filtered event per line.  A failed check names the first diverging
   event (time, component, tag, payload delta).
 - **value** pins (:data:`VALUE_PINS`): a CLI verb's ``--json`` report, a
-  run's summary and counters, a search result, or the fleet GPU layouts,
-  stored whole as readable JSON.  A failed check names the changed keys
-  and their deltas.
+  run's summary and counters, a search result, or the fleet and
+  single-system GPU layouts, stored whole as readable JSON.  A failed
+  check names the changed keys and their deltas.
 
 Both kinds share one header: format version, combined digest, and a
 **provenance** block.  ``python -m repro golden check`` re-runs every
@@ -44,13 +44,16 @@ from repro.core.config import FleetShape, WindServeConfig
 from repro.core.fleet import build_windserve_fleet
 from repro.core.replan import FleetReplanner
 from repro.hardware.cluster import ClusterTopology
+from repro.hardware.gpu import get_gpu
+from repro.hardware.topology import NodeTopology
 from repro.harness.capacity import find_capacity
 from repro.harness.cell import Cell, CellRun
-from repro.harness.placement_search import search_placement
+from repro.harness.placement_search import DEFAULT_CANDIDATES, search_placement
 from repro.harness.runner import SYSTEM_NAMES
 from repro.models.parallelism import ParallelConfig
 from repro.models.registry import get_model
 from repro.serving.instance import InstanceConfig
+from repro.serving.placement import PlacementError, plan_colocated_placement, plan_pd_placement
 from repro.serving.system import SystemConfig
 from repro.sim.fingerprint import RunFingerprint, canonical_json
 
@@ -331,19 +334,16 @@ def _ranking(scores) -> list:
     return [[s.label(), s.slo_attainment, s.goodput_per_gpu] for s in scores]
 
 
+def _placed(gpus, p: ParallelConfig) -> dict:
+    """One instance's GPU ids, TP, PP and bound TP link bandwidth."""
+    return {"gpus": list(gpus), "tp": p.tp, "pp": p.pp, "tp_link_gbps": p.tp_link_gbps}
+
+
 def _layout(fleet) -> list[dict]:
-    """Per member: its name, and each instance's GPU ids, type, TP, PP and
-    bound TP link bandwidth."""
+    """Per member: its name, and each instance's placement and GPU type."""
 
     def instance(inst) -> dict:
-        p = inst.parallel
-        return {
-            "gpus": list(inst.gpus),
-            "gpu": inst.gpu.name,
-            "tp": p.tp,
-            "pp": p.pp,
-            "tp_link_gbps": p.tp_link_gbps,
-        }
+        return {**_placed(inst.gpus, inst.parallel), "gpu": inst.gpu.name}
 
     return [
         {
@@ -420,6 +420,43 @@ def fleet_layout(build: Callable[[], Any]) -> Union[list, str]:
 
 def _fleet_layouts() -> dict:
     return {key: fleet_layout(build) for key, build in fleet_layout_cases().items()}
+
+
+def _placement_layouts() -> dict:
+    """Single-system layouts on 2/4/8-GPU nodes of three GPU types: a P/D
+    pair per placement candidate, and 1-4 colocated replicas of TP-1, TP-2
+    and TP-2xPP-2; ``"PlacementError"`` where the planner rejects one."""
+
+    def record(plan: Callable[[], Any]) -> Any:
+        try:
+            return plan()
+        except PlacementError:
+            return "PlacementError"
+
+    def pd(node, p, d) -> dict:
+        pl = plan_pd_placement(node, ParallelConfig(*p), ParallelConfig(*d))
+        return {
+            "prefill": _placed(pl.prefill_gpus, pl.prefill_parallel),
+            "decode": _placed(pl.decode_gpus, pl.decode_parallel),
+        }
+
+    def colocated(node, par, replicas) -> list:
+        return [
+            _placed(*r) for r in plan_colocated_placement(node, ParallelConfig(*par), replicas)
+        ]
+
+    layouts = {}
+    for gpu, n in product(("a800-80gb", "h100-80gb", "rtx-4090"), (2, 4, 8)):
+        node = NodeTopology(get_gpu(gpu), num_gpus=n)
+        for (ptp, ppp), (dtp, dpp) in DEFAULT_CANDIDATES:
+            layouts[f"pd:{gpu}:{n}:{ptp}x{ppp}+{dtp}x{dpp}"] = record(
+                partial(pd, node, (ptp, ppp), (dtp, dpp))
+            )
+        for (tp, pp), replicas in product(((1, 1), (2, 1), (2, 2)), range(1, 5)):
+            layouts[f"colocated:{gpu}:{n}:{tp}x{pp}*{replicas}"] = record(
+                partial(colocated, node, (tp, pp), replicas)
+            )
+    return layouts
 
 
 _FLEET_TIERS = "interactive=0.25,standard=0.5,best_effort=0.25"
@@ -514,6 +551,7 @@ VALUE_PINS: tuple[ValuePin, ...] = (
         ),
     ),
     ValuePin("fleet-layouts", _fleet_layouts),
+    ValuePin("placement-layouts", _placement_layouts),
 )
 
 Pin = Union[Cell, ValuePin]
