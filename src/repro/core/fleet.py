@@ -40,7 +40,7 @@ from repro.policies.base import policy_identity
 from repro.policies.fairshare import TenantRateLimiter
 from repro.policies.routing import ROUTING_POLICIES, member_load as _member_load
 from repro.serving.metrics import MetricsCollector
-from repro.serving.placement import Placement, bind_tp_link
+from repro.serving.placement import GpuLedger, Placement, bind_placement
 from repro.serving.request import Phase, Request, tier_ordered
 from repro.serving.system import ServingSystem, SystemConfig
 from repro.sim.engine import Simulator
@@ -317,13 +317,7 @@ class ServingFleet:
 
     # -- failure-reactive re-planning ------------------------------------------
 
-    def replan_member(
-        self,
-        index: int,
-        placement: Placement,
-        prefill_gpu=None,
-        decode_gpu=None,
-    ) -> int:
+    def replan_member(self, index: int, placement: Placement) -> int:
         """Rebuild a *surviving* member onto a new placement.
 
         Conservation rides the existing crash-requeue path: the member
@@ -347,9 +341,7 @@ class ServingFleet:
             if not r.finished and r.phase is not Phase.SHED
         ]
         self._assignments[index] = []
-        member.rebuild_placement(
-            placement, prefill_gpu=prefill_gpu, decode_gpu=decode_gpu
-        )
+        member.rebuild_placement(placement)
         member.restart()
         self.replanned_members += 1
         self._invalidate_eligible()
@@ -535,7 +527,9 @@ def cluster_for_shape(
 
     Member ``i`` homes on node ``i // pairs_per_node``; every member homed
     on one node must share a GPU type (``ClusterTopology`` models one
-    device type per node) and the node must fit their combined GPUs.
+    device type per node).  Whether the members fit is the
+    :class:`~repro.serving.placement.GpuLedger`'s call when the fleet claims
+    its GPUs: in span mode a member's decode block sits on the next node.
     """
     if pairs_per_node < 1:
         raise ValueError("pairs_per_node must be >= 1")
@@ -550,12 +544,6 @@ def cluster_for_shape(
                 "on one node must share a type (reorder the shape or lower "
                 "pairs_per_node)"
             )
-        needed = sum(m.num_gpus for m in homed)
-        if needed > gpus_per_node:
-            raise ValueError(
-                f"node {node} cannot host {needed} GPUs "
-                f"(gpus_per_node={gpus_per_node})"
-            )
         node_gpus.append(get_gpu(homed[0].gpu))
     return ClusterTopology(
         num_nodes=num_nodes,
@@ -563,41 +551,6 @@ def cluster_for_shape(
         nic_gbps=nic_gbps,
         node_gpus=node_gpus,
     )
-
-
-class GpuLedger:
-    """The GPU ids taken in one cluster; every fleet placement claims here.
-
-    A claim takes a node's lowest free ids, so members claiming in order
-    pack each node front to back.  Ids are only ever taken or free: a dead
-    member keeps its GPUs (it rejoins on its original placement).
-    """
-
-    def __init__(self, cluster: ClusterTopology, taken: Iterable[int] = ()) -> None:
-        self.cluster = cluster
-        self.taken: set[int] = set(taken)
-
-    def free_on(self, node: int) -> list[int]:
-        """The node's free GPU ids, ascending."""
-        base = node * self.cluster.gpus_per_node
-        return [
-            g for g in range(base, base + self.cluster.gpus_per_node) if g not in self.taken
-        ]
-
-    def claim(self, node: int, count: int, label: str) -> tuple[int, ...]:
-        """Take the node's ``count`` lowest free ids for ``label``."""
-        free = self.free_on(node)
-        if count > len(free):
-            raise ValueError(
-                f"node {node} cannot host {label} ({count} GPUs, {len(free)} free "
-                f"of {self.cluster.gpus_per_node})"
-            )
-        gpus = tuple(free[:count])
-        self.taken.update(gpus)
-        return gpus
-
-    def release(self, gpus: Iterable[int]) -> None:
-        self.taken.difference_update(gpus)
 
 
 def build_windserve_fleet(
@@ -624,12 +577,13 @@ def build_windserve_fleet(
     :func:`cluster_for_shape`) or must match the shape's per-node GPU types.
 
     Either way member ``i`` homes on node ``i // pairs_per_node`` and its
-    GPUs come from one :class:`GpuLedger`: each member claims its prefill
-    block, then its decode block, on its home node.  With ``span_nodes``,
-    every member first claims its prefill block at home, then each claims
-    its decode block on node ``(home+1) % num_nodes`` — every KV hand-off
-    then crosses the RDMA NICs, which is what makes ``nic:<k>`` fault
-    targets bite.
+    GPUs come from one :class:`~repro.serving.placement.GpuLedger`, at
+    each node's lowest free ids: each member claims its prefill block,
+    then its decode block, on its home node.  With ``span_nodes``, every
+    member first claims its prefill block at home, then each claims its
+    decode block on node ``(home+1) % num_nodes`` — every KV hand-off then
+    crosses the RDMA NICs, which is what makes ``nic:<k>`` fault targets
+    bite.
 
     All pairs share the cluster's simulator and links.  ``system_factory``
     swaps in a different P/D member system type (e.g. ``DistServeSystem``)
@@ -682,12 +636,7 @@ def build_windserve_fleet(
     factory = system_factory or partial(WindServeSystem, ws_config=ws_config)
     members: list[ServingSystem] = []
     for i, (member_config, p_cfg, d_cfg) in enumerate(specs):
-        placement = Placement(
-            prefill_gpus=prefill_gpus[i],
-            decode_gpus=decode_gpus[i],
-            prefill_parallel=bind_tp_link(cluster, p_cfg, prefill_gpus[i]),
-            decode_parallel=bind_tp_link(cluster, d_cfg, decode_gpus[i]),
-        )
+        placement = bind_placement(cluster, prefill_gpus[i], decode_gpus[i], p_cfg, d_cfg)
         # A shaped member's decode device is whatever its decode node hosts.
         extra = {} if shape is None else {"decode_gpu": cluster.gpu_spec_of(decode_gpus[i][0])}
         member = factory(member_config, placement=placement, topology=cluster, sim=sim, **extra)

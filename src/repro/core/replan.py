@@ -4,12 +4,12 @@ When the fleet's heartbeat sweep declares a member dead, the survivors are
 suddenly over-subscribed — and on a heterogeneous fleet the lost capacity
 may be the *fast* kind (trade a lost H100 for two surviving A800s).  The
 :class:`FleetReplanner` reacts by widening one surviving member onto its
-home node's spare (never-assigned) GPUs: it re-runs the placement search
-over the slowest eligible survivor's aggregate GPU budget, picks a
-strictly-wider placement, and rebuilds that one member through
-:meth:`~repro.core.fleet.ServingFleet.replan_member` — which drains and
-re-queues the member's in-flight work through the existing crash-requeue
-path, so conservation invariants hold by construction.
+home node's spare (never-assigned) GPUs: it picks the widest
+strictly-wider shape among the placement candidates that fits the slowest
+eligible survivor's aggregate GPU budget, and rebuilds that one member
+through :meth:`~repro.core.fleet.ServingFleet.replan_member` — which
+drains and re-queues the member's in-flight work through the existing
+crash-requeue path, so conservation invariants hold by construction.
 
 Dead members' GPUs are deliberately **never** reclaimed: a crashed member
 rejoins with its original placement once its fault window closes, so only
@@ -18,64 +18,30 @@ spare slots on the survivors' own home nodes are up for grabs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
-from repro.hardware.gpu import A800_80GB, gpu_key
 from repro.models.parallelism import ParallelConfig
-from repro.serving.placement import Placement, bind_tp_link
+from repro.serving.placement import PLACEMENT_CANDIDATES, GpuLedger, bind_placement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.fleet import ServingFleet
-
-#: (prefill (tp, pp), decode (tp, pp)) shapes the re-planner may widen to.
-#: Mirrors harness.placement_search.DEFAULT_CANDIDATES (kept literal here
-#: so the core layer does not import the harness outside search mode).
-DEFAULT_REPLAN_CANDIDATES: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
-    ((1, 1), (1, 1)),
-    ((2, 1), (1, 1)),
-    ((1, 1), (2, 1)),
-    ((2, 1), (2, 1)),
-    ((2, 2), (2, 1)),
-    ((2, 1), (2, 2)),
-    ((2, 2), (2, 2)),
-)
-
-
-@dataclass(frozen=True)
-class ReplanConfig:
-    """Knobs of the failure-reactive re-planner."""
-
-    #: Candidate (prefill, decode) parallelism shapes.
-    candidates: tuple = DEFAULT_REPLAN_CANDIDATES
-    #: Rank candidates by short simulation (harness.placement_search)
-    #: instead of the analytic widest-fit ordering.  Costs a nested
-    #: simulation per replan, so it is off by default.
-    search: bool = False
-    search_requests: int = 60
-    search_dataset: str = "sharegpt"
-    search_model: str = "opt-13b"
-    search_rate_per_gpu: float = 3.0
 
 
 class FleetReplanner:
     """Widens surviving members over spare GPUs when a member dies."""
 
-    def __init__(self, config: Optional[ReplanConfig] = None) -> None:
-        self.config = config or ReplanConfig()
+    def __init__(self) -> None:
         #: One record per executed replan (time, member, placements).
         self.replans: list[dict] = []
 
     def identity(self) -> str:
         """Fingerprint identity of this replanner's decision procedure."""
-        return "search" if self.config.search else "greedy"
+        return "greedy"
 
     # -- the reaction ---------------------------------------------------------
 
     def on_member_failure(self, fleet: "ServingFleet", dead_index: int) -> None:
         """Re-plan the first eligible survivor onto spare home GPUs."""
-        from repro.core.fleet import GpuLedger
-
         cluster = fleet.cluster
         if cluster is None:
             return
@@ -121,12 +87,7 @@ class FleetReplanner:
             ledger.release(own)
             prefill_gpus = ledger.claim(node, p_cfg.num_gpus, f"{member.name}'s prefill")
             decode_gpus = ledger.claim(node, d_cfg.num_gpus, f"{member.name}'s decode")
-            placement = Placement(
-                prefill_gpus=prefill_gpus,
-                decode_gpus=decode_gpus,
-                prefill_parallel=bind_tp_link(cluster, p_cfg, prefill_gpus),
-                decode_parallel=bind_tp_link(cluster, d_cfg, decode_gpus),
-            )
+            placement = bind_placement(cluster, prefill_gpus, decode_gpus, p_cfg, d_cfg)
             old_label = member.placement.label()
             requeued = fleet.replan_member(index, placement)
             self.replans.append(
@@ -152,7 +113,7 @@ class FleetReplanner:
         cur_p = member.placement.prefill_parallel.num_gpus
         cur_d = member.placement.decode_parallel.num_gpus
         out = []
-        for p_par, d_par in self.config.candidates:
+        for p_par, d_par in PLACEMENT_CANDIDATES:
             p = p_par[0] * p_par[1]
             d = d_par[0] * d_par[1]
             if p + d > budget or p < cur_p or d < cur_d or p + d <= cur_p + cur_d:
@@ -166,10 +127,6 @@ class FleetReplanner:
         eligible = self._eligible_candidates(member, budget)
         if not eligible:
             return None
-        if self.config.search:
-            ranked = self._search_rank(member, budget, eligible)
-            if ranked is not None:
-                return ranked
         # Analytic greedy: widest total, then decode-heavy (decode is the
         # IO-bound side that absorbs the re-routed backlog), then prefill.
         return max(
@@ -180,29 +137,3 @@ class FleetReplanner:
                 c[0][0] * c[0][1],
             ),
         )
-
-    def _search_rank(
-        self, member, budget: int, eligible: Sequence
-    ) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
-        """Rank the eligible candidates by short simulation."""
-        from repro.harness.placement_search import search_placement
-        from repro.harness.runner import SYSTEM_NAMES
-
-        cfg = self.config
-        system = type(member).name
-        if system not in SYSTEM_NAMES:
-            system = "windserve"
-        scores = search_placement(
-            system,
-            cfg.search_model,
-            cfg.search_dataset,
-            cfg.search_rate_per_gpu,
-            candidates=list(eligible),
-            num_requests=cfg.search_requests,
-            num_node_gpus=budget,
-            gpu=gpu_key(member.instances[0].gpu if member.instances else A800_80GB),
-        )
-        if not scores:
-            return None
-        best = scores[0]
-        return (best.prefill_parallel, best.decode_parallel)

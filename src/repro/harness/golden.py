@@ -48,12 +48,17 @@ from repro.hardware.gpu import get_gpu
 from repro.hardware.topology import NodeTopology
 from repro.harness.capacity import find_capacity
 from repro.harness.cell import Cell, CellRun
-from repro.harness.placement_search import DEFAULT_CANDIDATES, search_placement
+from repro.harness.placement_search import search_placement
 from repro.harness.runner import SYSTEM_NAMES
 from repro.models.parallelism import ParallelConfig
 from repro.models.registry import get_model
 from repro.serving.instance import InstanceConfig
-from repro.serving.placement import PlacementError, plan_colocated_placement, plan_pd_placement
+from repro.serving.placement import (
+    PLACEMENT_CANDIDATES,
+    PlacementError,
+    plan_colocated_placement,
+    plan_pd_placement,
+)
 from repro.serving.system import SystemConfig
 from repro.sim.fingerprint import RunFingerprint, canonical_json
 
@@ -448,7 +453,7 @@ def _placement_layouts() -> dict:
     layouts = {}
     for gpu, n in product(("a800-80gb", "h100-80gb", "rtx-4090"), (2, 4, 8)):
         node = NodeTopology(get_gpu(gpu), num_gpus=n)
-        for (ptp, ppp), (dtp, dpp) in DEFAULT_CANDIDATES:
+        for (ptp, ppp), (dtp, dpp) in PLACEMENT_CANDIDATES:
             layouts[f"pd:{gpu}:{n}:{ptp}x{ppp}+{dtp}x{dpp}"] = record(
                 partial(pd, node, (ptp, ppp), (dtp, dpp))
             )

@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 from repro.harness.cell import Cell
 from repro.harness.runner import SYSTEM_NAMES
+from repro.serving.placement import PLACEMENT_CANDIDATES
 
 
 @dataclass
@@ -28,17 +29,6 @@ class PlacementScore:
     def label(self) -> str:
         p, d = self.prefill_parallel, self.decode_parallel
         return f"[TP-{p[0]}, PP-{p[1]} | TP-{d[0]}, PP-{d[1]}]"
-
-
-DEFAULT_CANDIDATES: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
-    ((1, 1), (1, 1)),
-    ((2, 1), (1, 1)),
-    ((1, 1), (2, 1)),
-    ((2, 1), (2, 1)),
-    ((2, 2), (2, 1)),
-    ((2, 1), (2, 2)),
-    ((2, 2), (2, 2)),
-)
 
 
 def search_placement(
@@ -71,7 +61,7 @@ def search_placement(
         gpu=gpu,
     )
     scores: list[PlacementScore] = []
-    for prefill_par, decode_par in candidates or DEFAULT_CANDIDATES:
+    for prefill_par, decode_par in candidates or PLACEMENT_CANDIDATES:
         cell = replace(base, prefill_parallel=prefill_par, decode_parallel=decode_par)
         if cell.gpus_used > num_node_gpus:
             continue

@@ -52,7 +52,7 @@ class TestConstruction:
         fleet = make_fleet()
         assert len({id(m.sim) for m in fleet.members}) == 1
 
-    def test_tp_groups_keep_nvlink(self):
+    def test_tp_pairs_keep_nvlink(self):
         fleet = make_fleet()
         for member in fleet.members:
             assert member.placement.prefill_parallel.tp_link_gbps > 100

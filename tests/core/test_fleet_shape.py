@@ -11,6 +11,7 @@ from repro.core.autoscaler import (
 )
 from repro.core.config import FleetShape, MemberShape
 from repro.core.fleet import build_windserve_fleet, cluster_for_shape
+from repro.hardware.cluster import ClusterTopology
 from repro.hardware.gpu import A800_80GB, H100_80GB
 from repro.models.registry import get_model
 from repro.serving.metrics import SLO
@@ -93,7 +94,22 @@ class TestClusterForShape:
 
     def test_member_too_wide_for_node_rejected(self):
         with pytest.raises(ValueError, match="GPUs"):
-            cluster_for_shape(FleetShape.parse("a800:1:4x2+4x2"), pairs_per_node=1)
+            build_windserve_fleet(make_config(), shape=FleetShape.parse("a800:1:4x2+4x2"))
+
+    def test_span_layout_that_fits_is_built(self):
+        """Node 0 homes 10 GPUs of prefill and decode, but in span mode
+        the decode blocks move to the next node: 7 GPUs on each node."""
+        shape = FleetShape.parse("a800:1:2x2+2x2,a800:3:1x1+1x1")
+
+        def layout(cluster=None):
+            fleet = build_windserve_fleet(
+                make_config(), cluster, pairs_per_node=2, span_nodes=True, shape=shape
+            )
+            return [(m.prefill_instance.gpus, m.decode_instance.gpus) for m in fleet.members]
+
+        expected = [((0, 1, 2, 3), (10, 11, 12, 13)), ((4,), (14,)), ((8,), (5,)), ((9,), (6,))]
+        assert layout(ClusterTopology(num_nodes=2, gpus_per_node=8)) == expected
+        assert layout() == expected
 
 
 class TestShapedConstruction:

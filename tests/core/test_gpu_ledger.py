@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import FleetShape
-from repro.core.fleet import GpuLedger, build_windserve_fleet
-from repro.core.replan import DEFAULT_REPLAN_CANDIDATES
+from repro.core.fleet import build_windserve_fleet
 from repro.hardware.cluster import ClusterTopology
 from repro.hardware.gpu import get_gpu
+from repro.hardware.topology import NodeTopology
 from repro.models.parallelism import ParallelConfig
 from repro.models.registry import get_model
+from repro.serving.placement import PLACEMENT_CANDIDATES, GpuLedger, PlacementError
 from repro.serving.system import SystemConfig
 
 
@@ -41,6 +42,24 @@ class TestGpuLedger:
             ledger.claim(0, 2, "b")
         assert ledger.free_on(0) == [3]  # a failed claim takes nothing
 
+    def test_overflow_is_a_placement_error(self):
+        ledger = GpuLedger(NodeTopology(num_gpus=2))
+        with pytest.raises(PlacementError, match="node 0 cannot host a"):
+            ledger.claim(0, 3, "a")
+
+    def test_node_topology_is_a_one_node_cluster(self):
+        ledger = GpuLedger(NodeTopology(num_gpus=4), taken=(1,))
+        assert ledger.free_on(0) == [0, 2, 3]
+
+    def test_nvlink_pair_option_takes_the_first_free_bridge_pair(self):
+        ledger = GpuLedger(ClusterTopology(num_nodes=2, gpus_per_node=8), taken=(8,))
+        assert ledger.claim(1, 2, "a", nvlink_pair=True) == (10, 11)
+        assert ledger.claim(1, 2, "b") == (9, 12)  # the default: lowest free
+
+    def test_nvlink_pair_option_falls_back_without_bridges(self):
+        ledger = GpuLedger(NodeTopology(get_gpu("rtx-4090"), num_gpus=4), taken=(0,))
+        assert ledger.claim(0, 2, "a", nvlink_pair=True) == (1, 2)
+
 
 def test_span_prefill_overflow_rejected():
     """Two 4-GPU prefill blocks homed on a 4-GPU node must not spill onto
@@ -60,7 +79,7 @@ def _spec(gpu: str, parallel) -> str:
     return f"{gpu}:1:{ptp}x{ppp}+{dtp}x{dpp}"
 
 
-MEMBER = st.tuples(st.sampled_from(("a800", "h100")), st.sampled_from(DEFAULT_REPLAN_CANDIDATES))
+MEMBER = st.tuples(st.sampled_from(("a800", "h100")), st.sampled_from(PLACEMENT_CANDIDATES))
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import FleetShape
 from repro.core.fleet import build_windserve_fleet
-from repro.core.replan import FleetReplanner, ReplanConfig
+from repro.core.replan import FleetReplanner
 from repro.harness.invariants import check_kv_lifecycle, check_run
 from repro.models.registry import get_model
 from repro.serving.metrics import SLO
@@ -20,7 +20,7 @@ from repro.workloads.trace import generate_trace
 MIXED = "a800:1:1x1+1x1,h100:1:2x1+2x1,a800:1:1x1+1x1"
 
 
-def make_fleet(shape=MIXED, replan=True, **replan_kwargs):
+def make_fleet(shape=MIXED, replan=True):
     fleet = build_windserve_fleet(
         SystemConfig(model=get_model("opt-13b"), slo=SLO(ttft=0.25, tpot=0.1)),
         pairs_per_node=1,
@@ -28,9 +28,7 @@ def make_fleet(shape=MIXED, replan=True, **replan_kwargs):
         shape=FleetShape.parse(shape),
     )
     if replan:
-        fleet.replanner = FleetReplanner(
-            ReplanConfig(**replan_kwargs) if replan_kwargs else None
-        )
+        fleet.replanner = FleetReplanner()
     return fleet
 
 
@@ -152,7 +150,6 @@ class TestDoubleFault:
 class TestReplannerPolicy:
     def test_identity(self):
         assert FleetReplanner().identity() == "greedy"
-        assert FleetReplanner(ReplanConfig(search=True)).identity() == "search"
 
     def test_identity_stamped_into_fleet_policy(self):
         fleet = make_fleet()

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.placement_search import DEFAULT_CANDIDATES, search_placement
+from repro.harness.placement_search import search_placement
+from repro.serving.placement import PLACEMENT_CANDIDATES
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,7 @@ class TestSearch:
     def test_all_fitting_candidates_evaluated(self, scores):
         fitting = [
             c
-            for c in DEFAULT_CANDIDATES
+            for c in PLACEMENT_CANDIDATES
             if c[0][0] * c[0][1] + c[1][0] * c[1][1] <= 8
         ]
         assert len(scores) == len(fitting)

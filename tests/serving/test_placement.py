@@ -27,6 +27,12 @@ class TestPDPlacement:
         p = plan_pd_placement(topo, ParallelConfig(tp=2), ParallelConfig(tp=2))
         assert p.prefill_parallel.tp_link_gbps > 100  # NVLink, not PCIe
 
+    def test_tp1_tp2_leaves_gpu1_for_the_decode_pair(self):
+        """Decode TP-2 skips GPU 1 to take the bridge pair (2, 3)."""
+        p = plan_pd_placement(NodeTopology(num_gpus=8), ParallelConfig(tp=1), ParallelConfig(tp=2))
+        assert (p.prefill_gpus, p.decode_gpus) == ((0,), (2, 3))
+        assert p.decode_parallel.tp_link_gbps > 100  # NVLink, not PCIe
+
     def test_tp2_tp1(self):
         topo = NodeTopology(num_gpus=4)
         p = plan_pd_placement(topo, ParallelConfig(tp=2), ParallelConfig(tp=1))
