@@ -1,4 +1,4 @@
-"""The fleet GPU ledger: claim rule, overflow rejection, layout properties."""
+"""The GPU ledger: claim rule, bridge-pair option, overflow rejection, layout properties."""
 
 from __future__ import annotations
 
