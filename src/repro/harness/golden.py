@@ -268,6 +268,34 @@ GOLDEN_MATRIX: tuple[Cell, ...] = (
         fleet_shape="a800:1:1x1+1x1,h100:1:2x1+2x1,a800:1:1x1+1x1",
         fleet_replan=True,
     ),
+    # Fault paths no cell above reaches: a host-link stall under memory
+    # pressure (swap traffic rides the stalled PCIe path), and the two
+    # NIC-carrying fleet plans on node-spanning members.
+    Cell(
+        name="windserve-chaos-hoststall-s16",
+        rate_per_gpu=3.5,
+        seed=16,
+        num_requests=50,
+        kv_override_tokens=4096,
+        decode_parallel=(1, 1),
+        fault_plan="host-stall",
+    ),
+    Cell(
+        name="fleet-chaos-nicdegrade-s17",
+        rate_per_gpu=2.0,
+        seed=17,
+        fault_plan="nic-degrade",
+        fleet_nodes=2,
+        fleet_span_nodes=True,
+    ),
+    Cell(
+        name="fleet-chaos-mixed-s18",
+        rate_per_gpu=2.0,
+        seed=18,
+        fault_plan="fleet-mixed",
+        fleet_nodes=3,
+        fleet_span_nodes=True,
+    ),
 )
 
 
