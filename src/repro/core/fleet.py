@@ -15,8 +15,8 @@ transfers and swaps contend on real links.
 The fleet also owns the cluster-scope failure story.  Failure *truth* and
 failure *knowledge* are separated exactly as inside a single system:
 ``crash_member`` kills a member (its KV is freed, its callbacks go inert)
-without telling the router; a :class:`~repro.faults.detection.
-FleetHeartbeatMonitor` later calls ``notice_member_failure``, which marks
+without telling the router; the fleet's :class:`~repro.faults.detection.
+HeartbeatMonitor` later calls ``notice_member_failure``, which marks
 the member dead, sweeps its queues, and re-routes every unfinished
 assignment to the surviving members — counting the retries that landed on
 a different node.  ``fail_member`` (the test/manual entry point) is just
@@ -234,23 +234,10 @@ class ServingFleet:
         # work, so the requeues land on the widened placements.
         if self.replanner is not None:
             self.replanner.on_member_failure(self, index)
-        lost = [
-            r
-            for r in self._assignments[index]
-            if not r.finished and r.phase is not Phase.SHED
-        ]
-        self._assignments[index] = []
+        lost = self._take_unfinished(index)
         src_nodes = self.member_nodes(index)
-        # Highest SLO tier first: interactive work re-routes (and claims
-        # surviving capacity) before best-effort.  The sort is stable, so
-        # single-tier fleets re-route in the exact pre-tier order.
-        lost = tier_ordered(lost)
         for request in lost:
-            member.forget_arrival(request)
-            request.reset_for_retry()
-            self.retried += 1
-            self.retried_by_tier[request.tier] += 1
-            destination = self.submit(request)
+            destination = self._requeue(member, request)
             if destination < 0:
                 continue  # the retry shed at the rate-limit gateway
             if self.member_nodes(destination) != src_nodes:
@@ -290,17 +277,11 @@ class ServingFleet:
         if index not in self.crashed:
             return
         member = self.members[index]
-        undetected = index not in self.failed
         lost: list[Request] = []
-        if undetected:
+        if index not in self.failed:
             for instance in member.instances:
                 instance.sweep_waiting()
-            lost = [
-                r
-                for r in self._assignments[index]
-                if not r.finished and r.phase is not Phase.SHED
-            ]
-            self._assignments[index] = []
+            lost = self._take_unfinished(index)
         self.crashed.discard(index)
         self.failed.discard(index)
         self._invalidate_eligible()
@@ -308,12 +289,37 @@ class ServingFleet:
         self.metrics.record_fault_event("member-rejoin", member.name, self.sim.now)
         self.trace.emit(self.sim.now, "fleet", "member-rejoin", member=member.name)
         self.on_member_restart(index)
-        for request in tier_ordered(lost):
-            member.forget_arrival(request)
-            request.reset_for_retry()
-            self.retried += 1
-            self.retried_by_tier[request.tier] += 1
-            self.submit(request)
+        for request in lost:
+            self._requeue(member, request)
+
+    # -- re-routing a member's unfinished work ---------------------------------
+
+    def _take_unfinished(self, index: int) -> list[Request]:
+        """Clear a member's assignments; return the unfinished, unshed ones.
+
+        Highest SLO tier first: interactive work re-routes (and claims
+        surviving capacity) before best-effort.  The sort is stable, so
+        single-tier fleets re-route in the exact pre-tier order.
+        """
+        lost = [
+            r
+            for r in self._assignments[index]
+            if not r.finished and r.phase is not Phase.SHED
+        ]
+        self._assignments[index] = []
+        return tier_ordered(lost)
+
+    def _requeue(self, member: ServingSystem, request: Request) -> int:
+        """Move one request off ``member`` and route it again.
+
+        Returns the destination index, or ``-1`` if the retry shed at the
+        rate-limit gateway.
+        """
+        member.forget_arrival(request)
+        request.reset_for_retry()
+        self.retried += 1
+        self.retried_by_tier[request.tier] += 1
+        return self.submit(request)
 
     # -- failure-reactive re-planning ------------------------------------------
 
@@ -335,12 +341,7 @@ class ServingFleet:
             raise RuntimeError(f"{member.name} does not support re-planning")
         old_label = member.placement.label()
         member.crash()
-        lost = [
-            r
-            for r in self._assignments[index]
-            if not r.finished and r.phase is not Phase.SHED
-        ]
-        self._assignments[index] = []
+        lost = self._take_unfinished(index)
         member.rebuild_placement(placement)
         member.restart()
         self.replanned_members += 1
@@ -353,13 +354,9 @@ class ServingFleet:
             member=member.name,
             placement=placement.label(),
         )
-        for request in tier_ordered(lost):
-            member.forget_arrival(request)
-            request.reset_for_retry()
-            self.retried += 1
-            self.retried_by_tier[request.tier] += 1
+        for request in lost:
             self.replan_requeues += 1
-            destination = self.submit(request)
+            destination = self._requeue(member, request)
             if destination < 0:
                 continue  # the retry shed at the rate-limit gateway
             self.trace.emit(

@@ -1,12 +1,14 @@
 """Heartbeat-based failure detection.
 
-The global scheduler cannot observe ``Instance.failed`` directly — a real
-coordinator only sees missed heartbeats.  :class:`HeartbeatMonitor` ticks
-at a fixed interval; after ``miss_threshold`` consecutive missed beats it
-calls ``system.notice_failure(instance)``, which is when routing,
+The global scheduler cannot observe a crash directly — a real coordinator
+only sees missed heartbeats.  :class:`HeartbeatMonitor` ticks at a fixed
+interval over the units of a serving system (its instances) or of a fleet
+(its members); after ``miss_threshold`` consecutive missed beats it
+declares the unit failed — ``system.notice_failure(instance)`` or
+``fleet.notice_member_failure(index)`` — which is when routing,
 re-queueing, and shedding react.  The window between the crash and the
 declaration is exactly the period in which requests can still be routed at
-a dead instance — the latency the resilience metrics measure.
+a dead unit — the latency the resilience metrics measure.
 
 The monitor is bounded: it stops ticking after ``until`` so
 ``Simulator.run_until_idle`` still terminates.
@@ -14,110 +16,51 @@ The monitor is bounded: it stops ticking after ``until`` so
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.fleet import ServingFleet
-    from repro.serving.system import ServingSystem
+from repro.faults.targets import scope_of
 
 
 class HeartbeatMonitor:
-    """Declares instance failures from missed heartbeats."""
+    """Declares instance or fleet-member failures from missed heartbeats."""
 
-    def __init__(
-        self,
-        system: "ServingSystem",
-        interval_s: float,
-        miss_threshold: int,
-    ) -> None:
+    def __init__(self, target, interval_s: float, miss_threshold: int) -> None:
         if interval_s <= 0:
             raise ValueError("heartbeat interval must be positive")
         if miss_threshold < 1:
             raise ValueError("miss threshold must be >= 1")
-        self.system = system
+        self.target = target
+        self.scope = scope_of(target)
         self.interval_s = interval_s
         self.miss_threshold = miss_threshold
-        self._last_beat: dict[str, float] = {}
-        self._until = 0.0
-        self._started = False
-
-    def start(self, until: float) -> None:
-        """Begin ticking; the monitor self-terminates after ``until``."""
-        self._until = until
-        if self._started:
-            return
-        self._started = True
-        for instance in self.system.instances:
-            self._last_beat[instance.name] = self.system.sim.now
-        self.system.sim.schedule(self.interval_s, self._tick)
-
-    def _tick(self) -> None:
-        system = self.system
-        now = system.sim.now
-        if system.halted:
-            return
-        stale_after = self.miss_threshold * self.interval_s
-        for instance in system.instances:
-            if not instance.failed:
-                self._last_beat[instance.name] = now
-                continue
-            last = self._last_beat.get(instance.name, now)
-            if now - last >= stale_after - 1e-12:
-                system.notice_failure(instance)
-        if now + self.interval_s <= self._until + 1e-9:
-            system.sim.schedule(self.interval_s, self._tick)
-
-
-class FleetHeartbeatMonitor:
-    """Declares fleet-member failures from missed member heartbeats.
-
-    The cluster-scope twin of :class:`HeartbeatMonitor`: the router never
-    reads a member's crash state directly — after ``miss_threshold``
-    consecutive missed beats this monitor calls
-    ``fleet.notice_member_failure(index)``, which is when the fleet
-    re-routes the member's in-flight requests and the autoscaler promotes
-    standby capacity.
-    """
-
-    def __init__(
-        self,
-        fleet: "ServingFleet",
-        interval_s: float,
-        miss_threshold: int,
-    ) -> None:
-        if interval_s <= 0:
-            raise ValueError("heartbeat interval must be positive")
-        if miss_threshold < 1:
-            raise ValueError("miss threshold must be >= 1")
-        self.fleet = fleet
-        self.interval_s = interval_s
-        self.miss_threshold = miss_threshold
+        # Last beat per unit position; a unit not yet heard from counts
+        # from the moment the monitor started.
         self._last_beat: dict[int, float] = {}
+        self._started_at: float | None = None
         self._until = 0.0
-        self._started = False
 
     def start(self, until: float) -> None:
         """Begin ticking; the monitor self-terminates after ``until``."""
         self._until = until
-        if self._started:
+        if self._started_at is not None:
             return
-        self._started = True
-        for index in range(len(self.fleet.members)):
-            self._last_beat[index] = self.fleet.sim.now
-        self.fleet.sim.schedule(self.interval_s, self._tick)
+        self._started_at = self.target.sim.now
+        self.target.sim.schedule(self.interval_s, self._tick)
 
     def _tick(self) -> None:
-        fleet = self.fleet
-        now = fleet.sim.now
+        sim = self.target.sim
+        now = sim.now
+        watched = self.scope.watch()
+        if watched is None:
+            return
+        units, declared = watched
+        down_attr = self.scope.down_attr
+        last_beat = self._last_beat
         stale_after = self.miss_threshold * self.interval_s
-        for index, member in enumerate(fleet.members):
-            if not member.halted:
-                self._last_beat[index] = now
-                continue
-            if index in fleet.failed:
-                continue
-            last = self._last_beat.get(index, now)
-            if now - last >= stale_after - 1e-12:
-                fleet.notice_member_failure(index)
+        for key, unit in enumerate(units):
+            if not getattr(unit, down_attr):
+                last_beat[key] = now
+            elif key not in declared and (
+                now - last_beat.get(key, self._started_at) >= stale_after - 1e-12
+            ):
+                self.scope.notice(key, unit)
         if now + self.interval_s <= self._until + 1e-9:
-            fleet.sim.schedule(self.interval_s, self._tick)
+            sim.schedule(self.interval_s, self._tick)

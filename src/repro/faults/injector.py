@@ -2,36 +2,32 @@
 
 Arming a plan schedules each injection with ``Simulator.call_at``, so fault
 timing participates in ordinary event ordering and the run stays
-deterministic and fingerprintable.  Crash events flow through
-``Instance.fail()`` / ``Instance.recover()`` plus the system's crash
-bookkeeping; link faults mutate the topology's link parameters (degradation)
-or install outage windows in the transfer engine's
-:class:`~repro.faults.links.LinkFaultModel` (loss).  Arming a non-empty plan
-also starts the heartbeat monitor, bounded past the plan horizon so the
-drain loop still terminates.
+deterministic and fingerprintable.  The target is one serving system or a
+whole fleet; its :mod:`~repro.faults.targets` scope resolves event targets
+and makes the crash and restart calls (``Instance.fail()`` /
+``recover()`` plus the system's crash bookkeeping, or a fleet member's
+``crash_member`` / ``restart_member``).  Link faults mutate the links'
+parameters (degradation) or install outage windows in every transfer
+engine's :class:`~repro.faults.links.LinkFaultModel` (loss).  Arming a
+non-empty plan also starts the heartbeat monitor, bounded past the plan
+horizon so the drain loop still terminates.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.faults.detection import FleetHeartbeatMonitor, HeartbeatMonitor
+from repro.faults.detection import HeartbeatMonitor
 from repro.faults.links import LinkFaultModel
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.fleet import ServingFleet
-    from repro.hardware.interconnect import Link
-    from repro.serving.instance import Instance
-    from repro.serving.system import ServingSystem
+from repro.faults.targets import scope_of
 
 
 class FaultInjector:
-    """Arms one fault plan against one serving system."""
+    """Arms one fault plan against a serving system or a fleet."""
 
-    def __init__(self, system: "ServingSystem", plan: FaultPlan) -> None:
-        self.system = system
+    def __init__(self, target, plan: FaultPlan) -> None:
+        self.target = target
         self.plan = plan
+        self.scope = scope_of(target)
         self.monitor: HeartbeatMonitor | None = None
         # LINK_DEGRADE/HOST_STALL restore state, keyed per event.
         self._saved_links: dict[int, dict[str, tuple[float, float]]] = {}
@@ -46,183 +42,7 @@ class FaultInjector:
         self._armed = True
         if not self.plan.events:
             return
-        sim = self.system.sim
-        for index, event in enumerate(self.plan.events):
-            if event.kind is FaultKind.INSTANCE_CRASH:
-                sim.call_at(event.time, self._crash, event)
-                sim.call_at(event.end, self._recover, event)
-            elif event.kind is FaultKind.STRAGGLER:
-                sim.call_at(event.time, self._apply_straggler, event)
-                sim.call_at(event.end, self._clear_straggler, event)
-            elif event.kind in (FaultKind.LINK_DEGRADE, FaultKind.HOST_STALL):
-                sim.call_at(event.time, self._apply_link_degrade, event, index)
-                sim.call_at(event.end, self._clear_link_degrade, event, index)
-            elif event.kind is FaultKind.LINK_OUTAGE:
-                self._install_outage(event)
-                sim.call_at(event.time, self._emit, "fault-inject", event)
-                sim.call_at(event.end, self._emit, "fault-clear", event)
-            else:  # pragma: no cover - exhaustive over FaultKind
-                raise ValueError(f"unhandled fault kind {event.kind}")
-        self._start_monitor()
-
-    def _start_monitor(self) -> None:
-        res = self.system.config.resilience
-        self.monitor = HeartbeatMonitor(
-            self.system, res.heartbeat_interval_s, res.heartbeat_miss_threshold
-        )
-        until = self.plan.horizon + res.detection_delay_s + 2 * res.heartbeat_interval_s
-        self.monitor.start(until)
-
-    # -- target resolution ------------------------------------------------------
-
-    def _instance(self, target: str) -> "Instance":
-        system = self.system
-        for instance in system.instances:
-            if instance.name == target:
-                return instance
-        if target == "prefill":
-            return getattr(system, "prefill_instance", system.instances[0])
-        if target == "decode":
-            return getattr(system, "decode_instance", system.instances[-1])
-        raise ValueError(
-            f"fault target {target!r} matches no instance of {system.name!r} "
-            f"(known: {[i.name for i in system.instances]})"
-        )
-
-    def _links(self, target: str) -> list["Link"]:
-        system = self.system
-        topology = system.topology
-        if target.startswith("host:"):
-            instance = self._instance(target.split(":", 1)[1])
-            links = {}
-            for gpu in instance.gpus:
-                for link in topology.host_path(gpu).links:
-                    links[link.name] = link
-            return list(links.values())
-        if target == "pd":
-            instances = system.instances
-            if len(instances) >= 2:
-                src, dst = instances[0], instances[-1]
-                links = {}
-                for s in src.gpus:
-                    for d in dst.gpus:
-                        for link in topology.path(s, d).links:
-                            links[link.name] = link
-                return list(links.values())
-            # Single-instance systems: the swap path is the only KV traffic.
-            return self._links(f"host:{instances[0].name}")
-        raise ValueError(f"unknown link fault target {target!r}")
-
-    # -- crash / recover --------------------------------------------------------
-
-    def _crash(self, event: FaultEvent) -> None:
-        instance = self._instance(event.target)
-        if instance.failed or self.system.halted:
-            return
-        self._emit("fault-inject", event)
-        lost = instance.fail()
-        self.system.register_crash(instance, lost)
-
-    def _recover(self, event: FaultEvent) -> None:
-        instance = self._instance(event.target)
-        if not instance.failed or self.system.halted:
-            return
-        self._emit("fault-clear", event)
-        instance.recover()
-
-    # -- stragglers -------------------------------------------------------------
-
-    def _apply_straggler(self, event: FaultEvent) -> None:
-        instance = self._instance(event.target)
-        instance.compute_slowdown = event.magnitude
-        self.system.metrics.record_fault_event(
-            "straggler", instance.name, self.system.sim.now
-        )
-        self._emit("fault-inject", event)
-
-    def _clear_straggler(self, event: FaultEvent) -> None:
-        instance = self._instance(event.target)
-        instance.compute_slowdown = 1.0
-        self._emit("fault-clear", event)
-
-    # -- link degradation / host stalls ----------------------------------------
-
-    def _apply_link_degrade(self, event: FaultEvent, index: int) -> None:
-        saved: dict[str, tuple[float, float]] = {}
-        for link in self._links(event.target):
-            saved[link.name] = (link.efficiency, link.latency_s)
-            link.efficiency *= event.magnitude
-            link.latency_s += event.extra_latency_s
-        self._saved_links[index] = saved
-        self.system.metrics.record_fault_event(
-            event.kind.value, event.target, self.system.sim.now
-        )
-        self._emit("fault-inject", event)
-
-    def _clear_link_degrade(self, event: FaultEvent, index: int) -> None:
-        saved = self._saved_links.pop(index, {})
-        for link in self._links(event.target):
-            if link.name in saved:
-                link.efficiency, link.latency_s = saved[link.name]
-        self._emit("fault-clear", event)
-
-    # -- link outages -----------------------------------------------------------
-
-    def _install_outage(self, event: FaultEvent) -> None:
-        engine = self.system.transfers
-        if engine.fault_model is None:
-            engine.fault_model = LinkFaultModel()
-        for link in self._links(event.target):
-            engine.fault_model.add_outage(link.name, event.time, event.end)
-        self.system.metrics.record_fault_event(event.kind.value, event.target, event.time)
-
-    # -- trace -------------------------------------------------------------------
-
-    def _emit(self, tag: str, event: FaultEvent) -> None:
-        self.system.trace.emit(
-            self.system.sim.now,
-            "fault-injector",
-            tag,
-            kind=event.kind.value,
-            target=event.target,
-            magnitude=event.magnitude,
-        )
-
-
-class FleetFaultInjector:
-    """Arms one fault plan against a :class:`~repro.core.fleet.ServingFleet`.
-
-    Fleet plans speak cluster-scope targets:
-
-    * ``member:<name-or-index>`` — crash/restart one fleet member (both of
-      its instances at once) or make it straggle;
-    * ``node:<k>`` — correlated crash of every member with a GPU on node
-      ``k``;
-    * ``nic:<k>`` — degrade or black out node ``k``'s RDMA NIC, which every
-      cross-node KV hand-off and migration rides.
-
-    Arming a non-empty plan also starts the fleet heartbeat monitor, so a
-    crashed member's requests are re-routed only after detection — exactly
-    the knowledge/truth split the single-system injector enforces.
-    """
-
-    def __init__(self, fleet: "ServingFleet", plan: FaultPlan) -> None:
-        self.fleet = fleet
-        self.plan = plan
-        self.monitor: FleetHeartbeatMonitor | None = None
-        self._saved_links: dict[int, dict[str, tuple[float, float]]] = {}
-        self._armed = False
-
-    # -- arming ---------------------------------------------------------------
-
-    def arm(self) -> None:
-        """Schedule every injection and start fleet failure detection."""
-        if self._armed:
-            raise RuntimeError("fault plan already armed")
-        self._armed = True
-        if not self.plan.events:
-            return
-        sim = self.fleet.sim
+        sim = self.target.sim
         for index, event in enumerate(self.plan.events):
             if event.kind is FaultKind.INSTANCE_CRASH:
                 sim.call_at(event.time, self._crash, event)
@@ -242,121 +62,92 @@ class FleetFaultInjector:
         self._start_monitor()
 
     def _start_monitor(self) -> None:
-        res = self.fleet.members[0].config.resilience
-        self.monitor = FleetHeartbeatMonitor(
-            self.fleet, res.heartbeat_interval_s, res.heartbeat_miss_threshold
+        res = self.scope.systems()[0].config.resilience
+        self.monitor = HeartbeatMonitor(
+            self.target, res.heartbeat_interval_s, res.heartbeat_miss_threshold
         )
         until = self.plan.horizon + res.detection_delay_s + 2 * res.heartbeat_interval_s
         self.monitor.start(until)
 
-    # -- target resolution ------------------------------------------------------
-
-    def _members(self, target: str) -> list[int]:
-        fleet = self.fleet
-        if target.startswith("member:"):
-            key = target.split(":", 1)[1]
-            for index, member in enumerate(fleet.members):
-                if member.name == key:
-                    return [index]
-            if key.isdigit() and int(key) < len(fleet.members):
-                return [int(key)]
-            raise ValueError(
-                f"fault target {target!r} matches no fleet member "
-                f"(known: {[m.name for m in fleet.members]})"
-            )
-        if target.startswith("node:"):
-            node = int(target.split(":", 1)[1])
-            members = fleet.members_on_node(node)
-            if not members:
-                raise ValueError(f"no fleet member has a GPU on node {node}")
-            return members
-        raise ValueError(f"unknown fleet fault target {target!r}")
-
-    def _nic_links(self, target: str) -> list["Link"]:
-        if not target.startswith("nic:"):
-            raise ValueError(
-                f"fleet link faults target NICs ('nic:<node>'); got {target!r}"
-            )
-        cluster = self.fleet.cluster
-        if cluster is None:
-            raise ValueError("nic fault targets need a ClusterTopology fleet")
-        return [cluster.nic(int(target.split(":", 1)[1]))]
-
     # -- crash / restart --------------------------------------------------------
 
+    # ``scope.down`` is None for every unit of a halted system: such a unit
+    # is neither crashed nor restarted.
+
     def _crash(self, event: FaultEvent) -> None:
-        for index in self._members(event.target):
-            if index in self.fleet.crashed:
-                continue
-            self._emit("fault-inject", event, member=self.fleet.members[index].name)
-            self.fleet.crash_member(index)
+        scope = self.scope
+        for unit in scope.units(event.target):
+            if scope.down(unit) is False:
+                self._emit("fault-inject", event, **scope.tag(unit))
+                scope.crash(unit)
 
     def _restart(self, event: FaultEvent) -> None:
-        for index in self._members(event.target):
-            if index not in self.fleet.crashed:
-                continue
-            self._emit("fault-clear", event, member=self.fleet.members[index].name)
-            self.fleet.restart_member(index)
+        scope = self.scope
+        for unit in scope.units(event.target):
+            if scope.down(unit) is True:
+                self._emit("fault-clear", event, **scope.tag(unit))
+                scope.restart(unit)
 
     # -- stragglers -------------------------------------------------------------
 
     def _apply_straggler(self, event: FaultEvent) -> None:
-        for index in self._members(event.target):
-            member = self.fleet.members[index]
-            for instance in member.instances:
+        scope = self.scope
+        for unit in scope.units(event.target):
+            for instance in scope.instances(unit):
                 instance.compute_slowdown = event.magnitude
-            self.fleet.metrics.record_fault_event(
-                "straggler", member.name, self.fleet.sim.now
+            self.target.metrics.record_fault_event(
+                "straggler", scope.name(unit), self.target.sim.now
             )
         self._emit("fault-inject", event)
 
     def _clear_straggler(self, event: FaultEvent) -> None:
-        for index in self._members(event.target):
-            for instance in self.fleet.members[index].instances:
+        scope = self.scope
+        for unit in scope.units(event.target):
+            for instance in scope.instances(unit):
                 instance.compute_slowdown = 1.0
         self._emit("fault-clear", event)
 
-    # -- NIC degradation --------------------------------------------------------
+    # -- link degradation / host stalls ----------------------------------------
 
     def _apply_link_degrade(self, event: FaultEvent, index: int) -> None:
         saved: dict[str, tuple[float, float]] = {}
-        for link in self._nic_links(event.target):
+        for link in self.scope.links(event.target):
             saved[link.name] = (link.efficiency, link.latency_s)
             link.efficiency *= event.magnitude
             link.latency_s += event.extra_latency_s
         self._saved_links[index] = saved
-        self.fleet.metrics.record_fault_event(
-            event.kind.value, event.target, self.fleet.sim.now
+        self.target.metrics.record_fault_event(
+            event.kind.value, event.target, self.target.sim.now
         )
         self._emit("fault-inject", event)
 
     def _clear_link_degrade(self, event: FaultEvent, index: int) -> None:
         saved = self._saved_links.pop(index, {})
-        for link in self._nic_links(event.target):
+        for link in self.scope.links(event.target):
             if link.name in saved:
                 link.efficiency, link.latency_s = saved[link.name]
         self._emit("fault-clear", event)
 
-    # -- NIC outages ------------------------------------------------------------
+    # -- link outages -----------------------------------------------------------
 
     def _install_outage(self, event: FaultEvent) -> None:
-        links = self._nic_links(event.target)
-        # Every member owns its own transfer engine over the shared links;
-        # the outage window must be visible to all of them.
-        for member in self.fleet.members:
-            engine = member.transfers
+        links = self.scope.links(event.target)
+        # Every fleet member owns its own transfer engine over the shared
+        # links; the outage window must be visible to all of them.
+        for system in self.scope.systems():
+            engine = system.transfers
             if engine.fault_model is None:
                 engine.fault_model = LinkFaultModel()
             for link in links:
                 engine.fault_model.add_outage(link.name, event.time, event.end)
-        self.fleet.metrics.record_fault_event(event.kind.value, event.target, event.time)
+        self.target.metrics.record_fault_event(event.kind.value, event.target, event.time)
 
     # -- trace -------------------------------------------------------------------
 
     def _emit(self, tag: str, event: FaultEvent, **extra) -> None:
-        self.fleet.trace.emit(
-            self.fleet.sim.now,
-            "fleet-fault-injector",
+        self.target.trace.emit(
+            self.target.sim.now,
+            self.scope.component,
             tag,
             kind=event.kind.value,
             target=event.target,

@@ -219,10 +219,9 @@ def build_fault_plan(name: str, horizon: float, seed: int = 0) -> FaultPlan:
 
 # Fleet plans target members ("member:<name-or-index>"), whole nodes
 # ("node:<k>" — a correlated crash of every pair touching the node), or the
-# per-node RDMA NICs ("nic:<k>").  They are delivered by
-# :class:`~repro.faults.injector.FleetFaultInjector` against a
-# :class:`~repro.core.fleet.ServingFleet`, not a single system, so they
-# live in their own registry.
+# per-node RDMA NICs ("nic:<k>").  :class:`~repro.faults.injector.FaultInjector`
+# delivers them against a :class:`~repro.core.fleet.ServingFleet`, not a
+# single system, so they live in their own registry.
 
 
 def _member_crash(horizon: float, rng: np.random.Generator) -> tuple[FaultEvent, ...]:

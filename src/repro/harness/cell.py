@@ -30,7 +30,6 @@ from repro.core.fleet import build_windserve_fleet
 from repro.core.replan import FleetReplanner
 from repro.faults import (
     FaultInjector,
-    FleetFaultInjector,
     ResilienceConfig,
     build_fault_plan,
     build_fleet_fault_plan,
@@ -253,13 +252,9 @@ class Cell:
         plan = None
         if self.fault_plan is not None:
             horizon = max(r.arrival_time for r in submitted)
-            builder, injector = (
-                (build_fleet_fault_plan, FleetFaultInjector)
-                if self.is_fleet
-                else (build_fault_plan, FaultInjector)
-            )
+            builder = build_fleet_fault_plan if self.is_fleet else build_fault_plan
             plan = builder(self.fault_plan, horizon, seed=self.seed)
-            injector(target, plan).arm()
+            FaultInjector(target, plan).arm()
         target.run_to_completion(submitted)
         return CellRun(
             cell=self,

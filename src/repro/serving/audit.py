@@ -1,18 +1,16 @@
-"""Post-run consistency auditing.
+"""Per-request consistency auditing.
 
-``audit_system`` checks the invariants every healthy run must satisfy —
-request timestamp ordering, token accounting, KV-pool cleanliness, queue
-emptiness — and returns a list of human-readable violations (empty when
-clean).  The test suite runs it after end-to-end simulations; users can run
-it after their own experiments to catch configuration mistakes.
+``audit_request`` checks what every finished request must satisfy —
+timestamp ordering, token accounting, non-negative latencies — and returns
+a list of human-readable violations (empty when clean).  The whole-run
+suite, :func:`repro.harness.invariants.check_run`, applies it to every
+completed request alongside the conservation, KV-leak and drained-queue
+checks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-from repro.serving.request import Phase, Request
-from repro.serving.system import ServingSystem
+from repro.serving.request import Request
 
 
 def audit_request(request: Request) -> list[str]:
@@ -54,42 +52,4 @@ def audit_request(request: Request) -> list[str]:
         problems.append(f"request {rid}: negative TPOT")
     if request.decode_queue_delay is not None and request.decode_queue_delay < -1e-9:
         problems.append(f"request {rid}: negative decode queue delay")
-    return problems
-
-
-def audit_system(
-    system: ServingSystem, submitted: Optional[Iterable[Request]] = None
-) -> list[str]:
-    """Invariant violations for a drained serving system."""
-    problems: list[str] = []
-
-    completed_ids = [r.request_id for r in system.metrics.completed]
-    if len(set(completed_ids)) != len(completed_ids):
-        problems.append("duplicate completions recorded")
-
-    if submitted is not None:
-        submitted = list(submitted)
-        missing = {r.request_id for r in submitted} - set(completed_ids)
-        if missing:
-            problems.append(f"{len(missing)} submitted requests never completed: "
-                            f"{sorted(missing)[:5]}...")
-        for request in submitted:
-            problems.extend(audit_request(request))
-    else:
-        for request in system.metrics.completed:
-            problems.extend(audit_request(request))
-
-    for instance in system.instances:
-        if instance.kv.used_gpu_blocks != 0:
-            problems.append(
-                f"{instance.name}: {instance.kv.used_gpu_blocks} GPU KV blocks leaked"
-            )
-        if instance.waiting:
-            problems.append(f"{instance.name}: {len(instance.waiting)} requests stuck waiting")
-        if instance.total_running:
-            problems.append(f"{instance.name}: {instance.total_running} requests stuck running")
-        if instance.swapped:
-            problems.append(f"{instance.name}: {len(instance.swapped)} requests stuck swapped")
-        if any(lane.busy for lane in instance.lanes):
-            problems.append(f"{instance.name}: lane still busy after drain")
     return problems

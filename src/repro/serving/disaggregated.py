@@ -246,13 +246,6 @@ class DisaggregatedSystem(ServingSystem):
 
     # -- whole-system failure ------------------------------------------------------
 
-    def halt(self) -> list[Request]:
-        lost = {r.request_id: r for r in super().halt()}
-        for request in self._handoffs:
-            if not request.finished:
-                lost[request.request_id] = request
-        return list(lost.values())
-
     def crash(self) -> list[Request]:
         lost = {r.request_id: r for r in super().crash()}
         for request in self._handoffs:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from repro.hardware.gpu import GB, GPUSpec
-from repro.kvcache.blocks import KVBlockManager
+from repro.kvcache.blocks import BlockLocation, KVBlockManager
 from repro.kvcache.transfer import KVTransferEngine
 from repro.models.parallelism import ParallelConfig
 from repro.models.spec import ModelSpec
@@ -120,12 +120,7 @@ class Instance:
         self.preemption = PREEMPTION_POLICIES.create(config.preemption_policy)
         self.system: Optional["ServingSystem"] = None
 
-        self.kv = KVBlockManager(
-            gpu_capacity_tokens=self._kv_capacity_tokens(),
-            cpu_capacity_tokens=int(config.cpu_swap_gb * GB / spec.kv_bytes_per_token),
-            block_size=config.block_size,
-            bytes_per_token=spec.kv_bytes_per_token,
-        )
+        self.kv = self._new_kv_pool()
         self.prefix_cache = self._build_prefix_cache()
         self.lanes = [Lane(i) for i in range(parallel.pp)]
         self.waiting: deque[Request] = deque()
@@ -144,6 +139,17 @@ class Instance:
         self.retired_kv: list[KVBlockManager] = []
 
     # -- construction helpers ----------------------------------------------
+
+    def _new_kv_pool(self) -> KVBlockManager:
+        """An empty KV pool sized for the current parallelism."""
+        return KVBlockManager(
+            gpu_capacity_tokens=self._kv_capacity_tokens(),
+            cpu_capacity_tokens=int(
+                self.config.cpu_swap_gb * GB / self.spec.kv_bytes_per_token
+            ),
+            block_size=self.config.block_size,
+            bytes_per_token=self.spec.kv_bytes_per_token,
+        )
 
     def _build_prefix_cache(self):
         if self.config.prefix_cache_tokens <= 0:
@@ -562,8 +568,8 @@ class Instance:
         Returns the unfinished requests that were resident here so the
         system can stash them for re-queueing once the failure is
         *detected* (schedulers do not learn of the crash until the
-        heartbeat monitor declares it).  Unlike :meth:`ServingSystem.halt`,
-        a failed instance can later :meth:`recover`.
+        heartbeat monitor declares it).  A failed instance can later
+        :meth:`recover`.
         """
         if self.failed or self.halted:
             return []
@@ -604,8 +610,6 @@ class Instance:
                 assist.active = None
         # HBM contents are gone: free every allocation (GPU and CPU-swap)
         # so the pool's alloc/free ledger stays balanced.
-        from repro.kvcache.blocks import BlockLocation
-
         for alloc in self.kv.residents(BlockLocation.GPU) + self.kv.residents(
             BlockLocation.CPU
         ):
@@ -625,14 +629,7 @@ class Instance:
         # Keep the (fully freed) crashed pool so post-run audits can check
         # the KV ledger across the instance's whole history.
         self.retired_kv.append(self.kv)
-        self.kv = KVBlockManager(
-            gpu_capacity_tokens=self._kv_capacity_tokens(),
-            cpu_capacity_tokens=int(
-                self.config.cpu_swap_gb * GB / self.spec.kv_bytes_per_token
-            ),
-            block_size=self.config.block_size,
-            bytes_per_token=self.spec.kv_bytes_per_token,
-        )
+        self.kv = self._new_kv_pool()
         # The recovered instance comes back with a cold prefix cache over
         # the fresh pool (the cache ledger carries over).
         self.prefix_cache = self._build_prefix_cache()
@@ -675,8 +672,6 @@ class Instance:
             )
         if any(lane.busy for lane in self.lanes):
             raise RuntimeError(f"{self.name}: cannot reconfigure with batches in flight")
-        from repro.kvcache.blocks import BlockLocation, KVBlockManager
-
         if self.prefix_cache is not None:
             # Cached prefixes belong to no live request; drop them rather
             # than migrating them into the resized pool (they rebuild
@@ -692,14 +687,7 @@ class Instance:
         for i, request in enumerate(running):
             self.lanes[i % parallel.pp].running.append(request)
 
-        self.kv = KVBlockManager(
-            gpu_capacity_tokens=self._kv_capacity_tokens(),
-            cpu_capacity_tokens=int(
-                self.config.cpu_swap_gb * GB / self.spec.kv_bytes_per_token
-            ),
-            block_size=self.config.block_size,
-            bytes_per_token=self.spec.kv_bytes_per_token,
-        )
+        self.kv = self._new_kv_pool()
         by_request = {r.request_id: r for r in running + self.swapped + list(self.waiting)}
         dropped: list[Request] = []
         for alloc in old_kv.residents(BlockLocation.GPU) + old_kv.residents(

@@ -306,39 +306,10 @@ class ServingSystem:
 
     # -- failure injection -------------------------------------------------------
 
-    def halt(self) -> list[Request]:
-        """Kill this system (node failure): every in-flight request is lost.
-
-        All future callbacks become no-ops; queues and KV are abandoned.
-        Returns the unfinished requests so a higher layer (e.g. a fleet
-        router) can retry them elsewhere.
-        """
-        self.halted = True
-        lost: dict[int, Request] = {}
-        for instance in self.instances:
-            instance.halted = True
-            pools: list = [
-                list(instance.waiting),
-                instance.running_requests,
-                list(instance.swapped),
-                list(getattr(instance, "prefilling", [])),
-            ]
-            assist = getattr(instance, "assist", None)
-            if assist is not None:
-                pools.append(list(assist.queue))
-                if assist.active is not None:
-                    pools.append([assist.active.request])
-            for pool in pools:
-                for request in pool:
-                    if not request.finished:
-                        lost[request.request_id] = request
-        return list(lost.values())
-
     def crash(self) -> list[Request]:
         """Whole-system crash (node failure), recoverable via :meth:`restart`.
 
-        Unlike :meth:`halt` — which abandons queues and KV outright — a
-        crash flows through ``Instance.fail()`` on every instance, so all
+        The crash flows through ``Instance.fail()`` on every instance, so all
         KV allocations are freed (the lifecycle ledger stays balanced) and
         the per-instance crash bookkeeping (torn transfers, migration
         rescues, hand-off stashes) runs exactly as for a single-instance

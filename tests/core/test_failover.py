@@ -46,32 +46,6 @@ class TestResetForRetry:
         assert r.extra["retries"] == 2
 
 
-class TestHalt:
-    def test_halt_collects_unfinished(self):
-        fleet = make_fleet()
-        member = fleet.members[0]
-        t = trace(n=40)
-        fleet.load_workload(t)
-        fleet.sim.run(until=2.0)
-        lost = member.halt()
-        unfinished_assigned = [
-            r for r in fleet._assignments[0] if not r.finished
-        ]
-        assert {r.request_id for r in lost} <= {r.request_id for r in t}
-        assert member.halted
-        assert len(lost) >= min(1, len(unfinished_assigned))
-
-    def test_halted_member_stops_working(self):
-        fleet = make_fleet()
-        member = fleet.members[0]
-        fleet.load_workload(trace(n=40))
-        fleet.sim.run(until=2.0)
-        done_before = len(member.metrics.completed)
-        member.halt()
-        fleet.sim.run_until_idle()
-        assert len(member.metrics.completed) == done_before
-
-
 class TestFailover:
     def test_all_requests_complete_despite_failure(self):
         fleet = make_fleet()

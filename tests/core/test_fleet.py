@@ -8,9 +8,9 @@ from repro.baselines.distserve import DistServeSystem
 from repro.core.fleet import ServingFleet, build_windserve_fleet
 from repro.core.windserve import WindServeSystem
 from repro.hardware.cluster import ClusterTopology
+from repro.harness.invariants import check_run
 from repro.models.parallelism import ParallelConfig
 from repro.models.registry import get_model
-from repro.serving.audit import audit_system
 from repro.serving.metrics import SLO
 from repro.serving.system import SystemConfig
 from repro.workloads.datasets import SHAREGPT
@@ -107,8 +107,7 @@ class TestEndToEnd:
         t = trace(rate_total=24.0, n=200, seed=3)
         metrics = fleet.run_to_completion(t)
         assert len(metrics.completed) == 200
-        for member in fleet.members:
-            assert audit_system(member) == []
+        assert check_run(fleet, t) == []
 
     def test_merged_metrics_aggregate(self):
         fleet = make_fleet()

@@ -11,6 +11,10 @@ from repro.core.windserve import WindServeSystem
 from repro.faults import (
     FAULT_PLAN_NAMES,
     FLEET_FAULT_PLAN_NAMES,
+    FaultEvent,
+    FaultInjector,
+    FaultKind,
+    FaultPlan,
     build_fleet_fault_plan,
 )
 from repro.hardware.cluster import ClusterTopology
@@ -195,6 +199,44 @@ def fleet_default_resilience():
     from repro.faults import ResilienceConfig
 
     return ResilienceConfig()
+
+
+class TestFleetTargets:
+    def test_member_straggler_slows_every_instance_then_restores(self):
+        fleet = make_fleet()
+        event = FaultEvent(
+            FaultKind.STRAGGLER, "member:0", time=0.5, duration=1.0, magnitude=3.0
+        )
+        FaultInjector(fleet, FaultPlan(name="member-straggler", events=(event,))).arm()
+        during = {}
+        fleet.sim.call_at(
+            1.0,
+            lambda: during.update(
+                (index, [i.compute_slowdown for i in member.instances])
+                for index, member in enumerate(fleet.members)
+            ),
+        )
+        fleet.run_to_completion(trace(16.0, n=40))
+        assert during[0] == [3.0] * len(fleet.members[0].instances)
+        assert all(s == [1.0] * len(s) for index, s in during.items() if index)
+        stragglers = [e for e in fleet.metrics.fault_events if e["kind"] == "straggler"]
+        assert stragglers == [
+            {"kind": "straggler", "target": fleet.members[0].name, "time": 0.5}
+        ]
+        assert all(
+            i.compute_slowdown == 1.0 for member in fleet.members for i in member.instances
+        )
+
+    def test_unknown_targets_raise(self):
+        scope = FaultInjector(make_fleet(), FaultPlan(name="none", events=())).scope
+        with pytest.raises(ValueError, match="matches no fleet member"):
+            scope.units("member:99")
+        with pytest.raises(ValueError, match="no fleet member has a GPU on node"):
+            scope.units("node:7")
+        with pytest.raises(ValueError, match="unknown fleet fault target"):
+            scope.units("decode")
+        with pytest.raises(ValueError, match="fleet link faults target NICs"):
+            scope.links("pd")
 
 
 class TestFleetChaosEndToEnd:

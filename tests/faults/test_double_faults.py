@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 
-from repro.faults import FleetFaultInjector
+from repro.faults import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.harness.cell import Cell
 from repro.harness.invariants import check_run
@@ -37,7 +37,7 @@ def _run_double_fault(plan: FaultPlan, spec: Cell, n: int = 80, seed: int = 0):
         tier_mix=TierMix.parse(spec.tier_mix) if spec.tier_mix else None,
     )
     submitted = list(workload)
-    FleetFaultInjector(fleet, plan).arm()
+    FaultInjector(fleet, plan).arm()
     metrics = fleet.run_to_completion(submitted)
     return fleet, submitted, metrics
 

@@ -93,17 +93,17 @@ class TestInjectorArming:
         system = make_system()
         injector = FaultInjector(system, plan_of())
         with pytest.raises(ValueError, match="matches no instance"):
-            injector._instance("bogus")
+            injector.scope.units("bogus")
         with pytest.raises(ValueError, match="unknown link fault target"):
-            injector._links("bogus")
+            injector.scope.links("bogus")
 
     def test_role_targets_resolve(self):
         system = make_system()
         injector = FaultInjector(system, plan_of())
-        assert injector._instance("prefill") is system.prefill_instance
-        assert injector._instance("decode") is system.decode_instance
-        assert injector._links("pd")
-        assert injector._links("host:decode")
+        assert injector.scope.units("prefill") == [system.prefill_instance]
+        assert injector.scope.units("decode") == [system.decode_instance]
+        assert injector.scope.links("pd")
+        assert injector.scope.links("host:decode")
 
 
 class TestCrashLifecycle:
@@ -178,10 +178,10 @@ class TestLinkDegrade:
                 )
             ),
         )
-        before = {l.name: (l.efficiency, l.latency_s) for l in injector._links("pd")}
+        before = {l.name: (l.efficiency, l.latency_s) for l in injector.scope.links("pd")}
         injector.arm()
         system.run_to_completion(workload())
-        after = {l.name: (l.efficiency, l.latency_s) for l in injector._links("pd")}
+        after = {l.name: (l.efficiency, l.latency_s) for l in injector.scope.links("pd")}
         assert after == before
         assert not injector._saved_links
 

@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.harness.cell import Cell
 from repro.harness.runner import generate_workload
-from repro.serving.audit import audit_request, audit_system
+from repro.harness.invariants import check_run
+from repro.serving.audit import audit_request
 from repro.serving.request import Request
 
 SYSTEMS = (
@@ -37,13 +38,13 @@ def run_audited(system: str, rate: float, seed: int, decode_parallel=(2, 1), n=8
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_systems_pass_audit_at_moderate_load(system):
     built, submitted = run_audited(system, rate=3.0, seed=11)
-    assert audit_system(built, submitted) == []
+    assert check_run(built, submitted) == []
 
 
 @pytest.mark.parametrize("system", ("windserve", "distserve"))
 def test_systems_pass_audit_under_memory_pressure(system):
     built, submitted = run_audited(system, rate=3.5, seed=13, decode_parallel=(1, 1), n=150)
-    assert audit_system(built, submitted) == []
+    assert check_run(built, submitted) == []
 
 
 @settings(
@@ -58,7 +59,7 @@ def test_systems_pass_audit_under_memory_pressure(system):
 )
 def test_property_random_operating_points_stay_consistent(system, rate, seed):
     built, submitted = run_audited(system, rate=rate, seed=seed, n=50)
-    violations = audit_system(built, submitted)
+    violations = check_run(built, submitted)
     assert violations == [], violations
 
 
@@ -78,7 +79,7 @@ def test_property_pressure_and_skew_stay_consistent(system, rate, seed, decode_t
     built, submitted = run_audited(
         system, rate=rate, seed=seed, decode_parallel=decode_tp, n=60
     )
-    violations = audit_system(built, submitted)
+    violations = check_run(built, submitted)
     assert violations == [], violations
 
 
@@ -117,4 +118,4 @@ class TestAuditCatchesBugs:
     def test_kv_leak_flagged(self):
         built, submitted = run_audited("distserve", rate=1.0, seed=1, n=10)
         built.decode_instance.kv.allocate(9999, 100)
-        assert any("leaked" in p for p in audit_system(built, submitted))
+        assert any("leaked" in p for p in check_run(built, submitted))
