@@ -77,11 +77,10 @@ class VLLMInstance(Instance):
         if not decode_requests and not plan:
             return None
 
-        sum_context = sum(r.context_tokens for r in decode_requests)
         timing = self.latency.hybrid(
             chunk_tokens,
             len(decode_requests),
-            sum_context,
+            lane.context_tokens,
             prefill_prior_context=prior_context,
         )
         duration = timing.duration

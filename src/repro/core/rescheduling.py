@@ -142,10 +142,7 @@ class MigrationManager:
         # pressure preempted it mid-migration) and transfer the KV generated
         # during the bulk leg (the stall window the paper bounds).
         decode = system.decode_instance
-        for lane in decode.lanes:
-            if request in lane.running:
-                lane.running.remove(request)
-                break
+        decode.remove_running(request)
         if request in decode.swapped:
             decode.swapped.remove(request)
         request.phase = Phase.MIGRATING

@@ -120,6 +120,8 @@ class KVBlockManager:
         alloc = self._allocations.get(request_id)
         if alloc is None:
             return self.can_allocate(new_tokens)
+        if alloc.location is not BlockLocation.GPU:
+            return False  # swapped out: ``extend`` would refuse it
         needed = self.blocks_for(alloc.tokens + new_tokens) - alloc.blocks
         return needed <= self._gpu.free
 
@@ -149,6 +151,26 @@ class KVBlockManager:
             alloc.blocks += needed
         alloc.tokens += new_tokens
         return alloc
+
+    def append_in_block(self, request_id: int) -> bool:
+        """Append one token into a free slot of the last GPU block.
+
+        Touches no pool.  Returns False, changing nothing, when the last
+        block is full (the next token starts a new block), the allocation
+        is swapped out, or there is none; the caller then goes through
+        :meth:`can_extend` / :meth:`extend`.  Since ``blocks`` is always
+        ``blocks_for(tokens)``, a True here is exactly what
+        ``extend(request_id, 1)`` would have done.
+        """
+        alloc = self._allocations.get(request_id)
+        if (
+            alloc is None
+            or alloc.location is not BlockLocation.GPU
+            or alloc.tokens >= alloc.blocks * self.block_size
+        ):
+            return False
+        alloc.tokens += 1
+        return True
 
     def free(self, request_id: int) -> None:
         """Release all blocks of a finished/migrated request."""

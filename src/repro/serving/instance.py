@@ -64,16 +64,44 @@ class InstanceConfig:
 
 
 class Lane:
-    """One pipeline interleave slot: runs one batch at a time."""
+    """One pipeline interleave slot: runs one batch at a time.
+
+    ``running`` keeps the lane's decode requests in admission order (batch
+    formation and preemption policies read it).  Every change goes through
+    :meth:`add`, :meth:`remove` and :meth:`clear`, which also keep an
+    identity set (O(1) ``request in lane``) and the summed
+    ``context_tokens`` of the members.  A member's context grows only
+    through a decode step, which bumps ``context_tokens`` alongside it.
+    """
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.busy = False
         self.busy_until = 0.0
         self.running: list[Request] = []
+        self.members: set[Request] = set()
+        self.context_tokens = 0
         # The batch in flight; pure-prefill batch members may live in no
         # other pool, so crash handling must be able to find them here.
         self.current_batch: Optional[Batch] = None
+
+    def __contains__(self, request: Request) -> bool:
+        return request in self.members
+
+    def add(self, request: Request) -> None:
+        self.running.append(request)
+        self.members.add(request)
+        self.context_tokens += request.context_tokens
+
+    def remove(self, request: Request) -> None:
+        self.running.remove(request)
+        self.members.discard(request)
+        self.context_tokens -= request.context_tokens
+
+    def clear(self) -> None:
+        self.running.clear()
+        self.members.clear()
+        self.context_tokens = 0
 
     @property
     def batch_size(self) -> int:
@@ -360,20 +388,38 @@ class Instance:
         """Place a request (whose KV is resident here) into a decode lane."""
         target = lane or self.least_loaded_lane()
         request.phase = Phase.DECODING
-        target.running.append(request)
+        target.add(request)
+
+    def remove_running(self, request: Request) -> bool:
+        """Take ``request`` out of the lane running it; False if none is."""
+        for lane in self.lanes:
+            if request in lane:
+                lane.remove(request)
+                return True
+        return False
 
     def finish_decode_iteration(self, lane: Lane, batch: Batch) -> None:
         """Apply the results of one decode iteration: grow KV, emit tokens,
-        retire finished requests, preempt under memory pressure."""
+        retire finished requests, preempt under memory pressure.
+
+        A token that fits the last KV block touches no pool; only at a block
+        boundary does :meth:`_grow_kv` reserve (and maybe preempt).  Both
+        give the same allocation, so the preemption order is unchanged."""
         now = self.sim.now
-        for request in list(batch.decode_requests):
-            if request not in lane.running:
+        members = lane.members
+        # ``decode_requests`` is the batch's own snapshot of the lane, so
+        # removals below cannot disturb the iteration.
+        for request in batch.decode_requests:
+            if request not in members:
                 continue  # migrated or preempted mid-flight
-            if not self._grow_kv(lane, request):
+            if not self.kv.append_in_block(request.request_id) and not self._grow_kv(
+                lane, request
+            ):
                 continue  # the request itself was preempted to CPU swap
             request.output_generated += 1
-            if request.decode_iterations_remaining <= 0:
-                lane.running.remove(request)
+            lane.context_tokens += 1
+            if request.output_generated >= request.output_tokens:
+                lane.remove(request)
                 self._retire(request, now)
 
     def _grow_kv(self, lane: Lane, request: Request) -> bool:
@@ -404,10 +450,7 @@ class Instance:
 
     def _recompute_preempt(self, victim: Request) -> None:
         """Drop the victim's KV and requeue it for a full re-prefill."""
-        for lane in self.lanes:
-            if victim in lane.running:
-                lane.running.remove(victim)
-                break
+        self.remove_running(victim)
         self.kv.free(victim.request_id)
         victim.restart_prefill()
         self.metrics.bump("recompute_preempt")
@@ -441,10 +484,7 @@ class Instance:
         return self.preemption.pick_swap_victim(self, exclude)
 
     def _swap_out(self, victim: Request) -> None:
-        for lane in self.lanes:
-            if victim in lane.running:
-                lane.running.remove(victim)
-                break
+        self.remove_running(victim)
         victim.phase = Phase.SWAPPED
         victim.swap_out_count += 1
         self.metrics.bump("swap_out")
@@ -589,7 +629,7 @@ class Instance:
                 collect(lane.current_batch.prefill_requests)
                 collect(lane.current_batch.decode_requests)
                 lane.current_batch = None
-            lane.running.clear()
+            lane.clear()
             lane.busy = False
             lane.busy_until = 0.0
         collect(self.waiting)
@@ -685,7 +725,7 @@ class Instance:
         running = self.running_requests
         self.lanes = [Lane(i) for i in range(parallel.pp)]
         for i, request in enumerate(running):
-            self.lanes[i % parallel.pp].running.append(request)
+            self.lanes[i % parallel.pp].add(request)
 
         self.kv = self._new_kv_pool()
         by_request = {r.request_id: r for r in running + self.swapped + list(self.waiting)}
@@ -723,12 +763,8 @@ class Instance:
                 self.system.on_kv_dropped(request, self)
 
     def _evict_from_queues(self, request: Optional[Request]) -> None:
-        if request is None:
+        if request is None or self.remove_running(request):
             return
-        for lane in self.lanes:
-            if request in lane.running:
-                lane.running.remove(request)
-                return
         if request in self.swapped:
             self.swapped.remove(request)
 

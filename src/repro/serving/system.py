@@ -9,7 +9,7 @@ coordination policies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.faults.config import ResilienceConfig
 from repro.hardware.gpu import GPUSpec, A800_80GB
@@ -90,14 +90,15 @@ class ServingSystem:
         self.finish_listeners: list = []
         self.instances: list[Instance] = []
         self.submitted = 0
-        # Per-tier arrival counts backing the nested degraded-mode caps.
-        self._submitted_by_tier: dict[str, int] = {}
-        # Per-tenant in-flight ledger (count, prompt+output tokens) backing
-        # the fair-share budgets.  Bumped at arrival, released at finish /
+        # In-flight ledgers, charged at arrival and released at finish /
         # shed / forget — O(1) per request, so always-on costs nothing.
+        # Per tier: requests backing the nested degraded-mode caps and the
+        # tier-aware router.  Per tenant: (count, prompt+output tokens)
+        # backing the fair-share budgets.
+        self._tier_inflight: dict[str, int] = {}
         self._tenant_inflight: dict[str, int] = {}
         self._tenant_tokens: dict[str, int] = {}
-        self.finish_listeners.append(self._release_tenant_usage)
+        self.finish_listeners.append(self._release_usage)
         self.halted = False
         # Scheduler-visible failure knowledge (filled at heartbeat
         # detection, cleared at recovery) — distinct from the ground-truth
@@ -240,16 +241,14 @@ class ServingSystem:
     # the system only exposes the state policies read (``in_flight_by_tier``)
     # and the shed primitive they call back into.
 
-    def in_flight_by_tier(self) -> dict[str, int]:
-        """Unresolved (arrived, not completed, not shed) requests per tier."""
-        in_flight = dict(self._submitted_by_tier)
-        for request in self.metrics.completed:
-            in_flight[request.tier] = in_flight.get(request.tier, 0) - 1
-        for request in self.metrics.shed:
-            in_flight[request.tier] = in_flight.get(request.tier, 0) - 1
-        return in_flight
+    def in_flight_by_tier(self) -> Mapping[str, int]:
+        """Unresolved (arrived, not completed, not shed) requests per tier.
 
-    # -- per-tenant ledger ----------------------------------------------------
+        The live ledger, read-only to callers.  A tier's key appears when
+        its first request arrives, so the order is first-arrival order."""
+        return self._tier_inflight
+
+    # -- in-flight ledgers ----------------------------------------------------
 
     def tenant_usage(self, tenant: str) -> tuple[int, int]:
         """(in-flight requests, in-flight prompt+output tokens) for a tenant."""
@@ -258,7 +257,9 @@ class ServingSystem:
             self._tenant_tokens.get(tenant, 0),
         )
 
-    def _charge_tenant_usage(self, request: Request) -> None:
+    def _charge_usage(self, request: Request) -> None:
+        tier = request.tier
+        self._tier_inflight[tier] = self._tier_inflight.get(tier, 0) + 1
         tenant = request.tenant
         self._tenant_inflight[tenant] = self._tenant_inflight.get(tenant, 0) + 1
         self._tenant_tokens[tenant] = (
@@ -267,7 +268,9 @@ class ServingSystem:
             + request.output_tokens
         )
 
-    def _release_tenant_usage(self, request: Request, instance=None) -> None:
+    def _release_usage(self, request: Request, instance=None) -> None:
+        tier = request.tier
+        self._tier_inflight[tier] = self._tier_inflight.get(tier, 0) - 1
         tenant = request.tenant
         self._tenant_inflight[tenant] = self._tenant_inflight.get(tenant, 0) - 1
         self._tenant_tokens[tenant] = (
@@ -293,7 +296,7 @@ class ServingSystem:
     def _shed(self, request: Request) -> None:
         request.phase = Phase.SHED
         request.extra["shed_time"] = self.sim.now
-        self._release_tenant_usage(request)
+        self._release_usage(request)
         self.metrics.record_shed(request)
         # The tier and tenant ride along only when set: tier- and
         # tenant-free goldens stay byte-identical.
@@ -367,12 +370,9 @@ class ServingSystem:
 
     def _arrive(self, request: Request) -> None:
         self.submitted += 1
-        self._submitted_by_tier[request.tier] = (
-            self._submitted_by_tier.get(request.tier, 0) + 1
-        )
-        # The ledger includes the arriving request while admission runs, so
+        # The ledgers include the arriving request while admission runs, so
         # budget policies compare with strict ``>`` (admit up to the cap).
-        self._charge_tenant_usage(request)
+        self._charge_usage(request)
         if not self.admission.admit(self, request):
             self._shed(request)
             return
@@ -388,10 +388,7 @@ class ServingSystem:
         phantom load forever (it will never record the completion).
         """
         self.submitted -= 1
-        self._submitted_by_tier[request.tier] = (
-            self._submitted_by_tier.get(request.tier, 0) - 1
-        )
-        self._release_tenant_usage(request)
+        self._release_usage(request)
 
     def run(self, until: Optional[float] = None) -> None:
         self.sim.run(until=until)

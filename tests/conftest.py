@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.hardware import A800_80GB, NodeTopology
 from repro.models import ParallelConfig, get_model
@@ -10,6 +13,19 @@ from repro.perf import LatencyModel, StreamContentionModel
 from repro.serving import SLO, SystemConfig
 from repro.serving.instance import InstanceConfig
 from repro.sim import Simulator
+
+# ``HYPOTHESIS_PROFILE=ci`` (the CI tier-1 step) searches deeper: five times
+# Hypothesis's default example count and no per-example deadline.  Tests
+# that pin their own ``max_examples`` opt in through :func:`search_depth`.
+# Without the variable the default profile, and every count, is unchanged.
+settings.register_profile("ci", max_examples=500, deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def search_depth(examples: int) -> int:
+    """``examples`` under the default profile, scaled with the loaded one."""
+    default = settings.get_profile("default").max_examples
+    return examples * settings().max_examples // default
 
 
 @pytest.fixture

@@ -101,6 +101,62 @@ class TestExtension:
         with pytest.raises(ValueError):
             kv.extend(1, 1)
 
+    def test_can_extend_refuses_swapped_request(self):
+        kv = manager()
+        kv.allocate(1, 10)
+        kv.swap_out(1)
+        # The GPU pool is empty, but ``extend`` would refuse a CPU-resident
+        # allocation, so ``can_extend`` must not promise it.
+        assert kv.free_gpu_blocks == kv.gpu_capacity_blocks
+        assert not kv.can_extend(1, 1)
+        kv.swap_in(1)
+        assert kv.can_extend(1, 1)
+
+
+class TestAppendInBlock:
+    def test_fills_the_last_block_without_reserving(self):
+        kv = manager()
+        kv.allocate(1, 14)
+        free = kv.free_gpu_blocks
+        assert kv.append_in_block(1)
+        assert kv.append_in_block(1)
+        assert kv.tokens_of(1) == 16
+        assert kv.get(1).blocks == 1
+        assert kv.free_gpu_blocks == free
+
+    def test_refuses_at_a_block_boundary(self):
+        kv = manager()
+        kv.allocate(1, 16)
+        assert not kv.append_in_block(1)
+        assert kv.tokens_of(1) == 16
+        kv.extend(1, 1)  # the boundary token goes through ``extend``
+        assert kv.append_in_block(1)
+        assert kv.tokens_of(1) == 18
+
+    def test_refuses_unknown_request(self):
+        kv = manager()
+        assert not kv.append_in_block(7)
+        assert not kv.has(7)
+
+    def test_refuses_swapped_request(self):
+        kv = manager()
+        kv.allocate(1, 10)
+        kv.swap_out(1)
+        assert not kv.append_in_block(1)
+        assert kv.tokens_of(1) == 10
+        assert kv.get(1).location is BlockLocation.CPU
+
+    def test_matches_extend_by_one(self):
+        fast, slow = manager(), manager()
+        for kv in (fast, slow):
+            kv.allocate(1, 1)
+        for _ in range(100):
+            if not fast.append_in_block(1):
+                fast.extend(1, 1)
+            slow.extend(1, 1)
+            assert fast.get(1) == slow.get(1)
+            assert fast.free_gpu_blocks == slow.free_gpu_blocks
+
 
 class TestSwap:
     def test_swap_out_moves_blocks_to_cpu(self):

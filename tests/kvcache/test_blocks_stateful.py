@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.hardware.memory import OutOfMemoryError
 from repro.kvcache.blocks import BlockLocation, KVBlockManager
+from tests.conftest import search_depth
 
 GPU_TOKENS = 2048
 CPU_TOKENS = 1024
@@ -72,6 +73,30 @@ class KVMachine(RuleBasedStateMachine):
             pass  # growth denied; state unchanged
 
     @rule(rid=st.integers(0, 15))
+    def append_in_block(self, rid):
+        entry = self.model.get(rid)
+        # Room in the last block: a GPU allocation whose token count is
+        # not a multiple of the block size (allocations hold >= 1 token).
+        fits = entry is not None and entry[1] == "gpu" and entry[0] % BLOCK != 0
+        free = self.kv.free_gpu_blocks
+        assert self.kv.append_in_block(rid) == fits
+        assert self.kv.free_gpu_blocks == free
+        if fits:
+            self.model[rid] = (entry[0] + 1, "gpu")
+
+    @rule(rid=st.integers(0, 15), tokens=st.integers(1, 64))
+    def can_extend(self, rid, tokens):
+        entry = self.model.get(rid)
+        if entry is None:
+            expected = -(-tokens // BLOCK) <= self.kv.free_gpu_blocks
+        elif entry[1] == "cpu":
+            expected = False
+        else:
+            needed = -(-(entry[0] + tokens) // BLOCK) - -(-entry[0] // BLOCK)
+            expected = needed <= self.kv.free_gpu_blocks
+        assert self.kv.can_extend(rid, tokens) == expected
+
+    @rule(rid=st.integers(0, 15))
     def free(self, rid):
         self.kv.free(rid)
         self.model.pop(rid, None)
@@ -118,11 +143,22 @@ class KVMachine(RuleBasedStateMachine):
             assert self.kv.get(rid).location == expected
 
     @invariant()
+    def blocks_cover_tokens_exactly(self):
+        # The in-block append relies on this: a free slot in the last block
+        # exists exactly when ``tokens < blocks * BLOCK``.
+        for alloc in self.kv.residents(BlockLocation.GPU) + self.kv.residents(
+            BlockLocation.CPU
+        ):
+            assert alloc.blocks == -(-alloc.tokens // BLOCK)
+
+    @invariant()
     def no_phantom_allocations(self):
         live = {a.request_id for a in self.kv.residents(BlockLocation.GPU)}
         live |= {a.request_id for a in self.kv.residents(BlockLocation.CPU)}
         assert live == set(self.model)
 
 
-KVMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=60, deadline=None)
+KVMachine.TestCase.settings = settings(
+    max_examples=search_depth(40), stateful_step_count=60, deadline=None
+)
 TestKVStateMachine = KVMachine.TestCase

@@ -1,0 +1,199 @@
+"""Recount checks for the O(1) decode and admission bookkeeping.
+
+Each :class:`~repro.serving.instance.Lane` keeps an identity set and a
+context-token total beside its run list, and each serving system keeps a
+per-tier in-flight ledger.  The observer below recounts both from scratch
+and compares them with the kept values:
+
+* after every decode iteration, each lane's member set and context total
+  against its ``running`` list;
+* at every admission and route call, and at every ledger read,
+  ``in_flight_by_tier()`` against the recount over ``metrics.completed``
+  and ``metrics.shed`` it replaced (values and key order).
+
+The wrappers only observe, so the pressure and failure pins run under them
+must still match their recordings.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.autoscaler import AutoscalingFleet
+from repro.core.fleet import ServingFleet
+from repro.harness.golden import GOLDEN_MATRIX, check_goldens
+from repro.policies.base import AdmissionPolicy
+from repro.serving.instance import Instance
+from repro.serving.system import ServingSystem
+from tests.conftest import search_depth
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+
+#: Pins that swap, migrate, crash, shed and re-route.
+PINS = (
+    "windserve-pressure-r3.5-s3",
+    "distserve-pressure-r3.5-s3",
+    "windserve-chaos-crash-s1",
+    "vllm-chaos-crash-s10",
+    "windserve-chaos-tiered-s11",
+    "fleet-chaos-mixed-s18",
+)
+
+
+def recount_in_flight_by_tier(submitted_by_tier: dict, metrics) -> dict[str, int]:
+    """The per-tier in-flight count as a rescan of every resolved request."""
+    in_flight = dict(submitted_by_tier)
+    for request in metrics.completed:
+        in_flight[request.tier] = in_flight.get(request.tier, 0) - 1
+    for request in metrics.shed:
+        in_flight[request.tier] = in_flight.get(request.tier, 0) - 1
+    return in_flight
+
+
+def _subclasses(cls: type) -> list[type]:
+    out = [cls]
+    for sub in cls.__subclasses__():
+        out.extend(_subclasses(sub))
+    return out
+
+
+class RecountObserver:
+    """Class-level wrappers that recount the kept bookkeeping as a run goes.
+
+    Arrivals are counted per system and tier here, as the system itself
+    did before the ledger, so the recount is independent of the ledger.
+    """
+
+    def __init__(self) -> None:
+        self.submitted: dict[ServingSystem, dict[str, int]] = {}
+        self.checks = {"decode": 0, "admit": 0, "route": 0, "read": 0}
+        self._saved: list[tuple[type, str, object]] = []
+
+    # -- the checks ------------------------------------------------------------
+
+    def check_lanes(self, instance: Instance) -> None:
+        for lane in instance.lanes:
+            assert len(lane.members) == len(lane.running), "duplicate lane member"
+            assert lane.members == set(lane.running)
+            assert lane.context_tokens == sum(r.context_tokens for r in lane.running)
+        self.checks["decode"] += 1
+
+    def check_ledger(self, system: ServingSystem, ledger=None) -> None:
+        if ledger is None:
+            ledger = self._read_ledger(system)
+        expected = recount_in_flight_by_tier(
+            self.submitted.get(system, {}), system.metrics
+        )
+        assert list(ledger.items()) == list(expected.items())
+
+    # -- installation ------------------------------------------------------------
+
+    def _patch(self, cls: type, name: str, make) -> None:
+        original = cls.__dict__[name]
+        self._saved.append((cls, name, original))
+        setattr(cls, name, make(original))
+
+    def __enter__(self) -> "RecountObserver":
+        observer = self
+        self._read_ledger = ServingSystem.in_flight_by_tier
+
+        def decode(original):
+            def wrapper(instance, lane, batch):
+                original(instance, lane, batch)
+                observer.check_lanes(instance)
+
+            return wrapper
+
+        def arrive(original):
+            def wrapper(system, request):
+                counts = observer.submitted.setdefault(system, {})
+                counts[request.tier] = counts.get(request.tier, 0) + 1
+                original(system, request)
+
+            return wrapper
+
+        def forget(original):
+            def wrapper(system, request):
+                counts = observer.submitted.setdefault(system, {})
+                counts[request.tier] = counts.get(request.tier, 0) - 1
+                original(system, request)
+
+            return wrapper
+
+        def read(original):
+            def wrapper(system):
+                ledger = original(system)
+                observer.check_ledger(system, ledger)
+                observer.checks["read"] += 1
+                return ledger
+
+            return wrapper
+
+        def admit(original):
+            def wrapper(policy, system, request):
+                observer.check_ledger(system)
+                observer.checks["admit"] += 1
+                return original(policy, system, request)
+
+            return wrapper
+
+        def route(original):
+            def wrapper(fleet, request):
+                for member in fleet.members:
+                    observer.check_ledger(member)
+                observer.checks["route"] += 1
+                return original(fleet, request)
+
+            return wrapper
+
+        self._patch(Instance, "finish_decode_iteration", decode)
+        self._patch(ServingSystem, "_arrive", arrive)
+        self._patch(ServingSystem, "forget_arrival", forget)
+        self._patch(ServingSystem, "in_flight_by_tier", read)
+        for cls in _subclasses(AdmissionPolicy):
+            if "admit" in cls.__dict__:
+                self._patch(cls, "admit", admit)
+        for cls in (ServingFleet, AutoscalingFleet):
+            if "select_member" in cls.__dict__:
+                self._patch(cls, "select_member", route)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for cls, name, original in reversed(self._saved):
+            setattr(cls, name, original)
+        self._saved.clear()
+
+
+@pytest.mark.parametrize("pin", PINS)
+def test_recounts_match_on_pin(pin):
+    with RecountObserver() as observer:
+        (diff,) = check_goldens(GOLDEN_DIR, only=[pin])
+    assert diff.passed, "\n".join(diff.messages)
+    assert observer.checks["decode"] > 0
+    assert observer.checks["admit"] > 0
+    if pin.startswith("fleet-"):
+        assert observer.checks["route"] > 0
+    if "tiered" in pin:
+        # Degraded-mode admission reads the ledger once the crash is known.
+        assert observer.checks["read"] > 0
+
+
+_BASES = {cell.name: cell for cell in GOLDEN_MATRIX if cell.name in PINS}
+
+
+@settings(max_examples=search_depth(4), deadline=None)
+@given(
+    pin=st.sampled_from(PINS),
+    seed=st.integers(0, 2**16),
+    requests=st.integers(12, 40),
+)
+def test_recounts_match_on_random_variants(pin, seed, requests):
+    """The same checks on a pin's scenario at another seed and size."""
+    cell = replace(_BASES[pin], name="", seed=seed, num_requests=requests)
+    with RecountObserver() as observer:
+        cell.run()
+    assert observer.checks["admit"] > 0
