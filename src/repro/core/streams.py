@@ -90,14 +90,15 @@ class AssistStream:
             # The prefill partition owns a fixed resource fraction f: the
             # prefill runs at f of full speed regardless of decode load.
             fraction = inst.system.ws_config.static_partition_fraction  # type: ignore[union-attr]
-            duration = inst.latency.prefill(request.prompt_tokens).duration / fraction
+            iso = inst.latency.prefill(request.prompt_tokens)
+            duration = iso.duration / fraction
         else:
             outcome = inst.contention.sbd(
                 inst.latency, request.prompt_tokens, batch[0], batch[1]
             )
-            duration = outcome.prefill_duration if batch[0] else outcome.prefill_isolated
+            iso = outcome.prefill_isolated_timing
+            duration = outcome.prefill_duration if batch[0] else iso.duration
         self.active = AssistJob(request=request, started=inst.sim.now, duration=duration)
-        iso = inst.latency.prefill(request.prompt_tokens)
         inst.metrics.record_batch(
             inst.name, duration, iso.compute_time, iso.io_time, lanes=len(inst.lanes)
         )

@@ -19,6 +19,13 @@ from repro.models.spec import ModelSpec
 
 GB = 1024**3
 
+# NCCL kernel launch per collective.
+NCCL_LAUNCH_S = 10e-6
+# Inter-stage activation link (PCIe Gen4 x16, per direction) and its
+# per-hop send/receive overhead.
+PP_LINK_GBPS = 32.0
+PP_HOP_OVERHEAD_S = 20e-6
+
 
 @dataclass(frozen=True)
 class ParallelConfig:
@@ -77,15 +84,16 @@ class ParallelConfig:
         bytes_per_allreduce = tokens * spec.hidden_size * spec.dtype_bytes
         ring_factor = 2 * (self.tp - 1) / self.tp
         per_allreduce = ring_factor * bytes_per_allreduce / (self.tp_link_gbps * GB)
-        launch_overhead = 10e-6  # NCCL kernel launch per collective
-        return 2 * spec.num_layers * (per_allreduce + launch_overhead)
+        return 2 * spec.num_layers * (per_allreduce + NCCL_LAUNCH_S)
 
-    def pp_activation_time(self, spec: ModelSpec, tokens: int, link_gbps: float = 32.0) -> float:
+    def pp_activation_time(
+        self, spec: ModelSpec, tokens: int, link_gbps: float = PP_LINK_GBPS
+    ) -> float:
         """Time to ship activations between pipeline stages for one pass."""
         if self.pp == 1 or tokens == 0:
             return 0.0
         bytes_per_hop = tokens * spec.hidden_size * spec.dtype_bytes
-        per_hop = bytes_per_hop / (link_gbps * GB) + 20e-6
+        per_hop = bytes_per_hop / (link_gbps * GB) + PP_HOP_OVERHEAD_S
         return (self.pp - 1) * per_hop
 
     # -- memory ----------------------------------------------------------------

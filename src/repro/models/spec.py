@@ -2,11 +2,15 @@
 
 Everything the scheduler cares about — KV bytes per token, weight bytes,
 FLOPs, IO — is a function of these static fields; no weights are needed.
+The derived sizes are cached on first read: the spec is frozen, so they
+cannot go stale, and they stay out of ``==``, ``hash`` and ``replace()``,
+which see only the fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class ModelSpec:
     def head_dim(self) -> int:
         return self.hidden_size // self.num_heads
 
-    @property
+    @cached_property
     def kv_dim(self) -> int:
         """Total width of the K (or V) projection output."""
         return self.num_kv_heads * self.head_dim
@@ -58,27 +62,27 @@ class ModelSpec:
     def uses_gqa(self) -> bool:
         return self.num_kv_heads < self.num_heads
 
-    @property
+    @cached_property
     def kv_bytes_per_token_per_layer(self) -> int:
         """K + V bytes cached for one token in one layer."""
         return 2 * self.kv_dim * self.dtype_bytes
 
-    @property
+    @cached_property
     def kv_bytes_per_token(self) -> int:
         """K + V bytes cached for one token across all layers."""
         return self.num_layers * self.kv_bytes_per_token_per_layer
 
-    @property
+    @cached_property
     def attn_params_per_layer(self) -> int:
         """Q, K, V, O projection parameters in one layer."""
         h, kv = self.hidden_size, self.kv_dim
         return h * h + 2 * h * kv + h * h  # Q + (K,V) + O
 
-    @property
+    @cached_property
     def ffn_params_per_layer(self) -> int:
         return self.ffn_matrices * self.hidden_size * self.ffn_dim
 
-    @property
+    @cached_property
     def params_per_layer(self) -> int:
         return self.attn_params_per_layer + self.ffn_params_per_layer
 
@@ -87,15 +91,15 @@ class ModelSpec:
         """Token embedding + LM head (untied)."""
         return 2 * self.vocab_size * self.hidden_size
 
-    @property
+    @cached_property
     def total_params(self) -> int:
         return self.num_layers * self.params_per_layer + self.embedding_params
 
-    @property
+    @cached_property
     def weight_bytes(self) -> int:
         return self.total_params * self.dtype_bytes
 
-    @property
+    @cached_property
     def weight_bytes_per_layer(self) -> int:
         return self.params_per_layer * self.dtype_bytes
 

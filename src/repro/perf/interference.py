@@ -39,13 +39,19 @@ class SBDOutcome:
 
     ``decode_iteration`` is the latency of each decode step while the prefill
     stream is active; ``prefill_duration`` is the wall-clock of the whole
-    prefill kernel in its stream.
+    prefill kernel in its stream.  ``prefill_isolated_timing`` is the
+    prefill's pass priced alone, kept whole so the caller need not price it
+    again for its compute/IO accounting.
     """
 
     prefill_duration: float
     decode_iteration: float
-    prefill_isolated: float
+    prefill_isolated_timing: BatchTiming
     decode_isolated: float
+
+    @property
+    def prefill_isolated(self) -> float:
+        return self.prefill_isolated_timing.duration
 
     @property
     def decode_slowdown(self) -> float:
@@ -114,24 +120,23 @@ class StreamContentionModel:
         decode_sum_context: int,
     ) -> SBDOutcome:
         """Timing when a prefill of ``prefill_tokens`` co-runs with decoding."""
-        prefill_iso = model.prefill(prefill_tokens).duration
+        prefill_timing = model.prefill(prefill_tokens)
+        prefill_iso = prefill_timing.duration
         decode_iso = model.decode(decode_batch, decode_sum_context).duration
         if prefill_tokens <= 0:
-            return SBDOutcome(0.0, decode_iso, 0.0, decode_iso)
+            return SBDOutcome(0.0, decode_iso, prefill_timing, decode_iso)
         if decode_batch <= 0:
-            return SBDOutcome(prefill_iso, 0.0, prefill_iso, 0.0)
+            return SBDOutcome(prefill_iso, 0.0, prefill_timing, 0.0)
         decode_sbd = decode_iso / self.decode_retention(prefill_tokens)
         # Second kernel set streams the weights again: add the weight IO once
         # more as an effective compute-stream stall.
-        extra_weight_io = (
-            model.parallel.shard_io_bytes(model.spec.weight_bytes)
-            / model.gpu.effective_bandwidth
+        prefill_sbd = (
+            prefill_iso / self.prefill_compute_retention + 0.25 * model.weight_stream_time
         )
-        prefill_sbd = prefill_iso / self.prefill_compute_retention + 0.25 * extra_weight_io
         return SBDOutcome(
             prefill_duration=prefill_sbd,
             decode_iteration=decode_sbd,
-            prefill_isolated=prefill_iso,
+            prefill_isolated_timing=prefill_timing,
             decode_isolated=decode_iso,
         )
 

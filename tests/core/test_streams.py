@@ -27,6 +27,24 @@ class TestAssistStream:
         assert stream.active.request is a
         assert list(stream.queue) == [b]
 
+    def test_each_assist_job_prices_its_prefill_once(self, monkeypatch):
+        """The isolated pass SBD prices also feeds the batch accounting."""
+        system = make_system()
+        latency = system.decode_instance.latency
+        priced = []
+        original = latency.prefill
+
+        def counting(num_tokens):
+            priced.append(num_tokens)
+            return original(num_tokens)
+
+        monkeypatch.setattr(latency, "prefill", counting)
+        dispatch(system, request(1, prompt=800, output=5))
+        dispatch(system, request(2, prompt=600, output=5))
+        assert priced == [800]
+        system.sim.run_until_idle()
+        assert priced == [800, 600]
+
     def test_in_flight_tokens_counts_queue_and_active(self):
         system = make_system()
         dispatch(system, request(1, prompt=800, output=5))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.models.registry import LLAMA2_70B, OPT_13B
@@ -85,3 +88,68 @@ class TestParameterCounts:
     def test_weight_bytes_per_layer(self):
         spec = make_spec()
         assert spec.weight_bytes_per_layer == spec.params_per_layer * 2
+
+
+CACHED = (
+    "kv_dim",
+    "kv_bytes_per_token_per_layer",
+    "kv_bytes_per_token",
+    "attn_params_per_layer",
+    "ffn_params_per_layer",
+    "params_per_layer",
+    "total_params",
+    "weight_bytes",
+    "weight_bytes_per_layer",
+)
+
+
+class TestDerivedFieldCache:
+    """Cached derived sizes stay invisible to the dataclass machinery."""
+
+    def test_cached_values_match_a_fresh_spec(self):
+        warm = make_spec()
+        for name in CACHED:
+            getattr(warm, name)
+        cold = make_spec()
+        assert {n: getattr(warm, n) for n in CACHED} == {
+            n: getattr(cold, n) for n in CACHED
+        }
+        assert set(CACHED) <= set(vars(warm))
+
+    def test_eq_hash_and_fields_ignore_the_cache(self):
+        warm, cold = make_spec(), make_spec()
+        for name in CACHED:
+            getattr(warm, name)
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert [f.name for f in dataclasses.fields(warm)] == [
+            f.name for f in dataclasses.fields(ModelSpec)
+        ]
+        assert not set(CACHED) & {f.name for f in dataclasses.fields(ModelSpec)}
+        assert dataclasses.astuple(warm) == dataclasses.astuple(cold)
+
+    def test_replace_computes_fresh_values(self):
+        spec = make_spec()
+        before = {n: getattr(spec, n) for n in CACHED}
+        wider = dataclasses.replace(spec, hidden_size=128, num_kv_heads=4)
+        assert not set(CACHED) & set(vars(wider))
+        assert wider.kv_dim == 4 * (128 // 8)
+        assert wider.attn_params_per_layer == 128 * 128 * 2 + 2 * 128 * 64
+        assert wider.weight_bytes == wider.total_params * 2
+        assert wider != spec
+        # The original keeps its own values.
+        assert {n: getattr(spec, n) for n in CACHED} == before
+        assert dataclasses.replace(spec) == spec
+
+    def test_spec_stays_frozen(self):
+        spec = make_spec()
+        spec.kv_dim
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.hidden_size = 128
+
+    def test_pickle_round_trip(self):
+        spec = make_spec()
+        spec.weight_bytes
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec and hash(clone) == hash(spec)
+        assert clone.weight_bytes == spec.weight_bytes

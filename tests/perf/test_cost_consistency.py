@@ -205,14 +205,18 @@ class TestBreakdownConsistency:
     def test_io_time_matches_total_bytes(self, chunk, prior, b, ctx):
         """Reported io_time prices exactly model_io_bytes_hybrid."""
         t = model.hybrid(chunk, b, b * ctx, prefill_prior_context=prior)
-        expected = model._io_time(
+
+        def io_time(io_bytes: float) -> float:
+            return model.parallel.shard_io_bytes(io_bytes) / model.gpu.effective_bandwidth
+
+        expected = io_time(
             hybrid_io_bytes_linear(model.spec, chunk, b)
-        ) + model._io_time(
+        ) + io_time(
             hybrid_io_bytes_attn_prefill(model.spec, chunk, prior)
-        ) + model._io_time(hybrid_io_bytes_attn_decode(model.spec, b, b * ctx))
+        ) + io_time(hybrid_io_bytes_attn_decode(model.spec, b, b * ctx))
         assert t.io_time == pytest.approx(expected, rel=1e-12)
         assert t.io_time == pytest.approx(
-            model._io_time(model_io_bytes_hybrid(model.spec, chunk, b, b * ctx, prior)),
+            io_time(model_io_bytes_hybrid(model.spec, chunk, b, b * ctx, prior)),
             rel=1e-12,
         )
 

@@ -56,6 +56,15 @@ class TestSBD:
         out = scm.sbd(lm, 2048, 0, 0)
         assert out.prefill_duration == out.prefill_isolated
 
+    def test_carries_the_isolated_prefill_timing(self, lm, scm):
+        out = scm.sbd(lm, 2048, 16, 16 * 2048)
+        assert out.prefill_isolated_timing == lm.prefill(2048)
+        assert out.prefill_isolated == lm.prefill(2048).duration
+        weight_io = lm.parallel.shard_io_bytes(lm.spec.weight_bytes) / lm.gpu.effective_bandwidth
+        assert out.prefill_duration == (
+            out.prefill_isolated / scm.prefill_compute_retention + 0.25 * weight_io
+        )
+
     def test_no_prefill_decode_isolated(self, lm, scm):
         out = scm.sbd(lm, 0, 16, 16 * 1024)
         assert out.decode_iteration == out.decode_isolated
