@@ -106,6 +106,9 @@ GOLDEN_TAGS = frozenset(
         "prefix-insert",
         # Fair-share tenancy: per-tenant budget enforcement decisions.
         "budget-shed",
+        # The replanning baseline's stall-and-restart window.
+        "replan-start",
+        "replan-done",
     }
 )
 
@@ -295,6 +298,19 @@ GOLDEN_MATRIX: tuple[Cell, ...] = (
         fault_plan="fleet-mixed",
         fleet_nodes=3,
         fleet_span_nodes=True,
+    ),
+    # Replanning-baseline cell: LongBench's long prompts make the mirror
+    # (prefill-heavy) placement win mid-run, so the baseline stalls and
+    # restarts once — pins its replan window and the work it loses.
+    Cell(
+        name="distserve-replan-longbench-s19",
+        system="distserve-replan",
+        dataset="longbench",
+        rate_per_gpu=1.0,
+        num_requests=120,
+        seed=19,
+        prefill_parallel=(2, 1),
+        decode_parallel=(2, 3),
     ),
 )
 

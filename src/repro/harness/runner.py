@@ -14,6 +14,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.baselines.distserve import DistServeSystem
+from repro.baselines.replanning import ReplanningDistServeSystem
 from repro.baselines.vllm import VLLMSystem
 from repro.core.config import WindServeConfig
 from repro.faults.config import ResilienceConfig
@@ -41,6 +42,7 @@ SYSTEM_NAMES = (
     "windserve-no-resche",
     "windserve-static",
     "distserve",
+    "distserve-replan",
     "vllm",
 )
 
@@ -93,6 +95,13 @@ def build_system(cell: "Cell", slo: Optional[SLO] = None) -> ServingSystem:
     placement = plan_pd_placement(topology, prefill, decode)
     if cell.system == "distserve":
         return DistServeSystem(config, placement=placement, topology=topology)
+    if cell.system == "distserve-replan":
+        # The §2.2 strawman replans between the cell's placement and its
+        # mirror (prefill and decode parallelism swapped).
+        mirror = plan_pd_placement(topology, decode, prefill)
+        return ReplanningDistServeSystem(
+            config, alternatives=[placement, mirror], topology=topology
+        )
 
     ws = cell.ws_config or WindServeConfig()
     if cell.system == "windserve-no-split":
