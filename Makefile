@@ -80,6 +80,7 @@ examples:
 	python examples/placement_planner.py
 	python examples/heterogeneous_cluster.py
 
+# Untracked artefacts only: benchmarks/output and RESULTS.md are tracked.
 clean:
-	rm -rf benchmarks/output .pytest_cache .hypothesis RESULTS.md
+	rm -rf .pytest_cache .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

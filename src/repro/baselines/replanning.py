@@ -7,11 +7,15 @@ introduces non-negligible stagnation, rendering this approach suboptimal."
 This system implements that strategy so the claim can be measured: it
 monitors the arriving request pattern (windowed mean prompt length and
 rate), analytically scores a set of alternative placements, and when a
-different placement clearly wins it *replans* — stalling both instances
-for ``replan_downtime`` seconds (weight redistribution and engine restart)
-before resuming under the new configuration.  The restart is modelled
-generously (live KV survives, displaced blocks merely swap), so measured
-losses are a lower bound on real replanning cost.
+different placement clearly wins it *replans*.  A replan restarts the pair
+the way a fleet re-plans a member: ``crash()`` drains it, and
+``replan_downtime`` seconds later (weight redistribution and engine
+restart) ``rebuild_placement`` builds the new pair and ``restart()``
+resumes it.  As in a real engine restart, live KV and in-flight batches
+are lost: every unfinished request, including those that arrived during
+the stall, re-queues on the new pair and prefills from scratch.  That
+makes this baseline harsher than a restart that could carry KV over; the
+§2.2 claim holds either way (see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.hardware.gpu import GPUSpec
 from repro.models.spec import ModelSpec
 from repro.perf.roofline import LatencyModel
 from repro.serving.placement import Placement
-from repro.serving.request import Request
+from repro.serving.request import Phase, Request
 from repro.serving.system import SystemConfig
 
 # Analytic capacity anchors for scoring placements.
@@ -76,8 +80,12 @@ class ReplanningDistServeSystem(DistServeSystem):
         self.replan_hysteresis = replan_hysteresis
         self._pattern: deque[tuple[float, int, int]] = deque(maxlen=pattern_window)
         self._last_check = 0.0
-        self._replanning = False
         self.replan_count = 0
+        # Every admitted request, pruned to the unfinished ones at each
+        # replan.  A hand-off copy in flight at the crash sits in no queue,
+        # so the restart re-queues from this list, as a fleet re-queues a
+        # re-planned member's assignments.
+        self._admitted: list[Request] = []
 
     # -- pattern monitoring ----------------------------------------------------
 
@@ -86,6 +94,7 @@ class ReplanningDistServeSystem(DistServeSystem):
             (self.sim.now, request.prompt_tokens, request.output_tokens)
         )
         self._maybe_replan()
+        self._admitted.append(request)
         super().submit(request)
 
     def _observed_pattern(self) -> Optional[tuple[float, float, float]]:
@@ -113,7 +122,8 @@ class ReplanningDistServeSystem(DistServeSystem):
 
     def _maybe_replan(self) -> None:
         now = self.sim.now
-        if self._replanning or now - self._last_check < self.replan_check_interval:
+        # A drained (halted) pair is mid-replan: it does not replan again.
+        if self.halted or now - self._last_check < self.replan_check_interval:
             return
         self._last_check = now
         pattern = self._observed_pattern()
@@ -129,40 +139,26 @@ class ReplanningDistServeSystem(DistServeSystem):
     # -- stall-and-restart -------------------------------------------------------
 
     def _start_replan(self, target_index: int) -> None:
-        self._replanning = True
         self.replan_count += 1
         self.metrics.bump("replan")
-        resume_at = self.sim.now + self.replan_downtime
-        for instance in (self.prefill_instance, self.decode_instance):
-            instance.paused_until = resume_at
         self.trace.emit(
             self.sim.now,
             "replanner",
             "replan-start",
             target=self.alternatives[target_index].label(),
         )
+        self.crash()
+        resume_at = self.sim.now + self.replan_downtime
         self.sim.call_at(resume_at, self._finish_replan, target_index)
 
     def _finish_replan(self, target_index: int) -> None:
+        # The crash's losses, hand-offs caught mid-copy and arrivals during
+        # the stall: everything unfinished re-queues on the new pair.
+        lost = [r for r in self._admitted if not r.finished and r.phase is not Phase.SHED]
+        self._admitted = lost
         placement = self.alternatives[target_index]
-        # In-flight batches were shorter than the downtime; lanes are idle.
-        self.prefill_instance.reconfigure(
-            placement.prefill_parallel, placement.prefill_gpus
-        )
-        self.decode_instance.reconfigure(placement.decode_parallel, placement.decode_gpus)
-        self.placement = placement
+        self.rebuild_placement(placement)
+        self.restart()
         self.current_index = target_index
-        self._replanning = False
         self.trace.emit(self.sim.now, "replanner", "replan-done", placement=placement.label())
-        self.prefill_instance.kick()
-        self.decode_instance.kick()
-        self.pump_handoffs()
-
-    def on_kv_dropped(self, request: Request, instance) -> None:
-        """A replanning restart lost this request's KV: recompute it.
-
-        The request re-prefills its full live context on the prefill
-        instance and re-enters the decode pipeline via a fresh hand-off."""
-        request.restart_prefill()
-        self.metrics.bump("replan_recompute")
-        self.prefill_instance.enqueue(request)
+        self.recover_lost_requests(self.prefill_instance, lost)

@@ -57,19 +57,6 @@ class WindServeSystem(DisaggregatedSystem):
         self.migrations = MigrationManager(self)
         self.backups: dict[int, int] = {}
 
-    def rebuild_placement(self, placement: Placement) -> None:
-        """Re-split this member onto a new placement (fleet re-planning).
-
-        Call between ``crash()`` (which drains the member: KV freed,
-        queues swept, callbacks inert) and ``restart()``.  Fresh prefill
-        and decode instances are built on the new placement, on the same
-        GPU types, with the Global Scheduler machinery rebuilt around them
-        (see :meth:`build_pair`).
-        """
-        if not self.halted:
-            raise RuntimeError("rebuild_placement requires a drained (crashed) member")
-        self.build_pair(placement, self.prefill_instance.gpu, self.decode_instance.gpu)
-
     def _derive_assist_budget(self) -> int:
         cfg = self.ws_config
         if cfg.assist_budget_tokens is not None:

@@ -76,7 +76,6 @@ GOLDEN_TAGS = frozenset(
         "swap-out",
         "swap-in",
         "recompute-preempt",
-        "reconfigure",
         "migration-start",
         "migration-done",
         "assist-start",

@@ -74,7 +74,8 @@ class LatencyModel:
     """Estimates forward-pass latency for a (model, GPU, parallelism) triple.
 
     ``spec``, ``gpu`` and ``parallel`` are frozen, so the constants built
-    here cannot go stale; a reconfigured instance builds a new model.
+    here cannot go stale; a re-planned pair builds new instances, each
+    with its own model.
     """
 
     def __init__(self, spec: ModelSpec, gpu: GPUSpec, parallel: ParallelConfig) -> None:

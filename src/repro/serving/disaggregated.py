@@ -4,7 +4,8 @@ DistServe and WindServe both split a model into one prefill instance and
 one decode instance and move each request's KV between them after its
 prefill.  :class:`DisaggregatedSystem` owns what the two share:
 
-* building the prefill/decode pair from a :class:`Placement`;
+* building the prefill/decode pair from a :class:`Placement`, and
+  rebuilding a drained pair onto a new one (re-planning);
 * the blocking hand-off: a FIFO queue pumped whenever decode KV frees up,
   with head-of-line blocking when the decode instance is full;
 * the epoch-checked arrival of each copy: a copy launched before a
@@ -105,6 +106,18 @@ class DisaggregatedSystem(ServingSystem):
         self._handoffs.clear()
         self.known_failed.clear()
         self._orphans.clear()
+
+    def rebuild_placement(self, placement: Placement) -> None:
+        """Re-split this pair onto a new placement (re-planning).
+
+        Call between ``crash()`` (which drains the pair: KV freed, queues
+        swept, callbacks inert) and ``restart()``.  Fresh prefill and
+        decode instances are built on the new placement, on the same GPU
+        types (see :meth:`build_pair`).
+        """
+        if not self.halted:
+            raise RuntimeError("rebuild_placement requires a drained (crashed) system")
+        self.build_pair(placement, self.prefill_instance.gpu, self.decode_instance.gpu)
 
     def submit(self, request: Request) -> None:
         self.prefill_instance.enqueue(request)

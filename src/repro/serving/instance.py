@@ -56,11 +56,6 @@ class InstanceConfig:
     # shared-prefix KV this instance may keep resident.  0 (the default)
     # disables the cache entirely, keeping prefix-free runs byte-identical.
     prefix_cache_tokens: int = 0
-    # Fold steady-state batch ticks into the completing callback's frame
-    # instead of one heap event per iteration.  Exact by construction (see
-    # Instance._drain_inline); the switch exists so regression tests can
-    # compare against the per-event path.
-    coalesce_ticks: bool = True
 
 
 class Lane:
@@ -154,7 +149,6 @@ class Instance:
         self.waiting: deque[Request] = deque()
         self.swapped: list[Request] = []
         self._swapping_in: set[int] = set()
-        self.paused_until = 0.0
         self.halted = False  # failure injection: drop all future work
         # Recoverable-failure state (chaos injection).  ``failed`` is ground
         # truth (transport-level guards); schedulers must instead consult
@@ -268,8 +262,6 @@ class Instance:
         """Try to start work on every idle lane."""
         if self.halted or self.failed:
             return
-        if self.sim.now < self.paused_until - 1e-12:
-            return  # replanning stall: whoever paused us schedules the resume
         self._try_swap_in()
         for lane in self.lanes:
             if lane.busy:
@@ -317,8 +309,7 @@ class Instance:
         if self.halted or self.failed:
             return  # the node died mid-batch; results are lost
         self._on_batch_complete(lane, batch)
-        if self.config.coalesce_ticks:
-            self._drain_inline(lane)
+        self._drain_inline(lane)
         self.kick()
 
     def _drain_inline(self, lane: Lane) -> None:
@@ -330,7 +321,7 @@ class Instance:
         provably indistinguishable from scheduling:
 
         * the instance could immediately start this lane's next batch
-          anyway (not halted/paused, nothing swapped out, every other lane
+          anyway (not halted, nothing swapped out, every other lane
           busy — so the ensuing ``kick()`` would reach ``_form_batch`` for
           exactly this lane with no other side effects), and
         * no other pending event could fire at or before the batch's
@@ -347,8 +338,6 @@ class Instance:
         sim = self.sim
         while True:
             if self.halted or self.failed or lane.busy:
-                return
-            if sim.now < self.paused_until - 1e-12:
                 return
             if self.swapped:
                 return  # kick() must run _try_swap_in first
@@ -695,78 +684,6 @@ class Instance:
                 self.prefix_cache.release(request.request_id)
                 request.extra.pop("prefix_cached", None)
         return lost
-
-    # -- reconfiguration (replanning restarts) ----------------------------------
-
-    def reconfigure(self, parallel: ParallelConfig, gpus: tuple[int, ...]) -> None:
-        """Restart this instance with a new parallelism and GPU set.
-
-        Models a replanning restart that preserves live KV (a best case for
-        the replanning baseline): allocations carry over into the resized
-        pool; anything that no longer fits is displaced to CPU swap.  All
-        lanes must be idle (the caller stalls execution first).
-        """
-        if len(gpus) != parallel.num_gpus:
-            raise ValueError(
-                f"{self.name}: reconfigure got {len(gpus)} GPUs for {parallel.label()}"
-            )
-        if any(lane.busy for lane in self.lanes):
-            raise RuntimeError(f"{self.name}: cannot reconfigure with batches in flight")
-        if self.prefix_cache is not None:
-            # Cached prefixes belong to no live request; drop them rather
-            # than migrating them into the resized pool (they rebuild
-            # organically from traffic).
-            self.prefix_cache.drain()
-        old_kv = self.kv
-        self.parallel = parallel
-        self.gpus = gpus
-        self.latency = LatencyModel(self.spec, self.gpu, parallel)
-
-        running = self.running_requests
-        self.lanes = [Lane(i) for i in range(parallel.pp)]
-        for i, request in enumerate(running):
-            self.lanes[i % parallel.pp].add(request)
-
-        self.kv = self._new_kv_pool()
-        by_request = {r.request_id: r for r in running + self.swapped + list(self.waiting)}
-        dropped: list[Request] = []
-        for alloc in old_kv.residents(BlockLocation.GPU) + old_kv.residents(
-            BlockLocation.CPU
-        ):
-            request = by_request.get(alloc.request_id)
-            target = alloc.location
-            if target == BlockLocation.GPU and not self.kv.can_allocate(alloc.tokens):
-                target = BlockLocation.CPU  # displaced by the shrink
-            if target == BlockLocation.CPU and alloc.blocks > self.kv.free_cpu_blocks:
-                # Neither pool can hold it: the restart loses this KV and the
-                # request must recompute through the pipeline.
-                self._evict_from_queues(request)
-                if request is not None:
-                    dropped.append(request)
-                self.metrics.bump("reconfigure_dropped")
-                continue
-            if target == BlockLocation.CPU and alloc.location == BlockLocation.GPU:
-                self._evict_from_queues(request)
-                if request is not None:
-                    request.phase = Phase.SWAPPED
-                    request.swap_out_count += 1
-                    self.swapped.append(request)
-                    self.metrics.bump("swap_out")
-            self.kv.adopt(alloc.request_id, alloc.tokens, target)
-        self.prefix_cache = self._build_prefix_cache()
-        self.metrics.bump("reconfigure")
-        self.trace.emit(
-            self.sim.now, self.name, "reconfigure", parallel=parallel.label(), gpus=gpus
-        )
-        if self.system is not None:
-            for request in dropped:
-                self.system.on_kv_dropped(request, self)
-
-    def _evict_from_queues(self, request: Optional[Request]) -> None:
-        if request is None or self.remove_running(request):
-            return
-        if request in self.swapped:
-            self.swapped.remove(request)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

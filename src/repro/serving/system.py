@@ -133,9 +133,6 @@ class ServingSystem:
     def on_request_finished(self, request: Request, instance: Instance) -> None:
         """Hook: a request completed on ``instance``."""
 
-    def on_kv_dropped(self, request: Request, instance: Instance) -> None:
-        """Hook: a restart/reconfiguration lost a request's KV entirely."""
-
     # -- recoverable failures (chaos injection) -----------------------------------
 
     def is_down(self, instance: Instance) -> bool:

@@ -6,8 +6,8 @@ The claim is exactness, not approximation — a decode interrupted mid-stream
 by a crash, a CPU-swap preemption, or an SLO-tier displacement has to
 produce the same token timestamps, trace rows, and run fingerprint as the
 per-token path.  These tests run matched scenarios down both paths (the
-``coalesce_ticks`` switch, plus a belt-and-braces ``_drain_inline`` no-op
-patch) and require byte-identical artefacts.
+per-token path by patching ``_drain_inline`` to a no-op) and require
+byte-identical artefacts.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ _BY_NAME = {s.name: s for s in GOLDEN_MATRIX}
 
 
 def _disable_coalescing(monkeypatch) -> None:
-    """Force the per-token path regardless of config defaults."""
+    """Force the per-token path."""
     monkeypatch.setattr(Instance, "_drain_inline", lambda self, lane: None)
 
 
@@ -70,20 +70,21 @@ def test_per_token_path_still_matches_recorded_golden(name, monkeypatch):
 
 
 def test_coalesce_config_switch(monkeypatch):
-    """InstanceConfig(coalesce_ticks=False) selects the per-token path."""
+    """A plain system run matches its per-token twin event for event."""
     from dataclasses import replace
 
     from repro.harness.runner import generate_workload
 
-    def run(coalesce: bool):
+    def run():
         cell = replace(_BY_NAME["windserve-poisson-r3-s0"], num_requests=40)
-        cell = replace(cell, instance_config=replace(cell.instance(), coalesce_ticks=coalesce))
         system = cell.build()
         workload = generate_workload(cell)
         system.run_to_completion(workload)
         return system.run_fingerprint(workload.rng_registry), system.sim.events_processed
 
-    fp_on, events_on = run(True)
-    fp_off, events_off = run(False)
+    fp_on, events_on = run()
+    with monkeypatch.context() as patch:
+        _disable_coalescing(patch)
+        fp_off, events_off = run()
     assert events_on == events_off  # coalesced firings still count as events
     assert fp_on == fp_off
