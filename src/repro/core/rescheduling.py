@@ -64,6 +64,7 @@ class MigrationManager:
 
         if free_frac >= cfg.reschedule_watermark_frac:
             return
+        decode.sync()  # candidates are ranked by their live context
         candidates = sorted(
             (
                 r

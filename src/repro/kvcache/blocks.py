@@ -152,25 +152,28 @@ class KVBlockManager:
         alloc.tokens += new_tokens
         return alloc
 
-    def append_in_block(self, request_id: int) -> bool:
-        """Append one token into a free slot of the last GPU block.
+    def slack(self, request_id: int) -> int:
+        """Tokens the allocation's GPU blocks can still take without a new
+        block; 0 for a swapped-out or unknown allocation."""
+        alloc = self._allocations.get(request_id)
+        if alloc is None or alloc.location is not BlockLocation.GPU:
+            return 0
+        return alloc.blocks * self.block_size - alloc.tokens
 
-        Touches no pool.  Returns False, changing nothing, when the last
-        block is full (the next token starts a new block), the allocation
-        is swapped out, or there is none; the caller then goes through
-        :meth:`can_extend` / :meth:`extend`.  Since ``blocks`` is always
-        ``blocks_for(tokens)``, a True here is exactly what
-        ``extend(request_id, 1)`` would have done.
-        """
+    def fill(self, request_id: int, tokens: int) -> None:
+        """Write ``tokens`` decode tokens into the free slots of the
+        allocation's GPU blocks.  Touches no pool; ``tokens`` must be at
+        most :meth:`slack` (a block boundary goes through :meth:`extend`)."""
         alloc = self._allocations.get(request_id)
         if (
             alloc is None
             or alloc.location is not BlockLocation.GPU
-            or alloc.tokens >= alloc.blocks * self.block_size
+            or not 0 <= tokens <= alloc.blocks * self.block_size - alloc.tokens
         ):
-            return False
-        alloc.tokens += 1
-        return True
+            raise ValueError(
+                f"request {request_id}: {tokens} tokens do not fit its GPU blocks"
+            )
+        alloc.tokens += tokens
 
     def free(self, request_id: int) -> None:
         """Release all blocks of a finished/migrated request."""

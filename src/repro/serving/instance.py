@@ -15,9 +15,10 @@ in the paper builds on.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from operator import attrgetter
+from typing import Iterator, Optional, TYPE_CHECKING
 
 from repro.hardware.gpu import GB, GPUSpec
 from repro.kvcache.blocks import BlockLocation, KVBlockManager
@@ -58,45 +59,180 @@ class InstanceConfig:
     prefix_cache_tokens: int = 0
 
 
+class _Member:
+    """A lane member's place on its lane's iteration clock (see :class:`Lane`)."""
+
+    __slots__ = ("request", "key", "mark", "due")
+
+    def __init__(self, request: Request, key: int, mark: int) -> None:
+        self.request = request
+        self.key = key  # admission order
+        self.mark = mark  # the step its stored counters are exact at
+        self.due = mark  # the step whose token starts a KV block or is its last
+
+
+_ADMISSION_ORDER = attrgetter("key")
+
+
 class Lane:
     """One pipeline interleave slot: runs one batch at a time.
 
     ``running`` keeps the lane's decode requests in admission order (batch
     formation and preemption policies read it).  Every change goes through
-    :meth:`add`, :meth:`remove` and :meth:`clear`, which also keep an
-    identity set (O(1) ``request in lane``) and the summed
-    ``context_tokens`` of the members.  A member's context grows only
-    through a decode step, which bumps ``context_tokens`` alongside it.
+    :meth:`add`, :meth:`remove` and :meth:`clear`, which also keep
+    ``members`` (O(1) ``request in lane``) and the summed
+    ``context_tokens`` of the members, which pricing reads every iteration.
+
+    Decode tokens run on an iteration clock.  ``step`` counts the decode
+    iterations the lane has applied.  A member's stored ``output_generated``
+    and KV token count are exact as of its *mark*; it has generated one
+    token per step since.  A request that joins while a batch formed
+    without it is in flight is marked one step ahead, so that batch gives
+    it nothing.  A member is *due* at the step whose token starts a new KV
+    block or is its last: applying an iteration (:meth:`apply_step`) walks
+    only that step's due members, in admission order, and the clock gives
+    every other batch member its token.  Counters are written back to the
+    request and its allocation when the member leaves (:meth:`remove`,
+    :meth:`clear`) and on :meth:`sync`, which readers outside the decode
+    loop call first; ``context_tokens`` is always exact.
     """
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, kv: KVBlockManager) -> None:
         self.index = index
+        self.kv = kv
         self.busy = False
         self.busy_until = 0.0
         self.running: list[Request] = []
-        self.members: set[Request] = set()
+        self.members: dict[Request, _Member] = {}
         self.context_tokens = 0
         # The batch in flight; pure-prefill batch members may live in no
         # other pool, so crash handling must be able to find them here.
         self.current_batch: Optional[Batch] = None
+        self.step = 0
+        self._next_key = 0
+        # First admission key the decode batch in flight left out (None: no
+        # decode batch in flight), and the keys of its members that left
+        # the lane before it applied, in case they come back.
+        self._batch_end: Optional[int] = None
+        self._left: dict[Request, int] = {}
+        self._ahead = 0  # members whose counters already hold this step's token
+        self._due: defaultdict[int, list[_Member]] = defaultdict(list)
+        self._walk: Optional[int] = None  # key of the member being stepped
 
     def __contains__(self, request: Request) -> bool:
         return request in self.members
 
     def add(self, request: Request) -> None:
+        key = self._left.pop(request, None)
+        if key is None:
+            key = self._next_key
+            self._next_key += 1
+        late = self._batch_end is not None and key >= self._batch_end
+        member = _Member(request, key, self.step + late)
+        self._ahead += late
         self.running.append(request)
-        self.members.add(request)
+        self.members[request] = member
         self.context_tokens += request.context_tokens
+        self._schedule(member)
 
     def remove(self, request: Request) -> None:
+        member = self.members.pop(request)
         self.running.remove(request)
-        self.members.discard(request)
+        self._settle(member)
+        if member.mark > self.step:
+            self._ahead -= 1
         self.context_tokens -= request.context_tokens
+        batch_end = self._batch_end
+        if batch_end is not None and self._walk is None and member.key < batch_end:
+            self._left[request] = member.key  # left the batch in flight
 
     def clear(self) -> None:
+        self.sync()
         self.running.clear()
         self.members.clear()
         self.context_tokens = 0
+        self._batch_end = None
+        self._left.clear()
+        self._ahead = 0
+        self._due.clear()
+
+    def sync(self) -> None:
+        """Write every member's clock tokens back to its request and KV."""
+        for member in self.members.values():
+            self._settle(member)
+
+    def launch(self) -> None:
+        """A decode batch over every current member has started."""
+        self._batch_end = self._next_key
+
+    def apply_step(self) -> Iterator[tuple[_Member, int]]:
+        """Apply the decode batch in flight: one token per member still here.
+
+        Yields this step's due members in admission order, each with the
+        tokens it is owed (this step's and the ones the clock gave it since
+        its mark); the caller writes them to the KV pool and calls
+        :meth:`grant`, or lets the member go.  A member that leaves
+        mid-walk keeps this step's token only if the walk had passed it.
+        When the walk ends, the clock gives every other member of the batch
+        its token.
+        """
+        if self._batch_end is None:
+            return  # the batch decoded nothing here
+        step = self.step
+        self._left.clear()
+        bucket = self._due.pop(step, None)
+        if bucket:
+            bucket.sort(key=_ADMISSION_ORDER)
+            members = self.members
+            for member in bucket:
+                if member.due != step or members.get(member.request) is not member:
+                    continue  # left (or came back) since it was bucketed
+                self._walk = member.key
+                yield member, step + 1 - member.mark
+            self._walk = None
+        self.context_tokens += len(self.running) - self._ahead
+        self.step = step + 1
+        self._ahead = 0
+        self._batch_end = None
+
+    def grant(self, member: _Member, tokens: int) -> bool:
+        """Count the walked member's owed tokens; True when it is done."""
+        request = member.request
+        request.output_generated += tokens
+        self.context_tokens += 1  # the others were counted as they accrued
+        member.mark = self.step + 1
+        self._ahead += 1
+        if request.output_generated >= request.output_tokens:
+            return True
+        self._schedule(member)
+        return False
+
+    def _schedule(self, member: _Member) -> None:
+        request = member.request
+        room = self.kv.slack(request.request_id)
+        left = request.output_tokens - request.output_generated - 1
+        if left < room:
+            room = left
+        member.due = due = member.mark + room if room > 0 else member.mark
+        self._due[due].append(member)
+
+    def _settle(self, member: _Member) -> None:
+        """Write the member's clock tokens back and mark it current."""
+        lag = self.step - member.mark
+        if lag < 0:
+            return  # its counters already hold this step's token
+        if self._walk is not None and member.key < self._walk:
+            # The walk has passed it: it holds this step's token too.
+            lag += 1
+            member.mark = self.step + 1
+            self._ahead += 1
+            self.context_tokens += 1
+        else:
+            member.mark = self.step
+        if lag:
+            request = member.request
+            request.output_generated += lag
+            self.kv.fill(request.request_id, lag)
 
     @property
     def batch_size(self) -> int:
@@ -145,9 +281,9 @@ class Instance:
 
         self.kv = self._new_kv_pool()
         self.prefix_cache = self._build_prefix_cache()
-        self.lanes = [Lane(i) for i in range(parallel.pp)]
+        self.lanes = [Lane(i, self.kv) for i in range(parallel.pp)]
         self.waiting: deque[Request] = deque()
-        self.swapped: list[Request] = []
+        self.swapped: deque[Request] = deque()
         self._swapping_in: set[int] = set()
         self.halted = False  # failure injection: drop all future work
         # Recoverable-failure state (chaos injection).  ``failed`` is ground
@@ -159,6 +295,8 @@ class Instance:
         self.epoch = 0
         self.compute_slowdown = 1.0  # straggler injection; 1.0 == healthy
         self.retired_kv: list[KVBlockManager] = []
+        # Whoever gets control back from the event loop reads exact counters.
+        sim.on_return(self.sync)
 
     # -- construction helpers ----------------------------------------------
 
@@ -283,6 +421,8 @@ class Instance:
         lane.busy = True
         lane.current_batch = batch
         lane.busy_until = self.sim.now + duration
+        if batch.decode_requests:
+            lane.launch()
         if batch.timing is not None:
             self.metrics.record_batch(
                 self.name,
@@ -391,39 +531,44 @@ class Instance:
         """Apply the results of one decode iteration: grow KV, emit tokens,
         retire finished requests, preempt under memory pressure.
 
-        A token that fits the last KV block touches no pool; only at a block
-        boundary does :meth:`_grow_kv` reserve (and maybe preempt).  Both
-        give the same allocation, so the preemption order is unchanged."""
+        Costs O(due members), not O(batch): the lane's iteration clock
+        (:class:`Lane`) gives a token that fits its last KV block to every
+        member at once, and walks only the members whose token starts a new
+        block or is their last, in admission order.  At a block boundary
+        :meth:`_grow_kv` reserves (and maybe preempts) exactly as a
+        token-by-token loop would, so the pool, the swap victims and their
+        order are unchanged.  ``batch`` is the one that just ran; the lane
+        recorded its membership when it launched."""
         now = self.sim.now
-        members = lane.members
-        # ``decode_requests`` is the batch's own snapshot of the lane, so
-        # removals below cannot disturb the iteration.
-        for request in batch.decode_requests:
-            if request not in members:
-                continue  # migrated or preempted mid-flight
-            if not self.kv.append_in_block(request.request_id) and not self._grow_kv(
-                lane, request
-            ):
+        kv = self.kv
+        for member, tokens in lane.apply_step():
+            request = member.request
+            if kv.slack(request.request_id) >= tokens:
+                kv.fill(request.request_id, tokens)
+            elif not self._grow_kv(lane, request, tokens):
                 continue  # the request itself was preempted to CPU swap
-            request.output_generated += 1
-            lane.context_tokens += 1
-            if request.output_generated >= request.output_tokens:
+            if lane.grant(member, tokens):
                 lane.remove(request)
                 self._retire(request, now)
 
-    def _grow_kv(self, lane: Lane, request: Request) -> bool:
-        """Reserve KV for the request's next token, preempting if needed.
+    def sync(self) -> None:
+        """Write every lane member's clock tokens back (see :class:`Lane`)."""
+        for lane in self.lanes:
+            lane.sync()
+
+    def _grow_kv(self, lane: Lane, request: Request, tokens: int) -> bool:
+        """Reserve KV for the request's next ``tokens``, preempting if needed.
 
         Returns False when the request itself had to be swapped out (its
         token is not counted; it resumes after swap-in)."""
-        while not self.kv.can_extend(request.request_id, 1):
+        while not self.kv.can_extend(request.request_id, tokens):
             victim = self._pick_swap_victim(exclude=request)
             if victim is None:
                 victim = request
             self._preempt(victim)
             if victim is request:
                 return False
-        self.kv.extend(request.request_id, 1)
+        self.kv.extend(request.request_id, tokens)
         return True
 
     def _preempt(self, victim: Request) -> None:
@@ -489,14 +634,16 @@ class Instance:
         return min(self.config.swap_in_free_blocks, max(1, self.kv.gpu_capacity_blocks // 20))
 
     def _try_swap_in(self) -> None:
+        if not self.swapped:
+            return
         # Drop entries whose allocation left this instance (e.g. migrated away).
-        self.swapped = [r for r in self.swapped if self.kv.has(r.request_id)]
+        swapped = self.swapped = deque(r for r in self.swapped if self.kv.has(r.request_id))
         while (
-            self.swapped
+            swapped
             and self.kv.free_gpu_blocks >= self._swap_in_watermark()
-            and self.kv.can_swap_in(self.swapped[0].request_id)
+            and self.kv.can_swap_in(swapped[0].request_id)
         ):
-            request = self.swapped.pop(0)
+            request = swapped.popleft()
             if request.request_id in self._swapping_in:
                 continue
             self._swapping_in.add(request.request_id)
@@ -662,8 +809,8 @@ class Instance:
         # The recovered instance comes back with a cold prefix cache over
         # the fresh pool (the cache ledger carries over).
         self.prefix_cache = self._build_prefix_cache()
-        self.lanes = [Lane(i) for i in range(self.parallel.pp)]
-        self.swapped = []
+        self.lanes = [Lane(i, self.kv) for i in range(self.parallel.pp)]
+        self.swapped = deque()
         self._swapping_in = set()
         self.metrics.bump("instance_recover")
         if self.system is not None:

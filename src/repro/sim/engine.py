@@ -115,6 +115,7 @@ class Simulator:
         self._run_until: Optional[float] = None
         self._run_max_events: Optional[int] = None
         self._run_executed = 0
+        self._return_hooks: list[Callable[[], None]] = []
 
     @property
     def now(self) -> float:
@@ -144,6 +145,14 @@ class Simulator:
         :mod:`repro.sim.fingerprint`.
         """
         return {"now": self._now, "events_processed": self._events_processed}
+
+    def on_return(self, hook: Callable[[], None]) -> None:
+        """Call ``hook()`` each time :meth:`run` hands control back.
+
+        Components that keep state lazily inside the loop write it back
+        here, so code reading it between runs sees it exact.
+        """
+        self._return_hooks.append(hook)
 
     # -- scheduling ----------------------------------------------------------
 
@@ -233,6 +242,8 @@ class Simulator:
                 self._cancelled_pending -= 1
             if not heap or heap[0][0] > until:
                 self._now = until
+        for hook in self._return_hooks:
+            hook()
         return self._now
 
     def run_until_idle(self, max_events: int = 50_000_000) -> float:

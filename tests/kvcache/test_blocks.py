@@ -113,45 +113,44 @@ class TestExtension:
         assert kv.can_extend(1, 1)
 
 
-class TestAppendInBlock:
-    def test_fills_the_last_block_without_reserving(self):
+class TestSlackAndFill:
+    def test_slack_counts_free_slots_of_the_gpu_blocks(self):
         kv = manager()
         kv.allocate(1, 14)
+        assert kv.slack(1) == 2
+        kv.extend(1, 2)
+        assert kv.slack(1) == 0  # the next token starts a block
+        kv.swap_out(1)
+        assert kv.slack(1) == 0
+        assert kv.slack(7) == 0
+
+    def test_fill_writes_tokens_without_reserving(self):
+        kv = manager()
+        kv.allocate(1, 3)
         free = kv.free_gpu_blocks
-        assert kv.append_in_block(1)
-        assert kv.append_in_block(1)
+        kv.fill(1, 13)
         assert kv.tokens_of(1) == 16
         assert kv.get(1).blocks == 1
         assert kv.free_gpu_blocks == free
 
-    def test_refuses_at_a_block_boundary(self):
+    @pytest.mark.parametrize("rid, tokens", [(1, 3), (2, 0), (7, 0)])
+    def test_fill_refuses_what_does_not_fit(self, rid, tokens):
         kv = manager()
-        kv.allocate(1, 16)
-        assert not kv.append_in_block(1)
-        assert kv.tokens_of(1) == 16
-        kv.extend(1, 1)  # the boundary token goes through ``extend``
-        assert kv.append_in_block(1)
-        assert kv.tokens_of(1) == 18
+        kv.allocate(1, 14)
+        kv.allocate(2, 4)
+        kv.swap_out(2)
+        with pytest.raises(ValueError):
+            kv.fill(rid, tokens)
+        assert kv.tokens_of(1) == 14 and kv.tokens_of(2) == 4
 
-    def test_refuses_unknown_request(self):
-        kv = manager()
-        assert not kv.append_in_block(7)
-        assert not kv.has(7)
-
-    def test_refuses_swapped_request(self):
-        kv = manager()
-        kv.allocate(1, 10)
-        kv.swap_out(1)
-        assert not kv.append_in_block(1)
-        assert kv.tokens_of(1) == 10
-        assert kv.get(1).location is BlockLocation.CPU
-
-    def test_matches_extend_by_one(self):
+    def test_fill_then_extend_at_the_boundary_matches_extend_by_one(self):
         fast, slow = manager(), manager()
         for kv in (fast, slow):
             kv.allocate(1, 1)
         for _ in range(100):
-            if not fast.append_in_block(1):
+            if fast.slack(1):
+                fast.fill(1, 1)
+            else:
                 fast.extend(1, 1)
             slow.extend(1, 1)
             assert fast.get(1) == slow.get(1)

@@ -72,17 +72,22 @@ class KVMachine(RuleBasedStateMachine):
         except OutOfMemoryError:
             pass  # growth denied; state unchanged
 
-    @rule(rid=st.integers(0, 15))
-    def append_in_block(self, rid):
+    @rule(rid=st.integers(0, 15), tokens=st.integers(0, 16))
+    def fill(self, rid, tokens):
         entry = self.model.get(rid)
-        # Room in the last block: a GPU allocation whose token count is
-        # not a multiple of the block size (allocations hold >= 1 token).
-        fits = entry is not None and entry[1] == "gpu" and entry[0] % BLOCK != 0
+        on_gpu = entry is not None and entry[1] == "gpu"
+        # Room in the last block: a GPU allocation's free slots (0 for a
+        # swapped or unknown one, which take no tokens at all).
+        room = -entry[0] % BLOCK if on_gpu else 0
+        assert self.kv.slack(rid) == room
         free = self.kv.free_gpu_blocks
-        assert self.kv.append_in_block(rid) == fits
+        try:
+            self.kv.fill(rid, tokens)
+            assert on_gpu and tokens <= room
+            self.model[rid] = (entry[0] + tokens, "gpu")
+        except ValueError:
+            assert not on_gpu or tokens > room
         assert self.kv.free_gpu_blocks == free
-        if fits:
-            self.model[rid] = (entry[0] + 1, "gpu")
 
     @rule(rid=st.integers(0, 15), tokens=st.integers(1, 64))
     def can_extend(self, rid, tokens):

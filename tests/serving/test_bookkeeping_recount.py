@@ -5,14 +5,17 @@ context-token total beside its run list, and each serving system keeps a
 per-tier in-flight ledger.  The observer below recounts both from scratch
 and compares them with the kept values:
 
-* after every decode iteration, each lane's member set and context total
-  against its ``running`` list;
+* after every decode iteration, each lane's member set against its
+  ``running`` list, and its context total against the members' context
+  once their clock tokens are written back (``Lane.sync``);
 * at every admission and route call, and at every ledger read,
   ``in_flight_by_tier()`` against the recount over ``metrics.completed``
   and ``metrics.shed`` it replaced (values and key order).
 
 The wrappers only observe, so the pressure and failure pins run under them
-must still match their recordings.
+must still match their recordings.  The same pins must also match when
+every lane is synced after every simulator event: a reader that saw a
+counter the clock had not yet written back would make that run diverge.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from repro.core.autoscaler import AutoscalingFleet
 from repro.core.fleet import ServingFleet
 from repro.harness.golden import GOLDEN_MATRIX, check_goldens
 from repro.policies.base import AdmissionPolicy
-from repro.serving.instance import Instance
+from repro.serving.instance import Instance, Lane
 from repro.serving.system import ServingSystem
+from repro.sim.engine import Simulator
 from tests.conftest import search_depth
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
@@ -78,7 +82,10 @@ class RecountObserver:
     def check_lanes(self, instance: Instance) -> None:
         for lane in instance.lanes:
             assert len(lane.members) == len(lane.running), "duplicate lane member"
-            assert lane.members == set(lane.running)
+            assert lane.members.keys() == set(lane.running)
+            # Members' counters run on the lane's clock: write them back,
+            # then the kept total must equal the materialised sum.
+            lane.sync()
             assert lane.context_tokens == sum(r.context_tokens for r in lane.running)
         self.checks["decode"] += 1
 
@@ -180,6 +187,52 @@ def test_recounts_match_on_pin(pin):
     if "tiered" in pin:
         # Degraded-mode admission reads the ledger once the crash is known.
         assert observer.checks["read"] > 0
+
+
+@pytest.mark.parametrize("pin", PINS)
+def test_pins_match_with_lanes_synced_after_every_event(pin, monkeypatch):
+    lanes: list[Lane] = []
+    synced = {"members": 0}
+
+    def sync_all() -> None:
+        for lane in lanes:
+            synced["members"] += len(lane.running)
+            lane.sync()
+
+    def init(original):
+        def wrapper(lane, *args, **kwargs):
+            original(lane, *args, **kwargs)
+            lanes.append(lane)
+
+        return wrapper
+
+    def call_at(original):
+        def wrapper(sim, time, fn, *args, **kwargs):
+            def fire(*a, **k):
+                fn(*a, **k)
+                sync_all()
+
+            return original(sim, time, fire, *args, **kwargs)
+
+        return wrapper
+
+    def advance_inline(original):
+        # An inline iteration is an event fired in its predecessor's frame.
+        def wrapper(sim, duration):
+            sync_all()
+            original(sim, duration)
+
+        return wrapper
+
+    for cls, name, make in (
+        (Lane, "__init__", init),
+        (Simulator, "call_at", call_at),
+        (Simulator, "advance_inline", advance_inline),
+    ):
+        monkeypatch.setattr(cls, name, make(cls.__dict__[name]))
+    (diff,) = check_goldens(GOLDEN_DIR, only=[pin])
+    assert diff.passed, "\n".join(diff.messages)
+    assert synced["members"] > 0
 
 
 _BASES = {cell.name: cell for cell in GOLDEN_MATRIX if cell.name in PINS}

@@ -208,3 +208,25 @@ class TestRetireHandsBlocksOn:
         assert last.phase is Phase.SWAPPED and not last.finished
         assert inst.metrics.counters["swap_out"] == 1
         assert boundary.output_generated == 2
+
+
+def test_member_that_leaves_and_rejoins_keeps_its_batch_token(per_token):
+    """Swapped out and back in while its batch runs: still that batch's
+    member, so it gets the batch's token like the member beside it."""
+    inst, sim = make_instance()
+    away = decode_ready_request(1, output=10)
+    stays = decode_ready_request(2, output=10)
+    for r in (away, stays):
+        inst.kv.allocate(r.request_id, r.context_tokens)
+        inst.waiting.append(r)
+    inst.kick()
+    (lane,) = inst.lanes
+    inst._swap_out(away)
+    inst.swapped.remove(away)
+    inst.kv.swap_in(away.request_id)
+    inst._swap_in_done(away)
+    assert lane.running == [stays, away] and lane.busy
+    sim.run(until=lane.busy_until)
+    assert stays.output_generated == 2
+    assert away.output_generated == 2
+    assert inst.kv.tokens_of(away.request_id) == away.context_tokens

@@ -29,9 +29,7 @@ class DecodeOnlyInstance(Instance):
             self.start_decoding(request, lane)
         if not lane.running:
             return None
-        timing = self.latency.decode(
-            len(lane.running), sum(r.context_tokens for r in lane.running)
-        )
+        timing = self.latency.decode(len(lane.running), lane.context_tokens)
         return Batch("decode", timing.duration, decode_requests=list(lane.running), timing=timing)
 
     def _on_batch_complete(self, lane: Lane, batch: Batch) -> None:
