@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, Optional, TYPE_CHECKING
+from typing import Callable, Iterator, Optional, TYPE_CHECKING
 
 from repro.hardware.gpu import GB, GPUSpec
 from repro.kvcache.blocks import BlockLocation, KVBlockManager
@@ -165,16 +165,19 @@ class Lane:
         """A decode batch over every current member has started."""
         self._batch_end = self._next_key
 
-    def apply_step(self) -> Iterator[tuple[_Member, int]]:
+    def apply_step(self, grow: Callable[[Request, int], bool]) -> Iterator[Request]:
         """Apply the decode batch in flight: one token per member still here.
 
-        Yields this step's due members in admission order, each with the
-        tokens it is owed (this step's and the ones the clock gave it since
-        its mark); the caller writes them to the KV pool and calls
-        :meth:`grant`, or lets the member go.  A member that leaves
-        mid-walk keeps this step's token only if the walk had passed it.
-        When the walk ends, the clock gives every other member of the batch
-        its token.
+        Walks only this step's due members, in admission order.  Each is
+        owed this step's token and those the clock gave it since its mark:
+        they go into free slots of its last KV block when they fit, else
+        through ``grow(request, tokens)``, which reserves a block (maybe
+        preempting) and returns False if the member itself was preempted.
+        A member whose last token this was leaves the lane and is yielded,
+        for the caller to retire before the walk goes on.  A member that
+        leaves mid-walk keeps this step's token only if the walk had
+        passed it.  When the walk ends, the clock gives every other member
+        of the batch its token.
         """
         if self._batch_end is None:
             return  # the batch decoded nothing here
@@ -183,29 +186,32 @@ class Lane:
         bucket = self._due.pop(step, None)
         if bucket:
             bucket.sort(key=_ADMISSION_ORDER)
+            kv = self.kv
             members = self.members
             for member in bucket:
-                if member.due != step or members.get(member.request) is not member:
+                request = member.request
+                if member.due != step or members.get(request) is not member:
                     continue  # left (or came back) since it was bucketed
                 self._walk = member.key
-                yield member, step + 1 - member.mark
+                tokens = step + 1 - member.mark
+                if kv.slack(request.request_id) >= tokens:
+                    kv.fill(request.request_id, tokens)
+                elif not grow(request, tokens):
+                    continue  # preempted itself; it left with what it had
+                request.output_generated += tokens
+                self.context_tokens += 1  # the rest were counted as they accrued
+                member.mark = step + 1
+                self._ahead += 1
+                if request.output_generated < request.output_tokens:
+                    self._schedule(member)
+                else:
+                    self.remove(request)
+                    yield request
             self._walk = None
         self.context_tokens += len(self.running) - self._ahead
         self.step = step + 1
         self._ahead = 0
         self._batch_end = None
-
-    def grant(self, member: _Member, tokens: int) -> bool:
-        """Count the walked member's owed tokens; True when it is done."""
-        request = member.request
-        request.output_generated += tokens
-        self.context_tokens += 1  # the others were counted as they accrued
-        member.mark = self.step + 1
-        self._ahead += 1
-        if request.output_generated >= request.output_tokens:
-            return True
-        self._schedule(member)
-        return False
 
     def _schedule(self, member: _Member) -> None:
         request = member.request
@@ -540,23 +546,15 @@ class Instance:
         order are unchanged.  ``batch`` is the one that just ran; the lane
         recorded its membership when it launched."""
         now = self.sim.now
-        kv = self.kv
-        for member, tokens in lane.apply_step():
-            request = member.request
-            if kv.slack(request.request_id) >= tokens:
-                kv.fill(request.request_id, tokens)
-            elif not self._grow_kv(lane, request, tokens):
-                continue  # the request itself was preempted to CPU swap
-            if lane.grant(member, tokens):
-                lane.remove(request)
-                self._retire(request, now)
+        for request in lane.apply_step(self._grow_kv):
+            self._retire(request, now)
 
     def sync(self) -> None:
         """Write every lane member's clock tokens back (see :class:`Lane`)."""
         for lane in self.lanes:
             lane.sync()
 
-    def _grow_kv(self, lane: Lane, request: Request, tokens: int) -> bool:
+    def _grow_kv(self, request: Request, tokens: int) -> bool:
         """Reserve KV for the request's next ``tokens``, preempting if needed.
 
         Returns False when the request itself had to be swapped out (its
