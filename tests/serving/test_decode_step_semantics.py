@@ -11,7 +11,9 @@ admission order:
   yet and gets none, an earlier one keeps it, and its swap-out bytes are
   its cached tokens at that moment times the per-token KV size;
 * a member whose last token frees its blocks hands them to a later
-  boundary member of the same iteration.
+  boundary member of the same iteration;
+* a batch member that leaves its lane and comes back before the batch
+  completes is still that batch's member.
 
 Every scenario runs on the per-token path (``_drain_inline`` patched out),
 so each batch completion is one simulator event and the state read

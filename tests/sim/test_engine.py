@@ -125,6 +125,17 @@ class TestHorizon:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_return_hooks_run_after_every_stop(self):
+        sim = Simulator()
+        log = []
+        sim.on_return(lambda: log.append(("hook", sim.now)))
+        for t in (1.0, 3.0, 5.0):
+            sim.call_at(t, log.append, t)
+        sim.run(until=2.0)
+        sim.run(max_events=1)
+        sim.run_until_idle()
+        assert log == [1.0, ("hook", 2.0), 3.0, ("hook", 3.0), 5.0, ("hook", 5.0)]
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
