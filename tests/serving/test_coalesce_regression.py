@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import WindServeConfig
+from repro.harness.cell import Cell
 from repro.harness.golden import GOLDEN_MATRIX, GOLDEN_TAGS
 from repro.serving.instance import Instance
+from repro.sim.engine import Simulator
 
 # One scenario per interruption mode the coalescing loop must split exactly:
 # a decode-instance crash (chaos plan), KV-pressure CPU-swap preemption, and
@@ -46,6 +49,78 @@ def test_interrupted_decode_matches_per_token_path(name, monkeypatch):
     # Token timestamps live in the request rows (first_token/decode/finish);
     # compare them field-by-field before the aggregate hashes so a mismatch
     # names the diverging request instead of just a digest.
+    assert coalesced.request_rows == per_token.request_rows
+    assert coalesced.event_rows == per_token.event_rows
+    assert coalesced.fingerprint == per_token.fingerprint
+
+
+def _batch_kinds(run) -> set:
+    return {
+        (row["c"], row["p"]["kind"]) for row in run.event_rows if row["g"] == "batch-start"
+    }
+
+
+# Decode-instance modes and layouts no pin covers, each with the batch
+# kind its folded runs must reproduce: the static-partition and no-split
+# (hybrid fold-in of assist prefills) colocation modes, a PP-2 decode
+# instance (two lanes: a lane folds only while the other is busy), and a
+# WindServe straggler (every folded iteration scaled by compute_slowdown).
+UNPINNED_SCENARIOS = {
+    "static-partition": (
+        Cell(
+            seed=21,
+            rate_per_gpu=3.5,
+            num_requests=60,
+            ws_config=WindServeConfig(colocation_mode="static-partition"),
+        ),
+        ("decode", "partitioned-decode"),
+    ),
+    "no-split": (
+        Cell(
+            seed=22, rate_per_gpu=3.5, num_requests=60, ws_config=WindServeConfig(sbd_enabled=False)
+        ),
+        ("decode", "hybrid"),
+    ),
+    "pp2-decode": (
+        Cell(seed=23, rate_per_gpu=3.5, num_requests=60, decode_parallel=(1, 2)),
+        ("decode", "sbd"),
+    ),
+    "straggler": (
+        Cell(seed=24, rate_per_gpu=1.0, num_requests=60, fault_plan="straggler"),
+        ("decode", "sbd"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNPINNED_SCENARIOS))
+def test_unpinned_mode_matches_per_token_path(name, monkeypatch):
+    cell, kind = UNPINNED_SCENARIOS[name]
+    folded = {"slow": 0, "all": 0}
+    advance = Simulator.advance_inline
+    begin = Instance._begin_batch
+
+    def begin_batch(instance, lane, batch, duration):
+        folded["scale"] = instance.compute_slowdown
+        begin(instance, lane, batch, duration)
+
+    def advance_inline(sim, duration):
+        folded["all"] += 1
+        folded["slow"] += folded["scale"] != 1.0
+        advance(sim, duration)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Instance, "_begin_batch", begin_batch)
+        patch.setattr(Simulator, "advance_inline", advance_inline)
+        coalesced = cell.run(trace_tags=GOLDEN_TAGS)
+    with monkeypatch.context() as patch:
+        _disable_coalescing(patch)
+        per_token = cell.run(trace_tags=GOLDEN_TAGS)
+
+    assert folded["all"] > 0
+    if cell.fault_plan == "straggler":
+        assert folded["slow"] > 0
+    assert kind in _batch_kinds(coalesced)
+    assert coalesced.violations == per_token.violations == []
     assert coalesced.request_rows == per_token.request_rows
     assert coalesced.event_rows == per_token.event_rows
     assert coalesced.fingerprint == per_token.fingerprint
