@@ -68,7 +68,8 @@ class DisaggregatedSystem(ServingSystem):
         A rebuild replaces a drained (crashed) pair: the old instances'
         fully-freed KV ledgers are archived into the new instances'
         ``retired_kv``, so freed-exactly-once audits still see the whole
-        allocation history, and every queue and failure record is reset.
+        allocation history; the old instances are unhooked from the
+        simulator, and every queue and failure record is reset.
         """
         old, config = self.instances, self.config
         self.placement = placement
@@ -103,6 +104,7 @@ class DisaggregatedSystem(ServingSystem):
         )
         for new, dead in zip(self.instances, old):
             new.retired_kv.extend(dead.retired_kv + [dead.kv])
+            dead.detach()
         self._handoffs.clear()
         self.known_failed.clear()
         self._orphans.clear()

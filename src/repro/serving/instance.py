@@ -304,6 +304,10 @@ class Instance:
         # Whoever gets control back from the event loop reads exact counters.
         sim.on_return(self.sync)
 
+    def detach(self) -> None:
+        """Unhook a replaced instance from the simulator, so it can be freed."""
+        self.sim.off_return(self.sync)
+
     # -- construction helpers ----------------------------------------------
 
     def _new_kv_pool(self) -> KVBlockManager:

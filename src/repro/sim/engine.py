@@ -154,6 +154,10 @@ class Simulator:
         """
         self._return_hooks.append(hook)
 
+    def off_return(self, hook: Callable[[], None]) -> None:
+        """Stop calling a hook registered with :meth:`on_return`."""
+        self._return_hooks.remove(hook)
+
     # -- scheduling ----------------------------------------------------------
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any, **kwargs: Any) -> Event:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.baselines.replanning import ReplanningDistServeSystem, placement_capacities
@@ -158,3 +161,22 @@ class TestReconfigure:
         assert system.metrics.counters["crash_requeued"] >= len(live)
         assert len(system.metrics.completed) == len(trace)
         assert system.current_index == 1
+
+    def test_replaced_instances_are_released(self):
+        """A rebuild unhooks the replaced pair from the simulator: nothing
+        keeps a dead instance (and its lanes) reachable for the run."""
+        # Only the replans below: no pattern-driven ones in between.
+        system = make_system(replan_check_interval=float("inf"), replan_downtime=1.0)
+        trace = shifting_trace(n=60)
+        system.load_workload(trace)
+        replaced = []
+        for target in (1, 0, 1):
+            system.sim.run(until=system.sim.now + 2.0)
+            replaced.append(weakref.ref(system.decode_instance))
+            system._start_replan(target)
+        system.sim.run_until_idle()
+        assert system.replan_count == 3
+        assert len(system.metrics.completed) == len(trace)
+        gc.collect()
+        assert [ref() for ref in replaced] == [None, None, None]
+        assert len(system.sim._return_hooks) == len(system.instances)
