@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.perf.roofline import BatchTiming
 from repro.serving.batching import Batch
 from repro.serving.disaggregated import DisaggregatedSystem
 from repro.serving.instance import Instance, Lane
@@ -87,10 +88,12 @@ class DistServeDecodeInstance(Instance):
             self.start_decoding(request, lane)
         if not lane.running:
             return None
+        kind, duration, timing = self._decode_pass(lane)
+        return Batch(kind, duration, decode_requests=list(lane.running), timing=timing)
+
+    def _decode_pass(self, lane: Lane) -> tuple[str, float, BatchTiming]:
         timing = self.latency.decode(len(lane.running), lane.context_tokens)
-        return Batch(
-            "decode", timing.duration, decode_requests=list(lane.running), timing=timing
-        )
+        return "decode", timing.duration, timing
 
     def _on_batch_complete(self, lane: Lane, batch: Batch) -> None:
         self.finish_decode_iteration(lane, batch)

@@ -17,6 +17,7 @@ from collections import deque
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.streams import AssistStream
+from repro.perf.roofline import BatchTiming
 from repro.serving.batching import Batch
 from repro.serving.instance import Instance, Lane
 from repro.serving.request import Phase, Request
@@ -219,23 +220,25 @@ class WindServeDecodeInstance(Instance):
                 timing=timing,
             )
 
+        kind, duration, timing = self._decode_pass(lane)
+        return Batch(kind, duration, decode_requests=list(lane.running), timing=timing)
+
+    def _decode_pass(self, lane: Lane) -> Optional[tuple[str, float, BatchTiming]]:
+        config = self.system.ws_config  # type: ignore[union-attr]
+        mode = config.effective_colocation_mode
+        if self.assist.queue and mode == "hybrid" and self.assist.active is None:
+            return None  # the next batch folds an assist prefill in
         timing = self.latency.decode(len(lane.running), lane.context_tokens)
         duration = timing.duration
-        kind = "decode"
         if mode == "static-partition":
             # The decode partition only ever sees (1 - f) of the GPU — even
             # when no prefill is dispatched (§3.4's criticism of MPS/MIG).
-            fraction = self._system.ws_config.static_partition_fraction
-            duration /= 1.0 - fraction
-            kind = "partitioned-decode"
-        else:
-            assist_tokens = self.assist.active_prefill_tokens
-            if assist_tokens:
-                duration /= self.contention.decode_retention(assist_tokens)
-                kind = "sbd"
-        return Batch(
-            kind, duration, decode_requests=list(lane.running), timing=timing
-        )
+            duration /= 1.0 - config.static_partition_fraction
+            return "partitioned-decode", duration, timing
+        assist_tokens = self.assist.active_prefill_tokens
+        if assist_tokens:
+            return "sbd", duration / self.contention.decode_retention(assist_tokens), timing
+        return "decode", duration, timing
 
     def _on_batch_complete(self, lane: Lane, batch: Batch) -> None:
         now = self.sim.now
@@ -250,7 +253,15 @@ class WindServeDecodeInstance(Instance):
             request.decode_start = now
             self.start_decoding(request, lane)
         self.finish_decode_iteration(lane, batch)
-        self._system.maybe_reschedule()
+        self._after_decode_step()
+
+    def _after_decode_step(self) -> bool:
+        # Dynamic Rescheduling triggers on the pool's free KV blocks:
+        # maybe_reschedule returns False when it stopped at (or before)
+        # free / capacity >= reschedule_watermark_frac.  A plain decode
+        # step takes and frees no block, so until a step walks due members
+        # another check would stop there too, and a decode run skips it.
+        return self.system.maybe_reschedule()  # type: ignore[union-attr]
 
     def swap_candidates(self, exclude: Optional[Request] = None) -> list[Request]:
         # A mid-migration request's KV is being copied out; evicting it here

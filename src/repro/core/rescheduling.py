@@ -48,22 +48,27 @@ class MigrationManager:
 
     # -- trigger -------------------------------------------------------------
 
-    def maybe_reschedule(self) -> None:
-        """Migrate long-context requests while decode KV is below watermark."""
+    def maybe_reschedule(self) -> bool:
+        """Migrate long-context requests while decode KV is below watermark.
+
+        Returns False when it stopped at (or before) the free-block
+        watermark gate: until a decode KV block is taken or freed, another
+        call would stop there too.
+        """
         cfg = self.system.ws_config
         if not cfg.rescheduling_enabled:
-            return
+            return False
         decode = self.system.decode_instance
         prefill = self.system.prefill_instance
         if decode.failed or prefill.failed:
-            return
+            return False
         total = decode.kv.gpu_capacity_blocks
         if total <= 0:
-            return
+            return False
         free_frac = decode.kv.free_gpu_blocks / total
 
         if free_frac >= cfg.reschedule_watermark_frac:
-            return
+            return False
         decode.sync()  # candidates are ranked by their live context
         candidates = sorted(
             (
@@ -89,6 +94,7 @@ class MigrationManager:
                 break
             self._start(request)
             projected_free += decode.kv.get(request.request_id).blocks
+        return True
 
     # -- state machine -----------------------------------------------------------
 

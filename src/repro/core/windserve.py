@@ -247,10 +247,11 @@ class WindServeSystem(DisaggregatedSystem):
 
     # -- rescheduling -------------------------------------------------------------
 
-    def maybe_reschedule(self) -> None:
+    def maybe_reschedule(self) -> bool:
+        """Run a Dynamic Rescheduling check (see MigrationManager.maybe_reschedule)."""
         if self.halted:
-            return
-        self.migrations.maybe_reschedule()
+            return False
+        return self.migrations.maybe_reschedule()
 
     # -- events ---------------------------------------------------------------------
 

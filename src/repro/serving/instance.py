@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from math import inf
 from operator import attrgetter
 from typing import Callable, Iterator, Optional, TYPE_CHECKING
 
@@ -26,7 +27,7 @@ from repro.kvcache.transfer import KVTransferEngine
 from repro.models.parallelism import ParallelConfig
 from repro.models.spec import ModelSpec
 from repro.perf.interference import StreamContentionModel
-from repro.perf.roofline import LatencyModel
+from repro.perf.roofline import BatchTiming, LatencyModel
 from repro.policies.preemption import PREEMPTION_POLICIES
 from repro.serving.batching import Batch
 from repro.serving.metrics import MetricsCollector
@@ -91,7 +92,8 @@ class Lane:
     it nothing.  A member is *due* at the step whose token starts a new KV
     block or is its last: applying an iteration (:meth:`apply_step`) walks
     only that step's due members, in admission order, and the clock gives
-    every other batch member its token.  Counters are written back to the
+    every other batch member its token (:meth:`advance` applies a step no
+    member is due at in O(1)).  Counters are written back to the
     request and its allocation when the member leaves (:meth:`remove`,
     :meth:`clear`) and on :meth:`sync`, which readers outside the decode
     loop call first; ``context_tokens`` is always exact.
@@ -161,9 +163,22 @@ class Lane:
         for member in self.members.values():
             self._settle(member)
 
-    def launch(self) -> None:
-        """A decode batch over every current member has started."""
-        self._batch_end = self._next_key
+    def advance(self) -> bool:
+        """Apply the decode batch in flight at a step no member is due.
+
+        The clock gives every member of the batch its token in O(1), as
+        :meth:`apply_step` does when it has no one to walk.  Returns False,
+        changing nothing, when members are due at this step: apply it with
+        :meth:`apply_step`.
+        """
+        if self.step in self._due:
+            return False
+        self._left.clear()
+        self.context_tokens += len(self.running) - self._ahead
+        self.step += 1
+        self._ahead = 0
+        self._batch_end = None
+        return True
 
     def apply_step(self, grow: Callable[[Request, int], bool]) -> Iterator[Request]:
         """Apply the decode batch in flight: one token per member still here.
@@ -410,7 +425,8 @@ class Instance:
         """Try to start work on every idle lane."""
         if self.halted or self.failed:
             return
-        self._try_swap_in()
+        if self.swapped:
+            self._try_swap_in()
         for lane in self.lanes:
             if lane.busy:
                 continue
@@ -428,28 +444,29 @@ class Instance:
 
     def _begin_batch(self, lane: Lane, batch: Batch, duration: float) -> None:
         """Batch-launch bookkeeping shared by the scheduled and inline paths."""
+        now = self.sim.now
         lane.busy = True
         lane.current_batch = batch
-        lane.busy_until = self.sim.now + duration
-        if batch.decode_requests:
-            lane.launch()
-        if batch.timing is not None:
+        lane.busy_until = now + duration
+        decode_batch = len(batch.decode_requests)
+        if decode_batch:
+            # A decode batch over every current member of the lane launched.
+            lane._batch_end = lane._next_key
+        timing = batch.timing
+        if timing is not None:
             self.metrics.record_batch(
-                self.name,
-                duration,
-                batch.timing.compute_time,
-                batch.timing.io_time,
-                lanes=len(self.lanes),
+                self.name, duration, timing.compute_time, timing.io_time, lanes=len(self.lanes)
             )
-        self.trace.emit(
-            self.sim.now,
-            self.name,
-            "batch-start",
-            kind=batch.kind,
-            prefill_tokens=batch.prefill_tokens,
-            decode_batch=batch.decode_batch_size,
-            duration=duration,
-        )
+        if self.trace.enabled:
+            self.trace.emit(
+                now,
+                self.name,
+                "batch-start",
+                kind=batch.kind,
+                prefill_tokens=batch.prefill_tokens,
+                decode_batch=decode_batch,
+                duration=duration,
+            )
 
     def _complete(self, lane: Lane, batch: Batch, epoch: Optional[int] = None) -> None:
         if epoch is not None and epoch != self.epoch:
@@ -474,15 +491,21 @@ class Instance:
           anyway (not halted, nothing swapped out, every other lane
           busy — so the ensuing ``kick()`` would reach ``_form_batch`` for
           exactly this lane with no other side effects), and
-        * no other pending event could fire at or before the batch's
-          completion time, and the run horizon / event budget would not
-          stop the loop first (:meth:`Simulator.can_advance_inline`).
+        * the batch completes inside the simulator's inline window: before
+          any other pending event, within the run horizon and the event
+          budget (:meth:`Simulator.inline_window`).
+
+        A plain decode pass (nothing joins from ``waiting``, the lane has
+        members, :meth:`_decode_pass` prices it) starts a *decode run*
+        (:meth:`_decode_run`), which advances the lane through consecutive
+        plain iterations without forming a batch for each.  Every other
+        batch goes through ``_form_batch`` and ``_on_batch_complete``.
 
         The clock arithmetic, ``events_processed`` count, trace rows, and
         metrics calls are exactly those of the scheduled path, so run
         fingerprints — and the recorded goldens — are byte-identical.
-        When the equivalence check fails after a batch was already formed,
-        the batch is executed through the normal scheduled path
+        When the equivalence check fails after a batch was already formed
+        or priced, the batch is executed through the normal scheduled path
         (``_form_batch`` has side effects and must not be re-run).
         """
         sim = self.sim
@@ -494,6 +517,11 @@ class Instance:
             for other in self.lanes:
                 if other is not lane and not other.busy:
                     return  # kick() owes the other idle lanes a scan
+            if not self.waiting and lane.running:
+                plain = self._decode_pass(lane)
+                if plain is not None:
+                    self._decode_run(lane, *plain)
+                    continue
             batch = self._form_batch(lane)
             if batch is None:
                 return
@@ -510,6 +538,67 @@ class Instance:
                 return
             self._on_batch_complete(lane, batch)
 
+    def _decode_run(self, lane: Lane, kind: str, duration: float, timing: BatchTiming) -> None:
+        """Advance ``lane`` through consecutive plain decode iterations.
+
+        Each iteration is what ``_form_batch`` → ``_begin_batch`` →
+        ``_on_batch_complete`` would do for a plain decode batch, in the
+        same order: launch (trace row, utilization), advance the clock by
+        one inline event, apply the step (walking members only at a step
+        with due members, else an O(1) clock advance), then
+        :meth:`_after_decode_step` (skipped after a plain step once it
+        said it has nothing to do).  One :class:`Batch` viewing the lane's
+        run list serves every inline iteration; nothing outside this frame
+        can see it between them.  The simulator's inline window is read
+        again only after a step that ran more than the clock.
+
+        The run ends when the next iteration would not be a plain decode
+        pass the outer loop folds: halted or failed, a reentrant ``kick()``
+        made the lane busy, work waits or is swapped out, the lane
+        emptied, or :meth:`_decode_pass` declines.  Every other lane stays
+        busy throughout, since only its own completion event or a crash
+        frees it.  An iteration that does not fit the inline window is
+        scheduled as it was priced.
+        """
+        sim = self.sim
+        batch: Optional[Batch] = None
+        armed = True  # _after_decode_step has work after a plain step
+        window = None  # (horizon, budget), while only the clock moved
+        while True:
+            # ``* 1.0`` is bit-exact: see _execute.
+            scaled = duration * self.compute_slowdown
+            if window is None:
+                window = sim.inline_window() or (-inf, 0)
+            horizon, budget = window
+            if budget <= 0 or sim.now + scaled > horizon:
+                batch = Batch(kind, duration, decode_requests=list(lane.running), timing=timing)
+                self._begin_batch(lane, batch, scaled)
+                sim.schedule(scaled, self._complete, lane, batch, self.epoch)
+                return
+            if batch is None:
+                batch = Batch(kind, duration, decode_requests=lane.running, timing=timing)
+            else:
+                batch.kind, batch.duration, batch.timing = kind, duration, timing
+            self._begin_batch(lane, batch, scaled)
+            sim.advance_inline(scaled)
+            window = horizon, budget - 1
+            lane.busy = False
+            lane.current_batch = None
+            due = not lane.advance()
+            if due:
+                self.finish_decode_iteration(lane, batch)
+            if due or armed:
+                armed = self._after_decode_step()
+                window = None  # what ran may have scheduled or cancelled events
+            if self.halted or self.failed or lane.busy or self.waiting or self.swapped:
+                return
+            if not lane.running:
+                return
+            plain = self._decode_pass(lane)
+            if plain is None:
+                return
+            kind, duration, timing = plain
+
     # -- policy hooks (subclasses override) -----------------------------------------
 
     def _form_batch(self, lane: Lane) -> Optional[Batch]:
@@ -517,6 +606,23 @@ class Instance:
 
     def _on_batch_complete(self, lane: Lane, batch: Batch) -> None:
         raise NotImplementedError
+
+    def _decode_pass(self, lane: Lane) -> Optional[tuple[str, float, BatchTiming]]:
+        """``(kind, duration, timing)`` of a plain decode iteration over the
+        lane's members, or None if this instance's next batch on the lane
+        is not one (the default: no decode runs).
+
+        ``duration`` is before ``compute_slowdown``.  A decode instance's
+        ``_form_batch`` prices its plain decode batches here too.
+        """
+        return None
+
+    def _after_decode_step(self) -> bool:
+        """What ``_on_batch_complete`` does after applying a plain decode
+        batch.  Returns False when another call would do nothing until a
+        step walks due members: the other steps change no KV block count
+        and run nothing else."""
+        return False
 
     # -- shared decode machinery ------------------------------------------------
 
@@ -636,8 +742,6 @@ class Instance:
         return min(self.config.swap_in_free_blocks, max(1, self.kv.gpu_capacity_blocks // 20))
 
     def _try_swap_in(self) -> None:
-        if not self.swapped:
-            return
         # Drop entries whose allocation left this instance (e.g. migrated away).
         swapped = self.swapped = deque(r for r in self.swapped if self.kv.has(r.request_id))
         while (

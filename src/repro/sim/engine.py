@@ -20,14 +20,15 @@ events through this loop):
   preserving the observable contract — the clock arithmetic, the
   ``events_processed`` count, and the ``max_events`` budget are exactly
   those of the equivalent scheduled event.  See
-  :meth:`Simulator.can_advance_inline` for the (conservative) conditions
-  under which this is indistinguishable from scheduling.
+  :meth:`Simulator.inline_window` for the (conservative) conditions under
+  which this is indistinguishable from scheduling.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from math import inf, nextafter
 from typing import Any, Callable, Optional
 
 
@@ -259,45 +260,61 @@ class Simulator:
 
     # -- inline advancement --------------------------------------------------
 
-    def can_advance_inline(self, duration: float) -> bool:
-        """Whether a callback may fold a ``schedule(duration, ...)``+fire
-        cycle into its own frame without observable difference.
+    def inline_window(self) -> Optional[tuple[float, float]]:
+        """How far a callback may fold events into its own frame.
 
-        Conservative: refuses whenever any other pending event could fire
-        at or before the would-be event time (a scheduled event would carry
-        a *higher* seq than everything already in the heap, so ties must go
-        to the heap), whenever the run horizon or event budget would stop
-        the loop first, and whenever no run loop is active at all.
+        ``None`` outside :meth:`run`; else ``(horizon, budget)``: an inline
+        event may land at any time up to ``horizon``, and ``budget`` more
+        of them fit the run's ``max_events`` after the executing callback
+        (``inf`` if unbounded).  The horizon is the earlier of
+
+        * the run's ``until``, which a scheduled event may land on and
+          still fire, and
+        * the last float before the earliest live pending event (cancelled
+          ones at the heap top are dropped first): a scheduled event would
+          carry a *higher* seq than everything already in the heap, so a
+          tie goes to the heap.
+
+        The window holds until the callback schedules or cancels an event.
         """
-        if not self._running or duration < 0:
-            return False
-        target = self._now + duration
-        until = self._run_until
-        if until is not None and target > until:
-            return False
-        max_events = self._run_max_events
-        # The currently-executing callback has not been added to
-        # _run_executed yet (the loop counts it on return), so the inline
-        # event would be number _run_executed + 2 overall.
-        if max_events is not None and self._run_executed + 1 >= max_events:
-            return False
+        if not self._running:
+            return None
         heap = self._heap
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._cancelled_pending -= 1
-        if heap and heap[0][0] <= target:
-            return False
-        return True
+        horizon = nextafter(heap[0][0], -inf) if heap else inf
+        until = self._run_until
+        if until is not None and until < horizon:
+            horizon = until
+        max_events = self._run_max_events
+        # The executing callback is not in _run_executed yet (the loop
+        # counts it on return).
+        if max_events is None:
+            return horizon, inf
+        return horizon, max_events - self._run_executed - 1
+
+    def can_advance_inline(self, duration: float) -> bool:
+        """Whether a callback may fold a ``schedule(duration, ...)``+fire
+        cycle into its own frame without observable difference: the event
+        lands inside :meth:`inline_window`."""
+        window = self.inline_window()
+        return (
+            window is not None
+            and duration >= 0
+            and self._now + duration <= window[0]
+            and window[1] > 0
+        )
 
     def advance_inline(self, duration: float) -> None:
         """Advance the clock as if a ``duration``-delayed event just fired.
 
-        Callers must have checked :meth:`can_advance_inline` with the same
-        ``duration`` in the same callback frame.  The clock arithmetic
-        (``now + duration``) is bit-identical to :meth:`schedule` followed
-        by the loop's ``self._now = event.time``, and the fired callback is
-        accounted in ``events_processed`` and against the loop's
-        ``max_events`` budget exactly as a real event would be.
+        Callers must have checked that the event lands inside the
+        :meth:`inline_window` (:meth:`can_advance_inline`).  The clock
+        arithmetic (``now + duration``) is bit-identical to :meth:`schedule`
+        followed by the loop's ``self._now = event.time``, and the fired
+        callback is accounted in ``events_processed`` and against the
+        loop's ``max_events`` budget exactly as a real event would be.
         """
         self._now = self._now + duration
         self._events_processed += 1

@@ -192,23 +192,28 @@ def test_recounts_match_on_pin(pin):
 @pytest.mark.parametrize("pin", PINS)
 def test_pins_match_with_lanes_synced_after_every_event(pin, monkeypatch):
     lanes: list[Lane] = []
-    synced = {"members": 0}
+    sims: list[Simulator] = []
+    synced = {"members": 0, "fired": 0, "inline": 0}
 
     def sync_all() -> None:
         for lane in lanes:
             synced["members"] += len(lane.running)
             lane.sync()
 
-    def init(original):
-        def wrapper(lane, *args, **kwargs):
-            original(lane, *args, **kwargs)
-            lanes.append(lane)
+    def init(seen):
+        def make(original):
+            def wrapper(obj, *args, **kwargs):
+                original(obj, *args, **kwargs)
+                seen.append(obj)
 
-        return wrapper
+            return wrapper
+
+        return make
 
     def call_at(original):
         def wrapper(sim, time, fn, *args, **kwargs):
             def fire(*a, **k):
+                synced["fired"] += 1
                 fn(*a, **k)
                 sync_all()
 
@@ -219,13 +224,15 @@ def test_pins_match_with_lanes_synced_after_every_event(pin, monkeypatch):
     def advance_inline(original):
         # An inline iteration is an event fired in its predecessor's frame.
         def wrapper(sim, duration):
+            synced["inline"] += 1
             sync_all()
             original(sim, duration)
 
         return wrapper
 
     for cls, name, make in (
-        (Lane, "__init__", init),
+        (Lane, "__init__", init(lanes)),
+        (Simulator, "__init__", init(sims)),
         (Simulator, "call_at", call_at),
         (Simulator, "advance_inline", advance_inline),
     ):
@@ -233,6 +240,11 @@ def test_pins_match_with_lanes_synced_after_every_event(pin, monkeypatch):
     (diff,) = check_goldens(GOLDEN_DIR, only=[pin])
     assert diff.passed, "\n".join(diff.messages)
     assert synced["members"] > 0
+    # Every callback the clocks counted went through one of the two
+    # wrappers: a loop that moved a clock by other means would skip the
+    # syncs above without any pin noticing.
+    assert synced["fired"] + synced["inline"] == sum(sim.events_processed for sim in sims)
+    assert synced["inline"] > 0
 
 
 _BASES = {cell.name: cell for cell in GOLDEN_MATRIX if cell.name in PINS}

@@ -15,9 +15,13 @@ admission order:
 * a batch member that leaves its lane and comes back before the batch
   completes is still that batch's member.
 
-Every scenario runs on the per-token path (``_drain_inline`` patched out),
-so each batch completion is one simulator event and the state read
-between events is the state one completion left behind.
+Every scenario runs down both decode paths: per token (``_drain_inline``
+patched out, so each batch completion is one simulator event), and folded
+in its ``*Folded`` twin (consecutive iterations inside one event's frame,
+plain decode passes in a decode run).  An inline iteration counts as a
+simulator event, so the state after the same number of events is the same
+on both paths; the block-boundary scenarios put their boundary on the
+second iteration, which the folded path runs inside its decode run.
 """
 
 from __future__ import annotations
@@ -26,19 +30,45 @@ from dataclasses import replace
 
 import pytest
 
+from repro.baselines.vllm import VLLMInstance
 from repro.harness.cell import clone_requests
 from repro.harness.golden import GOLDEN_MATRIX
-from repro.serving.instance import Instance
+from repro.serving.instance import Instance, Lane
 from repro.serving.request import Phase
+from repro.sim.engine import Simulator
 from repro.sim.trace import TraceLog
 from tests.serving.test_instance import decode_ready_request, make_instance
 
 _BY_NAME = {cell.name: cell for cell in GOLDEN_MATRIX}
 
 
+class DecodePath:
+    """The decode path a test runs down, and the iterations it folded."""
+
+    def __init__(self, folded: bool) -> None:
+        self.folded = folded
+        self.inline = 0
+
+    def engaged(self) -> bool:
+        """Per token, or folded with at least one iteration run inline."""
+        return not self.folded or self.inline > 0
+
+
 @pytest.fixture
-def per_token(monkeypatch):
-    monkeypatch.setattr(Instance, "_drain_inline", lambda self, lane: None)
+def path(request, monkeypatch) -> DecodePath:
+    """Per token, unless the test's class sets ``FOLDED``."""
+    decode = DecodePath(getattr(request.cls, "FOLDED", False))
+    if not decode.folded:
+        monkeypatch.setattr(Instance, "_drain_inline", lambda self, lane: None)
+        return decode
+    advance = Simulator.advance_inline
+
+    def advance_inline(sim, duration):
+        decode.inline += 1
+        advance(sim, duration)
+
+    monkeypatch.setattr(Simulator, "advance_inline", advance_inline)
+    return decode
 
 
 def _loaded(name: str, **changes):
@@ -50,73 +80,89 @@ def _loaded(name: str, **changes):
     return system, requests
 
 
-def _late_joins(system, joins) -> int:
-    """Step ``system`` one event at a time to the end.
+def _late_joins(system, joins, monkeypatch) -> int:
+    """Run ``system`` to the end.
 
     Every request ``joins`` picks that enters a lane while a batch formed
     without it runs there must leave that batch's completion with the
     token count it joined with.  Returns how many such joins completed.
     """
-    sim = system.sim
-    watching: dict = {}
-    checked = 0
-    while sim.live_events:
-        sim.run(max_events=1)
-        for request, (lane, batch, generated) in list(watching.items()):
-            if lane.current_batch is not batch:
-                assert request.output_generated == generated, request.request_id
-                del watching[request]
-                checked += 1
-        for instance in system.instances:
-            for lane in instance.lanes:
-                batch = lane.current_batch
-                if batch is None or not batch.decode_requests:
-                    continue
-                for request in lane.running:
-                    if (
-                        request not in watching
-                        and joins(request)
-                        and request not in batch.decode_requests
-                    ):
-                        watching[request] = (lane, batch, request.output_generated)
-    return checked
+    watching: dict[int, tuple] = {}  # id(batch) -> (batch, [(request, tokens)])
+    checked = []
+    add = Lane.add
+    finish = Instance.finish_decode_iteration
+
+    def lane_add(lane, request):
+        add(lane, request)
+        batch = lane.current_batch
+        if (
+            batch is not None
+            and batch.decode_requests
+            and request not in batch.decode_requests
+            and joins(request)
+        ):
+            watching.setdefault(id(batch), (batch, []))[1].append(
+                (request, request.output_generated)
+            )
+
+    def finish_decode_iteration(instance, lane, batch):
+        finish(instance, lane, batch)
+        _, joined = watching.pop(id(batch), (batch, ()))
+        lane.sync()
+        for request, tokens in joined:
+            assert request.output_generated == tokens, request.request_id
+            checked.append(request)
+
+    monkeypatch.setattr(Lane, "add", lane_add)
+    monkeypatch.setattr(Instance, "finish_decode_iteration", finish_decode_iteration)
+    system.sim.run_until_idle()
+    return len(checked)
 
 
 class TestLateJoiners:
-    def test_assist_completion_waits_for_the_next_batch(self, per_token):
+    def test_assist_completion_waits_for_the_next_batch(self, path, monkeypatch):
         system, requests = _loaded("windserve-poisson-r3-s0", num_requests=60)
-        checked = _late_joins(system, lambda r: r.dispatched_prefill)
+        checked = _late_joins(system, lambda r: r.dispatched_prefill, monkeypatch)
         assert checked > 0
         assert all(r.finished for r in requests)
+        assert path.engaged()
 
-    def test_swap_in_waits_for_the_next_batch(self, per_token):
+    def test_swap_in_waits_for_the_next_batch(self, path, monkeypatch):
         system, requests = _loaded("distserve-pressure-r3.5-s3")
-        checked = _late_joins(system, lambda r: r.swap_out_count > 0)
+        checked = _late_joins(system, lambda r: r.swap_out_count > 0, monkeypatch)
         assert checked > 0
         assert all(r.finished for r in requests)
+        assert path.engaged()
 
-    def test_vllm_prefill_completion_gets_no_token_from_its_batch(self, per_token):
+    def test_vllm_prefill_completion_gets_no_token_from_its_batch(self, path, monkeypatch):
         system, requests = _loaded("vllm-poisson-r3-s0")
-        sim = system.sim
-        lanes = [lane for instance in system.instances for lane in instance.lanes]
-        shared = 0
-        while sim.live_events:
-            before = {lane: {r: r.output_generated for r in lane.running} for lane in lanes}
-            sim.run(max_events=1)
-            for lane in lanes:
-                for request in lane.running:
-                    if request in before[lane] or request.first_token_time != sim.now:
-                        continue
-                    # Its last prefill chunk finished in this batch: the
-                    # first token came from prefill, none from the decode
-                    # half of the same batch.
-                    assert request.output_generated == 1, request.request_id
-                    if any(
-                        r.output_generated == g + 1 for r, g in before[lane].items()
-                    ):
-                        shared += 1
-        assert shared > 0  # some completions shared a batch with decodes
+        shared = []
+        complete = VLLMInstance._on_batch_complete
+
+        def on_batch_complete(instance, lane, batch):
+            lane.sync()
+            before = {r: r.output_generated for r in batch.decode_requests if r in lane}
+            complete(instance, lane, batch)
+            lane.sync()
+            for request in batch.prefill_requests:
+                if request not in lane or request.first_token_time != instance.sim.now:
+                    continue
+                # Its last prefill chunk finished in this batch: the first
+                # token came from prefill, none from the decode half of the
+                # same batch.
+                assert request.output_generated == 1, request.request_id
+                if any(r.output_generated == g + 1 for r, g in before.items()):
+                    shared.append(request)
+
+        monkeypatch.setattr(VLLMInstance, "_on_batch_complete", on_batch_complete)
+        system.sim.run_until_idle()
+        assert shared  # some completions shared a batch with decodes
         assert all(r.finished for r in requests)
+        assert path.engaged()
+
+
+class TestLateJoinersFolded(TestLateJoiners):
+    FOLDED = True
 
 
 def _pressured(first, second):
@@ -144,75 +190,88 @@ def _swap_out_bytes(inst, request) -> int:
 
 
 class TestBoundaryPreemption:
-    """``boundary`` needs a fifth block with none free (32 cached tokens
-    fill two blocks); ``victim`` arrived last, so the latest-arrived policy
-    evicts it (41 cached tokens, three blocks with room to spare)."""
+    """``boundary`` (31 cached tokens) fills its second block with its
+    first token and needs a fifth block, with none free, for its second;
+    ``victim`` arrived last, so the latest-arrived policy evicts it (40
+    cached tokens, three blocks with room to spare)."""
 
     @staticmethod
     def _pair():
-        boundary = decode_ready_request(1, prompt=31, output=10)
-        victim = decode_ready_request(2, prompt=40, output=10)
+        boundary = decode_ready_request(1, prompt=30, output=10)
+        victim = decode_ready_request(2, prompt=39, output=10)
         victim.arrival_time = 1.0
         return boundary, victim
 
-    def test_later_victim_gets_no_token(self, per_token):
+    def test_later_victim_gets_no_token(self, path):
         boundary, victim = self._pair()
         inst, sim = _pressured(boundary, victim)
-        sim.run(max_events=1)
-        assert victim.phase is Phase.SWAPPED
-        assert victim.output_generated == 1
-        assert inst.kv.tokens_of(victim.request_id) == 41
-        assert _swap_out_bytes(inst, victim) == int(41 * inst.kv.bytes_per_token)
-        assert boundary.output_generated == 2
-        assert inst.kv.tokens_of(boundary.request_id) == 33
-
-    def test_earlier_victim_keeps_its_token(self, per_token):
-        boundary, victim = self._pair()
-        inst, sim = _pressured(victim, boundary)
-        sim.run(max_events=1)
+        sim.run(max_events=2)
         assert victim.phase is Phase.SWAPPED
         assert victim.output_generated == 2
+        assert inst.kv.tokens_of(victim.request_id) == 41
+        assert _swap_out_bytes(inst, victim) == int(41 * inst.kv.bytes_per_token)
+        assert boundary.output_generated == 3
+        assert inst.kv.tokens_of(boundary.request_id) == 33
+        assert path.inline == (1 if path.folded else 0)
+
+    def test_earlier_victim_keeps_its_token(self, path):
+        boundary, victim = self._pair()
+        inst, sim = _pressured(victim, boundary)
+        sim.run(max_events=2)
+        assert victim.phase is Phase.SWAPPED
+        assert victim.output_generated == 3
         assert inst.kv.tokens_of(victim.request_id) == 42
         assert _swap_out_bytes(inst, victim) == int(42 * inst.kv.bytes_per_token)
-        assert boundary.output_generated == 2
+        assert boundary.output_generated == 3
         assert inst.kv.tokens_of(boundary.request_id) == 33
+        assert path.inline == (1 if path.folded else 0)
+
+
+class TestBoundaryPreemptionFolded(TestBoundaryPreemption):
+    FOLDED = True
 
 
 class TestRetireHandsBlocksOn:
-    """``last`` (21 cached tokens, two blocks) takes its final token;
-    ``boundary`` (32 cached tokens) needs a block of a full 4-block pool."""
+    """``last`` (21 cached tokens, two blocks) takes its final token on the
+    second iteration, when ``boundary`` (31 cached tokens) needs a block of
+    a full 4-block pool."""
 
     @staticmethod
-    def _run(first, second):
+    def _run(first, second, path):
         inst, sim = make_instance(kv_tokens=64)
         for r in (first, second):
             inst.kv.allocate(r.request_id, r.context_tokens)
             inst.waiting.append(r)
         inst.kick()
         assert inst.kv.free_gpu_blocks == 0
-        sim.run(max_events=1)
+        sim.run(max_events=2)
+        assert path.inline == (1 if path.folded else 0)
         return inst
 
-    def test_freed_blocks_reach_a_later_boundary_member(self, per_token):
-        last = decode_ready_request(1, prompt=20, output=2)
-        boundary = decode_ready_request(2, prompt=31, output=10)
-        inst = self._run(last, boundary)
+    def test_freed_blocks_reach_a_later_boundary_member(self, path):
+        last = decode_ready_request(1, prompt=20, output=3)
+        boundary = decode_ready_request(2, prompt=30, output=10)
+        inst = self._run(last, boundary, path)
         assert last.finished
         assert inst.metrics.counters.get("swap_out", 0) == 0
-        assert boundary.output_generated == 2
+        assert boundary.output_generated == 3
         assert inst.kv.tokens_of(boundary.request_id) == 33
 
-    def test_an_earlier_boundary_member_preempts_instead(self, per_token):
-        last = decode_ready_request(1, prompt=20, output=2)
+    def test_an_earlier_boundary_member_preempts_instead(self, path):
+        last = decode_ready_request(1, prompt=20, output=3)
         last.arrival_time = 1.0
-        boundary = decode_ready_request(2, prompt=31, output=10)
-        inst = self._run(boundary, last)
+        boundary = decode_ready_request(2, prompt=30, output=10)
+        inst = self._run(boundary, last, path)
         assert last.phase is Phase.SWAPPED and not last.finished
         assert inst.metrics.counters["swap_out"] == 1
-        assert boundary.output_generated == 2
+        assert boundary.output_generated == 3
 
 
-def test_member_that_leaves_and_rejoins_keeps_its_batch_token(per_token):
+class TestRetireHandsBlocksOnFolded(TestRetireHandsBlocksOn):
+    FOLDED = True
+
+
+def test_member_that_leaves_and_rejoins_keeps_its_batch_token(path):
     """Swapped out and back in while its batch runs: still that batch's
     member, so it gets the batch's token like the member beside it."""
     inst, sim = make_instance()
@@ -232,3 +291,14 @@ def test_member_that_leaves_and_rejoins_keeps_its_batch_token(per_token):
     assert stays.output_generated == 2
     assert away.output_generated == 2
     assert inst.kv.tokens_of(away.request_id) == away.context_tokens
+    # The rest of their decode (one run on the folded path) finishes both.
+    sim.run()
+    assert stays.finished and away.finished
+    assert path.engaged()
+
+
+class TestLeaveAndRejoinFolded:
+    FOLDED = True
+
+    def test_member_that_leaves_and_rejoins_keeps_its_batch_token(self, path):
+        test_member_that_leaves_and_rejoins_keeps_its_batch_token(path)

@@ -19,7 +19,8 @@ from repro.sim.engine import Simulator
 
 
 class DecodeOnlyInstance(Instance):
-    """Minimal concrete instance: pure continuous-batching decode."""
+    """Minimal concrete instance: pure continuous-batching decode (whose
+    plain iterations fold into decode runs)."""
 
     def _form_batch(self, lane: Lane) -> Optional[Batch]:
         while self.waiting and lane.batch_size < self.config.max_decode_batch_size:
@@ -29,8 +30,12 @@ class DecodeOnlyInstance(Instance):
             self.start_decoding(request, lane)
         if not lane.running:
             return None
+        kind, duration, timing = self._decode_pass(lane)
+        return Batch(kind, duration, decode_requests=list(lane.running), timing=timing)
+
+    def _decode_pass(self, lane: Lane):
         timing = self.latency.decode(len(lane.running), lane.context_tokens)
-        return Batch("decode", timing.duration, decode_requests=list(lane.running), timing=timing)
+        return "decode", timing.duration, timing
 
     def _on_batch_complete(self, lane: Lane, batch: Batch) -> None:
         self.finish_decode_iteration(lane, batch)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -177,6 +179,87 @@ class TestEventOrdering:
         a = Event(1.0, 1, lambda: None, (), {})
         b = Event(1.0, 2, lambda: None, (), {})
         assert a < b
+
+
+class TestInlineWindow:
+    """What a callback may fold into its own frame (``advance_inline``)."""
+
+    @staticmethod
+    def probe(sim: Simulator, at: float, *durations: float, **run) -> list:
+        """``can_advance_inline`` of each duration, asked by a callback at ``at``."""
+        seen = []
+        sim.call_at(at, lambda: seen.extend(sim.can_advance_inline(d) for d in durations))
+        sim.run(**run)
+        return seen
+
+    def test_no_window_outside_run(self):
+        sim = Simulator()
+        sim.schedule(5.0, lambda: None)
+        assert sim.inline_window() is None
+        assert not sim.can_advance_inline(1.0)
+
+    def test_window_inside_run(self):
+        sim = Simulator()
+        windows = []
+        sim.schedule(1.0, lambda: windows.append(sim.inline_window()))
+        sim.schedule(4.0, lambda: None)
+        sim.run(until=10.0, max_events=5)
+        # Up to, not onto, the pending event; four more callbacks after
+        # the executing one.
+        assert windows == [(math.nextafter(4.0, 0.0), 4)]
+
+    def test_horizon_is_until_when_earlier(self):
+        sim = Simulator()
+        windows = []
+        sim.schedule(1.0, lambda: windows.append(sim.inline_window()))
+        sim.schedule(4.0, lambda: None)
+        sim.run(until=3.0)
+        assert windows == [(3.0, math.inf)]
+
+    def test_unbounded_window(self):
+        sim = Simulator()
+        windows = []
+        sim.schedule(1.0, lambda: windows.append(sim.inline_window()))
+        sim.run()
+        assert windows == [(math.inf, math.inf)]
+
+    def test_tie_with_pending_event_refuses(self):
+        sim = Simulator()
+        sim.schedule(3.0, lambda: None)
+        assert self.probe(sim, 1.0, 2.0, 1.5) == [False, True]
+
+    def test_until_equal_to_target_is_allowed(self):
+        sim = Simulator()
+        assert self.probe(sim, 1.0, 1.0, 1.5, until=2.0) == [True, False]
+
+    def test_max_events_budget_runs_out(self):
+        sim = Simulator()
+        assert self.probe(sim, 1.0, 1.0, max_events=1) == [False]
+        sim = Simulator()
+        assert self.probe(sim, 1.0, 1.0, max_events=2) == [True]
+
+    def test_budget_counts_inline_events(self):
+        sim = Simulator()
+        folded = []
+
+        def fold():
+            while sim.can_advance_inline(1.0):
+                sim.advance_inline(1.0)
+                folded.append(sim.now)
+
+        sim.schedule(0.0, fold)
+        sim.run(max_events=4)
+        assert folded == [1.0, 2.0, 3.0]
+        assert sim.events_processed == 4
+
+    def test_cancelled_event_at_heap_top_is_skipped(self):
+        sim = Simulator()
+        sim.schedule(2.0, lambda: None).cancel()
+        sim.schedule(5.0, lambda: None)
+        windows = []
+        sim.schedule(1.0, lambda: windows.append(sim.inline_window()))
+        sim.run(max_events=1)
+        assert windows == [(math.nextafter(5.0, 0.0), 0)]
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=50))
