@@ -1,11 +1,10 @@
-.PHONY: install test bench-figures results examples golden-check golden-record golden-validate goldens-rerecord differential chaos policies prefix tenants hetero clean
+.PHONY: install test results examples golden-check golden-record golden-validate goldens-rerecord differential chaos policies prefix tenants hetero clean
 
 install:
 	pip install -e . --no-build-isolation
 
 test:
 	pytest tests/
-	pytest benchmarks --collect-only -q
 
 golden-check:
 	python -m repro golden check
@@ -62,12 +61,10 @@ tenants:
 hetero:
 	python -m repro hetero --smoke --out hetero_smoke.json
 
-# Paper-figure benchmarks (pytest-benchmark suite feeding RESULTS.md).
-bench-figures:
-	pytest benchmarks/ --benchmark-only
-
-results: bench-figures
-	python scripts/collect_results.py
+# The paper's claims table rendered (src/repro/harness/claims.py); tier-1
+# fails while the committed RESULTS.md differs from a fresh render.
+results:
+	python -m repro claims > RESULTS.md
 
 examples:
 	python examples/quickstart.py
@@ -80,7 +77,7 @@ examples:
 	python examples/placement_planner.py
 	python examples/heterogeneous_cluster.py
 
-# Untracked artefacts only: benchmarks/output and RESULTS.md are tracked.
+# Untracked artefacts only: RESULTS.md is tracked (rewrite it with `make results`).
 clean:
 	rm -rf .pytest_cache .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -405,6 +405,18 @@ def cmd_experiment(experiment: Experiment, args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_claims(args: argparse.Namespace) -> int:
+    """Print the rendered claims table; exit 1 when a check fails."""
+    from repro.harness import claims
+
+    results = claims.run_claims()
+    print(claims.render(results), end="")
+    failed = claims.failures(results)
+    for claim_id, verdict in failed:
+        print(f"[FAILS] {claim_id}: {verdict.name}: {verdict.claim}", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def cmd_models(args: argparse.Namespace) -> int:
     rows = [
         {
@@ -530,6 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     for experiment in EXPERIMENTS:
         _add_experiment(sub, experiment)
+
+    claims_p = sub.add_parser(
+        "claims", help="run the paper's claims table and print RESULTS.md; exit 1 on a failed check"
+    )
+    claims_p.set_defaults(func=cmd_claims)
 
     models_p = sub.add_parser("models", help="list known model architectures")
     models_p.set_defaults(func=cmd_models)

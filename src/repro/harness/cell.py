@@ -1,8 +1,8 @@
 """One declared measurement cell: a serving target, its workload, its faults.
 
-Every run the reproduction makes is a :class:`Cell`: a figure point, a
-paper-claim test, a ``repro run``/``sweep`` row, a placement or capacity
-probe.  Every comparison — WindServe vs the baselines on an identical
+Every run the reproduction makes is a :class:`Cell`: a point of a paper
+claim (:mod:`repro.harness.claims`), a ``repro run``/``sweep`` row, a
+placement or capacity probe.  Every comparison — WindServe vs the baselines on an identical
 trace, a system under a fault plan, prefix-affinity vs blind routing,
 fair-share vs FIFO, a mixed-hardware fleet with and without re-planning,
 and each golden-trace scenario — is a set of cells.  A cell knows how to

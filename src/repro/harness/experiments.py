@@ -66,15 +66,19 @@ TENANCY_FLAGS = (
 
 @dataclass(frozen=True)
 class Verdict:
-    """A named claim about a comparison; a missing run means it fails."""
+    """A named claim over evidence; missing evidence means it fails.
+
+    The evidence is a comparison's label -> run map here, or a claim's
+    rows in :mod:`repro.harness.claims`.
+    """
 
     name: str
     claim: str
-    holds: Callable[[Runs, Mapping[str, Any]], bool]
+    holds: Callable[[Any, Mapping[str, Any]], bool]
 
-    def check(self, runs: Runs, params: Mapping[str, Any]) -> bool:
+    def check(self, evidence: Any, params: Mapping[str, Any]) -> bool:
         try:
-            return bool(self.holds(runs, params))
+            return bool(self.holds(evidence, params))
         except KeyError:
             return False
 

@@ -15,7 +15,7 @@ GPUs, matching the paper's Fig. 7/Fig. 8 comparison:
   isolated — the Fig. 8 shape.
 
 The SBD contention constants are the DESIGN.md §4 calibration knobs and are
-ablated by ``benchmarks/bench_fig13_ablation.py``.
+ablated by the ``fig13a_no_split`` claim (:mod:`repro.harness.claims`).
 """
 
 from __future__ import annotations
