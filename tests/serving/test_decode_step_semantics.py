@@ -11,7 +11,14 @@ admission order:
   yet and gets none, an earlier one keeps it, and its swap-out bytes are
   its cached tokens at that moment times the per-token KV size;
 * a member whose last token frees its blocks hands them to a later
-  boundary member of the same iteration;
+  boundary member of the same iteration, and a finish hook that takes
+  blocks from the same pool sees the free count the admission-order walk
+  left at that member;
+* two members crossing a block boundary at the same step with the pool
+  one block short take their blocks in admission order, the second
+  preempting;
+* a late joiner whose first block boundary lies one block ahead takes no
+  block from the batch it missed, and takes its block at that boundary;
 * a batch member that leaves its lane and comes back before the batch
   completes is still that batch's member.
 
@@ -302,3 +309,143 @@ class TestLeaveAndRejoinFolded:
 
     def test_member_that_leaves_and_rejoins_keeps_its_batch_token(self, path):
         test_member_that_leaves_and_rejoins_keeps_its_batch_token(path)
+
+
+def _lane_of(kv_tokens, *requests):
+    """One lane holding ``requests``, in order, all in its first batch."""
+    inst, sim = make_instance(kv_tokens=kv_tokens)
+    for r in requests:
+        inst.kv.allocate(r.request_id, r.context_tokens)
+        inst.waiting.append(r)
+    inst.kick()
+    (lane,) = inst.lanes
+    assert lane.running == list(requests)
+    return inst, sim
+
+
+class TestSamePhaseBoundariesOneBlockShort:
+    """``first`` and ``second`` (31 cached tokens each) both need a third
+    block on the second iteration, with one block of a 7-block pool free;
+    ``bystander`` (21 cached tokens, room to spare) arrived last, so the
+    latest-arrived policy evicts it when ``second`` finds the pool empty."""
+
+    @staticmethod
+    def _trio():
+        first = decode_ready_request(1, prompt=30, output=10)
+        second = decode_ready_request(2, prompt=30, output=10)
+        bystander = decode_ready_request(3, prompt=20, output=10)
+        bystander.arrival_time = 1.0
+        return first, second, bystander
+
+    @staticmethod
+    def _check_boundary_members(inst, first, second):
+        for r in (first, second):
+            assert r.output_generated == 3
+            assert inst.kv.tokens_of(r.request_id) == 33
+            assert inst.kv.get(r.request_id).blocks == 3
+        assert inst.metrics.counters["swap_out"] == 1
+        assert inst.kv.free_gpu_blocks == 1
+
+    def test_the_second_preempts_a_later_bystander(self, path):
+        first, second, bystander = self._trio()
+        inst, sim = _lane_of(112, first, second, bystander)
+        assert inst.kv.free_gpu_blocks == 1
+        sim.run(max_events=2)
+        assert bystander.phase is Phase.SWAPPED
+        assert bystander.output_generated == 2
+        assert inst.kv.tokens_of(bystander.request_id) == 22
+        self._check_boundary_members(inst, first, second)
+        assert path.inline == (1 if path.folded else 0)
+
+    def test_an_earlier_bystander_keeps_its_token(self, path):
+        first, second, bystander = self._trio()
+        inst, sim = _lane_of(112, bystander, first, second)
+        sim.run(max_events=2)
+        assert bystander.phase is Phase.SWAPPED
+        assert bystander.output_generated == 3
+        assert inst.kv.tokens_of(bystander.request_id) == 23
+        self._check_boundary_members(inst, first, second)
+        assert path.inline == (1 if path.folded else 0)
+
+
+class TestSamePhaseBoundariesOneBlockShortFolded(TestSamePhaseBoundariesOneBlockShort):
+    FOLDED = True
+
+
+class TestRetireBetweenBoundaries:
+    """``early`` and ``late`` (31 cached tokens each) need a block on the
+    second iteration; ``last`` (21 cached tokens, two blocks) sits between
+    them in admission order and takes its final token then.  Its finish
+    hook takes every free block of the 8-block pool, as a hand-off into
+    the same pool does, so ``late`` then preempts ``early``."""
+
+    def test_finish_hook_sees_the_walk_order_free_count(self, path):
+        early = decode_ready_request(1, prompt=30, output=10)
+        last = decode_ready_request(2, prompt=20, output=3)
+        late = decode_ready_request(3, prompt=30, output=10)
+        inst, sim = _lane_of(128, early, last, late)
+        assert inst.kv.free_gpu_blocks == 2
+        seen = []
+        retire = inst._retire
+
+        def retire_then_hand_off(request, now):
+            retire(request, now)
+            seen.append(inst.kv.free_gpu_blocks)
+            inst.kv.allocate(99, inst.kv.free_gpu_tokens)
+
+        inst._retire = retire_then_hand_off
+        sim.run(max_events=2)
+        # ``early`` took its block first; ``last`` gave back two.
+        assert seen == [3]
+        assert last.finished
+        assert early.phase is Phase.SWAPPED
+        assert early.output_generated == 3
+        assert inst.kv.tokens_of(early.request_id) == 33
+        assert late.output_generated == 3
+        assert inst.kv.tokens_of(late.request_id) == 33
+        assert inst.metrics.counters["swap_out"] == 1
+        assert inst.kv.free_gpu_blocks == 2
+        assert path.inline == (1 if path.folded else 0)
+
+
+class TestRetireBetweenBoundariesFolded(TestRetireBetweenBoundaries):
+    FOLDED = True
+
+
+class TestLateJoinerOneBlockAhead:
+    """``joiner`` (17 cached tokens: two blocks, 15 free slots) joins while
+    the lane's first batch runs, so its first boundary lies exactly one
+    block of iterations after the batch it missed."""
+
+    def test_takes_its_block_at_its_boundary_only(self, path):
+        inst, sim = make_instance()
+        stays = decode_ready_request(1, output=40)  # 101 cached tokens
+        inst.kv.allocate(1, stays.context_tokens)
+        inst.waiting.append(stays)
+        inst.kick()
+        (lane,) = inst.lanes
+        joiner = decode_ready_request(2, prompt=16, output=30)
+        inst.kv.allocate(2, joiner.context_tokens)
+        inst.start_decoding(joiner)
+        free = inst.kv.free_gpu_blocks
+        sim.run(until=lane.busy_until)
+        assert joiner.output_generated == 1
+        assert inst.kv.get(2).blocks == 2
+        assert inst.kv.free_gpu_blocks == free
+        # Fifteen iterations fill its free slots; ``stays`` crosses once.
+        sim.run(max_events=15)
+        assert joiner.output_generated == 16
+        assert inst.kv.tokens_of(2) == 32
+        assert inst.kv.get(2).blocks == 2
+        assert inst.kv.free_gpu_blocks == free - 1
+        # The next one starts its third block.
+        sim.run(max_events=1)
+        assert joiner.output_generated == 17
+        assert inst.kv.tokens_of(2) == 33
+        assert inst.kv.get(2).blocks == 3
+        assert inst.kv.free_gpu_blocks == free - 2
+        assert path.engaged()
+
+
+class TestLateJoinerOneBlockAheadFolded(TestLateJoinerOneBlockAhead):
+    FOLDED = True
