@@ -65,6 +65,10 @@ class KVBlockManager:
         self._gpu = MemoryPool(self.gpu_capacity_blocks, name="kv-gpu-blocks")
         self._cpu = MemoryPool(self.cpu_capacity_blocks, name="kv-cpu-blocks")
         self._allocations: dict[int, KVAllocation] = {}
+        # GPU blocks reserved by :meth:`charge` for decode tokens no
+        # allocation records yet; :meth:`settle` moves them to theirs.  The
+        # pool's used blocks are the allocations' GPU blocks plus these.
+        self.charged = 0
         # Lifecycle audit: how often each request id was allocated/adopted
         # into this manager and freed out of it, plus frees that found no
         # allocation.  The differential runner asserts every allocation is
@@ -160,20 +164,49 @@ class KVBlockManager:
             return 0
         return alloc.blocks * self.block_size - alloc.tokens
 
-    def fill(self, request_id: int, tokens: int) -> None:
+    def append(self, request_id: int, tokens: int) -> bool:
         """Write ``tokens`` decode tokens into the free slots of the
-        allocation's GPU blocks.  Touches no pool; ``tokens`` must be at
-        most :meth:`slack` (a block boundary goes through :meth:`extend`)."""
+        allocation's GPU blocks, touching no pool.  Returns False, changing
+        nothing, when they do not fit (:meth:`slack`): a block boundary goes
+        through :meth:`extend` or :meth:`charge`."""
         alloc = self._allocations.get(request_id)
         if (
             alloc is None
             or alloc.location is not BlockLocation.GPU
-            or not 0 <= tokens <= alloc.blocks * self.block_size - alloc.tokens
+            or alloc.tokens + tokens > alloc.blocks * self.block_size
         ):
-            raise ValueError(
-                f"request {request_id}: {tokens} tokens do not fit its GPU blocks"
-            )
+            return False
         alloc.tokens += tokens
+        return True
+
+    def charge(self, blocks: int) -> bool:
+        """Reserve ``blocks`` GPU blocks for decode tokens that start new
+        blocks before their allocations record them (:meth:`settle` writes
+        them back).  Returns False, reserving nothing, when fewer are free."""
+        if blocks > self._gpu.free:
+            return False
+        self._gpu.reserve(blocks)
+        self.charged += blocks
+        return True
+
+    def settle(self, request_id: int, tokens: int) -> None:
+        """Write ``tokens`` decode tokens to the allocation's GPU blocks; the
+        blocks they start come out of the :meth:`charge` ledger.  Raises
+        ValueError, changing nothing, for a crossing no charge paid for."""
+        alloc = self._allocations.get(request_id)
+        if alloc is None or alloc.location is not BlockLocation.GPU or tokens < 0:
+            raise ValueError(f"request {request_id}: cannot settle {tokens} tokens")
+        total = alloc.tokens + tokens
+        crossed = -(-total // self.block_size) - alloc.blocks
+        if crossed > 0:
+            if crossed > self.charged:
+                raise ValueError(
+                    f"request {request_id}: {tokens} tokens start {crossed} blocks, "
+                    f"only {self.charged} charged"
+                )
+            self.charged -= crossed
+            alloc.blocks += crossed
+        alloc.tokens = total
 
     def free(self, request_id: int) -> None:
         """Release all blocks of a finished/migrated request."""

@@ -164,6 +164,9 @@ class PreemptiveAdmission(NestedCapsAdmission):
         kv = victim_host.kv
         if not kv.has(victim.request_id):
             return False
+        # The victim's allocation records the blocks its lane's clock
+        # charged only once written back (see ``serving.instance.Lane``).
+        victim_host.sync()
         alloc = kv.get(victim.request_id)
         if alloc.location is not BlockLocation.GPU or alloc.blocks > kv.free_cpu_blocks:
             return False  # no room to swap the victim's KV to CPU DRAM

@@ -15,6 +15,7 @@ in the paper builds on.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from math import inf
@@ -63,13 +64,14 @@ class InstanceConfig:
 class _Member:
     """A lane member's place on its lane's iteration clock (see :class:`Lane`)."""
 
-    __slots__ = ("request", "key", "mark", "due")
+    __slots__ = ("request", "key", "mark", "due", "phase")
 
     def __init__(self, request: Request, key: int, mark: int) -> None:
         self.request = request
         self.key = key  # admission order
         self.mark = mark  # the step its stored counters are exact at
-        self.due = mark  # the step whose token starts a KV block or is its last
+        self.due = mark  # the step it is walked at: its last, or a boundary
+        self.phase: Optional[int] = None  # its boundaries' class, once in one
 
 
 _ADMISSION_ORDER = attrgetter("key")
@@ -89,14 +91,25 @@ class Lane:
     and KV token count are exact as of its *mark*; it has generated one
     token per step since.  A request that joins while a batch formed
     without it is in flight is marked one step ahead, so that batch gives
-    it nothing.  A member is *due* at the step whose token starts a new KV
-    block or is its last: applying an iteration (:meth:`apply_step`) walks
-    only that step's due members, in admission order, and the clock gives
-    every other batch member its token (:meth:`advance` applies a step no
-    member is due at in O(1)).  Counters are written back to the
-    request and its allocation when the member leaves (:meth:`remove`,
-    :meth:`clear`) and on :meth:`sync`, which readers outside the decode
-    loop call first; ``context_tokens`` is always exact.
+    it nothing.
+
+    KV blocks run on the same clock.  Once a member's next block boundary
+    (the step whose token starts a new block) is the next of its residue
+    modulo ``block_size``, its boundaries recur every ``block_size`` steps:
+    it joins that residue's *phase class*, kept in admission order, and a
+    step takes one new block for each member of its class with a single
+    :meth:`KVBlockManager.charge`.  A member is *due* at its last step, or
+    at a boundary it meets outside a class (a late joiner one block ahead
+    of the batch it missed, which joins after).  Applying an iteration
+    (:meth:`apply_step`) walks only that step's due members, in admission
+    order; before each, the class members ahead of it are charged, so the
+    pool is exactly what a member-by-member walk would leave there.  The
+    clock gives every other batch member its token (:meth:`advance`
+    applies a step with no one due and an empty class in O(1)).  Counters
+    and crossed blocks are written back to the request and its allocation
+    (:meth:`KVBlockManager.settle`) when the member leaves (:meth:`remove`,
+    :meth:`clear`), is walked, or on :meth:`sync`, which readers outside
+    the decode loop call first; ``context_tokens`` is always exact.
     """
 
     def __init__(self, index: int, kv: KVBlockManager) -> None:
@@ -120,6 +133,8 @@ class Lane:
         self._ahead = 0  # members whose counters already hold this step's token
         self._due: defaultdict[int, list[_Member]] = defaultdict(list)
         self._walk: Optional[int] = None  # key of the member being stepped
+        self._block = kv.block_size
+        self._phases: list[list[_Member]] = [[] for _ in range(self._block)]
 
     def __contains__(self, request: Request) -> bool:
         return request in self.members
@@ -135,12 +150,16 @@ class Lane:
         self.running.append(request)
         self.members[request] = member
         self.context_tokens += request.context_tokens
-        self._schedule(member)
+        self._schedule(member, self.step)
 
     def remove(self, request: Request) -> None:
         member = self.members.pop(request)
         self.running.remove(request)
         self._settle(member)
+        phase = member.phase
+        if phase is not None:
+            members = self._phases[phase]
+            del members[bisect_left(members, member.key, key=_ADMISSION_ORDER)]
         if member.mark > self.step:
             self._ahead -= 1
         self.context_tokens -= request.context_tokens
@@ -157,103 +176,155 @@ class Lane:
         self._left.clear()
         self._ahead = 0
         self._due.clear()
+        for members in self._phases:
+            members.clear()
 
     def sync(self) -> None:
-        """Write every member's clock tokens back to its request and KV."""
+        """Write every member's clock tokens and blocks back to its request and KV."""
         for member in self.members.values():
             self._settle(member)
 
     def advance(self) -> bool:
-        """Apply the decode batch in flight at a step no member is due.
+        """Apply the decode batch in flight at a step no member is due and
+        no block is charged.
 
         The clock gives every member of the batch its token in O(1), as
-        :meth:`apply_step` does when it has no one to walk.  Returns False,
-        changing nothing, when members are due at this step: apply it with
+        :meth:`apply_step` does when it has no one to walk or charge.
+        Returns False, changing nothing, otherwise: apply it with
         :meth:`apply_step`.
         """
-        if self.step in self._due:
+        step = self.step
+        if step in self._due or self._phases[step % self._block]:
             return False
         self._left.clear()
         self.context_tokens += len(self.running) - self._ahead
-        self.step += 1
+        self.step = step + 1
         self._ahead = 0
         self._batch_end = None
         return True
 
-    def apply_step(self, grow: Callable[[Request, int], bool]) -> Iterator[Request]:
+    def apply_step(self, grow: Callable[[Request], bool]) -> Iterator[Request]:
         """Apply the decode batch in flight: one token per member still here.
 
-        Walks only this step's due members, in admission order.  Each is
-        owed this step's token and those the clock gave it since its mark:
-        they go into free slots of its last KV block when they fit, else
-        through ``grow(request, tokens)``, which reserves a block (maybe
-        preempting) and returns False if the member itself was preempted.
-        A member whose last token this was leaves the lane and is yielded,
-        for the caller to retire before the walk goes on.  A member that
-        leaves mid-walk keeps this step's token only if the walk had
-        passed it.  When the walk ends, the clock gives every other member
-        of the batch its token.
+        Walks only this step's due members, in admission order.  Before
+        each, the members of this step's phase class ahead of it take their
+        new blocks (:meth:`_charge`).  A walked member's clock tokens are
+        written back; its token for this step goes into a free slot of its
+        last KV block when one is left, else through ``grow(request)``,
+        which reserves a block (maybe preempting) and returns False if the
+        member itself was preempted.  A member whose last token this was
+        leaves the lane and is yielded, for the caller to retire before the
+        walk goes on.  A member that leaves mid-walk keeps this step's token
+        only if the walk had passed it.  When the walk ends, the rest of the
+        class takes its blocks and the clock gives every other member of
+        the batch its token.
         """
         if self._batch_end is None:
             return  # the batch decoded nothing here
         step = self.step
         self._left.clear()
+        phase = self._phases[step % self._block]
+        charged_to = 0  # class members with lower keys have their blocks
         bucket = self._due.pop(step, None)
         if bucket:
             bucket.sort(key=_ADMISSION_ORDER)
-            kv = self.kv
             members = self.members
             for member in bucket:
                 request = member.request
                 if member.due != step or members.get(request) is not member:
                     continue  # left (or came back) since it was bucketed
-                self._walk = member.key
-                tokens = step + 1 - member.mark
-                if kv.slack(request.request_id) >= tokens:
-                    kv.fill(request.request_id, tokens)
-                elif not grow(request, tokens):
+                key = member.key
+                if phase:
+                    self._charge(phase, charged_to, key, step, grow)
+                charged_to = key + 1
+                if members.get(request) is not member:
+                    continue  # preempted by a class member ahead of it
+                self._walk = key
+                if not self._step_member(member, step, grow):
                     continue  # preempted itself; it left with what it had
-                request.output_generated += tokens
-                self.context_tokens += 1  # the rest were counted as they accrued
-                member.mark = step + 1
-                self._ahead += 1
                 if request.output_generated < request.output_tokens:
-                    self._schedule(member)
+                    self._schedule(member, step + 1)
                 else:
                     self.remove(request)
                     yield request
-            self._walk = None
+        if phase:
+            self._charge(phase, charged_to, None, step, grow)
+        self._walk = None
         self.context_tokens += len(self.running) - self._ahead
         self.step = step + 1
         self._ahead = 0
         self._batch_end = None
 
-    def _schedule(self, member: _Member) -> None:
+    def _step_member(self, member: _Member, step: int, grow) -> bool:
+        """Give a walked member its clock tokens and this step's token."""
+        self._settle(member)
+        request = member.request
+        if not self.kv.append(request.request_id, 1) and not grow(request):
+            return False
+        request.output_generated += 1
+        self.context_tokens += 1  # the rest were counted as they accrued
+        member.mark = step + 1
+        self._ahead += 1
+        return True
+
+    def _charge(self, phase: list[_Member], lo: int, hi: Optional[int], step: int, grow) -> None:
+        """Give the class members with keys in ``[lo, hi)`` this step's
+        block with one charge; if the pool is short, walk them in admission
+        order instead, as a member-by-member walk would, preempting."""
+        start = bisect_left(phase, lo, key=_ADMISSION_ORDER) if lo else 0
+        end = len(phase) if hi is None else bisect_left(phase, hi, key=_ADMISSION_ORDER)
+        count = end - start
+        if not count:
+            return
+        if self.kv.charge(count):
+            self.context_tokens += count
+            self._ahead += count
+            return
+        members = self.members
+        for member in phase[start:end]:
+            if members.get(member.request) is member:  # else preempted meanwhile
+                self._walk = member.key
+                self._step_member(member, step, grow)
+
+    def _schedule(self, member: _Member, now: int) -> None:
+        """Bucket the member at its next due step; ``now`` is the next step
+        the lane applies."""
         request = member.request
         room = self.kv.slack(request.request_id)
         left = request.output_tokens - request.output_generated - 1
-        if left < room:
-            room = left
-        member.due = due = member.mark + room if room > 0 else member.mark
+        mark = member.mark
+        if left <= room:
+            due = mark + left if left > 0 else mark  # its last token
+        else:
+            due = boundary = mark + room
+            if boundary - now < self._block:
+                # Its boundaries from here on are its class's steps.
+                member.phase = phase = boundary % self._block
+                insort(self._phases[phase], member, key=_ADMISSION_ORDER)
+                due = mark + left
+        member.due = due
         self._due[due].append(member)
 
     def _settle(self, member: _Member) -> None:
         """Write the member's clock tokens back and mark it current."""
-        lag = self.step - member.mark
+        step = self.step
+        lag = step - member.mark
         if lag < 0:
             return  # its counters already hold this step's token
         if self._walk is not None and member.key < self._walk:
-            # The walk has passed it: it holds this step's token too.
+            # The walk has passed it: it holds this step's token too,
+            # counted already if its class was charged for this step.
             lag += 1
-            member.mark = self.step + 1
-            self._ahead += 1
-            self.context_tokens += 1
+            member.mark = step + 1
+            if member.phase != step % self._block:
+                self._ahead += 1
+                self.context_tokens += 1
         else:
-            member.mark = self.step
+            member.mark = step
         if lag:
             request = member.request
             request.output_generated += lag
-            self.kv.fill(request.request_id, lag)
+            self.kv.settle(request.request_id, lag)
 
     @property
     def batch_size(self) -> int:
@@ -664,19 +735,20 @@ class Instance:
         for lane in self.lanes:
             lane.sync()
 
-    def _grow_kv(self, request: Request, tokens: int) -> bool:
-        """Reserve KV for the request's next ``tokens``, preempting if needed.
+    def _grow_kv(self, request: Request) -> bool:
+        """Reserve a new KV block for the request's next token, preempting
+        if needed.
 
         Returns False when the request itself had to be swapped out (its
         token is not counted; it resumes after swap-in)."""
-        while not self.kv.can_extend(request.request_id, tokens):
+        while not self.kv.can_extend(request.request_id, 1):
             victim = self._pick_swap_victim(exclude=request)
             if victim is None:
                 victim = request
             self._preempt(victim)
             if victim is request:
                 return False
-        self.kv.extend(request.request_id, tokens)
+        self.kv.extend(request.request_id, 1)
         return True
 
     def _preempt(self, victim: Request) -> None:

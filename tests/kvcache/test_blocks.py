@@ -128,7 +128,7 @@ class TestSlackAndFill:
         kv = manager()
         kv.allocate(1, 3)
         free = kv.free_gpu_blocks
-        kv.fill(1, 13)
+        assert kv.append(1, 13)
         assert kv.tokens_of(1) == 16
         assert kv.get(1).blocks == 1
         assert kv.free_gpu_blocks == free
@@ -139,8 +139,7 @@ class TestSlackAndFill:
         kv.allocate(1, 14)
         kv.allocate(2, 4)
         kv.swap_out(2)
-        with pytest.raises(ValueError):
-            kv.fill(rid, tokens)
+        assert not kv.append(rid, tokens)
         assert kv.tokens_of(1) == 14 and kv.tokens_of(2) == 4
 
     def test_fill_then_extend_at_the_boundary_matches_extend_by_one(self):
@@ -148,13 +147,49 @@ class TestSlackAndFill:
         for kv in (fast, slow):
             kv.allocate(1, 1)
         for _ in range(100):
-            if fast.slack(1):
-                fast.fill(1, 1)
-            else:
+            if not fast.append(1, 1):
                 fast.extend(1, 1)
             slow.extend(1, 1)
             assert fast.get(1) == slow.get(1)
             assert fast.free_gpu_blocks == slow.free_gpu_blocks
+
+
+class TestChargeAndSettle:
+    def test_charged_blocks_move_to_the_allocation_that_crosses_them(self):
+        kv = manager()
+        kv.allocate(1, 16)
+        kv.allocate(2, 10)
+        free = kv.free_gpu_blocks
+        assert kv.charge(2)
+        assert kv.charged == 2 and kv.free_gpu_blocks == free - 2
+        kv.settle(1, 17)  # two boundaries: tokens 17 and 33
+        assert kv.get(1).blocks == 3 and kv.tokens_of(1) == 33
+        assert kv.charged == 0
+        kv.settle(2, 6)  # fills its block, crosses nothing
+        assert kv.get(2).blocks == 1 and kv.charged == 0
+        assert kv.free_gpu_blocks == free - 2
+
+    def test_charge_refuses_more_than_is_free(self):
+        kv = KVBlockManager(64, 64, block_size=16, bytes_per_token=1.0)
+        kv.allocate(1, 40)
+        assert not kv.charge(2)
+        assert kv.charged == 0 and kv.free_gpu_blocks == 1
+        assert kv.charge(1) and kv.free_gpu_blocks == 0
+
+    def test_settling_an_uncharged_crossing_raises(self):
+        kv = manager()
+        kv.allocate(1, 16)
+        with pytest.raises(ValueError, match="charged"):
+            kv.settle(1, 1)
+        assert kv.tokens_of(1) == 16 and kv.get(1).blocks == 1
+
+    @pytest.mark.parametrize("rid", [2, 7])
+    def test_settle_refuses_an_allocation_off_the_gpu(self, rid):
+        kv = manager()
+        kv.allocate(2, 4)
+        kv.swap_out(2)
+        with pytest.raises(ValueError):
+            kv.settle(rid, 1)
 
 
 class TestSwap:

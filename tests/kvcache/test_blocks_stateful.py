@@ -28,8 +28,10 @@ class KVMachine(RuleBasedStateMachine):
             block_size=BLOCK,
             bytes_per_token=10.0,
         )
-        # Reference model: request_id -> (tokens, location)
+        # Reference model: request_id -> (tokens, location), and the GPU
+        # blocks charged for crossings no allocation records yet.
         self.model: dict[int, tuple[int, str]] = {}
+        self.charged = 0
 
     # -- helpers --------------------------------------------------------------
 
@@ -55,7 +57,7 @@ class KVMachine(RuleBasedStateMachine):
             assert rid in self.model
         except OutOfMemoryError:
             needed = -(-tokens // BLOCK)
-            assert needed > self.kv.gpu_capacity_blocks - self.model_gpu_blocks()
+            assert needed > self.kv.free_gpu_blocks
 
     @rule(rid=st.integers(0, 15), tokens=st.integers(1, 64))
     def extend(self, rid, tokens):
@@ -73,7 +75,7 @@ class KVMachine(RuleBasedStateMachine):
             pass  # growth denied; state unchanged
 
     @rule(rid=st.integers(0, 15), tokens=st.integers(0, 16))
-    def fill(self, rid, tokens):
+    def append(self, rid, tokens):
         entry = self.model.get(rid)
         on_gpu = entry is not None and entry[1] == "gpu"
         # Room in the last block: a GPU allocation's free slots (0 for a
@@ -81,12 +83,35 @@ class KVMachine(RuleBasedStateMachine):
         room = -entry[0] % BLOCK if on_gpu else 0
         assert self.kv.slack(rid) == room
         free = self.kv.free_gpu_blocks
-        try:
-            self.kv.fill(rid, tokens)
-            assert on_gpu and tokens <= room
+        fits = on_gpu and tokens <= room
+        assert self.kv.append(rid, tokens) == fits
+        if fits:
             self.model[rid] = (entry[0] + tokens, "gpu")
+        assert self.kv.free_gpu_blocks == free
+
+    @rule(blocks=st.integers(0, 8))
+    def charge(self, blocks):
+        free = self.kv.free_gpu_blocks
+        charged = self.kv.charge(blocks)
+        assert charged == (blocks <= free)
+        if charged:
+            self.charged += blocks
+        assert self.kv.free_gpu_blocks == free - (blocks if charged else 0)
+
+    @rule(rid=st.integers(0, 15), tokens=st.integers(0, 48))
+    def settle(self, rid, tokens):
+        entry = self.model.get(rid)
+        on_gpu = entry is not None and entry[1] == "gpu"
+        crossed = -(-(entry[0] + tokens) // BLOCK) - -(-entry[0] // BLOCK) if entry else 0
+        free = self.kv.free_gpu_blocks
+        try:
+            self.kv.settle(rid, tokens)
+            assert on_gpu and crossed <= self.charged
+            self.model[rid] = (entry[0] + tokens, "gpu")
+            self.charged -= crossed
         except ValueError:
-            assert not on_gpu or tokens > room
+            # Off the GPU, or a crossing no charge paid for.
+            assert not on_gpu or crossed > self.charged
         assert self.kv.free_gpu_blocks == free
 
     @rule(rid=st.integers(0, 15), tokens=st.integers(1, 64))
@@ -137,8 +162,13 @@ class KVMachine(RuleBasedStateMachine):
 
     @invariant()
     def block_accounting_matches_model(self):
-        assert self.kv.used_gpu_blocks == self.model_gpu_blocks()
-        assert self.kv.gpu_capacity_blocks - self.kv.free_gpu_blocks == self.model_gpu_blocks()
+        used = self.model_gpu_blocks() + self.charged
+        assert self.kv.used_gpu_blocks == used
+        assert self.kv.gpu_capacity_blocks - self.kv.free_gpu_blocks == used
+
+    @invariant()
+    def charged_ledger_matches_model(self):
+        assert self.kv.charged == self.charged >= 0
 
     @invariant()
     def tokens_match_model(self):

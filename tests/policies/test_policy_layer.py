@@ -293,6 +293,45 @@ class TestPreemptiveDisplacement:
         assert system.policy_identity() == (("admission", "preemptive"),)
 
 
+def test_displacement_checks_cpu_room_against_the_settled_block_count():
+    """A running victim's allocation lags the blocks its lane's clock
+    charged.  ``victim`` (31 cached tokens, two blocks) starts a third block
+    on its second iteration; the CPU pool holds two blocks, so the stale
+    count would pass the room check and the swap-out would then overflow."""
+    from types import SimpleNamespace
+
+    from repro.hardware.gpu import GB
+    from repro.models.registry import get_model as model
+    from repro.sim.trace import TraceLog
+    from tests.serving.test_instance import decode_ready_request, make_instance
+
+    inst, sim = make_instance(cpu_swap_gb=40 * model("opt-13b").kv_bytes_per_token / GB)
+    assert inst.kv.free_cpu_blocks == 2
+    victim = decode_ready_request(1, prompt=30, output=10)
+    victim.tier = "best_effort"
+    inst.kv.allocate(1, victim.context_tokens)
+    inst.waiting.append(victim)
+    system = SimpleNamespace(
+        instances=[inst], metrics=inst.metrics, trace=TraceLog(enabled=False), sim=sim
+    )
+    policy = ADMISSION_POLICIES.create("preemptive")
+    seen = []
+    finish = inst.finish_decode_iteration
+
+    def finish_then_displace(lane, batch):
+        finish(lane, batch)
+        if lane.step == 2 and not seen:
+            seen.append(inst.kv.get(1).blocks)
+            seen.append(policy.displace_running(system, _req(9, tier="interactive")))
+
+    inst.finish_decode_iteration = finish_then_displace
+    inst.kick()
+    sim.run()
+    assert seen == [2, False]
+    assert inst.metrics.counters.get("preempt_displaced", 0) == 0
+    assert victim.finished
+
+
 # -- tier-aware fleet routing (acceptance) -------------------------------------
 
 FLEET_KW = dict(

@@ -412,6 +412,38 @@ class TestRetireBetweenBoundariesFolded(TestRetireBetweenBoundaries):
     FOLDED = True
 
 
+class TestVictimAheadOfALaterRetirement:
+    """``boundary`` (31 cached tokens) needs a block of a full 6-block pool
+    on the second iteration, where ``victim`` and ``last`` (21 cached
+    tokens each, behind it in admission order) take their final tokens.
+    ``victim`` arrived last, so ``boundary`` evicts it; ``last`` then
+    retires, ``boundary`` gets exactly one block, and the two blocks
+    ``victim`` needs back are free for its swap-in."""
+
+    def test_the_boundary_member_takes_one_block(self, path):
+        boundary = decode_ready_request(1, prompt=30, output=10)
+        victim = decode_ready_request(2, prompt=20, output=3)
+        victim.arrival_time = 2.0
+        last = decode_ready_request(3, prompt=20, output=3)
+        last.arrival_time = 1.0
+        inst, sim = _lane_of(96, boundary, victim, last)
+        assert inst.kv.free_gpu_blocks == 0
+        sim.run(max_events=2)
+        assert victim.phase is Phase.SWAPPED
+        assert victim.output_generated == 2
+        assert last.finished
+        assert boundary.output_generated == 3
+        assert inst.kv.tokens_of(boundary.request_id) == 33
+        assert inst.kv.get(boundary.request_id).blocks == 3
+        assert inst.metrics.counters["swap_in"] == 1
+        assert inst.kv.free_gpu_blocks == 1
+        assert path.inline == (1 if path.folded else 0)
+
+
+class TestVictimAheadOfALaterRetirementFolded(TestVictimAheadOfALaterRetirement):
+    FOLDED = True
+
+
 class TestLateJoinerOneBlockAhead:
     """``joiner`` (17 cached tokens: two blocks, 15 free slots) joins while
     the lane's first batch runs, so its first boundary lies exactly one
