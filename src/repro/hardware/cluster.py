@@ -50,6 +50,8 @@ class ClusterTopology:
             Link(f"rdma-nic-node{i}", LinkType.RDMA_NIC, bandwidth_gbps=nic_gbps)
             for i in range(num_nodes)
         ]
+        # Each GPU pair's path, built on first use (see NodeTopology.path).
+        self._paths: dict[tuple[int, int], Path] = {}
 
     # -- id mapping ----------------------------------------------------------
 
@@ -81,6 +83,12 @@ class ClusterTopology:
         return node * self.gpus_per_node + peer
 
     def path(self, src: int, dst: int) -> Path:
+        path = self._paths.get((src, dst))
+        if path is None:
+            path = self._paths[src, dst] = self._build_path(src, dst)
+        return path
+
+    def _build_path(self, src: int, dst: int) -> Path:
         src_node, dst_node = self.node_of(src), self.node_of(dst)
         if src_node == dst_node:
             return self.nodes[src_node].path(self.local_id(src), self.local_id(dst))

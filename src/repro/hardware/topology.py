@@ -56,11 +56,6 @@ class Path:
             link.busy_time += duration
         return TransferReservation(start=start, finish=finish)
 
-    def earliest_start(self, now: float) -> float:
-        if not self.links:
-            return now
-        return max([now] + [link.busy_until for link in self.links])
-
 
 class NodeTopology:
     """A single multi-GPU server node.
@@ -111,6 +106,9 @@ class NodeTopology:
             link_type=LinkType.ROOT_COMPLEX,
             bandwidth_gbps=gpu.pcie_gbps,
         )
+        # Each GPU pair's path, built on first use.  Faults change links in
+        # place, so a built path stays exact.
+        self._paths: dict[tuple[int, int], Path] = {}
 
     def numa_of(self, gpu_id: int) -> int:
         """NUMA node hosting ``gpu_id``."""
@@ -125,7 +123,13 @@ class NodeTopology:
         return peer if key in self._nvlink else None
 
     def path(self, src: int, dst: int) -> Path:
-        """Link path for a GPU-to-GPU copy."""
+        """Link path for a GPU-to-GPU copy (the same object on every call)."""
+        path = self._paths.get((src, dst))
+        if path is None:
+            path = self._paths[src, dst] = self._build_path(src, dst)
+        return path
+
+    def _build_path(self, src: int, dst: int) -> Path:
         self._check_gpu(src)
         self._check_gpu(dst)
         if src == dst:

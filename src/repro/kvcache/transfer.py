@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.hardware.topology import NodeTopology
+from repro.hardware.interconnect import Link
+from repro.hardware.topology import NodeTopology, Path
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,6 +79,9 @@ class KVTransferEngine:
         # stalls until the path recovers instead of failing.
         self.on_failure: Optional[Callable[[TransferJob], None]] = None
         self.failure_kinds: frozenset[str] = frozenset()
+        # (src GPUs, dst GPUs) -> each GPU pair's path and the links they
+        # use, de-duplicated (see :meth:`_routes`).
+        self._route_cache: dict[tuple, tuple[list[Path], list[Link]]] = {}
 
     # -- planning ---------------------------------------------------------
 
@@ -85,11 +89,9 @@ class KVTransferEngine:
         self, nbytes: int, src_gpus: list[int], dst_gpus: list[int]
     ) -> float:
         """Unqueued wire time for an instance-to-instance copy of ``nbytes``."""
-        pairs = self._pairs(src_gpus, dst_gpus)
-        per_pair = nbytes / len(pairs)
-        return max(
-            self.topology.path(s, d).transfer_duration(int(per_pair)) for s, d in pairs
-        )
+        paths, _ = self._routes(src_gpus, dst_gpus)
+        per_pair = int(nbytes / len(paths))
+        return max(path.transfer_duration(per_pair) for path in paths)
 
     # -- instance-to-instance ------------------------------------------------
 
@@ -109,11 +111,9 @@ class KVTransferEngine:
         """
         if nbytes < 0:
             raise ValueError("negative transfer size")
-        pairs = self._pairs(src_gpus, dst_gpus)
-        per_pair = int(nbytes / len(pairs)) if nbytes else 0
-        paths = [self.topology.path(s, d) for s, d in pairs]
-        links = {link.name: link for path in paths for link in path.links}
-        attempt, gave_up = self._resolve_outages(list(links.values()), kind, meta)
+        paths, links = self._routes(src_gpus, dst_gpus)
+        per_pair = int(nbytes / len(paths)) if nbytes else 0
+        attempt, gave_up = self._resolve_outages(links, kind, meta)
         if gave_up:
             return self._fail_job(
                 nbytes, tuple(src_gpus), tuple(dst_gpus), attempt, kind, meta
@@ -226,6 +226,18 @@ class KVTransferEngine:
         return job
 
     # -- internals ---------------------------------------------------------------
+
+    def _routes(self, src_gpus: list[int], dst_gpus: list[int]) -> tuple[list[Path], list[Link]]:
+        """The paths of an instance-to-instance copy's GPU pairs, in pair
+        order, and the links they use, de-duplicated in first-use order.
+        Built once per GPU-tuple pair: faults change links in place."""
+        key = (tuple(src_gpus), tuple(dst_gpus))
+        routes = self._route_cache.get(key)
+        if routes is None:
+            paths = [self.topology.path(s, d) for s, d in self._pairs(src_gpus, dst_gpus)]
+            links = {link.name: link for path in paths for link in path.links}
+            routes = self._route_cache[key] = (paths, list(links.values()))
+        return routes
 
     @staticmethod
     def _pairs(src_gpus: list[int], dst_gpus: list[int]) -> list[tuple[int, int]]:
