@@ -180,7 +180,7 @@ def check_prefix_ledger(target, metrics) -> list[str]:
 
 def check_kv_lifecycle(system) -> list[str]:
     """KV freed exactly once per manager, including pools retired by crashes
-    and re-plans.
+    and re-plans, and no block a lane's clock charged left unsettled.
 
     A still-warm prefix cache is deliberate residency, not a leak: it is
     drained here (idempotently) before the freed-exactly-once check runs.
@@ -207,6 +207,10 @@ def check_kv_lifecycle(system) -> list[str]:
             if kv.used_gpu_blocks != 0:
                 problems.append(
                     f"{instance.name}/{label}: {kv.used_gpu_blocks} GPU KV blocks leaked"
+                )
+            if kv.charged != 0:
+                problems.append(
+                    f"{instance.name}/{label}: {kv.charged} charged KV blocks never settled"
                 )
     return problems
 

@@ -65,6 +65,12 @@ def leaked_retired_pool():
     return check_kv_lifecycle(system)
 
 
+def unsettled_charge():
+    system = Cell(num_requests=8).run().target
+    system.instances[-1].kv.charge(1)  # a boundary block no lane wrote back
+    return check_kv_lifecycle(system)
+
+
 def stuck_waiting():
     system = Cell(num_requests=8).run().target
     system.instances[0].waiting.append(done(99))
@@ -124,6 +130,7 @@ CASES = {
     ),
     "prefix-ledger": (unbalanced_prefix_ledger, "!= index ledger"),
     "kv-lifecycle-retired-pool": (leaked_retired_pool, "retired-kv#0"),
+    "kv-lifecycle-charged": (unsettled_charge, "charged KV blocks never settled"),
     "drained": (stuck_waiting, "stuck waiting"),
     "fleet-recovered": (
         lambda: check_fleet_recovered(SimpleNamespace(crashed={1}, failed=set())),

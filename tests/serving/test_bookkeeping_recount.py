@@ -8,6 +8,9 @@ and compares them with the kept values:
 * after every decode iteration, each lane's member set against its
   ``running`` list, and its context total against the members' context
   once their clock tokens are written back (``Lane.sync``);
+* at the same points, the instance's KV pool: its used GPU blocks against
+  its allocations' blocks plus the blocks the lanes' clocks charged, and
+  no charge left once every lane is synced;
 * at every admission and route call, and at every ledger read,
   ``in_flight_by_tier()`` against the recount over ``metrics.completed``
   and ``metrics.shed`` it replaced (values and key order).
@@ -29,6 +32,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.autoscaler import AutoscalingFleet
 from repro.core.fleet import ServingFleet
 from repro.harness.golden import GOLDEN_MATRIX, check_goldens
+from repro.kvcache.blocks import BlockLocation
 from repro.policies.base import AdmissionPolicy
 from repro.serving.instance import Instance, Lane
 from repro.serving.system import ServingSystem
@@ -80,6 +84,9 @@ class RecountObserver:
     # -- the checks ------------------------------------------------------------
 
     def check_lanes(self, instance: Instance) -> None:
+        kv = instance.kv
+        recorded = sum(alloc.blocks for alloc in kv.residents(BlockLocation.GPU))
+        assert kv.used_gpu_blocks == recorded + kv.charged
         for lane in instance.lanes:
             assert len(lane.members) == len(lane.running), "duplicate lane member"
             assert lane.members.keys() == set(lane.running)
@@ -87,6 +94,7 @@ class RecountObserver:
             # then the kept total must equal the materialised sum.
             lane.sync()
             assert lane.context_tokens == sum(r.context_tokens for r in lane.running)
+        assert kv.charged == 0
         self.checks["decode"] += 1
 
     def check_ledger(self, system: ServingSystem, ledger=None) -> None:
@@ -187,6 +195,17 @@ def test_recounts_match_on_pin(pin):
     if "tiered" in pin:
         # Degraded-mode admission reads the ledger once the crash is known.
         assert observer.checks["read"] > 0
+
+
+def test_recounts_match_on_the_preemptive_run_pin():
+    """``run-preemptive`` runs preemptive admission over tier-aware swap
+    victims in an 8k-token decode pool.  It is a value pin (the cell's
+    summary and counters), not a ``GOLDEN_MATRIX`` trace."""
+    with RecountObserver() as observer:
+        (diff,) = check_goldens(GOLDEN_DIR, only=["run-preemptive"])
+    assert diff.passed, "\n".join(diff.messages)
+    assert observer.checks["decode"] > 0
+    assert observer.checks["admit"] > 0
 
 
 @pytest.mark.parametrize("pin", PINS)
