@@ -260,7 +260,8 @@ class WindServeDecodeInstance(Instance):
         # maybe_reschedule returns False when it stopped at (or before)
         # free / capacity >= reschedule_watermark_frac.  A plain decode
         # step takes and frees no block, so until a step walks due members
-        # another check would stop there too, and a decode run skips it.
+        # or charges blocks another check would stop there too, and a
+        # decode run skips it.
         return self.system.maybe_reschedule()  # type: ignore[union-attr]
 
     def swap_candidates(self, exclude: Optional[Request] = None) -> list[Request]:

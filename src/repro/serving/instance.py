@@ -691,8 +691,8 @@ class Instance:
     def _after_decode_step(self) -> bool:
         """What ``_on_batch_complete`` does after applying a plain decode
         batch.  Returns False when another call would do nothing until a
-        step walks due members: the other steps change no KV block count
-        and run nothing else."""
+        step walks due members or charges blocks: the other steps change
+        no KV block count and run nothing else."""
         return False
 
     # -- shared decode machinery ------------------------------------------------
@@ -718,11 +718,13 @@ class Instance:
         """Apply the results of one decode iteration: grow KV, emit tokens,
         retire finished requests, preempt under memory pressure.
 
-        Costs O(due members), not O(batch): the lane's iteration clock
-        (:class:`Lane`) gives a token that fits its last KV block to every
-        member at once, and walks only the members whose token starts a new
-        block or is their last, in admission order.  At a block boundary
-        :meth:`_grow_kv` reserves (and maybe preempts) exactly as a
+        Costs O(due members + log batch), not O(batch): the lane's
+        iteration clock (:class:`Lane`) gives every member its token at
+        once, charges the new blocks of the members whose token starts one
+        by count, and walks only the members whose token is their last (or
+        starts a block outside a phase class), in admission order.  A
+        walked boundary, or a charge the pool cannot cover, goes through
+        :meth:`_grow_kv`, which reserves (and maybe preempts) exactly as a
         token-by-token loop would, so the pool, the swap victims and their
         order are unchanged.  ``batch`` is the one that just ran; the lane
         recorded its membership when it launched."""
