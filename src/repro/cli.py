@@ -1,29 +1,27 @@
 """Command-line interface.
 
-Run single experiments, rate sweeps, placement searches and the declared
-comparisons without writing Python::
+Run single experiments, rate sweeps, placement searches and the paper's
+claims table without writing Python::
 
     python -m repro run --system windserve --model opt-13b --dataset sharegpt \
         --rate 4.0 --requests 500
+    python -m repro run --rate 3 --requests 60 --fault-plan decode-crash
+    python -m repro run --rate 3 --requests 48 --nodes 2 --standby 1 --fault-plan member-crash
     python -m repro sweep --systems windserve,distserve,vllm --rates 2,3,4,5
     python -m repro placement --model opt-13b --dataset sharegpt --rate 1.5
     python -m repro golden record
     python -m repro golden check
-    python -m repro differential --seeds 0,1,2
-    python -m repro chaos --plans decode-crash,link-degrade
-    python -m repro chaos --smoke
-    python -m repro prefix --smoke
-    python -m repro tenants --smoke
-    python -m repro hetero --smoke
+    python -m repro claims
+    python -m repro claims ext_chaos ext_prefix
     python -m repro models
     python -m repro datasets
 
-The comparison verbs (``differential``, ``chaos``, ``prefix``, ``tenants``,
-``hetero``) are generated from the declarations in
-:mod:`repro.harness.experiments`; each exits non-zero unless every run keeps
-the invariant suite and every declared verdict holds.  Every flag that sets
-a :class:`~repro.harness.cell.Cell` field is declared once, in
-:data:`CELL_FLAGS`, and parse-checked there.
+``run`` takes every flag that sets a :class:`~repro.harness.cell.Cell`
+field; each is declared once, in :data:`CELL_FLAGS`, and parse-checked
+there.  ``run`` exits 1 when its run breaks the shared invariant suite.
+The side-by-side comparisons (differential, faults, prefix caching,
+tenancy, mixed-hardware fleets) are the ``ext_*`` claims of
+:mod:`repro.harness.claims`.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.core.config import FleetShape
-from repro.harness.cell import Cell
-from repro.harness.experiments import EXPERIMENTS, TENANCY_FLAGS, TRACE_FLAGS, Experiment
+from repro.harness.cell import Cell, CellRun
 from repro.harness.placement_search import search_placement
 from repro.harness.report import format_table
 from repro.harness.runner import SYSTEM_NAMES, generate_workload
@@ -75,7 +72,7 @@ def _spec(parse: Callable[[str], object], help: str) -> dict:
 
 
 #: Cell field -> (flag, argparse options).  The flag's default comes from
-#: the verb's base cell.
+#: :data:`RUN_BASE`.
 CELL_FLAGS: dict[str, tuple[str, dict]] = {
     "model": ("--model", dict(choices=sorted(MODEL_REGISTRY))),
     "dataset": ("--dataset", dict(choices=sorted(DATASET_REGISTRY))),
@@ -158,7 +155,10 @@ CELL_FLAGS: dict[str, tuple[str, dict]] = {
             "fleet shape spec, e.g. 'a800:2,h100' (per-member GPU type + parallelism)",
         ),
     ),
-    "fault_plan": ("--fault-plan", dict(help="fault plan the faulted cells run under")),
+    "fault_plan": (
+        "--fault-plan",
+        dict(help="named fault plan (a fleet plan with --nodes or --shape)"),
+    ),
     "prefix_cache_tokens": (
         "--cache-tokens",
         dict(type=int, help="warm-prefix KV budget per prefill instance (tokens)"),
@@ -181,35 +181,36 @@ def _dest(field: str) -> str:
     return CELL_FLAGS[field][0].lstrip("-").replace("-", "_")
 
 
-def _add_cell_flags(parser: argparse.ArgumentParser, names: Sequence[str], base: Cell) -> None:
-    for name in names:
-        flag, options = CELL_FLAGS[name]
-        parser.add_argument(flag, default=getattr(base, name), **options)
-
-
-def _cell_from_args(args: argparse.Namespace, names: Sequence[str], base: Cell) -> Cell:
-    return replace(base, **{name: getattr(args, _dest(name)) for name in names})
-
-
 # -- single experiments ----------------------------------------------------------
 
+#: The workload and single-system layout flags every run verb takes.
 RUN_FLAGS = ("model", "dataset", "num_requests", "seed", "prefill_parallel", "num_node_gpus")
-RUN_FLAGS += TRACE_FLAGS
+RUN_FLAGS += ("decode_parallel", "arrival_process", "burstiness_cv", "tier_mix", "prefix_mix")
+TENANCY_FLAGS = (
+    "tenant_mix",
+    "tenant_weights",
+    "tenant_max_inflight",
+    "tenant_max_tokens",
+    "admission_policy",
+)
 RUN_BASE = Cell(num_requests=500)
 
 
-def _add_run_args(parser: argparse.ArgumentParser, tenants: bool = False) -> None:
-    _add_cell_flags(parser, RUN_FLAGS + (TENANCY_FLAGS if tenants else ()), RUN_BASE)
+def _add_run_args(parser: argparse.ArgumentParser, names: Sequence[str] = RUN_FLAGS) -> None:
+    for name in names:
+        flag, options = CELL_FLAGS[name]
+        parser.add_argument(flag, default=getattr(RUN_BASE, name), **options)
     parser.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
 
 def _run_cell(args: argparse.Namespace, **fields) -> Cell:
-    names = RUN_FLAGS + (TENANCY_FLAGS if hasattr(args, "tenant_mix") else ())
-    return _cell_from_args(args, names, replace(RUN_BASE, **fields))
+    """:data:`RUN_BASE` with every cell flag the verb took, then ``fields``."""
+    given = {name: getattr(args, _dest(name)) for name in CELL_FLAGS if hasattr(args, _dest(name))}
+    return replace(RUN_BASE, **{**given, **fields})
 
 
-def _run_row(cell: Cell) -> tuple[dict, dict]:
-    """One run's table row (cell, summary, SLO) and its counters."""
+def _run_row(cell: Cell) -> tuple[dict, CellRun]:
+    """One run's table row (cell, summary, SLO) and the run."""
     run = cell.run()
     slo = cell.slo()
     row = {
@@ -221,11 +222,13 @@ def _run_row(cell: Cell) -> tuple[dict, dict]:
         "slo_ttft_s": slo.ttft,
         "slo_tpot_s": slo.tpot,
     }
-    return row, run.metrics.counters
+    return row, run
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    row, counters = _run_row(_run_cell(args, system=args.system, rate_per_gpu=args.rate))
+    """Run one cell; exit 1 when it breaks the invariant suite."""
+    row, run = _run_row(_run_cell(args, system=args.system))
+    counters = run.metrics.counters
     if args.json:
         print(json.dumps({"summary": row, "counters": counters}, indent=2))
     else:
@@ -233,7 +236,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         interesting = {k: v for k, v in counters.items() if v}
         if interesting:
             print("\ncounters:", ", ".join(f"{k}={v}" for k, v in sorted(interesting.items())))
-    return 0
+    for violation in run.violations:
+        print(f"[VIOLATED] {violation}", file=sys.stderr)
+    return 1 if run.violations else 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -265,7 +270,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_placement(args: argparse.Namespace) -> int:
-    cell = _run_cell(args, system=args.system, rate_per_gpu=args.rate)
+    cell = _run_cell(args, system=args.system)
     scores = search_placement(
         cell.system,
         cell.model,
@@ -295,7 +300,7 @@ def cmd_breakdown(args: argparse.Namespace) -> int:
     from repro.harness.breakdown import breakdown_rows
     from repro.harness.timeline import render_timeline
 
-    cell = _run_cell(args, system=args.system, rate_per_gpu=args.rate)
+    cell = _run_cell(args, system=args.system)
     system = cell.build()
     # The timeline needs tracing; flip it on before any batch runs.
     system.trace.enabled = True
@@ -370,46 +375,11 @@ def cmd_golden(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_experiment(experiment: Experiment, args: argparse.Namespace) -> int:
-    """Run one declared comparison; exit 1 on a violation or failed verdict."""
-    base = _cell_from_args(args, experiment.flags, experiment.base)
-    # Only the params given on the command line: ``--smoke`` fills the rest.
-    params = {p.dest: vars(args)[p.dest] for p in experiment.params if p.dest in vars(args)}
-    report = experiment.run(base, **params)
-    payload = report.as_dict()
-    # With --json, stdout carries the report alone.
-    info = sys.stderr if args.json else sys.stdout
-    if getattr(args, "out", None):
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}", file=info)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(format_table(report.rows(), precision=4))
-    for label, run in report.runs.items():
-        for violation in run.violations:
-            print(f"[VIOLATED] {label}: {violation}", file=sys.stderr)
-    for verdict in experiment.verdicts:
-        held = report.verdicts[verdict.name]
-        print(
-            f"  [{'ok' if held else 'FAILED'}] {verdict.name}: {verdict.claim}",
-            file=info if held else sys.stderr,
-        )
-    if not report.passed:
-        return 1
-    fleet = "fleet " if all(run.cell.is_fleet for run in report.runs.values()) else ""
-    print(
-        f"\nall {len(report.runs)} {fleet}{experiment.name} run(s) satisfied the invariant suite",
-        file=info,
-    )
-    return 0
-
-
 def cmd_claims(args: argparse.Namespace) -> int:
     """Print the rendered claims table; exit 1 when a check fails."""
     from repro.harness import claims
 
-    results = claims.run_claims()
+    results = claims.run_claims(args.ids)
     print(claims.render(results), end="")
     failed = claims.failures(results)
     for claim_id, verdict in failed:
@@ -448,33 +418,16 @@ def cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_experiment(sub, experiment: Experiment) -> None:
-    parser = sub.add_parser(experiment.name, help=experiment.help)
-    _add_cell_flags(parser, experiment.flags, experiment.base)
-    for param in experiment.params:
-        # Unset params stay off ``args``; Experiment.run supplies defaults.
-        if param.default is False:
-            parser.add_argument(
-                param.flag, action="store_true", default=argparse.SUPPRESS, help=param.help
-            )
-        else:
-            parser.add_argument(
-                param.flag, type=param.type, default=argparse.SUPPRESS, help=param.help
-            )
-    parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    parser.set_defaults(func=lambda args: cmd_experiment(experiment, args))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="WindServe reproduction experiment runner"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one experiment")
+    run_p = sub.add_parser("run", help="run one cell; exit 1 on an invariant violation")
     run_p.add_argument("--system", default="windserve", choices=SYSTEM_NAMES)
     run_p.add_argument("--rate", type=float, required=True, help="per-GPU req/s")
-    _add_run_args(run_p, tenants=True)
+    _add_run_args(run_p, [name for name in CELL_FLAGS if name != "rate_per_gpu"])
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="sweep request rates across systems")
@@ -503,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     breakdown_p.add_argument("--system", default="windserve", choices=SYSTEM_NAMES)
     breakdown_p.add_argument("--rate", type=float, required=True)
-    _add_run_args(breakdown_p, tenants=True)
+    _add_run_args(breakdown_p, RUN_FLAGS + TENANCY_FLAGS)
     breakdown_p.set_defaults(func=cmd_breakdown)
 
     golden_p = sub.add_parser(
@@ -540,12 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     golden_p.set_defaults(func=cmd_golden)
 
-    for experiment in EXPERIMENTS:
-        _add_experiment(sub, experiment)
-
     claims_p = sub.add_parser(
-        "claims", help="run the paper's claims table and print RESULTS.md; exit 1 on a failed check"
+        "claims",
+        help="run the paper's claims table (or the named claims) and print RESULTS.md; "
+        "exit 1 on a failed check, 2 on an unknown id",
     )
+    claims_p.add_argument("ids", nargs="*", metavar="ID", help="claim ids (default: all)")
     claims_p.set_defaults(func=cmd_claims)
 
     models_p = sub.add_parser("models", help="list known model architectures")

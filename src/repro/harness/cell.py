@@ -303,8 +303,6 @@ class CellRun:
     plan: Any = None
     trace: Optional[TraceLog] = None
     violations: list[str] = field(default_factory=list)
-    # Report fields a comparison derives from the run (see experiments.py).
-    fields: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:

@@ -3,20 +3,23 @@
 Each :class:`Claim` is one table of the reproduction's evaluation: a
 ``rows()`` producer (most sweep :class:`~repro.harness.cell.Cell` s, each
 of which must keep the shared invariant suite), the title and precision it
-renders with, and named :class:`~repro.harness.experiments.Verdict` checks
-over its rows.  :data:`CLAIMS` lists them in paper order — tables,
-figures, ablations, then extensions — and that order is the render order.
+renders with, and named :class:`Verdict` checks over its rows.
+:data:`CLAIMS` lists them in paper order — tables, figures, ablations,
+then extensions — and that order is the render order.  The extensions end
+with the side-by-side comparisons of :mod:`repro.harness.experiments`
+(differential, faults, prefix caching, tenancy, mixed-hardware fleets).
 
-Three readers: :func:`render` produces ``RESULTS.md``; ``repro claims``
-prints the render and exits 1 when a check fails; tier-1's
-``tests/integration/test_claims.py`` runs every check and asserts the
-committed ``RESULTS.md`` equals a fresh render.
+Three readers: :func:`render` produces ``RESULTS.md``; ``repro claims
+[ID ...]`` prints the render of every (or each named) claim and exits 1
+when a check fails; tier-1's ``tests/integration/test_claims.py`` runs
+every check and asserts the committed ``RESULTS.md`` equals a fresh
+render.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -29,9 +32,9 @@ from repro.core.windserve import WindServeSystem
 from repro.hardware.cluster import ClusterTopology
 from repro.hardware.gpu import A800_80GB, RTX_4090
 from repro.hardware.topology import NodeTopology
+from repro.harness import experiments
 from repro.harness.capacity import find_capacity
-from repro.harness.cell import Cell, CellRun
-from repro.harness.experiments import Verdict
+from repro.harness.cell import Cell, CellRun, Workload
 from repro.harness.placement_search import search_placement
 from repro.harness.report import format_table
 from repro.harness.slo import PAPER_SLOS, derive_slo
@@ -59,6 +62,21 @@ Rows = list[dict]
 
 
 @dataclass(frozen=True)
+class Verdict:
+    """A named check over a claim's rows; missing evidence means it fails."""
+
+    name: str
+    claim: str
+    holds: Callable[[Rows], bool]
+
+    def check(self, rows: Rows) -> bool:
+        try:
+            return bool(self.holds(rows))
+        except KeyError:
+            return False
+
+
+@dataclass(frozen=True)
 class Claim:
     """One table of the evaluation and the checks its rows must pass."""
 
@@ -72,12 +90,7 @@ class Claim:
         return format_table(rows, title=self.title, precision=self.precision)
 
     def verdicts(self, rows: Rows) -> dict[str, bool]:
-        return {check.name: check.check(rows, {}) for check in self.checks}
-
-
-def check(name: str, claim: str, holds: Callable[[Rows], bool]) -> Verdict:
-    """A claim check: a :class:`Verdict` whose evidence is the claim's rows."""
-    return Verdict(name, claim, lambda rows, _params: holds(rows))
+        return {check.name: check.check(rows) for check in self.checks}
 
 
 # -- producers -------------------------------------------------------------------
@@ -86,9 +99,9 @@ def check(name: str, claim: str, holds: Callable[[Rows], bool]) -> Verdict:
 Column = Union[str, Callable[[CellRun], Any]]
 
 
-def clean_run(cell: Cell) -> CellRun:
+def clean_run(cell: Cell, workload: Optional[Workload] = None) -> CellRun:
     """Run ``cell``; a claim's evidence must keep the invariant suite."""
-    run = cell.run()
+    run = cell.run(workload)
     if run.violations:
         raise AssertionError(f"invariant violations in {cell.meta()}: {run.violations}")
     return run
@@ -109,6 +122,35 @@ def sweep(points: Iterable[tuple[dict, Cell]], columns: Mapping[str, Column]) ->
                 },
             }
         )
+    return rows
+
+
+def compare_runs(
+    cells: Mapping[str, Cell],
+    fields: Callable[[CellRun, list[CellRun]], dict] = lambda run, runs: {},
+    workloads: Mapping[str, Workload] = {},
+) -> Rows:
+    """One row per labelled cell, run on ``workloads[label]`` if given.
+
+    A row is the label, the run's request counts and ``fields(run, runs
+    before it)``, then its workload digest and fingerprint as 12-hex
+    prefixes.
+    """
+    runs, rows = [], []
+    for label, cell in cells.items():
+        run = clean_run(cell, workloads.get(label))
+        rows.append(
+            {
+                "run": label,
+                "submitted": len(run.submitted),
+                "completed": len(run.metrics.completed),
+                "shed": len(run.metrics.shed),
+                **fields(run, runs),
+                "workload": run.workload.digest()[:12],
+                "fingerprint": run.fingerprint.value[:12],
+            }
+        )
+        runs.append(run)
     return rows
 
 
@@ -134,7 +176,7 @@ SLO = {"slo attainment": "slo_attainment"}
 ATTAINMENT = {**SLO, "ttft attainment": "ttft_attainment", "tpot attainment": "tpot_attainment"}
 DISPATCHED = {"dispatched": counter("dispatched_prefill")}
 
-SYSTEMS = ("windserve", "distserve", "vllm")
+SYSTEMS = experiments.SYSTEMS
 OPT13_CHAT = Cell(model="opt-13b", dataset="sharegpt")
 
 
@@ -296,7 +338,7 @@ TABLES = (
         "Table 1 - per-layer overheads, OPT-13B (N=1024, B=16, sum L=16K)",
         _tab01_rows,
         (
-            check(
+            Verdict(
                 "prefill_flops_match",
                 "the model's Attn and FFN prefill FLOPs equal the paper's formulas",
                 lambda rows: all(
@@ -304,7 +346,7 @@ TABLES = (
                     for r in rows[:2]
                 ),
             ),
-            check(
+            Verdict(
                 "decode_flops_match",
                 "the model's Attn and FFN decode FLOPs equal the paper's formulas",
                 lambda rows: all(
@@ -320,22 +362,22 @@ TABLES = (
         "Table 2 - generated dataset statistics",
         _tab02_rows,
         (
-            check(
+            Verdict(
                 "prompt_median",
                 "prompt median within 6% of the paper's",
                 _matches_paper("prompt med", "prompt_stats", 1, 0.06),
             ),
-            check(
+            Verdict(
                 "prompt_p90",
                 "prompt P90 within 10% of the paper's",
                 _matches_paper("prompt P90", "prompt_stats", 2, 0.10),
             ),
-            check(
+            Verdict(
                 "prompt_mean",
                 "prompt mean within 12% of the paper's",
                 _matches_paper("prompt avg", "prompt_stats", 0, 0.12),
             ),
-            check(
+            Verdict(
                 "output_median",
                 "output median within 25% of the paper's",
                 _matches_paper("output med", "output_stats", 1, 0.25),
@@ -349,14 +391,14 @@ TABLES = (
         f"paper chose {PAPER_PLACEMENT}",
         _tab03_rows,
         (
-            check("ranked", "the placement search ranks every candidate", bool),
-            check(
+            Verdict("ranked", "the placement search ranks every candidate", bool),
+            Verdict(
                 "paper_in_top4",
                 "the paper's placement ranks in the top 4 of 6 (our per-GPU "
                 "normalisation slightly favours smaller deployments)",
                 lambda rows: PAPER_PLACEMENT in [r["placement"] for r in rows[:4]],
             ),
-            check(
+            Verdict(
                 "paper_competitive",
                 "the paper's placement reaches at least 0.6x the best SLO attainment",
                 lambda rows: row(rows, placement=PAPER_PLACEMENT)["slo attainment"]
@@ -369,19 +411,19 @@ TABLES = (
         "Table 4 - SLOs (derived by the paper's rule vs published)",
         _tab04_rows,
         (
-            check(
+            Verdict(
                 "opt66b_tpot_above_opt13b",
                 "OPT-66B's derived TPOT SLO exceeds OPT-13B's",
                 lambda rows: row(rows, model="opt-66b")["derived TPOT (s)"]
                 > row(rows, model="opt-13b")["derived TPOT (s)"],
             ),
-            check(
+            Verdict(
                 "llama70b_tpot_above_llama13b",
                 "LLaMA2-70B's derived TPOT SLO exceeds LLaMA2-13B's",
                 lambda rows: row(rows, model="llama2-70b")["derived TPOT (s)"]
                 > row(rows, model="llama2-13b")["derived TPOT (s)"],
             ),
-            check(
+            Verdict(
                 "summarisation_ttft_looser",
                 "summarisation keeps a far looser TTFT/TPOT ratio than chatbot",
                 lambda rows: _slo_ratio(row(rows, model="llama2-13b"))
@@ -544,21 +586,21 @@ def _fig10_panel(claim_id: str, panel: str, model: str, dataset: str, parallel, 
         f"Fig {panel}: end-to-end latency vs per-GPU rate",
         lambda: sweep(grid(base, rates, SYSTEMS), FIG10_COLUMNS),
         (
-            check(
+            Verdict(
                 "ttft_p50_gain",
                 "WindServe's TTFT median beats DistServe's at the highest rate by >= 1.3x",
                 lambda rows: top(rows, "distserve")["ttft_p50 (s)"]
                 / top(rows, "windserve")["ttft_p50 (s)"]
                 >= 1.3,
             ),
-            check(
+            Verdict(
                 "tpot_p99_bounded",
                 "WindServe's TPOT P99 is within 1.3x of DistServe's at the highest rate "
                 "(the paper reports a slight OPT-66B TPOT increase from SBD overhead)",
                 lambda rows: top(rows, "windserve")["tpot_p99 (s)"]
                 <= 1.3 * top(rows, "distserve")["tpot_p99 (s)"],
             ),
-            check(
+            Verdict(
                 "slo_wins",
                 "WindServe's SLO attainment is no worse than DistServe's at the highest rate",
                 lambda rows: top(rows, "windserve")["slo"] >= top(rows, "distserve")["slo"],
@@ -575,7 +617,7 @@ def _fig11(claim_id: str, scenario: str, model: str, dataset: str, rates) -> Cla
         f"Fig {scenario}: SLO attainment vs rate",
         lambda: sweep(grid(base, rates, SYSTEMS), ATTAINMENT),
         (
-            check(
+            Verdict(
                 "windserve_1p5x_baselines",
                 "WindServe's SLO attainment is >= 1.5x both baselines' at the highest rate",
                 lambda rows: top(rows, "windserve")["slo attainment"]
@@ -624,18 +666,18 @@ FIGURES = (
         "Headline - OPT-13B/ShareGPT @ 4.5 req/s/GPU (abstract; Figs 10, 11, 13)",
         lambda: compare(HEADLINE, (*SYSTEMS, "windserve-no-split")),
         (
-            check(
+            Verdict(
                 "ttft_p50_gain",
                 "DistServe/WindServe TTFT median >= 1.65x, the low end of the paper's "
                 "1.65-4.28x (open-loop queueing makes the exact factor scale-sensitive)",
                 lambda rows: ratio(rows, "ttft_p50 (s)", "distserve", "windserve") >= 1.65,
             ),
-            check(
+            Verdict(
                 "tpot_p99_gain",
                 "DistServe/WindServe TPOT P99 >= 1.2x (paper: ~1.5x)",
                 lambda rows: ratio(rows, "tpot_p99 (s)", "distserve", "windserve") >= 1.2,
             ),
-            check(
+            Verdict(
                 "slo_1p5x_baselines",
                 "WindServe's SLO attainment is >= 1.5x both baselines' (Fig 11)",
                 lambda rows: row(rows, system="windserve")["slo attainment"]
@@ -646,13 +688,13 @@ FIGURES = (
                     0.01,
                 ),
             ),
-            check(
+            Verdict(
                 "no_split_hurts_tpot",
                 "Fig 13: WindServe's TPOT P99 is below no-split's",
                 lambda rows: row(rows, system="windserve")["tpot_p99 (s)"]
                 < row(rows, system="windserve-no-split")["tpot_p99 (s)"],
             ),
-            check(
+            Verdict(
                 "no_split_minimal_ttft_impact",
                 "Fig 13: no-split's TTFT median is <= 3x WindServe's ('both technologies have "
                 "minimal impact on TTFT')",
@@ -678,18 +720,18 @@ FIGURES = (
             },
         ),
         (
-            check(
+            Verdict(
                 "queue_delay_grows",
                 "mean decode queue delay grows from the lowest to the highest rate",
                 lambda rows: rows[-1]["mean decode queue delay (s)"]
                 > rows[0]["mean decode queue delay (s)"],
             ),
-            check(
+            Verdict(
                 "swaps_grow",
                 "swap events do not fall from the lowest to the highest rate",
                 lambda rows: rows[-1]["swap events"] >= rows[0]["swap events"],
             ),
-            check(
+            Verdict(
                 "swaps_at_top",
                 "DistServe swaps at the highest rate",
                 lambda rows: rows[-1]["swap events"] > 0,
@@ -704,17 +746,17 @@ FIGURES = (
             {**SLO, **secs("ttft_p50", "tpot_p99")},
         ),
         (
-            check(
+            Verdict(
                 "distserve_degrades",
                 "DistServe's SLO attainment falls from the lowest to the highest rate",
                 lambda rows: (s := _fig01b_series("distserve")(rows))[-1] < s[0],
             ),
-            check(
+            Verdict(
                 "vllm_degrades",
                 "vLLM's SLO attainment falls from the lowest to the highest rate",
                 lambda rows: (s := _fig01b_series("vllm")(rows))[-1] < s[0],
             ),
-            check(
+            Verdict(
                 "distserve_no_better_than_vllm",
                 "at the highest rate PD DistServe is no better than colocated vLLM "
                 "(within 0.05; the paper's surprising observation)",
@@ -728,30 +770,30 @@ FIGURES = (
         "Figs 1, 13 - decode memory pressure, [TP-2 | TP-1] @ 3.5 req/s/GPU",
         lambda: compare(PRESSURE, ("distserve", "windserve", "windserve-no-resche")),
         (
-            check(
+            Verdict(
                 "distserve_swaps",
                 "DistServe swaps KV under decode memory pressure",
                 lambda rows: row(rows, system="distserve")["swap events"] > 0,
             ),
-            check(
+            Verdict(
                 "distserve_queues",
                 "DistServe's mean decode queue delay exceeds 50 ms",
                 lambda rows: row(rows, system="distserve")["mean decode queue delay (s)"]
                 > 0.05,
             ),
-            check(
+            Verdict(
                 "windserve_fewer_swaps",
                 "WindServe swaps less than DistServe",
                 lambda rows: row(rows, system="windserve")["swap events"]
                 < row(rows, system="distserve")["swap events"],
             ),
-            check(
+            Verdict(
                 "windserve_less_queueing",
                 "WindServe's mean decode queue delay is below DistServe's",
                 lambda rows: row(rows, system="windserve")["mean decode queue delay (s)"]
                 < row(rows, system="distserve")["mean decode queue delay (s)"],
             ),
-            check(
+            Verdict(
                 "no_resche_hurts_tpot",
                 "Fig 13: WindServe's TPOT P99 is below no-resche's",
                 lambda rows: row(rows, system="windserve")["tpot_p99 (s)"]
@@ -765,12 +807,12 @@ FIGURES = (
         "Fig 2 - mean utilisation per instance (DistServe)",
         _fig02_rows,
         (
-            check(
+            Verdict(
                 "decode_tensor_cores_idle",
                 "the decode instance's tensor cores idle relative to the prefill instance's",
                 lambda rows: all(r["Tensor Core(D)"] < r["Tensor Core(P)"] for r in rows),
             ),
-            check(
+            Verdict(
                 "decode_bandwidth_bound",
                 "the decode instance's binding resource is memory bandwidth, not compute",
                 lambda rows: all(r["Mem BW(D)"] > r["Tensor Core(D)"] for r in rows),
@@ -803,25 +845,25 @@ FIGURES = (
             },
         ),
         (
-            check(
+            Verdict(
                 "tp1_decode_dominates",
                 "[TP-2 | TP-1]: decode queuing exceeds prefill queuing",
                 lambda rows: rows[0]["mean decode queuing (s)"]
                 > rows[0]["mean prefill queuing (s)"],
             ),
-            check(
+            Verdict(
                 "tp2_prefill_dominates",
                 "[TP-2 | TP-2]: prefill queuing exceeds decode queuing",
                 lambda rows: rows[1]["mean prefill queuing (s)"]
                 > rows[1]["mean decode queuing (s)"],
             ),
-            check(
+            Verdict(
                 "prefill_queuing_flips",
                 "prefill queuing is longer under [TP-2 | TP-2] than [TP-2 | TP-1]",
                 lambda rows: rows[1]["mean prefill queuing (s)"]
                 > rows[0]["mean prefill queuing (s)"],
             ),
-            check(
+            Verdict(
                 "decode_queuing_flips",
                 "decode queuing is longer under [TP-2 | TP-1] than [TP-2 | TP-2]",
                 lambda rows: rows[0]["mean decode queuing (s)"]
@@ -852,18 +894,18 @@ FIGURES = (
             {**SLO, **secs("ttft_p50", "tpot_p99"), **DISPATCHED},
         ),
         (
-            check(
+            Verdict(
                 "low_threshold_dispatches_more",
                 "in both scenarios thrd 0.1x dispatches at least as much as 3.0x",
                 _fig05_holds(lambda f: f[0.1]["dispatched"] >= f[3.0]["dispatched"]),
             ),
-            check(
+            Verdict(
                 "operating_point_beats_high",
                 "in both scenarios the paper's operating point (0.9x) is no worse on "
                 "SLO attainment than 3.0x (dispatch nearly disabled)",
                 _fig05_holds(lambda f: f[0.9]["slo attainment"] >= f[3.0]["slo attainment"]),
             ),
-            check(
+            Verdict(
                 "low_threshold_costs_tpot",
                 "in both scenarios TPOT P99 at 0.1x is >= 0.9x that at 3.0x "
                 "(more co-located prefills)",
@@ -877,14 +919,14 @@ FIGURES = (
         "+ prefill tokens: Regular vs SBD",
         _fig08_rows,
         (
-            check(
+            Verdict(
                 "sbd_decode_near_isolated",
                 "an SBD decode iteration costs <= 1.25x an isolated decode",
                 lambda rows: all(
                     r["SBD decode iter (s)"] <= 1.25 * r["isolated decode (s)"] for r in rows
                 ),
             ),
-            check(
+            Verdict(
                 "regular_pass_pays_prefill",
                 "from 512 prefill tokens, the regular fused pass costs > 2x an SBD decode",
                 lambda rows: all(
@@ -893,14 +935,14 @@ FIGURES = (
                     if r["prefill tokens"] >= 512
                 ),
             ),
-            check(
+            Verdict(
                 "sbd_prefill_penalty_moderate",
                 "an SBD prefill costs <= 2x an isolated prefill",
                 lambda rows: all(
                     r["SBD prefill (s)"] <= 2.0 * r["isolated prefill (s)"] for r in rows
                 ),
             ),
-            check(
+            Verdict(
                 "regular_interference_grows",
                 "OPT-13B's regular pass grows from the smallest to the largest prefill",
                 lambda rows: (s := [r[REGULAR] for r in rows if r["model"] == "opt-13b"])[-1]
@@ -922,7 +964,7 @@ FIGURES = (
         "Fig 10 - vLLM vs DistServe, OPT-13B/ShareGPT @ 2.0 req/s/GPU",
         lambda: compare(replace(HEADLINE, rate_per_gpu=2.0), ("vllm", "distserve")),
         (
-            check(
+            Verdict(
                 "vllm_tpot_worse",
                 "colocation inflates vLLM's TPOT P90 above DistServe's before "
                 "DistServe's queueing collapse",
@@ -943,7 +985,7 @@ FIGURES = (
             ("windserve", "distserve"),
         ),
         (
-            check(
+            Verdict(
                 "ttft_p50_gain",
                 "DistServe/WindServe TTFT median >= 1.3x on summarisation (paper: 1.65-2.1x)",
                 lambda rows: ratio(rows, "ttft_p50 (s)", "distserve", "windserve") >= 1.3,
@@ -959,7 +1001,7 @@ FIGURES = (
             for name in ("llama2-70b", "llama2-13b")
         ],
         (
-            check(
+            Verdict(
                 "gqa_shrinks_kv",
                 "LLaMA2-70B's GQA KV per token is under half LLaMA2-13B's, so the "
                 "async-transfer TPOT advantage narrows",
@@ -975,18 +1017,20 @@ FIGURES = (
         "Fig 12 (left) - [TP-2 | TP-1], decode-bound",
         _fig12_rows((1, 1), [2.5, 3.5]),
         (
-            check(
+            Verdict(
                 "distserve_tpot_violated",
                 "DistServe's TPOT attainment drops below 0.9 at the highest rate",
                 lambda rows: top(rows, "distserve")["tpot attainment"] < 0.9,
             ),
-            check(
+            Verdict(
                 "windserve_reschedules",
                 "WindServe reschedules at the highest rate",
                 lambda rows: top(rows, "windserve")["rescheduled"] > 0,
             ),
-            check("tpot_attainment_wins", "WindServe wins TPOT attainment", _beats("tpot attainment")),
-            check("slo_wins", "WindServe wins SLO attainment", _beats("slo attainment")),
+            Verdict(
+                "tpot_attainment_wins", "WindServe wins TPOT attainment", _beats("tpot attainment")
+            ),
+            Verdict("slo_wins", "WindServe wins SLO attainment", _beats("slo attainment")),
         ),
     ),
     Claim(
@@ -994,19 +1038,21 @@ FIGURES = (
         "Fig 12 (right) - [TP-2 | TP-2], prefill-bound",
         _fig12_rows((2, 1), [3.5, 4.5]),
         (
-            check(
+            Verdict(
                 "distserve_ttft_bound",
                 "DistServe's TTFT attainment is below its TPOT attainment at the highest rate",
                 lambda rows: top(rows, "distserve")["ttft attainment"]
                 < top(rows, "distserve")["tpot attainment"],
             ),
-            check(
+            Verdict(
                 "windserve_dispatches",
                 "WindServe dispatches prefills at the highest rate",
                 lambda rows: top(rows, "windserve")["dispatched"] > 0,
             ),
-            check("ttft_attainment_wins", "WindServe wins TTFT attainment", _beats("ttft attainment")),
-            check("slo_wins", "WindServe wins SLO attainment", _beats("slo attainment")),
+            Verdict(
+                "ttft_attainment_wins", "WindServe wins TTFT attainment", _beats("ttft attainment")
+            ),
+            Verdict("slo_wins", "WindServe wins SLO attainment", _beats("slo attainment")),
         ),
     ),
     Claim(
@@ -1017,7 +1063,7 @@ FIGURES = (
             ("windserve", "distserve"),
         ),
         (
-            check(
+            Verdict(
                 "tpot_p99_wins",
                 "rescheduling keeps WindServe's TPOT P99 below DistServe's",
                 lambda rows: row(rows, system="windserve")["tpot_p99 (s)"]
@@ -1031,7 +1077,7 @@ FIGURES = (
         "Fig 12 - [TP-2 | TP-2] @ 4.0 req/s/GPU",
         lambda: compare(replace(HEADLINE, rate_per_gpu=4.0), ("windserve", "distserve")),
         (
-            check(
+            Verdict(
                 "ttft_p50_wins",
                 "dispatch keeps WindServe's TTFT median below DistServe's",
                 lambda rows: row(rows, system="windserve")["ttft_p50 (s)"]
@@ -1050,13 +1096,13 @@ FIGURES = (
             {**secs("ttft_p99", "tpot_p99"), **SLO},
         ),
         (
-            check(
+            Verdict(
                 "sbd_protects_tpot",
                 "WindServe's TPOT P99 is below no-split's at the highest rate",
                 lambda rows: top(rows, "windserve")["tpot_p99 (s)"]
                 < top(rows, "windserve-no-split")["tpot_p99 (s)"],
             ),
-            check(
+            Verdict(
                 "minimal_ttft_impact",
                 "no-split's TTFT P99 is <= 3x WindServe's + 0.5 s at the highest rate",
                 lambda rows: top(rows, "windserve-no-split")["ttft_p99 (s)"]
@@ -1074,13 +1120,13 @@ FIGURES = (
             {**secs("ttft_p99", "tpot_p99"), "swap events": "swap_events", **SLO},
         ),
         (
-            check(
+            Verdict(
                 "rescheduling_cuts_tpot",
                 "WindServe's TPOT P99 is below no-resche's at the highest rate",
                 lambda rows: top(rows, "windserve")["tpot_p99 (s)"]
                 < top(rows, "windserve-no-resche")["tpot_p99 (s)"],
             ),
-            check(
+            Verdict(
                 "rescheduling_cuts_swaps",
                 "WindServe swaps no more than no-resche at the highest rate",
                 lambda rows: top(rows, "windserve")["swap events"]
@@ -1226,20 +1272,20 @@ ABLATIONS = (
             {**secs("ttft_p50", "tpot_p50", "tpot_p99"), **SLO},
         ),
         (
-            check(
+            Verdict(
                 "mha_tpot_gain",
                 "on MHA LLaMA2-13B the async hand-off cuts TPOT P50",
                 lambda rows: (p := _async_pair(rows, "llama2-13b"))[0]["tpot_p50 (s)"]
                 < p[1]["tpot_p50 (s)"],
             ),
-            check(
+            Verdict(
                 "mha_slight_ttft_cost",
                 "on MHA LLaMA2-13B async TTFT P50 is >= 0.95x blocking's "
                 "(the paper's LongBench observation)",
                 lambda rows: (p := _async_pair(rows, "llama2-13b"))[0]["ttft_p50 (s)"]
                 >= 0.95 * p[1]["ttft_p50 (s)"],
             ),
-            check(
+            Verdict(
                 "gqa_gain_smaller",
                 "the relative TPOT P50 gain is smaller on GQA LLaMA2-70B",
                 lambda rows: _async_gain(rows, "llama2-13b") > _async_gain(rows, "llama2-70b"),
@@ -1252,17 +1298,17 @@ ABLATIONS = (
         "Ablation - KV backups reduce migration volume (§3.3)",
         _abl_backup_rows,
         (
-            check(
+            Verdict(
                 "backups_kept",
                 "with backups on, the prefill instance keeps backups",
                 lambda rows: row(rows, config="backups-on")["backups kept"] > 0,
             ),
-            check(
+            Verdict(
                 "no_backups_when_off",
                 "with backups off, none are kept",
                 lambda rows: row(rows, config="backups-off")["backups kept"] == 0,
             ),
-            check(
+            Verdict(
                 "backups_shrink_migrations",
                 "backups shrink the bulk leg per migration by the prompt's KV",
                 lambda rows: row(rows, config="backups-on")["bulk GB per migration"]
@@ -1275,12 +1321,12 @@ ABLATIONS = (
         "Chunk-size trade-off, LLaMA2-70B (paper's Fig 8 example)",
         _chunk_analytic_rows,
         (
-            check(
+            Verdict(
                 "small_chunks_longer_prefill",
                 "smaller chunks make the total prefill longer",
                 lambda rows: (t := [r["prefill total (s)"] for r in rows]) == sorted(t, reverse=True),
             ),
-            check(
+            Verdict(
                 "small_chunks_shorter_steps",
                 "smaller chunks make the fused step shorter",
                 lambda rows: (s := [r["fused step (s)"] for r in rows]) == sorted(s),
@@ -1309,13 +1355,13 @@ ABLATIONS = (
             {**secs("ttft_p50", "tpot_p90"), **SLO},
         ),
         (
-            check(
+            Verdict(
                 "large_chunks_favour_ttft",
                 "chunk 2048's TTFT P50 is no worse than chunk 128's",
                 lambda rows: row(rows, chunk=2048)["ttft_p50 (s)"]
                 <= row(rows, chunk=128)["ttft_p50 (s)"],
             ),
-            check(
+            Verdict(
                 "small_chunks_protect_tpot",
                 "chunk 128's TPOT P90 is no worse than chunk 2048's",
                 lambda rows: row(rows, chunk=128)["tpot_p90 (s)"]
@@ -1339,19 +1385,19 @@ ABLATIONS = (
             {**secs("ttft_p50", "tpot_p90", "tpot_p99"), **SLO, **DISPATCHED},
         ),
         (
-            check(
+            Verdict(
                 "sbd_beats_hybrid_tpot",
                 "SBD beats regular hybrid batching on TPOT P90",
                 lambda rows: row(rows, colocation="sbd")["tpot_p90 (s)"]
                 < row(rows, colocation="hybrid")["tpot_p90 (s)"],
             ),
-            check(
+            Verdict(
                 "sbd_beats_static_tpot",
                 "static partitioning taxes decode permanently: SBD beats it on TPOT P90",
                 lambda rows: row(rows, colocation="sbd")["tpot_p90 (s)"]
                 < row(rows, colocation="static-partition-30%")["tpot_p90 (s)"],
             ),
-            check(
+            Verdict(
                 "sbd_wins_slo",
                 "SBD's SLO attainment is no worse than either alternative's",
                 lambda rows: row(rows, colocation="sbd")["slo attainment"]
@@ -1390,13 +1436,13 @@ ABLATIONS = (
             },
         ),
         (
-            check(
+            Verdict(
                 "swap_mode_only_swaps",
                 "swap mode swaps and never recomputes",
                 lambda rows: (r := row(rows, preemption="swap"))["swap events"] > 0
                 and r["recompute events"] == 0,
             ),
-            check(
+            Verdict(
                 "recompute_mode_only_recomputes",
                 "recompute mode recomputes and never swaps",
                 lambda rows: (r := row(rows, preemption="recompute"))["recompute events"] > 0
@@ -1409,25 +1455,25 @@ ABLATIONS = (
         "Ablation - rescheduling victim policy (WindServe vs Llumnix-style)",
         _abl_reschedule_rows,
         (
-            check(
+            Verdict(
                 "both_migrate",
                 "both policies complete migrations",
                 lambda rows: row(rows, policy="longest-context")["migrations"] > 0
                 and row(rows, policy="shortest-context")["migrations"] > 0,
             ),
-            check(
+            Verdict(
                 "longest_moves_more_per_migration",
                 "longest-first moves more KV per migration",
                 lambda rows: row(rows, policy="longest-context")["GB per migration"]
                 > row(rows, policy="shortest-context")["GB per migration"],
             ),
-            check(
+            Verdict(
                 "longest_tpot_bounded",
                 "longest-first's TPOT P99 is <= 1.2x shortest-first's",
                 lambda rows: row(rows, policy="longest-context")["tpot_p99 (s)"]
                 <= 1.2 * row(rows, policy="shortest-context")["tpot_p99 (s)"],
             ),
-            check(
+            Verdict(
                 "longest_slo_bounded",
                 "longest-first's SLO attainment is >= 0.9x shortest-first's",
                 lambda rows: row(rows, policy="longest-context")["slo attainment"]
@@ -1733,25 +1779,74 @@ def _ext_replanning_rows() -> Rows:
     return rows
 
 
+def _digests_by_seed(rows: Rows) -> dict[str, set]:
+    """Seed label (``s0`` of ``s0:windserve``) -> its rows' workload digests."""
+    seeds: dict[str, set] = {}
+    for r in rows:
+        seeds.setdefault(r["run"].split(":")[0], set()).add(r["workload"])
+    return seeds
+
+
+def _healthy(rows: Rows, faulted: dict) -> dict:
+    """The fault-free twin of a faulted chaos row."""
+    return row(rows, run=faulted["run"].rsplit("/", 1)[0] + "/none")
+
+
+def _every_faulted(holds: Callable[[Rows, dict], bool]) -> Callable[[Rows], bool]:
+    """``holds(rows, r)`` for every faulted row, and there is one."""
+
+    def every(rows: Rows) -> bool:
+        faulted = [r for r in rows if r["plan"] != "none"]
+        return bool(faulted) and all(holds(rows, r) for r in faulted)
+
+    return every
+
+
+#: Light tenants' P99 TTFT under the burst may reach this multiple of the
+#: no-burst baseline's.
+ISOLATION_BOUND = 1.5
+
+
+def _ext_tenants_rows() -> Rows:
+    cells = experiments.tenant_cells(experiments.TENANT_BASE)
+    bursts = {
+        label: experiments.burst_workload(cells[label])
+        for label in (experiments.FAIRSHARE_RUN, experiments.FIFO_RUN)
+    }
+    return compare_runs(cells, experiments.tenant_fields, bursts)
+
+
+def _light_p99(rows: Rows, label: str) -> float:
+    return row(rows, run=label)["light_p99_ttft"]
+
+
+def _isolated(rows: Rows, label: str) -> bool:
+    """``label``'s light P99 TTFT is within the bound of the baseline's."""
+    base = _light_p99(rows, experiments.BASELINE_RUN)
+    if not base > 0:
+        raise KeyError(experiments.BASELINE_RUN)  # no baseline to bound against
+    return _light_p99(rows, label) <= ISOLATION_BOUND * base
+
+
 EXTENSIONS = (
     Claim(
         "ext_autoscaling",
         "Extension - reactive autoscaling on a diurnal pattern (§7)",
         _ext_autoscaling_rows,
         (
-            check(
+            Verdict(
                 "autoscaler_saves_gpu_seconds",
                 "the autoscaled fleet spends < 0.8x the fixed-large fleet's GPU-seconds",
                 lambda rows: row(rows, fleet="autoscaled")["gpu-seconds"]
                 < 0.8 * row(rows, fleet="fixed-large")["gpu-seconds"],
             ),
-            check(
+            Verdict(
                 "autoscaler_beats_small",
                 "the autoscaled fleet beats fixed-small on SLO attainment",
                 lambda rows: row(rows, fleet="autoscaled")["slo attainment"]
                 > row(rows, fleet="fixed-small")["slo attainment"],
             ),
-            check(
+            Verdict(
                 "scales_both_ways",
                 "the autoscaler scales at least twice (out and back in)",
                 lambda rows: row(rows, fleet="autoscaled")["scale events"] >= 2,
@@ -1780,7 +1875,7 @@ EXTENSIONS = (
             {**secs("ttft_p50", "ttft_p99", "tpot_p99"), **SLO},
         ),
         (
-            check(
+            Verdict(
                 "bursts_hurt_everyone",
                 "every system's bursty SLO attainment is <= its Poisson one + 0.05",
                 lambda rows: all(
@@ -1789,7 +1884,7 @@ EXTENSIONS = (
                     for s in SYSTEMS
                 ),
             ),
-            check(
+            Verdict(
                 "windserve_beats_distserve_bursty",
                 "under bursty load WindServe's SLO attainment is >= DistServe's",
                 lambda rows: row(rows, arrivals="bursty (cv=3)", system="windserve")[
@@ -1797,7 +1892,7 @@ EXTENSIONS = (
                 ]
                 >= row(rows, arrivals="bursty (cv=3)", system="distserve")["slo attainment"],
             ),
-            check(
+            Verdict(
                 "windserve_beats_vllm_bursty",
                 "under bursty load WindServe's SLO attainment is >= vLLM's",
                 lambda rows: row(rows, arrivals="bursty (cv=3)", system="windserve")[
@@ -1812,12 +1907,12 @@ EXTENSIONS = (
         "Extension - goodput capacity at 70% SLO attainment",
         _ext_capacity_rows,
         (
-            check(
+            Verdict(
                 "windserve_beats_distserve",
                 "in both scenarios WindServe's capacity exceeds DistServe's",
                 _capacity_holds(lambda c: c["windserve"] > c["distserve"]),
             ),
-            check(
+            Verdict(
                 "windserve_matches_vllm",
                 "in both scenarios WindServe's capacity is >= vLLM's",
                 _capacity_holds(lambda c: c["windserve"] >= c["vllm"]),
@@ -1829,7 +1924,7 @@ EXTENSIONS = (
         "Extension - fleet scale-out at fixed per-GPU rate",
         _ext_fleet_scaleout_rows,
         (
-            check(
+            Verdict(
                 "scale_out_keeps_slo",
                 "two nodes keep >= 0.7x one node's SLO attainment",
                 lambda rows: row(rows, nodes=2)["slo attainment"]
@@ -1842,13 +1937,13 @@ EXTENSIONS = (
         "Extension - fleet router policies under bursty load",
         _ext_fleet_router_rows,
         (
-            check(
+            Verdict(
                 "predicted_vs_round_robin",
                 "predicted-TTFT routing's TTFT P99 is <= 1.1x round-robin's",
                 lambda rows: row(rows, router="predicted-ttft")["ttft_p99 (s)"]
                 <= 1.1 * row(rows, router="round-robin")["ttft_p99 (s)"],
             ),
-            check(
+            Verdict(
                 "predicted_vs_least_loaded",
                 "predicted-TTFT routing's TTFT P99 is <= 1.05x request-count balancing's "
                 "(tokens, not counts)",
@@ -1862,19 +1957,19 @@ EXTENSIONS = (
         "Extension - heterogeneous prefill hardware (§7 future work)",
         _ext_heterogeneous_rows,
         (
-            check(
+            Verdict(
                 "consumer_prefill_slower",
                 "4090 prefill's TTFT P50 is no better than A800's",
                 lambda rows: row(rows, deployment="4090-prefill")["ttft_p50 (s)"]
                 >= row(rows, deployment="A800-prefill")["ttft_p50 (s)"],
             ),
-            check(
+            Verdict(
                 "decode_untouched",
                 "4090 prefill's TPOT P99 is <= 1.25x A800's (decode stays on A800s)",
                 lambda rows: row(rows, deployment="4090-prefill")["tpot_p99 (s)"]
                 <= 1.25 * row(rows, deployment="A800-prefill")["tpot_p99 (s)"],
             ),
-            check(
+            Verdict(
                 "goodput_per_cost_wins",
                 "4090 prefill wins goodput per cost unit",
                 lambda rows: row(rows, deployment="4090-prefill")["goodput/cost"]
@@ -1887,18 +1982,18 @@ EXTENSIONS = (
         "Extension - intra-node vs cross-node PD (§7)",
         _ext_multinode_rows,
         (
-            check(
+            Verdict(
                 "cross_node_hurts_distserve",
                 "cross-node hand-offs raise DistServe's TPOT P50",
                 lambda rows: _tpot_p50(rows, "cross-node", "distserve")
                 > _tpot_p50(rows, "intra-node", "distserve"),
             ),
-            check(
+            Verdict(
                 "windserve_hides_transfer",
                 "WindServe's cross-node TPOT P50 penalty is below DistServe's",
                 lambda rows: _tpot_penalty(rows, "windserve") < _tpot_penalty(rows, "distserve"),
             ),
-            check(
+            Verdict(
                 "windserve_wins_cross_node",
                 "cross-node WindServe's SLO attainment is >= DistServe's",
                 lambda rows: row(rows, deployment="cross-node", system="windserve")[
@@ -1913,30 +2008,200 @@ EXTENSIONS = (
         "Extension - workload shift: static vs replanning vs WindServe (§2.2)",
         _ext_replanning_rows,
         (
-            check(
+            Verdict(
                 "replanner_replans",
                 "the replanning DistServe replans at least once",
                 lambda rows: row(rows, system="distserve-replan")["replans"] >= 1,
             ),
-            check(
+            Verdict(
                 "windserve_beats_replan_slo",
                 "WindServe's SLO attainment beats replanned DistServe's",
                 lambda rows: row(rows, system="windserve")["slo attainment"]
                 > row(rows, system="distserve-replan")["slo attainment"],
             ),
-            check(
+            Verdict(
                 "windserve_beats_static_slo",
                 "WindServe's SLO attainment beats static DistServe's",
                 lambda rows: row(rows, system="windserve")["slo attainment"]
                 > row(rows, system="distserve-static")["slo attainment"],
             ),
-            check(
+            Verdict(
                 "windserve_beats_replan_ttft",
                 "WindServe's TTFT median is below replanned DistServe's",
                 lambda rows: row(rows, system="windserve")["ttft_p50 (s)"]
                 < row(rows, system="distserve-replan")["ttft_p50 (s)"],
             ),
         ),
+    ),
+    Claim(
+        "ext_differential",
+        "Extension - every system on one workload per seed (40 requests, seeds 0-2)",
+        lambda: compare_runs(experiments.DIFFERENTIAL_CELLS),
+        (
+            Verdict(
+                "one_workload_per_seed",
+                "each seed's three systems consume one workload (one digest)",
+                lambda rows: bool(rows)
+                and all(len(d) == 1 for d in _digests_by_seed(rows).values()),
+            ),
+            Verdict(
+                "seeds_differ",
+                "the seeds' workloads differ (one digest per seed)",
+                lambda rows: len({r["workload"] for r in rows}) == len(_digests_by_seed(rows)) > 1,
+            ),
+            Verdict(
+                "requests_conserved",
+                "every run completes or sheds each submitted request",
+                lambda rows: bool(rows)
+                and all(r["completed"] + r["shed"] == r["submitted"] for r in rows),
+            ),
+        ),
+    ),
+    Claim(
+        "ext_chaos",
+        "Extension - single systems under fault plans, each with its fault-free twin",
+        lambda: compare_runs(experiments.CHAOS_CELLS, experiments.chaos_fields),
+        (
+            Verdict(
+                "faults_requeue",
+                "every faulted run re-queues at least one request",
+                _every_faulted(lambda rows, r: r["requests_requeued"] >= 1),
+            ),
+            Verdict(
+                "faults_detected",
+                "every faulted run detects its fault after a positive delay",
+                _every_faulted(lambda rows, r: r["detection_latency_s"] > 0),
+            ),
+            Verdict(
+                "faults_cost_slo",
+                "no faulted run beats its fault-free twin's SLO attainment",
+                _every_faulted(
+                    lambda rows, r: r["slo_attainment"] <= _healthy(rows, r)["slo_attainment"]
+                ),
+            ),
+            Verdict(
+                "goodput_bounded",
+                "a faulted run meets the SLO for at most as many requests as its "
+                "fault-free twin (goodput_vs_healthy <= 1)",
+                _every_faulted(
+                    lambda rows, r: r["goodput_vs_healthy"] is not None
+                    and r["goodput_vs_healthy"] <= 1
+                ),
+            ),
+        ),
+        precision=4,
+    ),
+    Claim(
+        "ext_chaos_fleet",
+        "Extension - a 2-node WindServe fleet with a warm standby under fleet fault plans",
+        lambda: compare_runs(experiments.FLEET_CHAOS_CELLS, experiments.chaos_fields),
+        (
+            Verdict(
+                "member_crash_recovers",
+                "every member-crash run loses one member and re-routes its requests",
+                lambda rows: all(
+                    r["member_crashes"] == 1 and r["retried"] >= 1
+                    for r in rows
+                    if r["plan"] == "member-crash"
+                )
+                and any(r["plan"] == "member-crash" for r in rows),
+            ),
+            Verdict(
+                "nic_outage_retries",
+                "a NIC outage under spanning pairs forces KV transfer retries and crashes "
+                "no member",
+                lambda rows: (r := row(rows, run="span"))["transfer_retries"] > 0
+                and r["member_crashes"] == 0,
+            ),
+            Verdict(
+                "limiter_sheds_over_rate_tenant",
+                "the gateway rate limiter sheds only the tenant over its rate",
+                lambda rows: row(rows, run="rate-limit")["rate_limited_tenants"] == "heavy",
+            ),
+        ),
+        precision=4,
+    ),
+    Claim(
+        "ext_prefix",
+        "Extension - prefix-affinity vs least-loaded routing on a shared-prefix workload",
+        lambda: compare_runs(
+            experiments.prefix_cells(experiments.PREFIX_BASE), experiments.prefix_fields
+        ),
+        (
+            Verdict(
+                "warm_beats_cold",
+                "prefix-hit requests see lower mean TTFT than cold shared-prefix ones in "
+                "every run",
+                lambda rows: bool(rows)
+                and all(
+                    r["warm_ttft"] is not None
+                    and r["cold_ttft"] is not None
+                    and r["warm_ttft"] < r["cold_ttft"]
+                    for r in rows
+                ),
+            ),
+            Verdict(
+                "affinity_beats_blind",
+                "prefix-affinity beats least-loaded on mean TTFT and total prefill tokens",
+                lambda rows: (a := row(rows, run="prefix-affinity"))["mean_ttft"]
+                < (b := row(rows, run="least-loaded"))["mean_ttft"]
+                and a["prefill_tokens_computed"] < b["prefill_tokens_computed"],
+            ),
+        ),
+        precision=4,
+    ),
+    Claim(
+        "ext_tenants",
+        "Extension - fair-share vs FIFO-within-tier under a heavy-tenant burst",
+        _ext_tenants_rows,
+        (
+            Verdict(
+                "isolation_holds",
+                f"under fair-share the burst keeps light P99 TTFT within {ISOLATION_BOUND}x "
+                "the no-burst baseline's",
+                lambda rows: _isolated(rows, experiments.FAIRSHARE_RUN),
+            ),
+            Verdict(
+                "fifo_violates",
+                "FIFO-within-tier breaks the same bound on the same bytes",
+                lambda rows: not _isolated(rows, experiments.FIFO_RUN),
+            ),
+            Verdict(
+                "fairshare_beats_fifo",
+                "fair-share beats FIFO on light P99 TTFT",
+                lambda rows: _light_p99(rows, experiments.FAIRSHARE_RUN)
+                < _light_p99(rows, experiments.FIFO_RUN),
+            ),
+        ),
+        precision=4,
+    ),
+    Claim(
+        "ext_hetero_fleet",
+        "Extension - mixed A800+H100 fleet: seconds-based routing, and re-planning "
+        "after a member crash",
+        lambda: compare_runs(
+            experiments.hetero_cells(experiments.HETERO_BASE), experiments.hetero_fields
+        ),
+        (
+            Verdict(
+                "routing_wins",
+                "predicted-ttft beats least-loaded on mean TTFT on the mixed fleet",
+                lambda rows: row(rows, run="route:predicted-ttft")["mean_ttft"]
+                < row(rows, run="route:least-loaded")["mean_ttft"],
+            ),
+            Verdict(
+                "replan_fired",
+                "the replan arm re-planned at least one member",
+                lambda rows: row(rows, run="crash:replan")["members_replanned"] >= 1,
+            ),
+            Verdict(
+                "replan_recovers",
+                "re-planning recovers at least the degraded run's SLO goodput",
+                lambda rows: (r := row(rows, run="crash:replan"))["members_replanned"] > 0
+                and r["slo_goodput"] >= row(rows, run="crash:no-replan")["slo_goodput"],
+            ),
+        ),
+        precision=4,
     ),
 )
 
@@ -1958,25 +2223,33 @@ the paper's numbers.
 """
 
 
-def run_claims() -> dict[str, Rows]:
-    """Every claim's rows, by claim id."""
-    return {claim.id: claim.rows() for claim in CLAIMS}
+def run_claims(ids: Iterable[str] = ()) -> dict[str, Rows]:
+    """Each named claim's rows (every claim's when none is named), by claim id."""
+    ids = set(ids)
+    unknown = ids - {claim.id for claim in CLAIMS}
+    if unknown:
+        raise ValueError(f"unknown claim id(s) {sorted(unknown)}")
+    return {claim.id: claim.rows() for claim in CLAIMS if not ids or claim.id in ids}
+
+
+def _claims_in(results: Mapping[str, Rows]) -> list[Claim]:
+    return [claim for claim in CLAIMS if claim.id in results]
 
 
 def failures(results: Mapping[str, Rows]) -> list[tuple[str, Verdict]]:
     """Every (claim id, check) that does not hold on ``results``."""
     return [
         (claim.id, verdict)
-        for claim in CLAIMS
+        for claim in _claims_in(results)
         for verdict in claim.checks
-        if not verdict.check(results[claim.id], {})
+        if not verdict.check(results[claim.id])
     ]
 
 
 def render(results: Mapping[str, Rows]) -> str:
     """``RESULTS.md``: each claim's table, then its checks marked."""
     sections = [HEADER]
-    for claim in CLAIMS:
+    for claim in _claims_in(results):
         rows = results[claim.id]
         held = claim.verdicts(rows)
         marks = "\n".join(

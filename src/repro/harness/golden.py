@@ -346,8 +346,8 @@ def _verb_stdout(report: Any) -> str:
 def _verb(name: str, command: str) -> ValuePin:
     """Pin the ``--json`` report of one ``python -m repro`` command line.
 
-    The verb must exit 0 (for a comparison verb: every invariant held and
-    every verdict passed) and print its report and nothing else.
+    The verb must exit 0 (``run``: its run kept every invariant) and print
+    its report and nothing else.
     """
     argv = [*command.split(), "--json"]
 
@@ -507,33 +507,10 @@ def _placement_layouts() -> dict:
     return layouts
 
 
-_FLEET_TIERS = "interactive=0.25,standard=0.5,best_effort=0.25"
 _TIERS = "interactive=0.3,standard=0.4,best_effort=0.3"
 
 #: The value pins.  Keep producers to seconds each: the check runs them all.
 VALUE_PINS: tuple[ValuePin, ...] = (
-    # Every comparison verb CI relies on, each report pinned whole.
-    _verb("differential", "differential --seeds 0,1,2 --requests 40"),
-    _verb("chaos-smoke", "chaos --smoke"),
-    _verb(
-        "chaos-distserve-smoke",
-        "chaos --smoke --systems distserve --plans prefill-crash,decode-crash --seed 1",
-    ),
-    _verb("chaos-fleet-smoke", "chaos --fleet --smoke"),
-    _verb("chaos-fleet-span-smoke", "chaos --fleet --smoke --plans nic-outage --span-nodes"),
-    _verb("chaos-fleet-tiers-smoke", f"chaos --fleet --smoke --tier-mix {_FLEET_TIERS}"),
-    _verb(
-        "chaos-fleet-tieraware-smoke",
-        f"chaos --fleet --smoke --router tier-aware --tier-mix {_FLEET_TIERS}",
-    ),
-    _verb(
-        "chaos-preemptive-smoke",
-        "chaos --smoke --admission preemptive "
-        "--tier-mix interactive=0.5,standard=0.2,best_effort=0.3",
-    ),
-    _verb("prefix-smoke", "prefix --smoke"),
-    _verb("tenants-smoke", "tenants --smoke"),
-    _verb("hetero-smoke", "hetero --smoke"),
     # The single-system verbs.
     _verb("run", "run --system distserve --rate 3 --requests 40"),
     _verb("sweep", "sweep --systems windserve,vllm --rates 2,4 --requests 40"),

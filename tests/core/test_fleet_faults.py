@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -313,11 +315,17 @@ class TestFleetPlans:
         assert "decode-crash" not in FLEET_FAULT_PLAN_NAMES
 
 
+FLEET_SMOKE = "run --rate 3 --requests 24 --nodes 2 --standby 1 --fault-plan".split()
+
+
 class TestFleetChaosCli:
     def test_fleet_smoke_passes(self, capsys):
-        assert main(["chaos", "--fleet", "--smoke", "--requests", "24"]) == 0
-        out = capsys.readouterr().out
-        assert "fleet chaos run(s) satisfied" in out
+        # ``run`` exits 1 when its run breaks the invariant suite.
+        assert main([*FLEET_SMOKE, "member-crash", "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["counters"]["instance_crash"] >= 1  # the member's instances
+        assert err == ""
 
     def test_unknown_fleet_plan_rejected(self, capsys):
-        assert main(["chaos", "--fleet", "--plans", "bogus"]) == 2
+        assert main([*FLEET_SMOKE, "bogus"]) == 2
+        assert "unknown fleet fault plan" in capsys.readouterr().err

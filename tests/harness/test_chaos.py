@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.cli import main
 from repro.faults.plan import FAULT_PLAN_NAMES
+from repro.harness import claims
 from repro.harness.cell import Cell
-from repro.harness.experiments import CHAOS, completion_curve
+from repro.harness.claims import compare_runs
+from repro.harness.experiments import chaos_cells, chaos_fields
 from repro.harness.invariants import check_conservation
 from repro.serving.request import Phase, Request
 
@@ -52,22 +51,6 @@ class TestConservationChecker:
         assert any("phase" in p for p in problems)
 
 
-class TestCompletionCurve:
-    def test_cumulative_counts(self):
-        done = []
-        for i, t in enumerate([0.5, 1.5, 1.6, 9.0]):
-            r = _req(i)
-            r.finish_time = t
-            done.append(r)
-        curve = completion_curve(done, horizon=10.0, bins=5)
-        # Sample points at 2, 4, 6, 8, 10 seconds.
-        assert [c for _, c in curve] == [3, 3, 3, 3, 4]
-        assert curve[-1][0] == pytest.approx(10.0)
-
-    def test_empty(self):
-        assert completion_curve([], horizon=10.0) == []
-
-
 CHAOS_KW = dict(num_requests=40, rate_per_gpu=3.0, seed=7)
 
 
@@ -75,8 +58,13 @@ def run_chaos(**kw):
     return Cell(**{**CHAOS_KW, **kw}).run()
 
 
-def chaos_report(plans, **kw):
-    return CHAOS.run(Cell(**{**CHAOS_KW, **kw}), systems=["windserve"], plans=plans)
+def chaos_rows(plans, **kw):
+    cells = chaos_cells("t", Cell(**{**CHAOS_KW, **kw}), ["windserve"], plans)
+    return compare_runs(cells, chaos_fields)
+
+
+def by_run(rows):
+    return {r["run"]: r for r in rows}
 
 
 class TestRunChaos:
@@ -104,33 +92,36 @@ class TestRunChaos:
         assert a.fingerprint != b.fingerprint
 
     def test_goodput_relative_to_healthy_baseline(self):
-        report = chaos_report(["decode-crash"])
-        healthy = report.runs["windserve/none"]
-        assert healthy.fields["resilience"]["instance_crashes"] == 0
-        assert healthy.fields["goodput_vs_healthy"] is None  # it is the anchor
-        goodput = report.runs["windserve/decode-crash"].fields["goodput_vs_healthy"]
-        assert goodput is not None
-        assert 0.0 <= goodput <= 1.5
+        rows = by_run(chaos_rows(["decode-crash"]))
+        healthy = rows["t:windserve/none"]
+        assert healthy["requests_requeued"] == 0
+        assert healthy["goodput_vs_healthy"] is None  # it is the anchor
+        faulted = rows["t:windserve/decode-crash"]
+        # SLO-met requests of the faulted run over those of its healthy twin.
+        met, healthy_met = (
+            round(r["slo_attainment"] * r["submitted"]) for r in (faulted, healthy)
+        )
+        assert faulted["goodput_vs_healthy"] == pytest.approx(met / healthy_met)
+        assert 0.0 <= faulted["goodput_vs_healthy"] <= 1.0
 
     def test_row_shape(self):
-        (row,) = chaos_report(["none"]).rows()
-        for key in ("run", "system", "plan", "completed", "shed", "invariants"):
+        (row,) = chaos_rows([])
+        for key in ("run", "system", "plan", "completed", "shed", "workload", "fingerprint"):
             assert key in row
+        assert len(row["workload"]) == len(row["fingerprint"]) == 12
 
 
 class TestRunChaosMatrix:
     def test_baseline_prepended_per_system(self):
-        report = chaos_report(["decode-crash"])
-        assert [r.cell.fault_plan for r in report.runs.values()] == ["none", "decode-crash"]
-        assert report.runs["windserve/decode-crash"].fields["goodput_vs_healthy"] is not None
-        for r in report.runs.values():
-            assert r.passed, r.violations
+        rows = chaos_rows(["decode-crash"])
+        assert [r["plan"] for r in rows] == ["none", "decode-crash"]
+        assert by_run(rows)["t:windserve/decode-crash"]["goodput_vs_healthy"] is not None
 
     def test_unknown_plan_rejected(self):
         with pytest.raises(ValueError):
             run_chaos(fault_plan="nope")
         with pytest.raises(ValueError, match="unknown fault plan"):
-            chaos_report(["nope"])
+            chaos_rows(["nope"])
 
 
 class TestBaselineSystems:
@@ -144,14 +135,49 @@ class TestBaselineSystems:
         assert result.passed, result.violations
 
 
-class TestSmoke:
-    def test_smoke_keeps_given_systems_and_plans(self, capsys):
-        argv = "chaos --smoke --systems distserve --plans prefill-crash --json"
-        assert main(argv.split()) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert list(report["runs"]) == ["distserve/none", "distserve/prefill-crash"]
-        assert all(cell["num_requests"] == 60 for cell in report["cells"].values())
+def stub_row(run, plan, slo, goodput, requeued=1, detection=0.1):
+    return {
+        "run": run,
+        "plan": plan,
+        "slo_attainment": slo,
+        "goodput_vs_healthy": goodput,
+        "requests_requeued": requeued,
+        "detection_latency_s": detection,
+    }
 
-    def test_smoke_fills_unset_params(self):
-        report = CHAOS.run(smoke=True, systems=["distserve"])
-        assert list(report.runs) == ["distserve/none", "distserve/decode-crash"]
+
+class TestChaosChecks:
+    """Each ext_chaos check fails on rows that break it."""
+
+    CHECKS = {v.name: v for c in claims.CLAIMS if c.id == "ext_chaos" for v in c.checks}
+
+    def rows(self, **faulted):
+        return [
+            stub_row("s:windserve/none", "none", 0.8, None, requeued=0, detection=0.0),
+            stub_row("s:windserve/decode-crash", "decode-crash", 0.5, 0.7, **faulted),
+        ]
+
+    def holds(self, name, rows):
+        return self.CHECKS[name].check(rows)
+
+    def test_clean_rows_pass_every_check(self):
+        assert all(self.holds(name, self.rows()) for name in self.CHECKS)
+
+    def test_no_faulted_row_means_no_verdict(self):
+        assert not any(self.holds(name, self.rows()[:1]) for name in self.CHECKS)
+
+    def test_each_check_has_a_failing_direction(self):
+        assert not self.holds("faults_requeue", self.rows(requeued=0))
+        assert not self.holds("faults_detected", self.rows(detection=0.0))
+        rows = self.rows()
+        rows[1]["slo_attainment"] = 0.9  # beats its fault-free twin
+        assert not self.holds("faults_cost_slo", rows)
+        for goodput in (1.2, None):
+            rows = self.rows()
+            rows[1]["goodput_vs_healthy"] = goodput
+            assert not self.holds("goodput_bounded", rows)
+
+    def test_twin_is_found_by_label(self):
+        rows = self.rows()
+        rows[0]["run"] = "other:windserve/none"  # no twin for the faulted row
+        assert not self.holds("faults_cost_slo", rows)

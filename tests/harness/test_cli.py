@@ -58,6 +58,20 @@ class TestCommands:
         assert main(["run", "--rate", "2", "--requests", "40"]) == 0
         assert "ttft_p50" in capsys.readouterr().out
 
+    def test_run_exits_1_on_an_invariant_violation(self, monkeypatch, capsys):
+        from repro.harness.cell import Cell
+
+        real_run = Cell.run
+
+        def violated(cell, workload=None):
+            run = real_run(cell, workload)
+            run.violations = ["lost a request"]
+            return run
+
+        monkeypatch.setattr(Cell, "run", violated)
+        assert main(["run", "--rate", "2", "--requests", "10"]) == 1
+        assert "[VIOLATED] lost a request" in capsys.readouterr().err
+
     def test_sweep_multiple_systems(self, capsys):
         assert (
             main(

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness import claims
 from repro.harness.cell import Cell, clone_requests
-from repro.harness.experiments import DIFFERENTIAL
+from repro.harness.claims import compare_runs
+from repro.harness.experiments import differential_cells
 from repro.harness.invariants import (
     check_conservation,
     check_monotonic_times,
@@ -25,18 +27,39 @@ COMBOS = (
     "base, seed", COMBOS, ids=[f"r{c.rate_per_gpu}-s{seed}" for c, seed in COMBOS]
 )
 def test_all_systems_share_invariants(base, seed):
-    report = DIFFERENTIAL.run(base, seeds=[seed])
-    assert {run.cell.system for run in report.runs.values()} == {"windserve", "distserve", "vllm"}
-    for label, run in report.runs.items():
-        assert run.passed, f"{label}: {run.violations}"
-    assert report.passed
+    # compare_runs raises on any invariant violation.
+    rows = compare_runs(differential_cells(base, [seed]))
+    assert [r["run"] for r in rows] == [f"s{seed}:{s}" for s in ("windserve", "distserve", "vllm")]
+    for check in CHECKS.values():
+        if check.name != "seeds_differ":  # one seed here
+            assert check.check(rows), check.name
 
 
 def test_workload_is_byte_identical_across_clones():
-    report_a = DIFFERENTIAL.run(Cell(num_requests=10), seeds=[0])
-    report_b = DIFFERENTIAL.run(Cell(num_requests=10), seeds=[0])
-    digests = {run.fields["workload"] for r in (report_a, report_b) for run in r.runs.values()}
-    assert len(digests) == 1  # every system, both reports: the same bytes
+    rows_a = compare_runs(differential_cells(Cell(num_requests=10), [0]))
+    rows_b = compare_runs(differential_cells(Cell(num_requests=10), [0]))
+    digests = {r["workload"] for r in rows_a + rows_b}
+    assert len(digests) == 1  # every system, both runs: the same bytes
+
+
+CHECKS = {v.name: v for c in claims.CLAIMS if c.id == "ext_differential" for v in c.checks}
+
+
+def stub_rows(*digests, completed=40):
+    return [
+        {"run": f"s{i}:{system}", "submitted": 40, "completed": completed, "shed": 0, "workload": d}
+        for i, seed_digests in enumerate(digests)
+        for system, d in zip(("windserve", "distserve", "vllm"), seed_digests)
+    ]
+
+
+def test_differential_checks_fail_on_broken_rows():
+    good = stub_rows("aaa", "bbb", "ccc")
+    assert all(check.check(good) for check in CHECKS.values())
+    assert not CHECKS["one_workload_per_seed"].check(stub_rows(["a", "a", "x"], "bbb"))
+    assert not CHECKS["seeds_differ"].check(stub_rows("aaa", "aaa"))
+    assert not CHECKS["requests_conserved"].check(stub_rows("aaa", completed=39))
+    assert not any(check.check([]) for check in CHECKS.values())
 
 
 def test_clones_are_fresh_objects():
@@ -49,7 +72,7 @@ def test_clones_are_fresh_objects():
 
 def test_mismatched_gpu_counts_rejected():
     # The default cells use equal GPU counts, so this runs ...
-    assert DIFFERENTIAL.run(Cell(num_requests=5), systems=["windserve", "vllm"], seeds=[0]).passed
+    assert len(compare_runs(differential_cells(Cell(num_requests=5), [0]))) == 3
     # ... while handing a cell a workload sized for other hardware is refused.
     workload = Cell(num_requests=5).workload()
     with pytest.raises(ValueError, match="shared rate would differ"):

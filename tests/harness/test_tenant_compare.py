@@ -7,38 +7,54 @@ conservation, budget-watermark, and drained-system checks green.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
+from repro.harness import claims
 from repro.harness.experiments import (
     BASELINE_RUN,
     BURST_WINDOW,
     FAIRSHARE_RUN,
     FIFO_RUN,
-    TENANTS,
     burst_rows,
 )
 from repro.harness.invariants import check_tenant_conservation
 from repro.serving.metrics import MetricsCollector
 from repro.serving.request import Request
 
-
-def _small(num_requests=80, burst_requests=32):
-    base = replace(TENANTS.base, num_requests=num_requests, seed=0)
-    return TENANTS.run(base, burst_requests=burst_requests)
+(CLAIM,) = (c for c in claims.CLAIMS if c.id == "ext_tenants")
+CHECKS = {check.name: check for check in CLAIM.checks}
 
 
 def test_comparison_discriminates_and_keeps_invariants():
-    report = _small()
-    assert set(report.runs) == {BASELINE_RUN, FAIRSHARE_RUN, FIFO_RUN}
-    for name, run in report.runs.items():
-        assert not run.violations, f"{name}: {run.violations}"
-    assert report.verdicts["isolation_holds"], "fair-share broke the isolation bound"
-    assert report.verdicts["fifo_violates"], "FIFO held the bound: cell not discriminating"
-    assert report.verdicts["fairshare_beats_fifo"]
-    assert report.passed
+    rows = CLAIM.rows()  # raises on an invariant violation
+    by_run = {r["run"]: r for r in rows}
+    assert set(by_run) == {BASELINE_RUN, FAIRSHARE_RUN, FIFO_RUN}
+    assert CHECKS["isolation_holds"].check(rows), "fair-share broke the isolation bound"
+    assert CHECKS["fifo_violates"].check(rows), "FIFO held the bound: cell not discriminating"
+    assert CHECKS["fairshare_beats_fifo"].check(rows)
     # Budgets actually bit in the fair-share burst run, and never in FIFO.
-    assert report.runs[FAIRSHARE_RUN].fields["budget_sheds"] > 0
-    assert report.runs[FIFO_RUN].fields["budget_sheds"] == 0
+    assert by_run[FAIRSHARE_RUN]["budget_sheds"] > 0
+    assert by_run[FIFO_RUN]["budget_sheds"] == 0
+    # Both burst runs consume the same bytes; the baseline has no burst.
+    assert by_run[FAIRSHARE_RUN]["workload"] == by_run[FIFO_RUN]["workload"]
+    assert by_run[BASELINE_RUN]["submitted"] < by_run[FIFO_RUN]["submitted"]
+
+
+def light_rows(baseline, fair, fifo):
+    return [
+        {"run": run, "light_p99_ttft": p99}
+        for run, p99 in ((BASELINE_RUN, baseline), (FAIRSHARE_RUN, fair), (FIFO_RUN, fifo))
+    ]
+
+
+def test_isolation_checks_fail_in_the_wrong_direction():
+    held = {name: check.check(light_rows(1.0, 1.4, 2.0)) for name, check in CHECKS.items()}
+    assert all(held.values())
+    # Fair-share past the 1.5x bound; FIFO within it; FIFO beating fair-share.
+    assert not CHECKS["isolation_holds"].check(light_rows(1.0, 1.6, 2.0))
+    assert not CHECKS["fifo_violates"].check(light_rows(1.0, 1.4, 1.5))
+    assert not CHECKS["fairshare_beats_fifo"].check(light_rows(1.0, 1.4, 1.3))
+    # No baseline latency to bound against: neither bound check holds.
+    assert not CHECKS["isolation_holds"].check(light_rows(0.0, 1.4, 2.0))
+    assert not CHECKS["fifo_violates"].check(light_rows(0.0, 1.4, 2.0))
 
 
 def test_burst_rows_are_deterministic_and_heavy_owned():
@@ -54,14 +70,6 @@ def test_burst_rows_are_deterministic_and_heavy_owned():
     arrivals = [row["arrival"] for row in rows]
     assert arrivals == sorted(arrivals)
     assert max(arrivals) - min(arrivals) <= BURST_WINDOW
-
-
-def test_report_serialises_to_json_payload():
-    payload = _small(num_requests=40, burst_requests=16).as_dict()
-    assert set(payload["runs"]) == {BASELINE_RUN, FAIRSHARE_RUN, FIFO_RUN}
-    for run in payload["runs"].values():
-        assert {"light_p99_ttft", "budget_sheds", "tenant_report"} <= set(run)
-    assert isinstance(payload["passed"], bool)
 
 
 # -- check_tenant_conservation unit -------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.harness import claims
-from repro.harness.claims import Claim, check
+from repro.harness.claims import Claim, Verdict
 
 RESULTS_MD = Path(__file__).resolve().parents[2] / "RESULTS.md"
 
@@ -41,7 +41,7 @@ def rows_of(results: dict, claim: Claim) -> list[dict]:
 )
 def test_check(results, claim, verdict):
     rows = rows_of(results, claim)
-    assert verdict.check(rows, {}), f"{claim.id}: {verdict.claim}\n{claim.table(rows)}"
+    assert verdict.check(rows), f"{claim.id}: {verdict.claim}\n{claim.table(rows)}"
 
 
 def test_results_md_is_fresh(results):
@@ -70,15 +70,15 @@ STAND_IN = (
         "good",
         "A passing claim",
         lambda: [{"x": 1.0}],
-        (check("positive", "x is positive", lambda rows: rows[0]["x"] > 0),),
+        (Verdict("positive", "x is positive", lambda rows: rows[0]["x"] > 0),),
     ),
     Claim(
         "bad",
         "A failing claim",
         lambda: [{"x": 1.0}],
         (
-            check("positive", "x is positive", lambda rows: rows[0]["x"] > 0),
-            check("large", "x exceeds 2", lambda rows: rows[0]["x"] > 2),
+            Verdict("positive", "x is positive", lambda rows: rows[0]["x"] > 0),
+            Verdict("large", "x exceeds 2", lambda rows: rows[0]["x"] > 2),
         ),
     ),
 )
@@ -104,3 +104,22 @@ def test_verb_exits_0_when_every_check_holds(monkeypatch, capsys):
 def test_verb_takes_no_options():
     with pytest.raises(SystemExit):
         main(["claims", "--smoke"])
+
+
+def test_verb_runs_only_the_named_claims(monkeypatch, capsys):
+    monkeypatch.setattr(claims, "CLAIMS", STAND_IN)
+    assert main(["claims", "good"]) == 0
+    out, err = capsys.readouterr()
+    assert out == claims.render({"good": [{"x": 1.0}]})
+    assert "## good" in out and "## bad" not in out
+    assert err == ""
+    assert main(["claims", "bad", "good"]) == 1  # rendered in table order
+    assert capsys.readouterr().out == claims.render({"good": [{"x": 1.0}], "bad": [{"x": 1.0}]})
+
+
+def test_verb_exits_2_on_an_unknown_id(monkeypatch, capsys):
+    monkeypatch.setattr(claims, "CLAIMS", STAND_IN)
+    assert main(["claims", "good", "no-such-claim"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no-such-claim" in err

@@ -393,7 +393,8 @@ class TestCLIPolicyFlags:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["chaos", "--fleet", "--router", "tier-aware", "--admission", "preemptive"]
+            ["run", "--rate", "3", "--nodes", "2", "--router", "tier-aware"]
+            + ["--admission", "preemptive"]
         )
         assert args.router == "tier-aware"
         assert args.admission == "preemptive"
@@ -402,13 +403,13 @@ class TestCLIPolicyFlags:
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["chaos", "--router", "no-such-router"])
+            build_parser().parse_args(["run", "--rate", "3", "--router", "no-such-router"])
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["chaos", "--admission", "no-such-admission"])
+            build_parser().parse_args(["run", "--rate", "3", "--admission", "no-such-admission"])
 
     def test_defaults_are_baseline(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["chaos"])
+        args = build_parser().parse_args(["run", "--rate", "3"])
         assert args.router is None
         assert args.admission == "nested-caps"

@@ -111,10 +111,10 @@ def test_warm_hit_beats_cold_ttft_end_to_end():
     than cold shared-prefix requests (the shortened prefill is visible)."""
     from dataclasses import replace
 
-    from repro.harness.experiments import PREFIX
+    from repro.harness.claims import compare_runs
+    from repro.harness.experiments import PREFIX_BASE, prefix_fields
 
-    report = PREFIX.run(replace(PREFIX.base, num_requests=120))
-    run = report.runs["prefix-affinity"]
-    assert run.violations == []
-    assert run.fields["warm_requests"] > 0 and run.fields["cold_requests"] > 0
-    assert run.fields["warm_ttft"] < run.fields["cold_ttft"]
+    cell = replace(PREFIX_BASE, num_requests=120, fleet_policy="prefix-affinity")
+    (row,) = compare_runs({"prefix-affinity": cell}, prefix_fields)  # raises on a violation
+    assert row["warm_requests"] > 0 and row["cold_requests"] > 0
+    assert row["warm_ttft"] < row["cold_ttft"]
