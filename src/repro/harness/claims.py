@@ -1156,7 +1156,7 @@ def _async_gain(rows: Rows, model: str) -> float:
 
 
 def _migration_bytes(run: CellRun, kind: Callable[[str], bool]) -> int:
-    return sum(job.nbytes for job in run.target.transfers.completed if kind(job.kind))
+    return sum(n for k, n in run.target.transfers.bytes_by_kind.items() if kind(k))
 
 
 def _abl_backup_rows() -> Rows:

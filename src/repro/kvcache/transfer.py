@@ -66,9 +66,11 @@ class KVTransferEngine:
         self.sim = sim
         self.topology = topology
         self._next_id = 0
-        self.completed: list[TransferJob] = []
         self.failed: list[TransferJob] = []
+        # Bytes of every launched (not failed) job, in total and per kind.
+        # Jobs are not kept: nothing waits on a callback-free one.
         self.bytes_moved = 0
+        self.bytes_by_kind: dict[str, int] = {}
         self.metrics = metrics
         self.trace = trace
         self.retry = retry or RetryPolicy()
@@ -107,28 +109,16 @@ class KVTransferEngine:
         """Copy ``nbytes`` of sharded KV from one instance's GPUs to another's.
 
         Bytes split evenly over GPU pairs; each pair's copy queues FIFO on its
-        link path.  ``on_complete`` fires when the slowest pair finishes.
+        link path.  ``on_complete`` fires when the slowest pair finishes;
+        without one, the returned job's ``finish`` is all there is to know
+        and no event is scheduled.
         """
         if nbytes < 0:
             raise ValueError("negative transfer size")
         paths, links = self._routes(src_gpus, dst_gpus)
-        per_pair = int(nbytes / len(paths)) if nbytes else 0
-        attempt, gave_up = self._resolve_outages(links, kind, meta)
-        if gave_up:
-            return self._fail_job(
-                nbytes, tuple(src_gpus), tuple(dst_gpus), attempt, kind, meta
-            )
-        finish = attempt
-        start = None
-        for path in paths:
-            res = path.reserve(attempt, per_pair)
-            finish = max(finish, res.finish)
-            start = res.start if start is None else min(start, res.start)
-        job = self._make_job(
-            nbytes, tuple(src_gpus), tuple(dst_gpus), start or attempt, finish, kind, meta
+        return self._launch(
+            nbytes, paths, links, tuple(src_gpus), tuple(dst_gpus), on_complete, kind, meta
         )
-        self._finalize(job, on_complete)
-        return job
 
     # -- GPU <-> host (swap) ----------------------------------------------------
 
@@ -145,20 +135,39 @@ class KVTransferEngine:
             raise ValueError("negative transfer size")
         if not gpus:
             raise ValueError("need at least one GPU")
-        per_gpu = int(nbytes / len(gpus)) if nbytes else 0
         paths = [self.topology.host_path(g) for g in gpus]
         links = {link.name: link for path in paths for link in path.links}
-        attempt, gave_up = self._resolve_outages(list(links.values()), kind, meta)
+        return self._launch(
+            nbytes, paths, list(links.values()), tuple(gpus), ("host",), on_complete, kind, meta
+        )
+
+    def _launch(
+        self,
+        nbytes: int,
+        paths: list[Path],
+        links: list[Link],
+        src: tuple,
+        dst: tuple,
+        on_complete: Optional[Callable[[TransferJob], None]],
+        kind: str,
+        meta: dict,
+    ) -> TransferJob:
+        """Split ``nbytes`` evenly over ``paths`` and reserve each once its
+        links are up.  Count the bytes; only a callback needs an event."""
+        per_path = int(nbytes / len(paths)) if nbytes else 0
+        attempt, gave_up = self._resolve_outages(links, kind, meta)
         if gave_up:
-            return self._fail_job(nbytes, tuple(gpus), ("host",), attempt, kind, meta)  # type: ignore[arg-type]
-        finish = attempt
-        start = None
+            return self._fail_job(nbytes, src, dst, attempt, kind, meta)
+        finish, start = attempt, None
         for path in paths:
-            res = path.reserve(attempt, per_gpu)
+            res = path.reserve(attempt, per_path)
             finish = max(finish, res.finish)
             start = res.start if start is None else min(start, res.start)
-        job = self._make_job(nbytes, tuple(gpus), ("host",), start or attempt, finish, kind, meta)  # type: ignore[arg-type]
-        self._finalize(job, on_complete)
+        job = self._make_job(nbytes, src, dst, start or attempt, finish, kind, meta)
+        self.bytes_moved += nbytes
+        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + nbytes
+        if on_complete is not None:
+            self.sim.call_at(finish, lambda: on_complete(job))
         return job
 
     # -- outage handling (retry with backoff) -------------------------------------
@@ -268,13 +277,3 @@ class KVTransferEngine:
         )
         self._next_id += 1
         return job
-
-    def _finalize(self, job: TransferJob, on_complete) -> None:
-        self.bytes_moved += job.nbytes
-
-        def _done() -> None:
-            self.completed.append(job)
-            if on_complete is not None:
-                on_complete(job)
-
-        self.sim.call_at(job.finish, _done)

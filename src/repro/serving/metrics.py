@@ -9,8 +9,8 @@ instance) feed the Fig. 2 reproduction.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -297,84 +297,6 @@ class MetricsCollector:
             }
             for tier in TIERS
         }
-
-    # -- per-tenant accounting -------------------------------------------------
-    #
-    # Tenants are an open-ended population (unlike the closed tier set), so
-    # tenant reports enumerate the tenants actually observed in outcomes.
-    # Each request is judged against its own *tier's* SLO — tenancy slices
-    # who the outcomes belong to, tiers still define what counts as met.
-
-    def tenants(self) -> list[str]:
-        """Tenant names observed in any outcome, sorted."""
-        names = {r.tenant for r in self.completed}
-        names.update(r.tenant for r in self.shed)
-        return sorted(names)
-
-    def completed_by_tenant(self) -> dict[str, int]:
-        counts = Counter(r.tenant for r in self.completed)
-        return {tenant: counts.get(tenant, 0) for tenant in self.tenants()}
-
-    def shed_by_tenant(self) -> dict[str, int]:
-        counts = Counter(r.tenant for r in self.shed)
-        return {tenant: counts.get(tenant, 0) for tenant in self.tenants()}
-
-    def tenant_ttft_stats(self) -> dict[str, LatencyStats]:
-        """Per-tenant TTFT percentile summaries over completions."""
-        by_tenant: dict[str, list[float]] = {}
-        for r in self.completed:
-            if r.ttft is not None:
-                by_tenant.setdefault(r.tenant, []).append(r.ttft)
-        return {
-            tenant: LatencyStats.from_values(values)
-            for tenant, values in sorted(by_tenant.items())
-        }
-
-    def tenant_goodput(self, slos: Mapping[str, "SLO"]) -> dict[str, int]:
-        """Per-tenant goodput: completions meeting their own tier's SLO."""
-        out: dict[str, int] = {tenant: 0 for tenant in self.tenants()}
-        for r in self.completed:
-            slo = slos.get(r.tier)
-            if slo is not None and slo.met_by(r):
-                out[r.tenant] += 1
-        return out
-
-    def tenant_attainment(
-        self, slos: Mapping[str, "SLO"], include_shed: bool = False
-    ) -> dict[str, float]:
-        """Per-tenant SLO attainment (requests judged by their tier's SLO).
-
-        With ``include_shed`` the denominator covers every resolved request
-        of the tenant — shed arrivals certainly missed their SLO.
-        """
-        goodput = self.tenant_goodput(slos)
-        completed = self.completed_by_tenant()
-        shed = self.shed_by_tenant()
-        out: dict[str, float] = {}
-        for tenant in self.tenants():
-            total = completed[tenant] + (shed[tenant] if include_shed else 0)
-            out[tenant] = goodput[tenant] / total if total else float("nan")
-        return out
-
-    def tenant_report(self, slos: Mapping[str, "SLO"]) -> dict[str, dict]:
-        """One nested dict per tenant: completed/shed/goodput/attainment/TTFT."""
-        completed = self.completed_by_tenant()
-        shed = self.shed_by_tenant()
-        goodput = self.tenant_goodput(slos)
-        attainment = self.tenant_attainment(slos)
-        ttft = self.tenant_ttft_stats()
-        report = {}
-        for tenant in self.tenants():
-            stats = ttft.get(tenant)
-            report[tenant] = {
-                "completed": completed[tenant],
-                "shed": shed[tenant],
-                "goodput": goodput[tenant],
-                "attainment": attainment[tenant],
-                "ttft_p50": stats.p50 if stats else float("nan"),
-                "ttft_p99": stats.p99 if stats else float("nan"),
-            }
-        return report
 
     # -- resilience ----------------------------------------------------------
 

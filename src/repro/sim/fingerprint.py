@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.sim.trace import TraceRecord
@@ -34,33 +35,95 @@ FINGERPRINT_VERSION = 1
 
 
 def canonical_json(value: Any) -> str:
-    """Canonical JSON text: sorted keys, no whitespace, exact float reprs."""
-    return json.dumps(
-        _canonicalize(value), sort_keys=True, separators=(",", ":"), allow_nan=True
-    )
+    """Canonical JSON text: sorted keys, no whitespace, exact float reprs.
+
+    The bytes are ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
+    of the value with mapping keys passed through ``str``, tuples as lists,
+    numpy scalars as their Python value and enums as their ``.value``.
+    Anything else raises :class:`UnencodableValue`, never hashes a ``repr``.
+    """
+    try:
+        return _encode(value)
+    except UnencodableValue as exc:
+        where = "".join(f"[{key!r}]" for key in _path(value)) or "the top level"
+        raise UnencodableValue(f"cannot canonically encode {exc} at {where}") from None
 
 
-def _canonicalize(value: Any) -> Any:
-    """Reduce a payload to canonically hashable JSON types."""
+class UnencodableValue(TypeError):
+    """A value with no canonical JSON form."""
+
+
+def _path(value: Any) -> list:
+    """Key path to the first part of ``value`` with no canonical form."""
     if isinstance(value, Mapping):
-        return {str(k): _canonicalize(v) for k, v in value.items()}
+        items: Iterable = sorted({str(k): v for k, v in value.items()}.items())
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return []
+    for key, item in items:
+        try:
+            _encode(item)
+        except UnencodableValue:
+            return [key, *_path(item)]
+    return []
+
+
+_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _SPECIAL_FLOATS.get(text, text)
+
+
+def _encode_dict(value: Mapping) -> str:
+    if not set(map(type, value)) <= _STR_ONLY:
+        value = {str(k): v for k, v in value.items()}
+    return "{" + ",".join([_quote(k) + ":" + _encode(value[k]) for k in sorted(value)]) + "}"
+
+
+def _encode_list(value: Any) -> str:
+    return "[" + ",".join([_encode(v) for v in value]) + "]"
+
+
+def _encode_other(value: Any) -> str:
+    """Subclasses of the plain types, numpy scalars and enums."""
+    if isinstance(value, Mapping):
+        return _encode_dict(value)
     if isinstance(value, (list, tuple)):
-        return [_canonicalize(v) for v in value]
-    if isinstance(value, bool) or value is None:
-        return value
+        return _encode_list(value)
     if isinstance(value, float):
-        # repr() is the shortest round-trip representation; json.dumps uses
-        # it too, but normalising here keeps numpy scalars honest as well.
-        return float(value)
+        return _encode_float(float(value))
     if isinstance(value, int):
-        return int(value)
+        return int.__repr__(int(value))
     if isinstance(value, str):
-        return value
+        return _quote(value)
     if hasattr(value, "item"):  # numpy scalar
-        return _canonicalize(value.item())
+        return _encode(value.item())
     if hasattr(value, "value") and not callable(value.value):  # enums
-        return _canonicalize(value.value)
-    return repr(value)
+        return _encode(value.value)
+    raise UnencodableValue(type(value).__name__)
+
+
+_quote = json.encoder.encode_basestring_ascii
+_STR_ONLY = {str}
+#: Exact type -> encoder; everything else goes through :func:`_encode_other`.
+_ENCODERS: dict[type, Callable[[Any], str]] = {
+    str: _quote,
+    int: int.__repr__,
+    float: _encode_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    dict: _encode_dict,
+    list: _encode_list,
+    tuple: _encode_list,
+}
+_lookup = _ENCODERS.get
+
+
+def _encode(value: Any) -> str:
+    return _lookup(type(value), _encode_other)(value)
 
 
 def digest_lines(chunks: Iterable[str]) -> str:
@@ -76,29 +139,27 @@ def digest_lines(chunks: Iterable[str]) -> str:
 
 def raw_row(time: float, component: str, tag: str, payload: Mapping) -> dict:
     """Canonical dict form of one trace row (also the golden JSONL schema)."""
-    return {"t": time, "c": component, "g": tag, "p": _canonicalize(payload)}
+    return {"t": time, "c": component, "g": tag, "p": json.loads(canonical_json(payload))}
 
 
 def raw_row_json(time: float, component: str, tag: str, payload: Mapping) -> str:
-    """Canonical JSON of one raw trace tuple, rendered without the
-    intermediate :func:`raw_row` dict.
+    """Canonical JSON of one raw trace tuple, rendered in one call.
 
     This is the trace-enabled hot path: golden and fingerprint runs hash
-    every emitted row, and building a four-key dict per row just to have
-    ``json.dumps`` sort it again was measurable at scale.  The keys of the
-    row dict sort as ``c < g < p < t``, so the concatenation below is
-    byte-identical to ``canonical_json(raw_row(...))`` (a property the
-    fingerprint tests pin down).
+    every emitted row.  The keys of the row dict sort as ``c < g < p < t``,
+    so the concatenation below is byte-identical to
+    ``canonical_json(raw_row(...))`` (a property the fingerprint tests pin
+    down).
     """
     return (
         '{"c":'
-        + canonical_json(component)
+        + _encode(component)
         + ',"g":'
-        + canonical_json(tag)
+        + _encode(tag)
         + ',"p":'
         + canonical_json(payload)
         + ',"t":'
-        + canonical_json(time)
+        + _encode(time)
         + "}"
     )
 
@@ -166,9 +227,13 @@ def request_row(request: Any) -> dict:
 
 
 def fingerprint_requests(requests: Iterable[Any]) -> str:
-    """Digest of final per-request metrics, ordered by request id."""
-    rows = sorted((request_row(r) for r in requests), key=lambda row: row["id"])
-    return digest_lines(canonical_json(row) for row in rows)
+    """Digest of final per-request metrics, ordered by request id.
+
+    Each row is rendered and hashed as it is built, so no list of rows
+    is ever held.
+    """
+    ordered = sorted(requests, key=attrgetter("request_id"))
+    return digest_lines(canonical_json(request_row(r)) for r in ordered)
 
 
 def fingerprint_rng(registry: Iterable[str]) -> str:

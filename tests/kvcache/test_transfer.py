@@ -6,7 +6,8 @@ import pytest
 
 from repro.hardware.gpu import GB
 from repro.hardware.topology import NodeTopology
-from repro.kvcache.transfer import KVTransferEngine
+from repro.faults.links import LinkFaultModel
+from repro.kvcache.transfer import KVTransferEngine, RetryPolicy
 from repro.sim.engine import Simulator
 
 
@@ -25,8 +26,27 @@ class TestTransfer:
     def test_job_recorded_after_completion(self, engine):
         engine.transfer(1000, [0], [2])
         engine.sim.run()
-        assert len(engine.completed) == 1
+        assert engine.bytes_by_kind == {"kv": 1000}
         assert engine.bytes_moved == 1000
+
+    def test_callback_free_job_schedules_no_event(self, engine):
+        before = engine.sim.pending_events
+        job = engine.transfer(1000, [0], [2], kind="kv-async")
+        engine.swap(500, [0], kind="swap-out")
+        assert engine.sim.pending_events == before
+        assert job.finish > engine.sim.now
+        assert engine.bytes_by_kind == {"kv-async": 1000, "swap-out": 500}
+        assert engine.bytes_moved == 1500
+
+    def test_callback_job_keeps_its_event(self, engine):
+        before = engine.sim.pending_events
+        done = []
+        job = engine.transfer(1000, [0], [2], on_complete=done.append, kind="kv-handoff")
+        assert engine.sim.pending_events == before + 1
+        assert engine.bytes_by_kind == {"kv-handoff": 1000}
+        engine.sim.run()
+        assert done == [job]
+        assert engine.sim.now == job.finish
 
     def test_zero_bytes_is_instant_plus_latency(self, engine):
         job = engine.transfer(0, [0], [2])
@@ -82,6 +102,22 @@ class TestSwap:
         engine.swap(1000, [0], on_complete=lambda j: done.append(j.nbytes))
         engine.sim.run()
         assert done == [1000]
+
+
+class TestPermanentFailure:
+    def test_failed_job_counts_in_neither_total(self, engine):
+        engine.fault_model = LinkFaultModel()
+        for link in engine.topology.path(0, 2).links:
+            engine.fault_model.add_outage(link.name, 0.0, 10.0)
+        engine.retry = RetryPolicy(max_retries=1)
+        engine.failure_kinds = frozenset({"kv-handoff"})
+        failed = []
+        engine.on_failure = failed.append
+        job = engine.transfer(1000, [0], [2], kind="kv-handoff")
+        engine.sim.run()
+        assert failed == [job] and engine.failed == [job]
+        assert engine.bytes_moved == 0
+        assert engine.bytes_by_kind == {}
 
 
 class TestJobMetadata:

@@ -5,6 +5,10 @@ either system's permanent ``kv-handoff`` failure.  Each case below drives
 one of those branches, asserts the branch fired, that the run passes the
 invariant suite, and that its run fingerprint is unchanged — so the shared
 hand-off pipeline can move between modules without any run drifting.
+
+The WindServe cases also pin their trace and per-request hashes: the
+combined digests moved once, when callback-free transfers stopped
+scheduling a completion event, and only through ``events_processed``.
 """
 
 from __future__ import annotations
@@ -33,9 +37,23 @@ CRASH_CASES = (
     (
         Cell(system="windserve", fault_plan="decode-crash", seed=0, num_requests=60),
         "handoff_deferred",
-        "6cf5be7fe91518f0889fbd4d936f9d8e21893e22c0bbcb8c613932ec2ce8f925",
+        "c03ef978537b7bebdc3ad554db6338b7c217607d715a3ecacac08630fcad9b30",
     ),
 )
+
+# The empty trace's hash: none of these runs records trace rows.
+NO_TRACE = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# Fault plan -> per-request hash of the WindServe case run under it.
+WINDSERVE_REQUESTS = {
+    "decode-crash": "b572b1be26b0d72badb0248fc0bfdcb419d6ac0b7bee3a3ea4313ffa9bfb857e",
+    "pd-outage": "379f1a5b7814bd7d661440c880f8520a3ba86e40b1d8afe0b084014b0fc3e576",
+}
+
+
+def _assert_windserve_parts(fingerprint, case):
+    assert fingerprint.trace_hash == NO_TRACE
+    assert fingerprint.requests_hash == WINDSERVE_REQUESTS[case]
 
 
 @pytest.mark.parametrize(
@@ -48,6 +66,8 @@ def test_crash_reaches_handoff_branch(cell, counter, fingerprint):
     assert run.metrics.counters.get(counter, 0) >= 1
     assert run.violations == []
     assert run.fingerprint.value == fingerprint
+    if cell.system == "windserve":
+        _assert_windserve_parts(run.fingerprint, cell.fault_plan)
 
 
 # A 1 s outage on every prefill<->decode path with a single retry: hand-off
@@ -58,7 +78,7 @@ PD_OUTAGE = FaultPlan(
 
 OUTAGE_FINGERPRINTS = {
     "distserve": "4ce6bb4299054a76c77953121cf0a55af8563376c5711845e54e9d4766cd0fb5",
-    "windserve": "9f671c604825de8e41ad2589afcdfef1535705dad6fcd51d0342516c026fcde0",
+    "windserve": "30fadc7d6f3af996d58047ed3d1c05567c1ba81b75602635c06f21e803c18332",
 }
 
 
@@ -81,4 +101,7 @@ def test_permanent_handoff_failure_reprefills(system):
     assert target.metrics.counters.get("transfer_failed", 0) >= 1
     assert any(r.recompute_count for r in submitted)
     assert check_run(target, submitted) == []
-    assert target.run_fingerprint(workload.rng_registry).value == OUTAGE_FINGERPRINTS[system]
+    fingerprint = target.run_fingerprint(workload.rng_registry)
+    assert fingerprint.value == OUTAGE_FINGERPRINTS[system]
+    if system == "windserve":
+        _assert_windserve_parts(fingerprint, "pd-outage")
