@@ -224,7 +224,7 @@ class Cell:
         return Workload(workload_rows(trace), trace.rng_registry, gpus)
 
     def run(
-        self, workload: Optional["Workload"] = None, trace_tags: Optional[frozenset] = None
+        self, workload: Optional["Workload"] = None, trace_tags: Optional[frozenset[str]] = None
     ) -> "CellRun":
         """Run the cell to completion and check every invariant.
 
@@ -242,7 +242,7 @@ class Cell:
             )
         log = None
         if trace_tags is not None:
-            log = TraceLog(enabled=True, tag_filter=lambda tag: tag in trace_tags)
+            log = TraceLog(enabled=True, tags=trace_tags)
             target.trace = log
             for system in systems_of(target):
                 system.trace = system.transfers.trace = log

@@ -26,7 +26,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.sim.trace import TraceRecord
@@ -145,11 +145,11 @@ def raw_row(time: float, component: str, tag: str, payload: Mapping) -> dict:
 def raw_row_json(time: float, component: str, tag: str, payload: Mapping) -> str:
     """Canonical JSON of one raw trace tuple, rendered in one call.
 
-    This is the trace-enabled hot path: golden and fingerprint runs hash
-    every emitted row.  The keys of the row dict sort as ``c < g < p < t``,
-    so the concatenation below is byte-identical to
-    ``canonical_json(raw_row(...))`` (a property the fingerprint tests pin
-    down).
+    The reference bytes of a trace row: :func:`row_renderer`, which
+    ``TraceLog.fingerprint`` hashes through, must match them.  The keys
+    of the row dict sort as ``c < g < p < t``, so the concatenation
+    below is byte-identical to ``canonical_json(raw_row(...))`` (a
+    property the fingerprint tests pin down).
     """
     return (
         '{"c":'
@@ -164,6 +164,29 @@ def raw_row_json(time: float, component: str, tag: str, payload: Mapping) -> str
     )
 
 
+def row_renderer(head: tuple) -> Callable[[float, Sequence, int], str]:
+    """Renderer of the trace rows sharing one head ``(component, tag, *keys)``.
+
+    ``render(time, values, start)`` returns ``raw_row_json(time, component,
+    tag, payload)`` for the payload whose values sit at ``values[start:]``
+    in key order.  The fixed fragments and the sorted key order are built
+    once per head, so a row costs no dict and no key sort.
+    """
+    component, tag, *keys = head
+    prefix = '{"c":' + _encode(component) + ',"g":' + _encode(tag) + ',"p":{'
+    fields = [(i, _quote(key) + ":") for key, i in sorted((k, i) for i, k in enumerate(keys))]
+
+    def render(time: float, values: Sequence, start: int) -> str:
+        try:
+            body = ",".join([key + _encode(values[start + i]) for i, key in fields])
+        except UnencodableValue:  # re-raise naming the offending key
+            canonical_json(dict(zip(keys, values[start : start + len(keys)])))
+            raise
+        return prefix + body + '},"t":' + _encode_float(time) + "}"
+
+    return render
+
+
 def record_row(record: "TraceRecord") -> dict:
     """Canonical dict form of a :class:`TraceRecord`."""
     return raw_row(record.time, record.component, record.tag, record.payload)
@@ -173,13 +196,13 @@ def fingerprint_records(records: Any) -> str:
     """Digest of an ordered trace stream.
 
     Accepts either an iterable of :class:`TraceRecord` rows or a
-    :class:`~repro.sim.trace.TraceLog`; a log is hashed straight from its
-    raw ``(time, component, tag, payload)`` tuples, skipping both
-    ``TraceRecord`` materialisation and the per-row dict.
+    :class:`~repro.sim.trace.TraceLog`; a log hashes itself straight from
+    its columns (:meth:`~repro.sim.trace.TraceLog.fingerprint`), skipping
+    both ``TraceRecord`` materialisation and the per-row dict.
     """
-    iter_raw = getattr(records, "iter_raw", None)
-    if iter_raw is not None:
-        return digest_lines(raw_row_json(*row) for row in iter_raw())
+    fingerprint = getattr(records, "fingerprint", None)
+    if fingerprint is not None:
+        return fingerprint()
     return digest_lines(canonical_json(record_row(r)) for r in records)
 
 
@@ -313,7 +336,7 @@ def fingerprint_run(
     """Build the composite fingerprint from a run's raw artefacts.
 
     ``records`` may be a :class:`~repro.sim.trace.TraceLog` (preferred —
-    hashes straight from raw tuples) or any iterable of trace records.
+    hashes straight from its columns) or any iterable of trace records.
     """
     return RunFingerprint(
         trace_hash=fingerprint_records(records),

@@ -5,8 +5,8 @@ building the intermediate ``raw_row`` dict; the whole golden store rests
 on the two paths producing identical bytes for every payload the
 simulator can emit — nested dicts, floats (including non-finite), enums,
 numpy scalars, unicode.  Hypothesis hunts for a payload where they split,
-and the TraceLog/fingerprint_records equivalence pins the duck-typed
-``iter_raw`` fast path against the legacy record-list path.
+and the TraceLog/fingerprint_records equivalence pins the log's columnar
+fast path (per-head rendering) against the record-list path.
 """
 
 from __future__ import annotations
