@@ -39,18 +39,18 @@ class VLLMInstance(Instance):
         for request in list(self.prefilling):
             if budget <= 0:
                 break
-            if request.extra.get("chunk_in_flight"):
+            if request.chunk_in_flight:
                 if self._chunk_actually_in_flight(request):
                     continue
                 # Stale marker: no lane is running a chunk for this request
                 # (it was re-queued here after a crash elsewhere with the
                 # flag still set).  Skipping would starve it forever.
-                request.extra.pop("chunk_in_flight", None)
+                request.chunk_in_flight = False
             chunk = min(budget, request.remaining_prefill_tokens)
             if not self.kv.can_extend(request.request_id, chunk):
                 break
             self.kv.extend(request.request_id, chunk)
-            request.extra["chunk_in_flight"] = True
+            request.chunk_in_flight = True
             plan.append((request, chunk))
             prior_context += request.prefilled_tokens
             chunk_tokens += chunk
@@ -68,7 +68,7 @@ class VLLMInstance(Instance):
             request.phase = Phase.PREFILLING
             if request.prefill_start is None:
                 request.prefill_start = self.sim.now
-            request.extra["chunk_in_flight"] = True
+            request.chunk_in_flight = True
             self.prefilling.append(request)
             plan.append((request, chunk))
             chunk_tokens += chunk
@@ -108,7 +108,7 @@ class VLLMInstance(Instance):
         # A request can only wait here with no chunk in flight; drop any
         # stale marker a crash-requeue path failed to clear so the chunking
         # loop cannot skip the request forever.
-        request.extra.pop("chunk_in_flight", None)
+        request.chunk_in_flight = False
         super().enqueue(request)
 
     def _supports_recompute(self) -> bool:
@@ -117,7 +117,7 @@ class VLLMInstance(Instance):
     def _on_batch_complete(self, lane: Lane, batch: Batch) -> None:
         now = self.sim.now
         for request, chunk in batch.meta.get("plan", []):
-            request.extra["chunk_in_flight"] = False
+            request.chunk_in_flight = False
             request.prefilled_tokens += chunk
             if request.prefill_done:
                 self.prefilling.remove(request)

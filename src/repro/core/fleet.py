@@ -172,7 +172,7 @@ class ServingFleet:
     def _gateway_shed(self, request: Request) -> None:
         """Drop an over-rate arrival before it reaches any member."""
         request.phase = Phase.SHED
-        request.extra["shed_time"] = self.sim.now
+        request.shed_time = self.sim.now
         self.metrics.record_shed(request)
         self.metrics.bump("tenant_rate_limited")
         self.metrics.bump(f"tenant_rate_limited[tenant:{request.tenant}]")

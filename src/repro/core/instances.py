@@ -70,13 +70,13 @@ class WindServePrefillInstance(Instance):
         for request in list(self.prefilling):
             if budget <= 0:
                 break
-            if request.extra.get("chunk_in_flight"):
+            if request.chunk_in_flight:
                 continue
             chunk = min(budget, request.remaining_prefill_tokens)
             if not self.kv.can_extend(request.request_id, chunk):
                 break
             self.kv.extend(request.request_id, chunk)
-            request.extra["chunk_in_flight"] = True
+            request.chunk_in_flight = True
             plan.append((request, chunk))
             prior_context += request.prefilled_tokens
             chunk_tokens += chunk
@@ -95,7 +95,7 @@ class WindServePrefillInstance(Instance):
             request.phase = Phase.PREFILLING
             if request.prefill_start is None:
                 request.prefill_start = self.sim.now
-            request.extra["chunk_in_flight"] = True
+            request.chunk_in_flight = True
             self.prefilling.append(request)
             plan.append((request, chunk))
             chunk_tokens += chunk
@@ -149,7 +149,7 @@ class WindServePrefillInstance(Instance):
     def _on_batch_complete(self, lane: Lane, batch: Batch) -> None:
         now = self.sim.now
         for request, chunk in batch.meta.get("plan", []):
-            request.extra["chunk_in_flight"] = False
+            request.chunk_in_flight = False
             request.prefilled_tokens += chunk
             if request.prefill_done:
                 self.prefilling.remove(request)
@@ -270,5 +270,5 @@ class WindServeDecodeInstance(Instance):
         return [
             r
             for r in self.running_requests
-            if r is not exclude and not r.extra.get("migrating")
+            if r is not exclude and not r.migrating
         ]

@@ -116,7 +116,7 @@ class MigrationManager:
             bulk_bytes=bulk_bytes,
         )
         self.active[request.request_id] = state
-        request.extra["migrating"] = True
+        request.migrating = True
         system.metrics.bump("reschedule_started")
         system.trace.emit(
             system.sim.now,
@@ -177,7 +177,7 @@ class MigrationManager:
         if self.active.get(request.request_id) is not state:
             return  # cancelled by a crash or transfer-failure handler
         self.active.pop(request.request_id, None)
-        request.extra.pop("migrating", None)
+        request.migrating = False
         if request.finished:  # defensive: cannot normally finish while paused
             system.prefill_instance.kv.free(request.request_id)
             return
@@ -200,7 +200,7 @@ class MigrationManager:
         """Request finished during the bulk leg: drop the prefill-side copy."""
         request = state.request
         self.active.pop(request.request_id, None)
-        request.extra.pop("migrating", None)
+        request.migrating = False
         self.system.prefill_instance.kv.free(request.request_id)
         self.system.metrics.bump("reschedule_aborted")
 
@@ -220,7 +220,7 @@ class MigrationManager:
         for state in list(self.active.values()):
             request = state.request
             self.active.pop(request.request_id, None)
-            request.extra.pop("migrating", None)
+            request.migrating = False
             if instance is decode:
                 # Source died: the decode-side KV (the authoritative copy)
                 # is gone and the prefill-side copy is incomplete.
@@ -250,7 +250,7 @@ class MigrationManager:
         if self.active.get(request.request_id) is not state:
             return
         self.active.pop(request.request_id, None)
-        request.extra.pop("migrating", None)
+        request.migrating = False
         prefill = system.prefill_instance
         if not prefill.failed and prefill.kv.has(request.request_id):
             prefill.kv.free(request.request_id)

@@ -116,7 +116,7 @@ class WindServeSystem(DisaggregatedSystem):
         )
         # The last layer's KV can only ship after the pass finishes.
         residual = self._residual_transfer_time(nbytes)
-        request.extra["handoff"] = (
+        request.handoff = (
             job.finish + residual,
             self.prefill_instance.epoch,
             self.decode_instance.epoch,
@@ -134,7 +134,7 @@ class WindServeSystem(DisaggregatedSystem):
 
     def complete_handoff(self, request: Request) -> None:
         """Called when a request's prefill finishes on the prefill instance."""
-        state = request.extra.pop("handoff", None)
+        state, request.handoff = request.handoff, None
         if state is None:
             super().complete_handoff(request)
             return
@@ -157,9 +157,9 @@ class WindServeSystem(DisaggregatedSystem):
         """
         if request.finished:
             return
-        request.extra.pop("chunk_in_flight", None)
-        request.extra.pop("handoff", None)
-        request.extra.pop("migrating", None)
+        request.chunk_in_flight = False
+        request.handoff = None
+        request.migrating = False
         prefill = self.prefill_instance
         backed = self.backups.pop(request.request_id, 0)
         if backed and not prefill.failed and prefill.kv.has(request.request_id):
@@ -178,7 +178,7 @@ class WindServeSystem(DisaggregatedSystem):
         prefill.kick()
 
     def _reset_for_requeue(self, request: Request) -> None:
-        if "handoff" in request.extra and self.decode_instance.kv.has(
+        if request.handoff is not None and self.decode_instance.kv.has(
             request.request_id
         ):
             # An async hand-off was mid-flight when the source died:

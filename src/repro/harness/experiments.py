@@ -163,8 +163,8 @@ def prefix_cells(base: Cell) -> dict[str, Cell]:
 
 def prefix_fields(run: CellRun, runs: Runs) -> dict:
     counters = run.metrics.counters
-    warm = _ttfts(run, lambda r: r.extra.get("prefix_cached", 0) > 0)
-    cold = _ttfts(run, lambda r: r.prefix_hash and r.extra.get("prefix_cached", 0) == 0)
+    warm = _ttfts(run, lambda r: r.prefix_cached)
+    cold = _ttfts(run, lambda r: r.prefix_hash and not r.prefix_cached)
     hits, misses = counters.get("prefix_hits", 0), counters.get("prefix_misses", 0)
     return {
         "router": run.cell.fleet_policy,

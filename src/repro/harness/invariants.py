@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
+from repro.kvcache.blocks import BlockLocation
 from repro.serving.audit import audit_request
 from repro.serving.request import TIERS, Phase, Request
 
@@ -179,11 +180,12 @@ def check_prefix_ledger(target, metrics) -> list[str]:
 
 
 def check_kv_lifecycle(system) -> list[str]:
-    """KV freed exactly once per manager, including pools retired by crashes
-    and re-plans, and no block a lane's clock charged left unsettled.
+    """Every KV allocation freed by the drain, on every manager including
+    pools retired by crashes and re-plans, and no block a lane's clock
+    charged left unsettled.  A leak is reported by request id.
 
     A still-warm prefix cache is deliberate residency, not a leak: it is
-    drained here (idempotently) before the freed-exactly-once check runs.
+    drained here (idempotently) before the live-allocation check runs.
     """
     problems = []
     for cache in prefix_caches(system):
@@ -193,16 +195,11 @@ def check_kv_lifecycle(system) -> list[str]:
             (kv, f"retired-kv#{i}") for i, kv in enumerate(instance.retired_kv)
         ]
         for kv, label in managers:
-            unbalanced = {
-                rid: (kv.alloc_events[rid], kv.free_events[rid])
-                for rid in set(kv.alloc_events) | set(kv.free_events)
-                if kv.alloc_events[rid] != kv.free_events[rid]
-            }
-            if unbalanced:
-                sample = dict(sorted(unbalanced.items())[:5])
+            live = sorted(a.request_id for loc in BlockLocation for a in kv.residents(loc))
+            if live:
                 problems.append(
-                    f"{instance.name}/{label}: alloc/free imbalance "
-                    f"(rid -> allocs,frees) {sample}"
+                    f"{instance.name}/{label}: allocations never freed for "
+                    f"{len(live)} rid(s) {live[:5]}"
                 )
             if kv.used_gpu_blocks != 0:
                 problems.append(

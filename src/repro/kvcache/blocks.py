@@ -10,7 +10,6 @@ its GPUs, since KV tensors shard evenly across TP/PP ranks.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 
 from repro.hardware.memory import MemoryPool, OutOfMemoryError
@@ -69,12 +68,9 @@ class KVBlockManager:
         # allocation records yet; :meth:`settle` moves them to theirs.  The
         # pool's used blocks are the allocations' GPU blocks plus these.
         self.charged = 0
-        # Lifecycle audit: how often each request id was allocated/adopted
-        # into this manager and freed out of it, plus frees that found no
-        # allocation.  The differential runner asserts every allocation is
-        # matched by exactly one free at drain.
-        self.alloc_events: Counter[int] = Counter()
-        self.free_events: Counter[int] = Counter()
+        # Frees that found no allocation.  Only ``allocate``/``adopt`` add
+        # to ``_allocations`` (each refusing a live id) and only ``free``
+        # removes, so an id still in it at drain is an unfreed allocation.
         self.redundant_frees: int = 0
 
     # -- introspection -------------------------------------------------------
@@ -139,7 +135,6 @@ class KVBlockManager:
         self._gpu.reserve(blocks)
         alloc = KVAllocation(request_id, tokens, blocks, BlockLocation.GPU)
         self._allocations[request_id] = alloc
-        self.alloc_events[request_id] += 1
         return alloc
 
     def extend(self, request_id: int, new_tokens: int) -> KVAllocation:
@@ -216,7 +211,6 @@ class KVBlockManager:
             return
         pool = self._gpu if alloc.location == BlockLocation.GPU else self._cpu
         pool.release(alloc.blocks)
-        self.free_events[request_id] += 1
 
     def adopt(self, request_id: int, tokens: int, location: BlockLocation) -> KVAllocation:
         """Re-register an allocation carried over from another manager.
@@ -229,7 +223,6 @@ class KVBlockManager:
         pool.reserve(blocks)
         alloc = KVAllocation(request_id, tokens, blocks, location)
         self._allocations[request_id] = alloc
-        self.alloc_events[request_id] += 1
         return alloc
 
     # -- swapping --------------------------------------------------------------

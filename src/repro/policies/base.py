@@ -141,7 +141,7 @@ class PreemptionPolicy:
                 continue
             if TIER_PRIORITY[request.tier] <= rank:
                 continue
-            if request.extra.get("migrating"):
+            if request.migrating:
                 continue
             if best is None or (
                 TIER_PRIORITY[request.tier],

@@ -303,8 +303,8 @@ class FairShareAdmission(NestedCapsAdmission):
        Over budget ⇒ shed this arrival (never another tenant's work).
     2. **Nested tier caps** (degraded mode only): the inherited
        ``NestedCapsAdmission`` logic, unchanged.
-    3. **Stamp**: the WFQ queue key is written to ``request.extra
-       ["fs_key"]``; ``Instance.enqueue`` orders equal-tier work by it.
+    3. **Stamp**: the WFQ queue key is written to ``request.fs_key``;
+       ``Instance.enqueue`` orders equal-tier work by it.
     """
 
     name = "fair-share"
@@ -349,12 +349,12 @@ class FairShareAdmission(NestedCapsAdmission):
         key, start = self.clock_for(system).stamp(
             request.tenant, size, system.sim.now
         )
-        request.extra["fs_key"] = key
-        request.extra["fs_start"] = start
+        request.fs_key = key
+        request.fs_start = start
         return True
 
     def _observe_finish(self, request: Request, instance=None) -> None:
-        start = request.extra.get("fs_start")
+        start = request.fs_start
         if start is not None and self._clock is not None:
             self._clock.record_service(start)
 

@@ -249,7 +249,7 @@ class DisaggregatedSystem(ServingSystem):
         if not request.prefill_done:
             # A copy overlapped with a prefill pass still running: fall back
             # to the blocking hand-off once the pass ends.
-            request.extra.pop("handoff", None)
+            request.handoff = None
             return
         # The hand-off copy never made it: drop both sides and re-prefill.
         self._free_prefill_copy(request)

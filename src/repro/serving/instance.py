@@ -447,14 +447,14 @@ class Instance:
         the exact FCFS order the tier-free goldens pin down.
 
         Fair-share admission stamps a WFQ virtual-time key into
-        ``extra["fs_key"]``; within an equal tier, a keyed request is
+        ``request.fs_key``; within an equal tier, a keyed request is
         inserted ahead of keyed work with a strictly larger key (FIFO on
         ties and against unkeyed work), so tenant fairness orders the
         queue *inside* the tier bands without touching tier priority.
         Key-free runs take the exact pre-existing path.
         """
         rank = TIER_PRIORITY[request.tier]
-        key = request.extra.get("fs_key")
+        key = request.fs_key
         slot = len(self.waiting)
         if key is None:
             while slot > 0 and TIER_PRIORITY[self.waiting[slot - 1].tier] > rank:
@@ -467,7 +467,7 @@ class Instance:
                     slot -= 1
                     continue
                 if ahead_rank == rank:
-                    ahead_key = ahead.extra.get("fs_key")
+                    ahead_key = ahead.fs_key
                     if ahead_key is not None and ahead_key > key:
                         slot -= 1
                         continue
@@ -842,7 +842,7 @@ class Instance:
             return
         if request.finished or not self.kv.has(request.request_id):
             return  # retired or migrated away while the copy was in flight
-        if request.extra.get("migrating") or request.phase == Phase.MIGRATING:
+        if request.migrating or request.phase == Phase.MIGRATING:
             return  # the migration manager owns this request now
         self.start_decoding(request)
         self.trace.emit(self.sim.now, self.name, "swap-in", request_id=request.request_id)
@@ -857,15 +857,16 @@ class Instance:
         shortened-prefill mechanism §3.3 backup re-prefill uses) so the
         batch former only schedules the uncached suffix.  At most one
         attempt per (request, instance): the grant is memoised in
-        ``request.extra`` and a reference is held on the cache entry until
-        :meth:`_settle_prefix` releases it at prefill completion.  Returns
-        the tokens skipped (0 on miss / cache off / no shared prefix).
+        ``request.prefix_cached`` and a reference is held on the cache
+        entry until :meth:`_settle_prefix` releases it at prefill
+        completion.  Returns the tokens skipped (0 on miss / cache off /
+        no shared prefix).
         """
         cache = self.prefix_cache
         if cache is None or request.prefix_hash == 0:
             return 0
-        if "prefix_cached" in request.extra:
-            return request.extra["prefix_cached"]
+        if request.prefix_cached is not None:
+            return request.prefix_cached
         if (
             request.prefilled_tokens
             or request.output_generated
@@ -876,7 +877,7 @@ class Instance:
         if want <= 0:
             return 0
         cached = cache.acquire(request.request_id, request.prefix_hash, want)
-        request.extra["prefix_cached"] = cached
+        request.prefix_cached = cached
         if cached:
             request.prefilled_tokens = cached
             self.metrics.bump("prefix_hits")
@@ -1009,7 +1010,7 @@ class Instance:
             # again wherever it lands.
             for request in lost:
                 self.prefix_cache.release(request.request_id)
-                request.extra.pop("prefix_cached", None)
+                request.prefix_cached = None
         return lost
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

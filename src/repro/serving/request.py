@@ -11,7 +11,7 @@ includes decode queuing, transfer waits, and swap stalls.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -70,7 +70,7 @@ class Phase(enum.Enum):
     SHED = "shed"  # rejected by degraded-mode admission control
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Request:
     """One inference request and its measured lifecycle.
 
@@ -78,6 +78,9 @@ class Request:
     are unique stateful entities, and the hot decode path does membership
     tests against lane run queues — field-by-field ``__eq__`` over a dozen
     mutable attributes was the simulator's single largest cost.
+    ``slots=True`` keeps a request free of a per-instance ``__dict__``: it
+    takes no ad-hoc attributes, and a new lifecycle field needs a reset
+    line in :meth:`reset_for_retry`.
     """
 
     request_id: int
@@ -112,7 +115,17 @@ class Request:
     # pre-prefix recordings.
     prefix_hash: int = 0
     prefix_len: int = 0
-    extra: dict = field(default_factory=dict)
+
+    # Lifecycle markers, written by the serving paths while a request is
+    # in flight; :meth:`reset_for_retry` puts each back to its default.
+    chunk_in_flight: bool = False  # a lane's batch holds a prefill chunk of it
+    migrating: bool = False  # the migration manager is moving its KV
+    handoff: Optional[tuple] = None  # (ready time, prefill epoch, decode epoch)
+    shed_time: Optional[float] = None
+    prefix_cached: Optional[int] = None  # cached prefix tokens; None = not looked up
+    fs_key: Optional[float] = None  # fair-share WFQ queue key
+    fs_start: Optional[float] = None  # fair-share virtual start time
+    retries: int = 0
 
     def __post_init__(self) -> None:
         if self.prompt_tokens < 1:
@@ -172,9 +185,14 @@ class Request:
         self.decode_start = None
         self.finish_time = None
         self.dispatched_prefill = False
-        retries = self.extra.get("retries", 0) + 1
-        self.extra.clear()
-        self.extra["retries"] = retries
+        self.chunk_in_flight = False
+        self.migrating = False
+        self.handoff = None
+        self.shed_time = None
+        self.prefix_cached = None
+        self.fs_key = None
+        self.fs_start = None
+        self.retries += 1
 
     def restart_prefill(self) -> None:
         """Recompute preemption: drop cached KV and schedule a re-prefill

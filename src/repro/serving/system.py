@@ -201,9 +201,9 @@ class ServingSystem:
 
     def _reset_for_requeue(self, request: Request) -> None:
         """Roll a crash-orphaned request back to a clean re-prefill state."""
-        request.extra.pop("chunk_in_flight", None)
-        request.extra.pop("handoff", None)
-        request.extra.pop("migrating", None)
+        request.chunk_in_flight = False
+        request.handoff = None
+        request.migrating = False
         if (
             request.phase is not Phase.WAITING_PREFILL
             or request.prefilled_tokens
@@ -292,7 +292,7 @@ class ServingSystem:
 
     def _shed(self, request: Request) -> None:
         request.phase = Phase.SHED
-        request.extra["shed_time"] = self.sim.now
+        request.shed_time = self.sim.now
         self._release_usage(request)
         self.metrics.record_shed(request)
         # The tier and tenant ride along only when set: tier- and

@@ -130,7 +130,7 @@ class TestStaleChunkMarker:
         replica.kv.allocate(r.request_id, done)
         r.phase = Phase.PREFILLING
         r.prefilled_tokens = done
-        r.extra["chunk_in_flight"] = True
+        r.chunk_in_flight = True
         replica.prefilling.append(r)
 
     def test_enqueue_clears_stale_marker(self):
@@ -139,9 +139,9 @@ class TestStaleChunkMarker:
         system = make_system(kv_override=64)
         replica = system.replicas[0]
         r = request(1, prompt=200, output=3)
-        r.extra["chunk_in_flight"] = True  # left over from a crashed replica
+        r.chunk_in_flight = True  # left over from a crashed replica
         replica.enqueue(r)
-        assert "chunk_in_flight" not in r.extra
+        assert r.chunk_in_flight is False
         assert r in replica.waiting
 
     def test_form_batch_unsticks_stale_marker(self):
@@ -168,7 +168,7 @@ class TestStaleChunkMarker:
         assert replica._chunk_actually_in_flight(r)
         again = replica._form_batch(lane)
         assert again is None or r not in again.prefill_requests
-        assert r.extra.get("chunk_in_flight")  # marker untouched
+        assert r.chunk_in_flight  # marker untouched
 
 
 class TestAccounting:

@@ -37,13 +37,13 @@ class TestResetForRetry:
         assert r.prefilled_tokens == 0
         assert r.output_generated == 0
         assert r.first_token_time is None
-        assert r.extra["retries"] == 1
+        assert r.retries == 1
 
     def test_retry_count_accumulates(self):
         r = Request(1, 10, 10, 0.0)
         r.reset_for_retry()
         r.reset_for_retry()
-        assert r.extra["retries"] == 2
+        assert r.retries == 2
 
 
 class TestFailover:
@@ -65,7 +65,7 @@ class TestFailover:
         fleet.sim.schedule(3.0, fleet.fail_member, 0)
         fleet.sim.run_until_idle()
         assert fleet.retried > 0
-        assert any(r.extra.get("retries") for r in t)
+        assert any(r.retries for r in t)
 
     def test_failed_member_receives_no_new_traffic(self):
         fleet = make_fleet()

@@ -65,6 +65,12 @@ def leaked_retired_pool():
     return check_kv_lifecycle(system)
 
 
+def leaked_allocation():
+    system = Cell(num_requests=8).run().target
+    system.instances[0].kv.allocate(4242, 100)  # a request's KV nobody freed
+    return check_kv_lifecycle(system)
+
+
 def unsettled_charge():
     system = Cell(num_requests=8).run().target
     system.instances[-1].kv.charge(1)  # a boundary block no lane wrote back
@@ -129,7 +135,11 @@ CASES = {
         "not finished",
     ),
     "prefix-ledger": (unbalanced_prefix_ledger, "!= index ledger"),
-    "kv-lifecycle-retired-pool": (leaked_retired_pool, "retired-kv#0"),
+    "kv-lifecycle-leak": (leaked_allocation, "/kv: allocations never freed for 1 rid(s) [4242]"),
+    "kv-lifecycle-retired-pool": (
+        leaked_retired_pool,
+        "retired-kv#0: allocations never freed for 1 rid(s) [7]",
+    ),
     "kv-lifecycle-charged": (unsettled_charge, "charged KV blocks never settled"),
     "drained": (stuck_waiting, "stuck waiting"),
     "fleet-recovered": (

@@ -99,14 +99,14 @@ def test_block_accounting_matches_live_allocations(ops):
 
 @settings(max_examples=200, deadline=None)
 @given(ops=OPS)
-def test_lifecycle_counters_balance_after_full_teardown(ops):
-    """Every allocation is freed exactly once once all ids are freed."""
+def test_no_allocation_live_after_full_teardown(ops):
+    """Freeing every id leaves no allocation live, in either pool."""
     kv = _manager()
     for op, rid, tokens in ops:
         _apply(kv, op, rid, tokens)
     for rid in range(8):
         kv.free(rid)
-    assert kv.alloc_events == kv.free_events
+    assert not kv.residents(BlockLocation.GPU) and not kv.residents(BlockLocation.CPU)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,9 +2,14 @@
 
 Hypothesis drives random operation sequences against a reference model of
 the manager (plain dicts), checking the two stay equivalent and the pool
-invariants hold at every step."""
+invariants hold at every step.  A second, event-counting model tallies
+the allocations and frees that succeed per id; its balance equals
+``KVBlockManager.has`` after every step, which is why the manager keeps no
+per-id event counters of its own."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -32,6 +37,10 @@ class KVMachine(RuleBasedStateMachine):
         # blocks charged for crossings no allocation records yet.
         self.model: dict[int, tuple[int, str]] = {}
         self.charged = 0
+        # Alloc/free model: successful allocations (allocate, adopt, extend
+        # of an unknown id) and frees that found an allocation, per id.
+        self.allocs: Counter[int] = Counter()
+        self.frees: Counter[int] = Counter()
 
     # -- helpers --------------------------------------------------------------
 
@@ -39,6 +48,9 @@ class KVMachine(RuleBasedStateMachine):
         return sum(
             -(-tokens // BLOCK) for tokens, loc in self.model.values() if loc == "gpu"
         )
+
+    def model_balance(self, rid: int) -> int:
+        return self.allocs[rid] - self.frees[rid]
 
     def model_cpu_blocks(self) -> int:
         return sum(
@@ -53,6 +65,7 @@ class KVMachine(RuleBasedStateMachine):
             self.kv.allocate(rid, tokens)
             assert rid not in self.model
             self.model[rid] = (tokens, "gpu")
+            self.allocs[rid] += 1
         except ValueError:
             assert rid in self.model
         except OutOfMemoryError:
@@ -66,6 +79,7 @@ class KVMachine(RuleBasedStateMachine):
             self.kv.extend(rid, tokens)
             if entry is None:
                 self.model[rid] = (tokens, "gpu")
+                self.allocs[rid] += 1
             else:
                 assert entry[1] == "gpu"
                 self.model[rid] = (entry[0] + tokens, "gpu")
@@ -126,9 +140,32 @@ class KVMachine(RuleBasedStateMachine):
             expected = needed <= self.kv.free_gpu_blocks
         assert self.kv.can_extend(rid, tokens) == expected
 
+    @rule(rid=st.integers(0, 15), tokens=st.integers(1, 300), to_gpu=st.booleans())
+    def adopt(self, rid, tokens, to_gpu):
+        location = BlockLocation.GPU if to_gpu else BlockLocation.CPU
+        try:
+            self.kv.adopt(rid, tokens, location)
+            assert rid not in self.model
+            self.model[rid] = (tokens, "gpu" if to_gpu else "cpu")
+            self.allocs[rid] += 1
+        except ValueError:
+            assert rid in self.model
+        except OutOfMemoryError:
+            free = (
+                self.kv.free_gpu_blocks
+                if to_gpu
+                else self.kv.cpu_capacity_blocks - self.model_cpu_blocks()
+            )
+            assert -(-tokens // BLOCK) > free
+
     @rule(rid=st.integers(0, 15))
     def free(self, rid):
+        redundant = self.kv.redundant_frees
         self.kv.free(rid)
+        if self.kv.redundant_frees == redundant:
+            self.frees[rid] += 1
+        else:
+            assert self.kv.redundant_frees == redundant + 1
         self.model.pop(rid, None)
 
     @precondition(lambda self: any(loc == "gpu" for _, loc in self.model.values()))
@@ -185,6 +222,11 @@ class KVMachine(RuleBasedStateMachine):
             BlockLocation.CPU
         ):
             assert alloc.blocks == -(-alloc.tokens // BLOCK)
+
+    @invariant()
+    def alloc_free_balance_is_liveness(self):
+        for rid in range(16):  # every id the rules draw
+            assert self.model_balance(rid) == self.kv.has(rid), rid
 
     @invariant()
     def no_phantom_allocations(self):

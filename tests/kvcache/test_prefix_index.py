@@ -15,7 +15,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvcache.blocks import KVBlockManager
+from repro.kvcache.blocks import BlockLocation, KVBlockManager
 from repro.kvcache.prefix import PrefixCacheIndex
 
 GPU_TOKENS = 4096
@@ -93,9 +93,7 @@ def test_prefix_index_properties(ops):
     index.drain()
     kv = index.kv
     assert kv.used_gpu_blocks == 0
-    assert set(kv.alloc_events) == set(kv.free_events)
-    for rid in kv.alloc_events:
-        assert kv.alloc_events[rid] == kv.free_events[rid]
+    assert not kv.residents(BlockLocation.GPU) and not kv.residents(BlockLocation.CPU)
     assert kv.redundant_frees == 0
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import pytest
 
 from repro.serving.request import Phase, Request
@@ -84,3 +87,54 @@ class TestMetrics:
         r = make_request(arrival_time=5.0)
         r.finish_time = 25.0
         assert r.end_to_end_latency == pytest.approx(20.0)
+
+
+#: Every lifecycle marker the serving paths write, with a non-default value.
+LIFECYCLE = {
+    "chunk_in_flight": True,
+    "migrating": True,
+    "handoff": (3.5, 1, 2),
+    "shed_time": 4.0,
+    "prefix_cached": 32,
+    "fs_key": 7.25,
+    "fs_start": 6.0,
+}
+
+
+class TestLifecycleFields:
+    def test_reset_for_retry_restores_every_marker(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(Request)}
+        r = make_request()
+        for retry in (1, 2, 3):
+            for name, value in LIFECYCLE.items():
+                setattr(r, name, value)
+            r.reset_for_retry()
+            for name in LIFECYCLE:
+                assert getattr(r, name) == defaults[name], name
+            assert r.retries == retry
+
+    def test_requests_take_no_ad_hoc_attributes(self):
+        r = make_request()
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(AttributeError):
+            r.scratch = {}
+
+    def test_marked_requests_stay_compact(self):
+        """10,000 requests with a chunk marker and a fair-share key hold
+        their slots and nothing else: no per-request dict."""
+        n = 10_000
+        ids = list(range(n))
+        arrivals = [i * 0.01 for i in ids]
+        keys = [i * 0.5 for i in ids]
+        requests = [None] * n
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in ids:
+                r = requests[i] = Request(i, 100, 10, arrivals[i])
+                r.chunk_in_flight = True
+                r.fs_key = keys[i]
+            per_request = (tracemalloc.get_traced_memory()[0] - before) / n
+        finally:
+            tracemalloc.stop()
+        assert per_request <= 280, f"{per_request:.0f} B per request"
