@@ -41,7 +41,7 @@ from repro.policies.fairshare import TenantRateLimiter
 from repro.policies.routing import ROUTING_POLICIES, member_load as _member_load
 from repro.serving.metrics import MetricsCollector
 from repro.serving.placement import GpuLedger, Placement, bind_placement
-from repro.serving.request import Phase, Request, tier_ordered
+from repro.serving.request import Phase, Request, arrival_time, tier_ordered
 from repro.serving.system import ServingSystem, SystemConfig
 from repro.sim.engine import Simulator
 from repro.sim.fingerprint import RunFingerprint, fingerprint_run
@@ -405,11 +405,9 @@ class ServingFleet:
     # -- running ----------------------------------------------------------------
 
     def load_workload(self, requests: Iterable[Request]) -> int:
-        n = 0
-        for request in requests:
-            self.sim.call_at(request.arrival_time, self.submit, request)
-            n += 1
-        return n
+        """Stream a batch of requests into the shared simulator as
+        arrivals, in (arrival time, input order)."""
+        return self.sim.feed(sorted(requests, key=arrival_time), self.submit, arrival_time)
 
     def run_to_completion(self, requests: Iterable[Request]) -> MetricsCollector:
         self.load_workload(requests)

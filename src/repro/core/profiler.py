@@ -37,9 +37,10 @@ class Profiler:
         max_tokens = max_prefill_tokens or spec.max_context
 
         # Offline profiling pass: prefill grid -> quadratic fit.
-        grid = np.unique(
-            np.clip(np.geomspace(16, max_tokens, num=24).astype(int), 1, max_tokens)
-        )
+        # Sorted distinct token counts.  Not np.unique: on numpy 2.x it
+        # imports numpy.ma, which every system build would then pay for.
+        raw = np.clip(np.geomspace(16, max_tokens, num=24).astype(int), 1, max_tokens)
+        grid = np.array(sorted(set(raw.tolist())))
         prefill_times = np.array([latency_model.prefill(int(n)).duration for n in grid])
         design = np.stack([grid.astype(float), grid.astype(float) ** 2, np.ones_like(grid, dtype=float)], axis=1)
         coeffs, *_ = np.linalg.lstsq(design, prefill_times, rcond=None)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 
@@ -54,6 +55,10 @@ def tier_ordered(requests):
     workloads keep their original order exactly (byte-identical goldens).
     """
     return sorted(requests, key=lambda r: TIER_PRIORITY[r.tier])
+
+
+#: Sort key and feed clock of a workload's arrivals.
+arrival_time = attrgetter("arrival_time")
 
 
 class Phase(enum.Enum):

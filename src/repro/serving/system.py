@@ -26,6 +26,7 @@ from repro.serving.request import (
     DEFAULT_TIER,
     Phase,
     Request,
+    arrival_time,
     tier_ordered,
 )
 from repro.sim.engine import Simulator
@@ -358,12 +359,12 @@ class ServingSystem:
     # -- running -------------------------------------------------------------------
 
     def load_workload(self, requests: Iterable[Request]) -> int:
-        """Schedule arrival events for a batch of requests."""
-        n = 0
-        for request in requests:
-            self.sim.call_at(request.arrival_time, self._arrive, request)
-            n += 1
-        return n
+        """Stream a batch of requests into the simulator as arrivals.
+
+        They fire in (arrival time, input order), as one scheduled event
+        each would; see :meth:`~repro.sim.engine.Simulator.feed`.
+        """
+        return self.sim.feed(sorted(requests, key=arrival_time), self._arrive, arrival_time)
 
     def _arrive(self, request: Request) -> None:
         self.submitted += 1

@@ -15,6 +15,12 @@ events through this loop):
   O(n)), but the simulator keeps an exact count of pending tombstones so
   idle checks are O(1) and the heap is compacted wholesale when tombstones
   dominate, instead of scanning for them.
+* :meth:`Simulator.feed` streams a time-sorted batch (a workload's
+  arrivals) into the loop: only its earliest unfired item sits in the heap,
+  and the rest cost about 16 bytes each (a list slot and a float in an
+  ``array('d')``) instead of an ``Event``, a heap tuple and an args tuple
+  (~300 bytes).  The batch's seq numbers are reserved up front, so the
+  firing order is exactly that of one :meth:`Simulator.call_at` per item.
 * :meth:`Simulator.advance_inline` lets a callback fold what would have
   been a chain of schedule→pop→fire cycles into its own stack frame while
   preserving the observable contract — the clock arithmetic, the
@@ -27,9 +33,11 @@ events through this loop):
 from __future__ import annotations
 
 import heapq
-import itertools
+from array import array
+from itertools import islice
 from math import inf, nextafter
-from typing import Any, Callable, Optional
+from operator import gt
+from typing import Any, Callable, Iterable, Optional
 
 
 class SimulationError(RuntimeError):
@@ -108,7 +116,10 @@ class Simulator:
         # Heap of (time, seq, Event): comparisons stay on the C fast path
         # and never reach the Event object because seq is unique.
         self._heap: list[tuple[float, int, Event]] = []
-        self._seq = itertools.count()
+        # Next free tie-breaking seq; feed() reserves a block of them.
+        self._seq = 0
+        # Items handed to feed() that are not in the heap yet.
+        self._unfed = 0
         self._events_processed = 0
         self._running = False
         self._cancelled_pending = 0
@@ -130,13 +141,16 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still in the heap (including cancelled ones)."""
-        return len(self._heap)
+        """Number of events still to pop: the heap (cancelled ones
+        included) plus fed items not pushed yet, so it reads as if every
+        fed item had been scheduled with :meth:`call_at`."""
+        return len(self._heap) + self._unfed
 
     @property
     def live_events(self) -> int:
-        """Number of schedulable (not cancelled) events still in the heap."""
-        return len(self._heap) - self._cancelled_pending
+        """Number of schedulable (not cancelled) events, fed items not
+        pushed yet included."""
+        return len(self._heap) + self._unfed - self._cancelled_pending
 
     def digest(self) -> dict:
         """Terminal-state summary folded into run fingerprints.
@@ -173,16 +187,66 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f} before current time t={self._now:.6f}"
             )
-        event = Event(time, next(self._seq), fn, args, kwargs or None, self)
-        heapq.heappush(self._heap, (time, event.seq, event))
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, fn, args, kwargs or None, self)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
+
+    def feed(
+        self, items: Iterable[Any], fn: Callable[[Any], None], time_of: Callable[[Any], float]
+    ) -> int:
+        """Fire ``fn(item)`` at ``time_of(item)`` for each item, in order.
+
+        Observably the same as ``for item in items: call_at(time_of(item),
+        fn, item)``: the items take ``len(items)`` consecutive seq numbers
+        now, so ties among them and with other events break as before, and
+        :attr:`pending_events`, :attr:`live_events` and
+        :meth:`inline_window` read the same at every instant.  Only the
+        earliest unfired item is in the heap; when it fires, the next one
+        is pushed *before* ``fn`` runs.  The items must be in
+        non-decreasing time order and none before :attr:`now`
+        (:class:`SimulationError` otherwise); times are kept as floats.
+        Fed items cannot be cancelled.  Returns the number of items.
+        """
+        items = list(items)
+        times = array("d", map(time_of, items))
+        n = len(items)
+        if not n:
+            return 0
+        if times[0] < self._now:
+            raise SimulationError(
+                f"cannot feed at t={times[0]:.6f} before current time t={self._now:.6f}"
+            )
+        if any(map(gt, times, islice(times, 1, None))):
+            k = next(k for k in range(1, n) if times[k] < times[k - 1])
+            raise SimulationError(
+                f"fed item {k} at t={times[k]:.6f} precedes item {k - 1} "
+                f"at t={times[k - 1]:.6f}"
+            )
+        first = self._seq
+        self._seq = first + n
+        self._unfed += n - 1
+        heap = self._heap
+        push = heapq.heappush
+
+        def fire(k: int) -> None:
+            nxt = k + 1
+            if nxt < n:
+                self._unfed -= 1
+                time, seq = times[nxt], first + nxt
+                push(heap, (time, seq, Event(time, seq, fire, (nxt,), None, self)))
+            fn(items[k])
+
+        push(heap, (times[0], first, Event(times[0], first, fire, (0,), None, self)))
+        return n
 
     def _note_cancelled(self) -> None:
         """Bookkeeping hook called by :meth:`Event.cancel`."""
         self._cancelled_pending += 1
         if (
             self._cancelled_pending >= self._COMPACT_MIN_TOMBSTONES
-            and self._cancelled_pending * 2 > len(self._heap)
+            and self._cancelled_pending * 2 > len(self._heap) + self._unfed
         ):
             self._compact()
 

@@ -115,3 +115,43 @@ class TestAssistBudget:
         loose = profiler.find_assist_budget(scm, 0.2)
         tight = profiler.find_assist_budget(scm, 0.03)
         assert loose >= tight
+
+
+class TestPrefillGrid:
+    @pytest.mark.parametrize("max_tokens", [None, 40, 300, 2048])
+    def test_fit_equals_the_np_unique_fit(self, latency, max_tokens):
+        """The de-duplicated grid is built without ``np.unique``; the
+        fitted coefficients must be bit-identical to a fit over it
+        (small caps clip many grid points onto the same count)."""
+        import numpy as np
+
+        cap = max_tokens or latency.spec.max_context
+        grid = np.unique(np.clip(np.geomspace(16, cap, num=24).astype(int), 1, cap))
+        times = np.array([latency.prefill(int(n)).duration for n in grid])
+        g = grid.astype(float)
+        design = np.stack([g, g**2, np.ones_like(g)], axis=1)
+        expected = tuple(float(c) for c in np.linalg.lstsq(design, times, rcond=None)[0])
+        fitted = Profiler(latency, max_prefill_tokens=max_tokens)
+        assert (fitted.a_p, fitted.b_p, fitted.c_p) == expected
+
+    def test_system_build_does_not_import_numpy_ma(self):
+        """``np.unique`` imports ``numpy.ma`` on numpy 2.x; building a
+        WindServe cell must not pay for it."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        probe = (
+            "import sys\n"
+            "from repro.harness.cell import Cell\n"
+            "from repro.harness.runner import build_system\n"
+            "build_system(Cell(system='windserve', model='opt-13b'))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "False"

@@ -229,14 +229,24 @@ def test_pins_match_with_lanes_synced_after_every_event(pin, monkeypatch):
 
         return make
 
+    def fired(fn):
+        def fire(*a, **k):
+            synced["fired"] += 1
+            fn(*a, **k)
+            sync_all()
+
+        return fire
+
     def call_at(original):
         def wrapper(sim, time, fn, *args, **kwargs):
-            def fire(*a, **k):
-                synced["fired"] += 1
-                fn(*a, **k)
-                sync_all()
+            return original(sim, time, fired(fn), *args, **kwargs)
 
-            return original(sim, time, fire, *args, **kwargs)
+        return wrapper
+
+    def feed(original):
+        # Fed items (a workload's arrivals) fire without passing call_at.
+        def wrapper(sim, items, fn, time_of):
+            return original(sim, items, fired(fn), time_of)
 
         return wrapper
 
@@ -253,13 +263,14 @@ def test_pins_match_with_lanes_synced_after_every_event(pin, monkeypatch):
         (Lane, "__init__", init(lanes)),
         (Simulator, "__init__", init(sims)),
         (Simulator, "call_at", call_at),
+        (Simulator, "feed", feed),
         (Simulator, "advance_inline", advance_inline),
     ):
         monkeypatch.setattr(cls, name, make(cls.__dict__[name]))
     (diff,) = check_goldens(GOLDEN_DIR, only=[pin])
     assert diff.passed, "\n".join(diff.messages)
     assert synced["members"] > 0
-    # Every callback the clocks counted went through one of the two
+    # Every callback the clocks counted went through one of the
     # wrappers: a loop that moved a clock by other means would skip the
     # syncs above without any pin noticing.
     assert synced["fired"] + synced["inline"] == sum(sim.events_processed for sim in sims)

@@ -10,11 +10,16 @@ implementation built on nothing but ``heapq`` over ``(time, seq)`` pairs.
 from __future__ import annotations
 
 import heapq
+import tracemalloc
+from math import inf, nextafter
+from operator import itemgetter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
+from tests.conftest import search_depth
 
 # One scripted action:
 #   ("schedule", delay)    — schedule an event `delay` seconds after *schedule
@@ -212,3 +217,192 @@ def test_cancel_after_fire_is_noop():
     assert sim.live_events == 1
     sim.run_until_idle()
     assert fired == ["x", "y"]
+
+
+# -- Simulator.feed ------------------------------------------------------------
+#
+# ``feed(items, fn, time_of)`` must be indistinguishable from one
+# ``call_at(time_of(item), fn, item)`` per item.  The differential test
+# plays one random script on two simulators, one feeding and one calling
+# ``call_at`` per item, and compares everything a callback can observe.
+
+OFFSETS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5])
+FEED = st.lists(OFFSETS, min_size=1, max_size=8)
+# Run before the loop starts or from inside a callback (where a 0.0
+# schedule is a zero-delay event and a feed starts at ``now``).
+OP = st.one_of(
+    st.tuples(st.just("schedule"), OFFSETS),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+    st.tuples(st.just("feed"), FEED),
+)
+SCRIPTS = st.fixed_dictionaries(
+    {
+        "first_feed": FEED,
+        "setup": st.lists(OP, max_size=10),
+        # fire index -> what that callback does
+        "plan": st.dictionaries(st.integers(0, 25), st.lists(OP, max_size=3), max_size=10),
+        # (until, max_events) of each run() before the final drain
+        "splits": st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5])),
+                st.one_of(st.none(), st.integers(0, 4)),
+            ),
+            max_size=4,
+        ),
+    }
+)
+
+
+def _play(script, use_feed: bool) -> list:
+    """Run ``script`` and return everything it could observe, in order."""
+    sim = Simulator()
+    sim._COMPACT_MIN_TOMBSTONES = 2
+    log: list = []
+    handles = []  # Events from schedule(), the cancellable ones
+    fired = [0]
+    feeds = [0]
+
+    def observe(label) -> None:
+        log.append(
+            ("fire", label, sim.now, sim.pending_events, sim.live_events,
+             sim.inline_window(), sim._seq)
+        )
+        index = fired[0]
+        fired[0] += 1
+        for op in script["plan"].get(index, ()):
+            apply(op)
+
+    def apply(op) -> None:
+        kind, value = op
+        if kind == "schedule":
+            event = sim.schedule(value, observe, ("event", len(handles)))
+            handles.append(event)
+            log.append(("seq", event.seq))
+        elif kind == "cancel" and handles:
+            handles[value % len(handles)].cancel()
+        elif kind == "feed":
+            feed = feeds[0]
+            feeds[0] += 1
+            items = [
+                (("item", feed, i), t)
+                for i, t in enumerate(sorted(sim.now + offset for offset in value))
+            ]
+            if use_feed:
+                assert sim.feed(items, lambda item: observe(item[0]), itemgetter(1)) == len(items)
+            else:
+                for label, time in items:
+                    sim.call_at(time, observe, label)
+        log.append(("after", kind, sim.pending_events, sim.live_events, sim._seq))
+
+    apply(("feed", script["first_feed"]))
+    for op in script["setup"]:
+        apply(op)
+    for until, max_events in script["splits"]:
+        sim.run(until=until, max_events=max_events)
+        log.append(("return", sim.now, sim.pending_events, sim.live_events, sim.events_processed))
+    sim.run_until_idle()
+    log.append(("idle", sim.now, sim.pending_events, sim.live_events, sim.events_processed))
+    return log
+
+
+@settings(max_examples=search_depth(200), deadline=None)
+@given(SCRIPTS)
+def test_feed_is_indistinguishable_from_call_at_per_item(script):
+    """Firing order, handle seqs, the next free seq, ``pending_events``,
+    ``live_events`` and ``inline_window()`` read inside every callback
+    match, across ties, zero-delay events, cancels with compaction,
+    ``until``/``max_events`` splits and several feeds on one simulator."""
+    fed = _play(script, use_feed=True)
+    assert fed == _play(script, use_feed=False)
+    assert sum(1 for entry in fed if entry[0] == "fire") >= len(script["first_feed"])
+
+
+def test_feed_ties_with_scheduled_events_follow_the_reserved_seqs():
+    """Items fed before an event at the same instant fire first; an event
+    scheduled earlier at that instant fires before them."""
+    sim = Simulator()
+    order: list = []
+    sim.call_at(1.0, order.append, "before")
+    sim.feed(["a", "b", "c"], order.append, lambda item: 1.0)
+    sim.call_at(1.0, order.append, "after")
+    assert sim.pending_events == 5
+    assert len(sim._heap) == 3
+    sim.run_until_idle()
+    assert order == ["before", "a", "b", "c", "after"]
+
+
+def test_feed_pushes_the_next_item_before_its_callback_runs():
+    sim = Simulator()
+    seen = []
+    sim.feed([1.0, 2.0], lambda t: seen.append((sim.inline_window(), sim.pending_events)), float)
+    sim.run()
+    assert seen == [((nextafter(2.0, -inf), inf), 1), ((inf, inf), 0)]
+
+
+def test_unsorted_feed_is_refused_untouched():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError, match="precedes"):
+        sim.feed([1.0, 3.0, 2.0], lambda t: None, float)
+    assert (sim.pending_events, len(sim._heap), sim._seq) == (1, 1, 1)
+
+
+def test_feed_before_now_is_refused():
+    sim = Simulator()
+    sim.schedule(2.0, lambda: None)
+    sim.run_until_idle()
+    with pytest.raises(SimulationError, match="before current time"):
+        sim.feed([1.0, 3.0], lambda t: None, float)
+    assert sim.pending_events == 0
+    assert sim.feed([], lambda t: None, float) == 0
+
+
+def test_load_workload_fires_unsorted_input_in_time_then_input_order():
+    from tests.core.test_windserve import make_system, request
+
+    times = [2.0, 1.0, 0.5, 1.0, 0.5, 2.0, 0.0]
+    requests = [request(i, arrival=t) for i, t in enumerate(times)]
+    expected = sorted(range(len(times)), key=lambda i: (times[i], i))
+
+    system = make_system()
+    order: list = []
+    arrive = system._arrive
+    system._arrive = lambda r: (order.append((system.sim.now, r.request_id)), arrive(r))
+    assert system.load_workload(requests) == len(requests)
+    system.sim.run_until_idle()
+    assert order == [(times[i], i) for i in expected]
+    assert all(r.finished for r in requests)
+
+
+def test_fleet_load_workload_fires_unsorted_input_in_time_then_input_order():
+    from tests.core.test_fleet import make_fleet
+    from tests.core.test_windserve import request
+
+    times = [1.5, 0.25, 1.5, 0.25, 0.0]
+    requests = [request(i, arrival=t) for i, t in enumerate(times)]
+    fleet = make_fleet()
+    order: list = []
+    submit = fleet.submit
+    fleet.submit = lambda r: (order.append(r.request_id), submit(r))
+    fleet.run_to_completion(requests)
+    assert order == sorted(range(len(times)), key=lambda i: (times[i], i))
+
+
+def test_loaded_arrivals_hold_little_memory():
+    """Loaded-but-unfired arrivals cost a list slot and a float each, and
+    only the first sits in the heap (~308 B each as scheduled events)."""
+    from tests.core.test_windserve import make_system, request
+
+    n = 10_000
+    system = make_system()
+    requests = [request(i, arrival=0.001 * (n - i)) for i in range(n)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        system.load_workload(requests)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / n <= 32, f"{held / n:.1f} B per loaded request"
+    assert len(system.sim._heap) == 1
+    assert system.sim.pending_events == system.sim.live_events == n
