@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.perf.roofline import BatchTiming
 from repro.serving.batching import Batch
 from repro.serving.disaggregated import DisaggregatedSystem
 from repro.serving.instance import Instance, Lane
@@ -90,10 +89,6 @@ class DistServeDecodeInstance(Instance):
             return None
         kind, duration, timing = self._decode_pass(lane)
         return Batch(kind, duration, decode_requests=list(lane.running), timing=timing)
-
-    def _decode_pass(self, lane: Lane) -> tuple[str, float, BatchTiming]:
-        timing = self.latency.decode(len(lane.running), lane.context_tokens)
-        return "decode", timing.duration, timing
 
     def _on_batch_complete(self, lane: Lane, batch: Batch) -> None:
         self.finish_decode_iteration(lane, batch)

@@ -14,6 +14,7 @@ from collections import deque
 from typing import Optional
 
 from repro.models.parallelism import ParallelConfig
+from repro.perf.roofline import BatchTiming
 from repro.serving.batching import Batch
 from repro.serving.instance import Instance, Lane
 from repro.serving.placement import plan_colocated_placement
@@ -95,6 +96,12 @@ class VLLMInstance(Instance):
             timing=timing,
             meta={"plan": plan},
         )
+
+    def _decode_pass(self, lane: Lane) -> Optional[tuple[str, float, BatchTiming]]:
+        if self.prefilling:
+            return None  # the next batch may fold a prefill chunk in
+        # With no chunk, _form_batch prices hybrid(0, b, ctx): a plain pass.
+        return super()._decode_pass(lane)
 
     def _chunk_actually_in_flight(self, request: Request) -> bool:
         """True when some lane's in-flight batch holds a chunk of ``request``."""

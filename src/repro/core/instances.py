@@ -146,6 +146,12 @@ class WindServePrefillInstance(Instance):
             meta={"plan": plan},
         )
 
+    def _decode_pass(self, lane: Lane) -> Optional[tuple[str, float, BatchTiming]]:
+        if self.prefilling:
+            return None  # the next batch may fold a prefill chunk in
+        # With no chunk, _form_batch prices hybrid(0, b, ctx): a plain pass.
+        return super()._decode_pass(lane)
+
     def _on_batch_complete(self, lane: Lane, batch: Batch) -> None:
         now = self.sim.now
         for request, chunk in batch.meta.get("plan", []):

@@ -139,6 +139,21 @@ class Lane:
     def __contains__(self, request: Request) -> bool:
         return request in self.members
 
+    def launch(self, batch: Batch, until: float) -> None:
+        """Start ``batch``, which runs until ``until``.  A batch with decode
+        members is over every current member of the lane (see :meth:`add`)."""
+        self.busy = True
+        self.current_batch = batch
+        self.busy_until = until
+        if batch.decode_requests:
+            self._batch_end = self._next_key
+
+    def land(self) -> None:
+        """The batch in flight is over: its results are applied next, or
+        died with the node."""
+        self.busy = False
+        self.current_batch = None
+
     def add(self, request: Request) -> None:
         key = self._left.pop(request, None)
         if key is None:
@@ -516,13 +531,7 @@ class Instance:
     def _begin_batch(self, lane: Lane, batch: Batch, duration: float) -> None:
         """Batch-launch bookkeeping shared by the scheduled and inline paths."""
         now = self.sim.now
-        lane.busy = True
-        lane.current_batch = batch
-        lane.busy_until = now + duration
-        decode_batch = len(batch.decode_requests)
-        if decode_batch:
-            # A decode batch over every current member of the lane launched.
-            lane._batch_end = lane._next_key
+        lane.launch(batch, now + duration)
         timing = batch.timing
         if timing is not None:
             self.metrics.record_batch(
@@ -535,82 +544,36 @@ class Instance:
                 "batch-start",
                 kind=batch.kind,
                 prefill_tokens=batch.prefill_tokens,
-                decode_batch=decode_batch,
+                decode_batch=len(batch.decode_requests),
                 duration=duration,
             )
 
     def _complete(self, lane: Lane, batch: Batch, epoch: Optional[int] = None) -> None:
         if epoch is not None and epoch != self.epoch:
             return  # launched before a crash; the results died with the node
-        lane.busy = False
-        lane.current_batch = None
+        lane.land()
         if self.halted or self.failed:
             return  # the node died mid-batch; results are lost
         self._on_batch_complete(lane, batch)
-        self._drain_inline(lane)
+        self._decode_run(lane)
         self.kick()
 
-    def _drain_inline(self, lane: Lane) -> None:
-        """Run this lane's next batches inside the current callback frame.
+    def _decode_run(self, lane: Lane) -> None:
+        """Run ``lane``'s next plain decode iterations inside the completing
+        event's frame.
 
         Steady-state decode is one completion event per iteration; at scale
-        that dominates the heap.  This loop folds consecutive iterations of
-        a single lane into the completing event, *only* when doing so is
-        provably indistinguishable from scheduling:
+        that dominates the heap.  This loop folds consecutive iterations
+        into the frame *only* while the next one is provably
+        indistinguishable from scheduling it:
 
-        * the instance could immediately start this lane's next batch
-          anyway (not halted, nothing swapped out, every other lane
-          busy — so the ensuing ``kick()`` would reach ``_form_batch`` for
-          exactly this lane with no other side effects), and
-        * the batch completes inside the simulator's inline window: before
-          any other pending event, within the run horizon and the event
-          budget (:meth:`Simulator.inline_window`).
-
-        A plain decode pass (nothing joins from ``waiting``, the lane has
-        members, :meth:`_decode_pass` prices it) starts a *decode run*
-        (:meth:`_decode_run`), which advances the lane through consecutive
-        plain iterations without forming a batch for each.  Every other
-        batch goes through ``_form_batch`` and ``_on_batch_complete``.
-
-        The clock arithmetic, ``events_processed`` count, trace rows, and
-        metrics calls are exactly those of the scheduled path, so run
-        fingerprints — and the recorded goldens — are byte-identical.
-        When the equivalence check fails after a batch was already formed
-        or priced, the batch is executed through the normal scheduled path
-        (``_form_batch`` has side effects and must not be re-run).
-        """
-        sim = self.sim
-        while True:
-            if self.halted or self.failed or lane.busy:
-                return
-            if self.swapped:
-                return  # kick() must run _try_swap_in first
-            for other in self.lanes:
-                if other is not lane and not other.busy:
-                    return  # kick() owes the other idle lanes a scan
-            if not self.waiting and lane.running:
-                plain = self._decode_pass(lane)
-                if plain is not None:
-                    self._decode_run(lane, *plain)
-                    continue
-            batch = self._form_batch(lane)
-            if batch is None:
-                return
-            duration = batch.duration * self.compute_slowdown
-            if not sim.can_advance_inline(duration):
-                self._begin_batch(lane, batch, duration)
-                sim.schedule(duration, self._complete, lane, batch, self.epoch)
-                return
-            self._begin_batch(lane, batch, duration)
-            sim.advance_inline(duration)
-            lane.busy = False
-            lane.current_batch = None
-            if self.halted or self.failed:
-                return
-            self._on_batch_complete(lane, batch)
-
-    def _decode_run(self, lane: Lane, kind: str, duration: float, timing: BatchTiming) -> None:
-        """Advance ``lane`` through consecutive plain decode iterations.
+        * the ensuing ``kick()`` would form a plain decode batch on this
+          lane and do nothing else: not halted or failed, the lane idle,
+          nothing waiting or swapped out, every other lane busy, members
+          present, and :meth:`_decode_pass` prices the pass;
+        * the iteration completes inside the simulator's inline window:
+          before any other pending event, within the run horizon and the
+          event budget (:meth:`Simulator.inline_window`).
 
         Each iteration is what ``_form_batch`` → ``_begin_batch`` →
         ``_on_batch_complete`` would do for a plain decode batch, in the
@@ -620,31 +583,39 @@ class Instance:
         :meth:`_after_decode_step` (skipped after a plain step once it
         said it has nothing to do).  One :class:`Batch` viewing the lane's
         run list serves every inline iteration; nothing outside this frame
-        can see it between them.  The simulator's inline window is read
-        again only after a step that ran more than the clock.
+        can see it between them.  The inline window is read again only
+        after a step that ran more than the clock.  An iteration that does
+        not fit the window is executed as priced, through the scheduled
+        path; every other batch is formed by ``kick()``.
 
-        The run ends when the next iteration would not be a plain decode
-        pass the outer loop folds: halted or failed, a reentrant ``kick()``
-        made the lane busy, work waits or is swapped out, the lane
-        emptied, or :meth:`_decode_pass` declines.  Every other lane stays
-        busy throughout, since only its own completion event or a crash
-        frees it.  An iteration that does not fit the inline window is
-        scheduled as it was priced.
+        The clock arithmetic, ``events_processed`` count, trace rows and
+        metrics calls are exactly those of the scheduled path, so run
+        fingerprints, and the recorded goldens, are byte-identical.
         """
+        for other in self.lanes:
+            if other is not lane and not other.busy:
+                return  # kick() owes the other idle lanes a scan
+        # Every other lane stays busy throughout: only its own completion
+        # event or a crash frees it.
         sim = self.sim
         batch: Optional[Batch] = None
         armed = True  # _after_decode_step has work after a plain step
         window = None  # (horizon, budget), while only the clock moved
-        while True:
+        while lane.running and not (
+            self.halted or self.failed or lane.busy or self.waiting or self.swapped
+        ):
+            plain = self._decode_pass(lane)
+            if plain is None:
+                return
+            kind, duration, timing = plain
             # ``* 1.0`` is bit-exact: see _execute.
             scaled = duration * self.compute_slowdown
             if window is None:
                 window = sim.inline_window() or (-inf, 0)
             horizon, budget = window
             if budget <= 0 or sim.now + scaled > horizon:
-                batch = Batch(kind, duration, decode_requests=list(lane.running), timing=timing)
-                self._begin_batch(lane, batch, scaled)
-                sim.schedule(scaled, self._complete, lane, batch, self.epoch)
+                running = list(lane.running)
+                self._execute(lane, Batch(kind, duration, decode_requests=running, timing=timing))
                 return
             if batch is None:
                 batch = Batch(kind, duration, decode_requests=lane.running, timing=timing)
@@ -653,22 +624,13 @@ class Instance:
             self._begin_batch(lane, batch, scaled)
             sim.advance_inline(scaled)
             window = horizon, budget - 1
-            lane.busy = False
-            lane.current_batch = None
+            lane.land()
             due = not lane.advance()
             if due:
                 self.finish_decode_iteration(lane, batch)
             if due or armed:
                 armed = self._after_decode_step()
                 window = None  # what ran may have scheduled or cancelled events
-            if self.halted or self.failed or lane.busy or self.waiting or self.swapped:
-                return
-            if not lane.running:
-                return
-            plain = self._decode_pass(lane)
-            if plain is None:
-                return
-            kind, duration, timing = plain
 
     # -- policy hooks (subclasses override) -----------------------------------------
 
@@ -680,13 +642,15 @@ class Instance:
 
     def _decode_pass(self, lane: Lane) -> Optional[tuple[str, float, BatchTiming]]:
         """``(kind, duration, timing)`` of a plain decode iteration over the
-        lane's members, or None if this instance's next batch on the lane
-        is not one (the default: no decode runs).
+        lane's members, or None if this instance's next batch on the lane,
+        with nothing waiting, is not one.
 
-        ``duration`` is before ``compute_slowdown``.  A decode instance's
-        ``_form_batch`` prices its plain decode batches here too.
+        ``duration`` is before ``compute_slowdown``.  The default is a plain
+        decode pass; a decode instance's ``_form_batch`` prices its plain
+        decode batches here too.
         """
-        return None
+        timing = self.latency.decode(len(lane.running), lane.context_tokens)
+        return "decode", timing.duration, timing
 
     def _after_decode_step(self) -> bool:
         """What ``_on_batch_complete`` does after applying a plain decode
@@ -945,10 +909,8 @@ class Instance:
                 # Pure-prefill batch members live in no other pool.
                 collect(lane.current_batch.prefill_requests)
                 collect(lane.current_batch.decode_requests)
-                lane.current_batch = None
+            lane.land()
             lane.clear()
-            lane.busy = False
-            lane.busy_until = 0.0
         collect(self.waiting)
         self.waiting.clear()
         collect(self.swapped)

@@ -27,7 +27,10 @@ events through this loop):
   ``events_processed`` count, and the ``max_events`` budget are exactly
   those of the equivalent scheduled event.  See
   :meth:`Simulator.inline_window` for the (conservative) conditions under
-  which this is indistinguishable from scheduling.
+  which this is indistinguishable from scheduling.  Its one user is an
+  instance's decode run (``serving/instance.py::Instance._decode_run``):
+  a lane advances either one scheduled completion event per batch or, for
+  consecutive plain decode iterations inside the window, inline.
 """
 
 from __future__ import annotations
@@ -358,23 +361,12 @@ class Simulator:
             return horizon, inf
         return horizon, max_events - self._run_executed - 1
 
-    def can_advance_inline(self, duration: float) -> bool:
-        """Whether a callback may fold a ``schedule(duration, ...)``+fire
-        cycle into its own frame without observable difference: the event
-        lands inside :meth:`inline_window`."""
-        window = self.inline_window()
-        return (
-            window is not None
-            and duration >= 0
-            and self._now + duration <= window[0]
-            and window[1] > 0
-        )
-
     def advance_inline(self, duration: float) -> None:
         """Advance the clock as if a ``duration``-delayed event just fired.
 
         Callers must have checked that the event lands inside the
-        :meth:`inline_window` (:meth:`can_advance_inline`).  The clock
+        :meth:`inline_window`: ``now + duration <= horizon`` and
+        ``budget > 0``, less one per event folded since.  The clock
         arithmetic (``now + duration``) is bit-identical to :meth:`schedule`
         followed by the loop's ``self._now = event.time``, and the fired
         callback is accounted in ``events_processed`` and against the

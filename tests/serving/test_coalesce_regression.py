@@ -1,13 +1,15 @@
-"""Batched decode ticks must be invisible: coalesced vs per-token identity.
+"""Batched decode ticks must be invisible: decode runs vs per-token identity.
 
-``Instance._drain_inline`` folds steady-state decode iterations into the
-completing event's frame instead of scheduling one heap event per token.
-The claim is exactness, not approximation — a decode interrupted mid-stream
-by a crash, a CPU-swap preemption, or an SLO-tier displacement has to
+A lane advances two ways: one scheduled completion event per batch
+(``_execute`` → ``_complete``), or, for consecutive plain decode
+iterations inside the simulator's inline window, a decode run
+(``Instance._decode_run``) in the completing event's frame.  The claim is
+exactness, not approximation — a decode interrupted mid-stream by a crash,
+a CPU-swap or recompute preemption, or an SLO-tier displacement has to
 produce the same token timestamps, trace rows, and run fingerprint as the
 per-token path.  These tests run matched scenarios down both paths (the
-per-token path by patching ``_drain_inline`` to a no-op) and require
-byte-identical artefacts.
+per-token path by patching ``_decode_run`` to a no-op) and require
+byte-identical artefacts, for every system that runs decode runs.
 """
 
 from __future__ import annotations
@@ -17,16 +19,19 @@ import pytest
 from repro.core.config import WindServeConfig
 from repro.harness.cell import Cell
 from repro.harness.golden import GOLDEN_MATRIX, GOLDEN_TAGS
-from repro.serving.instance import Instance
+from repro.serving.instance import Instance, InstanceConfig
 from repro.sim.engine import Simulator
 
-# One scenario per interruption mode the coalescing loop must split exactly:
-# a decode-instance crash (chaos plan), KV-pressure CPU-swap preemption, and
-# SLO-tier displacement under a tiered admission mix.
+# One scenario per interruption mode a decode run must split exactly: a
+# decode-instance crash (chaos plan), KV-pressure CPU-swap preemption, and
+# SLO-tier displacement under a tiered admission mix; the crash and the
+# swap also for the baselines that run decode runs.
 INTERRUPTION_SCENARIOS = [
     "windserve-chaos-crash-s1",  # crash mid-decode
     "windserve-pressure-r3.5-s3",  # CPU-swap preemption under KV pressure
     "windserve-chaos-tiered-s11",  # SLO-tier displacement + faults
+    "vllm-chaos-crash-s10",  # crash mid-decode on a colocated replica
+    "distserve-pressure-r3.5-s3",  # CPU-swap preemption on a DistServe decode
 ]
 
 _BY_NAME = {s.name: s for s in GOLDEN_MATRIX}
@@ -34,7 +39,7 @@ _BY_NAME = {s.name: s for s in GOLDEN_MATRIX}
 
 def _disable_coalescing(monkeypatch) -> None:
     """Force the per-token path."""
-    monkeypatch.setattr(Instance, "_drain_inline", lambda self, lane: None)
+    monkeypatch.setattr(Instance, "_decode_run", lambda self, lane: None)
 
 
 @pytest.mark.parametrize("name", INTERRUPTION_SCENARIOS)
@@ -63,8 +68,10 @@ def _batch_kinds(run) -> set:
 # Decode-instance modes and layouts no pin covers, each with the batch
 # kind its folded runs must reproduce: the static-partition and no-split
 # (hybrid fold-in of assist prefills) colocation modes, a PP-2 decode
-# instance (two lanes: a lane folds only while the other is busy), and a
-# WindServe straggler (every folded iteration scaled by compute_slowdown).
+# instance (two lanes: a lane folds only while the other is busy), a
+# WindServe straggler (every folded iteration scaled by compute_slowdown),
+# and a vLLM replica under KV pressure that preempts by recompute (the
+# victim re-prefills in hybrid batches between decode runs).
 UNPINNED_SCENARIOS = {
     "static-partition": (
         Cell(
@@ -88,6 +95,17 @@ UNPINNED_SCENARIOS = {
     "straggler": (
         Cell(seed=24, rate_per_gpu=1.0, num_requests=60, fault_plan="straggler"),
         ("decode", "sbd"),
+    ),
+    "vllm-recompute": (
+        Cell(
+            system="vllm",
+            seed=25,
+            rate_per_gpu=3.5,
+            num_requests=60,
+            kv_override_tokens=4096,
+            instance_config=InstanceConfig(preemption_mode="recompute"),
+        ),
+        ("vllm-0", "hybrid"),
     ),
 }
 
@@ -119,6 +137,8 @@ def test_unpinned_mode_matches_per_token_path(name, monkeypatch):
     assert folded["all"] > 0
     if cell.fault_plan == "straggler":
         assert folded["slow"] > 0
+    if cell.instance_config is not None:
+        assert any(row["g"] == "recompute-preempt" for row in coalesced.event_rows)
     assert kind in _batch_kinds(coalesced)
     assert coalesced.violations == per_token.violations == []
     assert coalesced.request_rows == per_token.request_rows

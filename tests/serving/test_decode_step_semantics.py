@@ -22,10 +22,11 @@ admission order:
 * a batch member that leaves its lane and comes back before the batch
   completes is still that batch's member.
 
-Every scenario runs down both decode paths: per token (``_drain_inline``
-patched out, so each batch completion is one simulator event), and folded
-in its ``*Folded`` twin (consecutive iterations inside one event's frame,
-plain decode passes in a decode run).  An inline iteration counts as a
+Every scenario runs down both ways a lane advances: per token
+(``_decode_run`` patched out, so each batch completion is one simulator
+event), and folded in its ``*Folded`` twin (consecutive plain decode
+iterations inside one event's frame, in a decode run; every other batch
+is scheduled).  An inline iteration counts as a
 simulator event, so the state after the same number of events is the same
 on both paths; the block-boundary scenarios put their boundary on the
 second iteration, which the folded path runs inside its decode run.
@@ -66,7 +67,7 @@ def path(request, monkeypatch) -> DecodePath:
     """Per token, unless the test's class sets ``FOLDED``."""
     decode = DecodePath(getattr(request.cls, "FOLDED", False))
     if not decode.folded:
-        monkeypatch.setattr(Instance, "_drain_inline", lambda self, lane: None)
+        monkeypatch.setattr(Instance, "_decode_run", lambda self, lane: None)
         return decode
     advance = Simulator.advance_inline
 

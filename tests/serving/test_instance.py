@@ -33,10 +33,6 @@ class DecodeOnlyInstance(Instance):
         kind, duration, timing = self._decode_pass(lane)
         return Batch(kind, duration, decode_requests=list(lane.running), timing=timing)
 
-    def _decode_pass(self, lane: Lane):
-        timing = self.latency.decode(len(lane.running), lane.context_tokens)
-        return "decode", timing.duration, timing
-
     def _on_batch_complete(self, lane: Lane, batch: Batch) -> None:
         self.finish_decode_iteration(lane, batch)
 

@@ -185,18 +185,18 @@ class TestInlineWindow:
     """What a callback may fold into its own frame (``advance_inline``)."""
 
     @staticmethod
-    def probe(sim: Simulator, at: float, *durations: float, **run) -> list:
-        """``can_advance_inline`` of each duration, asked by a callback at ``at``."""
+    def probe(sim: Simulator, at: float, **run) -> tuple[float, float]:
+        """The ``inline_window()`` a callback at ``at`` sees."""
         seen = []
-        sim.call_at(at, lambda: seen.extend(sim.can_advance_inline(d) for d in durations))
+        sim.call_at(at, lambda: seen.append(sim.inline_window()))
         sim.run(**run)
-        return seen
+        (window,) = seen
+        return window
 
     def test_no_window_outside_run(self):
         sim = Simulator()
         sim.schedule(5.0, lambda: None)
         assert sim.inline_window() is None
-        assert not sim.can_advance_inline(1.0)
 
     def test_window_inside_run(self):
         sim = Simulator()
@@ -226,24 +226,33 @@ class TestInlineWindow:
     def test_tie_with_pending_event_refuses(self):
         sim = Simulator()
         sim.schedule(3.0, lambda: None)
-        assert self.probe(sim, 1.0, 2.0, 1.5) == [False, True]
+        horizon, budget = self.probe(sim, 1.0)
+        # An event landing on the pending one's time would fire after it.
+        assert horizon == math.nextafter(3.0, 0.0) and budget == math.inf
+        assert not 1.0 + 2.0 <= horizon
+        assert 1.0 + 1.5 <= horizon
 
     def test_until_equal_to_target_is_allowed(self):
         sim = Simulator()
-        assert self.probe(sim, 1.0, 1.0, 1.5, until=2.0) == [True, False]
+        horizon, budget = self.probe(sim, 1.0, until=2.0)
+        assert (horizon, budget) == (2.0, math.inf)
+        assert 1.0 + 1.0 <= horizon
+        assert not 1.0 + 1.5 <= horizon
 
     def test_max_events_budget_runs_out(self):
-        sim = Simulator()
-        assert self.probe(sim, 1.0, 1.0, max_events=1) == [False]
-        sim = Simulator()
-        assert self.probe(sim, 1.0, 1.0, max_events=2) == [True]
+        # The executing callback takes the run's only event.
+        assert self.probe(Simulator(), 1.0, max_events=1) == (math.inf, 0)
+        assert self.probe(Simulator(), 1.0, max_events=2) == (math.inf, 1)
 
     def test_budget_counts_inline_events(self):
         sim = Simulator()
         folded = []
 
         def fold():
-            while sim.can_advance_inline(1.0):
+            while True:
+                horizon, budget = sim.inline_window()
+                if not (sim.now + 1.0 <= horizon and budget > 0):
+                    break
                 sim.advance_inline(1.0)
                 folded.append(sim.now)
 
