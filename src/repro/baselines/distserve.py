@@ -20,7 +20,7 @@ from typing import Optional
 
 from repro.serving.batching import Batch
 from repro.serving.disaggregated import DisaggregatedSystem
-from repro.serving.instance import Instance, Lane
+from repro.serving.instance import MAX_DECODE_BATCH_SIZE, Instance, Lane
 from repro.serving.request import Phase, Request
 
 
@@ -80,7 +80,7 @@ class DistServeDecodeInstance(Instance):
     """Pure-decode engine: continuous batching with CPU swap on KV pressure."""
 
     def _form_batch(self, lane: Lane) -> Optional[Batch]:
-        while self.waiting and lane.batch_size < self.config.max_decode_batch_size:
+        while self.waiting and lane.batch_size < MAX_DECODE_BATCH_SIZE:
             request = self.waiting.popleft()
             if request.decode_start is None:
                 request.decode_start = self.sim.now

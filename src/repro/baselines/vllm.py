@@ -16,7 +16,7 @@ from typing import Optional
 from repro.models.parallelism import ParallelConfig
 from repro.perf.roofline import BatchTiming
 from repro.serving.batching import Batch
-from repro.serving.instance import Instance, Lane
+from repro.serving.instance import MAX_DECODE_BATCH_SIZE, Instance, Lane
 from repro.serving.placement import plan_colocated_placement
 from repro.serving.request import Phase, Request, tier_ordered
 from repro.serving.system import ServingSystem, SystemConfig
@@ -58,7 +58,7 @@ class VLLMInstance(Instance):
             budget -= chunk
 
         while budget > 0 and self.waiting:
-            if self.total_running + len(self.prefilling) >= self.config.max_decode_batch_size:
+            if self.total_running + len(self.prefilling) >= MAX_DECODE_BATCH_SIZE:
                 break
             request = self.waiting[0]
             chunk = min(budget, request.remaining_prefill_tokens)

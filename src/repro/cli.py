@@ -120,15 +120,11 @@ CELL_FLAGS: dict[str, tuple[str, dict]] = {
         "--tenant-max-inflight",
         dict(type=int, help="per-tenant concurrent-request budget (fair-share admission)"),
     ),
-    "tenant_max_tokens": (
-        "--tenant-max-tokens",
-        dict(type=int, help="per-tenant in-flight prompt+output token budget (fair-share)"),
-    ),
     "admission_policy": (
         "--admission",
         dict(
             choices=ADMISSION_POLICIES.names(),
-            help="admission policy (fair-share enables WFQ + tenant budgets)",
+            help="admission policy (fair-share enables WFQ + the tenant budget)",
         ),
     ),
     "fleet_policy": (
@@ -167,12 +163,9 @@ CELL_FLAGS: dict[str, tuple[str, dict]] = {
         "--tenant-rate",
         dict(
             type=float,
-            help="per-tenant gateway rate limit in submits/s (fleets; 0 disables it)",
+            help="per-tenant gateway rate limit in submits/s, burst max(1, rate) "
+            "(fleets; 0 disables it)",
         ),
-    ),
-    "tenant_burst": (
-        "--tenant-burst",
-        dict(type=float, help="token-bucket burst size (fleets; default max(1, rate))"),
     ),
 }
 
@@ -190,7 +183,6 @@ TENANCY_FLAGS = (
     "tenant_mix",
     "tenant_weights",
     "tenant_max_inflight",
-    "tenant_max_tokens",
     "admission_policy",
 )
 RUN_BASE = Cell(num_requests=500)

@@ -6,8 +6,8 @@ Public entry points:
   (Global Scheduler + dynamic prefill dispatch + dynamic rescheduling +
   stall-free migration + stream-based disaggregation).
 * :class:`~repro.core.config.WindServeConfig` — policy knobs, including the
-  ablation switches used by the paper's §5.4 (``sbd_enabled`` ->
-  WindServe-no-split, ``rescheduling_enabled`` -> WindServe-no-resche).
+  ablation switches used by the paper's §5.4 (``colocation_mode="hybrid"``
+  -> WindServe-no-split, ``rescheduling_enabled`` -> WindServe-no-resche).
 * :class:`~repro.core.profiler.Profiler` — the Global Scheduler's latency
   regression model (§3.2.1).
 """

@@ -11,14 +11,15 @@ load, and
 * **scale out** when the active members' in-flight load per member exceeds
   a high watermark — paying a ``startup_delay`` (model loading, engine
   warm-up) before the new member takes traffic;
-* **scale in** when load per member falls below a low watermark for a full
-  evaluation period — draining the member (it finishes what it has) before
-  standby.
+* **scale in** when load per member stays below a low watermark for
+  ``SCALE_IN_PATIENCE`` consecutive checks — draining the member (it
+  finishes what it has) before standby.
 
 The policy is also *failure-reactive*: when the fleet's heartbeat monitor
 declares a member dead, the autoscaler immediately stops counting it as
-active capacity and promotes a warm standby replacement (paying the same
-``startup_delay``), rather than running degraded until the watermark loop
+active capacity and promotes a warm standby replacement of the same
+hardware shape (any shape once a re-planner is attached), paying the same
+``startup_delay``, rather than running degraded until the watermark loop
 happens to notice.  The replacement lag — detection to replacement-ready —
 is tracked per promotion.
 
@@ -45,8 +46,12 @@ class FleetShapeMismatch(RuntimeError):
     Promoting a standby whose hardware shape differs from the member it
     replaces silently changes fleet capacity; it is allowed only when a
     re-planner is attached (routing and re-planning handle unequal
-    hardware) or ``AutoscalerConfig.promote_mismatched`` opts in.
+    hardware).
     """
+
+
+#: Consecutive low-load readings before a scale-in.
+SCALE_IN_PATIENCE = 3
 
 
 @dataclass
@@ -58,11 +63,6 @@ class AutoscalerConfig:
     startup_delay: float = 30.0  # weight loading + engine warm-up
     scale_out_load: float = 24.0  # in-flight requests per active member
     scale_in_load: float = 4.0
-    scale_in_patience: int = 3  # consecutive low readings before scale-in
-    replace_on_failure: bool = True  # promote standby when a member dies
-    # Allow a *replacement* promotion onto a standby whose hardware shape
-    # differs from the dead member's even without a re-planner attached.
-    promote_mismatched: bool = False
 
 
 @dataclass
@@ -191,7 +191,7 @@ class AutoscalingFleet(ServingFleet):
             self._scale_out()
         elif load <= cfg.scale_in_load:
             self._low_streak += 1
-            if self._low_streak >= cfg.scale_in_patience:
+            if self._low_streak >= SCALE_IN_PATIENCE:
                 self._low_streak = 0
                 self._scale_in()
         else:
@@ -215,9 +215,9 @@ class AutoscalingFleet(ServingFleet):
         When ``replacing`` names the dead member being replaced, a standby
         with the *same hardware shape* is preferred; promoting a
         differently-shaped standby is an explicit
-        :class:`FleetShapeMismatch` error unless a re-planner is attached
-        (or ``promote_mismatched`` opts in) — mixed fleets must not
-        silently swap an H100 member for an RTX4090 one.
+        :class:`FleetShapeMismatch` error unless a re-planner is attached —
+        mixed fleets must not silently swap an H100 member for an RTX4090
+        one.
         """
         standbys = [
             index
@@ -232,12 +232,11 @@ class AutoscalingFleet(ServingFleet):
             matched = [i for i in standbys if self._shape_key(i) == wanted]
             if matched:
                 choice = matched[0]
-            elif self.replanner is None and not self.autoscaler.promote_mismatched:
+            elif self.replanner is None:
                 raise FleetShapeMismatch(
                     f"no standby matches the shape of failed member "
                     f"{self.members[replacing].name} ({wanted}); available: "
-                    f"{[self._shape_key(i) for i in standbys]} — attach a "
-                    "re-planner or set promote_mismatched=True"
+                    f"{[self._shape_key(i) for i in standbys]} — attach a re-planner"
                 )
         self._starting.add(choice)
         self.events.append(
@@ -297,7 +296,7 @@ class AutoscalingFleet(ServingFleet):
         self.events.append(
             ScalingEvent(self.sim.now, "member-failed", index, self.num_active)
         )
-        if was_active and self.autoscaler.replace_on_failure:
+        if was_active:
             replacement = self._scale_out(replacing=index)
             if replacement is not None:
                 self._replacing[replacement] = self.sim.now

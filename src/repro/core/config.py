@@ -1,5 +1,9 @@
 """WindServe policy configuration (the knobs described in §3 of the paper).
 
+:class:`WindServeConfig` holds the knobs a claim, pin or ablation sets to a
+second value; the thresholds every run shares are module constants
+(``ASSIST_KV_HEADROOM_BLOCKS``, ``RESCHEDULE_WATERMARK_FRAC``, ...).
+
 Also home of the fleet-shape spec: :class:`MemberShape` /
 :class:`FleetShape` describe a (possibly heterogeneous) fleet one member at
 a time — GPU type from the :mod:`repro.hardware.gpu` registry plus the
@@ -168,49 +172,49 @@ class FleetShape:
         return len(self.members)
 
 
+#: KV blocks the decode instance keeps free before accepting assist
+#: prefills (so dispatch never triggers swapping).
+ASSIST_KV_HEADROOM_BLOCKS = 128
+#: Dynamic Rescheduling triggers when the decode instance's free KV blocks
+#: drop below this fraction ...
+RESCHEDULE_WATERMARK_FRAC = 0.08
+#: ... and migrates long-context requests until they rise above this one.
+RESCHEDULE_STOP_FRAC = 0.18
+#: Stall-free migration pauses the request once the remaining KV to transfer
+#: is below the KV produced by this many decode iterations.
+MIGRATION_PAUSE_ITERATIONS = 8
+#: The prefill instance must have at least this fraction of KV free to keep
+#: backups (§3.3) ...
+BACKUP_PREFILL_FREE_FRAC = 0.40
+#: ... and keeps them only while the decode instance's free KV fraction is
+#: below this one (memory pressure).
+BACKUP_DECODE_PRESSURE_FRAC = 0.35
+#: Multiplier on prefill duration while an overlapped KV transfer is in
+#: flight (the transfer steals a little bandwidth — the paper's "slight
+#: increase in TTFT").
+ASYNC_PREFILL_SLOWDOWN = 1.05
+
+
 @dataclass(frozen=True)
 class WindServeConfig:
     """Tunables of WindServe's Global Scheduler and execution strategies.
 
     Attributes:
-        dispatch_threshold: Absolute TTFT-prediction threshold ``thrd`` of
-            Algorithm 1 in seconds; ``None`` derives it as
-            ``dispatch_threshold_frac x TTFT SLO`` ("slightly below the TTFT
-            SLO", §3.2.2).
-        dispatch_threshold_frac: Fraction of the TTFT SLO used when
-            ``dispatch_threshold`` is None.
-        assist_budget_tokens: Max prefill tokens in flight on the decode
-            instance per forward pass; ``None`` derives it from the Profiler
-            so the SBD-slowed decode iteration stays under the TPOT SLO.
-        assist_kv_headroom_blocks: KV blocks the decode instance keeps free
-            before accepting assist prefills (so dispatch never triggers
-            swapping).
-        reschedule_watermark_frac: Dynamic Rescheduling triggers when the
-            decode instance's free KV blocks drop below this fraction.
-        reschedule_stop_frac: Rescheduling migrates long-context requests
-            until free blocks rise above this fraction.
-        migration_pause_iterations: Stall-free migration pauses the request
-            once the remaining KV to transfer is below the KV produced by
-            this many decode iterations.
+        dispatch_threshold_frac: The dispatch threshold ``thrd`` of
+            Algorithm 1 as a fraction of the TTFT SLO ("slightly below the
+            TTFT SLO", §3.2.2).
         backup_enabled: Prefill instance retains ("backs up") KV of
             long-context requests after hand-off when memory allows (§3.3).
         backup_min_prompt_tokens: Only prompts at least this long are backed
             up.
-        backup_prefill_free_frac: Prefill instance must have at least this
-            fraction of KV free to keep backups.
-        backup_decode_pressure_frac: Backups are kept only while the decode
-            instance's free KV fraction is below this (memory pressure).
         reschedule_policy: Which running requests Dynamic Rescheduling
             migrates first: ``"longest-context"`` (WindServe's choice —
             frees the most KV per migration) or ``"shortest-context"``
             (Llumnix's choice — cheapest individual migrations).  Exposed
             for the design-choice ablation.
-        sbd_enabled: Stream-based disaggregation in the decode instance;
-            False gives the paper's *WindServe-no-split* ablation (assist
-            prefills run as regular hybrid batches).
         colocation_mode: How dispatched prefills co-execute with decoding:
             ``"sbd"`` (separate CUDA streams, §3.4), ``"hybrid"`` (regular
-            fused batches — equals ``sbd_enabled=False``), or
+            fused batches — the paper's *WindServe-no-split* ablation), or
             ``"static-partition"`` (MPS/MIG-style fixed resource split,
             the §3.4 alternative WindServe argues against: the partition
             wastes its share whenever only one job type is present).
@@ -223,30 +227,17 @@ class WindServeConfig:
         async_transfer: Overlap the prefill->decode KV transfer with the
             prefill computation itself (layer-by-layer), instead of
             transferring after the prefill completes.
-        async_prefill_slowdown: Multiplier on prefill duration while an
-            overlapped transfer is in flight (the transfer steals a little
-            bandwidth — the paper's "slight increase in TTFT").
     """
 
-    dispatch_threshold: Optional[float] = None
     dispatch_threshold_frac: float = 0.9
-    assist_budget_tokens: Optional[int] = None
-    assist_kv_headroom_blocks: int = 128
-    reschedule_watermark_frac: float = 0.08
-    reschedule_stop_frac: float = 0.18
-    migration_pause_iterations: int = 8
     backup_enabled: bool = True
     backup_min_prompt_tokens: int = 1024
-    backup_prefill_free_frac: float = 0.40
-    backup_decode_pressure_frac: float = 0.35
     reschedule_policy: str = "longest-context"
-    sbd_enabled: bool = True
     colocation_mode: str = "sbd"
     static_partition_fraction: float = 0.30
     rescheduling_enabled: bool = True
     dispatch_enabled: bool = True
     async_transfer: bool = True
-    async_prefill_slowdown: float = 1.05
 
     def __post_init__(self) -> None:
         if self.reschedule_policy not in ("longest-context", "shortest-context"):
@@ -256,20 +247,6 @@ class WindServeConfig:
         if not 0.05 <= self.static_partition_fraction <= 0.95:
             raise ValueError("static_partition_fraction must be in [0.05, 0.95]")
 
-    @property
-    def effective_colocation_mode(self) -> str:
-        """``sbd_enabled=False`` (the paper's no-split ablation flag) maps
-        onto the ``"hybrid"`` co-location mode."""
-        if not self.sbd_enabled:
-            return "hybrid"
-        return self.colocation_mode
-
-    def resolve_threshold(self, ttft_slo: Optional[float]) -> float:
+    def resolve_threshold(self, ttft_slo: float) -> float:
         """The dispatch threshold ``thrd`` in seconds."""
-        if self.dispatch_threshold is not None:
-            return self.dispatch_threshold
-        if ttft_slo is None:
-            raise ValueError(
-                "dispatch threshold needs either an explicit value or a TTFT SLO"
-            )
         return self.dispatch_threshold_frac * ttft_slo

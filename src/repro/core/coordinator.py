@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING
 
+from repro.core.config import ASSIST_KV_HEADROOM_BLOCKS
 from repro.serving.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,12 +53,12 @@ class Coordinator:
         if not cfg.dispatch_enabled:
             return Route.PREFILL
         slo = system.config.slo
-        if slo is None and cfg.dispatch_threshold is None:
+        if slo is None:
             # No SLO to anchor `thrd` on: dispatch once queuing would
             # multiply the request's own prefill latency several times over.
             thrd = 5.0 * system.prefill_profiler.predict_prefill(request.prompt_tokens)
         else:
-            thrd = cfg.resolve_threshold(slo.ttft if slo else None)
+            thrd = cfg.resolve_threshold(slo.ttft)
         ttft_pred = self.predict_ttft(request)
         if ttft_pred <= thrd:
             return Route.PREFILL
@@ -90,9 +91,8 @@ class Coordinator:
         decode = system.decode_instance
         if decode.failed:
             return 0
-        cfg = system.ws_config
         in_flight = decode.assist.in_flight_tokens()
         budget_left = system.assist_budget_tokens - in_flight
-        free_blocks = decode.kv.free_gpu_blocks - cfg.assist_kv_headroom_blocks
+        free_blocks = decode.kv.free_gpu_blocks - ASSIST_KV_HEADROOM_BLOCKS
         kv_tokens = max(0, free_blocks) * decode.kv.block_size
         return max(0, min(budget_left, kv_tokens))

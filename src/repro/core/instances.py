@@ -16,10 +16,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional, TYPE_CHECKING
 
+from repro.core.config import ASYNC_PREFILL_SLOWDOWN
 from repro.core.streams import AssistStream
 from repro.perf.roofline import BatchTiming
 from repro.serving.batching import Batch
-from repro.serving.instance import Instance, Lane
+from repro.serving.instance import MAX_DECODE_BATCH_SIZE, Instance, Lane
 from repro.serving.request import Phase, Request
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -135,7 +136,7 @@ class WindServePrefillInstance(Instance):
             duration = timing.duration
             kind = "prefill"
         if transfer_launched:
-            duration *= self._system.ws_config.async_prefill_slowdown
+            duration *= ASYNC_PREFILL_SLOWDOWN
         return Batch(
             kind,
             duration,
@@ -196,14 +197,14 @@ class WindServeDecodeInstance(Instance):
     def _form_batch(self, lane: Lane) -> Optional[Batch]:
         # "hybrid" co-location (the no-split ablation): assist prefills fold
         # into a regular hybrid batch instead of a separate stream.
-        mode = self._system.ws_config.effective_colocation_mode
+        mode = self._system.ws_config.colocation_mode
         assist_request: Optional[Request] = None
         if self.assist.queue and mode == "hybrid" and self.assist.active is None:
             assist_request = self.assist.queue.popleft()
             if assist_request.prefill_start is None:
                 assist_request.prefill_start = self.sim.now
 
-        while self.waiting and lane.batch_size < self.config.max_decode_batch_size:
+        while self.waiting and lane.batch_size < MAX_DECODE_BATCH_SIZE:
             request = self.waiting.popleft()
             if request.decode_start is None:
                 request.decode_start = self.sim.now
@@ -231,7 +232,7 @@ class WindServeDecodeInstance(Instance):
 
     def _decode_pass(self, lane: Lane) -> Optional[tuple[str, float, BatchTiming]]:
         config = self.system.ws_config  # type: ignore[union-attr]
-        mode = config.effective_colocation_mode
+        mode = config.colocation_mode
         if self.assist.queue and mode == "hybrid" and self.assist.active is None:
             return None  # the next batch folds an assist prefill in
         timing = self.latency.decode(len(lane.running), lane.context_tokens)
@@ -264,7 +265,7 @@ class WindServeDecodeInstance(Instance):
     def _after_decode_step(self) -> bool:
         # Dynamic Rescheduling triggers on the pool's free KV blocks:
         # maybe_reschedule returns False when it stopped at (or before)
-        # free / capacity >= reschedule_watermark_frac.  A plain decode
+        # free / capacity >= RESCHEDULE_WATERMARK_FRAC.  A plain decode
         # step takes and frees no block, so until a step walks due members
         # or charges blocks another check would stop there too, and a
         # decode run skips it.

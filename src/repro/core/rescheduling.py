@@ -9,7 +9,7 @@ shortest-first policy, as the paper notes).  Migration is *stall-free*:
    the request keeps decoding on the decode instance (new tokens' KV keeps
    being produced there).
 2. **Residual leg** — once the bulk arrives, the KV produced meanwhile is
-   small (bounded by ``migration_pause_iterations`` worth of tokens); the
+   small (bounded by ``MIGRATION_PAUSE_ITERATIONS`` worth of tokens); the
    request pauses, the residual transfers, and decoding resumes on the
    prefill instance.
 
@@ -23,6 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
+from repro.core.config import (
+    MIGRATION_PAUSE_ITERATIONS,
+    RESCHEDULE_STOP_FRAC,
+    RESCHEDULE_WATERMARK_FRAC,
+)
 from repro.serving.request import Phase, Request
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,7 +72,7 @@ class MigrationManager:
             return False
         free_frac = decode.kv.free_gpu_blocks / total
 
-        if free_frac >= cfg.reschedule_watermark_frac:
+        if free_frac >= RESCHEDULE_WATERMARK_FRAC:
             return False
         decode.sync()  # candidates are ranked by their live context
         candidates = sorted(
@@ -81,9 +86,9 @@ class MigrationManager:
         )
         projected_free = decode.kv.free_gpu_blocks
         for request in candidates:
-            if projected_free / total >= cfg.reschedule_stop_frac:
+            if projected_free / total >= RESCHEDULE_STOP_FRAC:
                 break
-            headroom = cfg.migration_pause_iterations + 4
+            headroom = MIGRATION_PAUSE_ITERATIONS + 4
             needed = request.context_tokens + headroom
             backed = self.system.backup_tokens(request)
             extra_needed = max(0, needed - backed)

@@ -68,7 +68,7 @@ class AssistStream:
         ws_config = getattr(system, "ws_config", None)
         if ws_config is None:
             return "sbd"
-        return ws_config.effective_colocation_mode
+        return ws_config.colocation_mode
 
     def pump(self) -> None:
         """Start the next assist job if the execution resource is idle.

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.config import WindServeConfig
+from repro.core.config import (
+    BACKUP_DECODE_PRESSURE_FRAC,
+    BACKUP_PREFILL_FREE_FRAC,
+    WindServeConfig,
+)
 from repro.core.coordinator import Coordinator, Route
 from repro.core.instances import WindServeDecodeInstance, WindServePrefillInstance
 from repro.core.profiler import Profiler
@@ -58,9 +62,6 @@ class WindServeSystem(DisaggregatedSystem):
         self.backups: dict[int, int] = {}
 
     def _derive_assist_budget(self) -> int:
-        cfg = self.ws_config
-        if cfg.assist_budget_tokens is not None:
-            return cfg.assist_budget_tokens
         slo = self.config.slo
         if slo is None:
             return DEFAULT_ASSIST_BUDGET_TOKENS
@@ -166,7 +167,7 @@ class WindServeSystem(DisaggregatedSystem):
             request.prefill_required = request.context_tokens
             request.prefilled_tokens = min(backed, request.context_tokens)
             request.recompute_count += 1
-            request.phase = Phase.WAITING_PREFILL
+            request.phase = Phase.PREFILLING
             prefill.prefilling.append(request)
             self.metrics.bump("backup_restore")
         else:
@@ -216,9 +217,9 @@ class WindServeSystem(DisaggregatedSystem):
             and request.prompt_tokens >= cfg.backup_min_prompt_tokens
             and prefill.kv.gpu_capacity_blocks > 0
             and prefill.kv.free_gpu_blocks / prefill.kv.gpu_capacity_blocks
-            > cfg.backup_prefill_free_frac
+            > BACKUP_PREFILL_FREE_FRAC
             and decode.kv.free_gpu_blocks / max(1, decode.kv.gpu_capacity_blocks)
-            < cfg.backup_decode_pressure_frac
+            < BACKUP_DECODE_PRESSURE_FRAC
         )
         if keep:
             self.backups[request.request_id] = request.prompt_tokens

@@ -1,5 +1,10 @@
 """Resilience tunables shared by every serving system.
 
+The heartbeat timing and the tier admission fractions are constants; the
+degraded-mode in-flight cap, which cells tighten, is a
+:class:`ResilienceConfig` field.  KV-transfer retries back off on
+:class:`repro.kvcache.transfer.RetryPolicy`'s defaults.
+
 Kept dependency-free so ``serving.system`` can embed a
 :class:`ResilienceConfig` in :class:`~repro.serving.system.SystemConfig`
 without an import cycle.
@@ -10,72 +15,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+#: Failure detection: an instance is declared failed after
+#: ``HEARTBEAT_MISS_THRESHOLD`` consecutive missed heartbeats ...
+HEARTBEAT_INTERVAL_S = 0.05
+HEARTBEAT_MISS_THRESHOLD = 3
+#: ... so this is the worst-case time from crash to declaration.
+DETECTION_DELAY_S = HEARTBEAT_INTERVAL_S * (HEARTBEAT_MISS_THRESHOLD + 1)
+
+#: Priority-aware shedding: each tier's effective in-flight cap is
+#: ``degraded_inflight_limit * fraction``.  Ordered highest priority first
+#: with non-increasing fractions, so a tier is only ever shed after every
+#: lower-priority tier is already being shed (best-effort dropped first,
+#: interactive last).  ``standard`` keeps fraction 1.0 — the exact flat
+#: cap — so tier-free runs see the plain limit.
+TIER_ADMISSION_FRACTIONS: tuple[tuple[str, float], ...] = (
+    ("interactive", 1.5),
+    ("standard", 1.0),
+    ("best_effort", 0.5),
+)
+
+
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Detection, retry, and degraded-mode knobs.
+    """Degraded-mode knobs.
 
-    Defaults are behaviour-neutral in a fault-free run: the heartbeat
-    monitor only starts when a fault plan is armed, retries only trigger
-    when a link-outage window is installed, and shedding only happens while
-    an instance is known-failed.
+    Behaviour-neutral in a fault-free run: shedding only happens while an
+    instance is known-failed.
     """
-
-    # Failure detection: an instance is declared failed after
-    # ``heartbeat_miss_threshold`` consecutive missed heartbeats.
-    heartbeat_interval_s: float = 0.05
-    heartbeat_miss_threshold: int = 3
-
-    # Retry-with-backoff for KV transfers launched into a link outage.
-    transfer_retry_backoff_s: float = 0.02
-    transfer_retry_multiplier: float = 2.0
-    transfer_max_retries: int = 8
 
     # Degraded mode: while any instance is known-failed, shed new arrivals
     # once the in-flight population exceeds this limit.
-    shed_enabled: bool = True
     degraded_inflight_limit: int = 96
-
-    # Priority-aware shedding: each tier's effective in-flight cap is
-    # ``degraded_inflight_limit * fraction``.  The tuple is ordered highest
-    # priority first and its fractions must be non-increasing, so a tier is
-    # only ever shed after every lower-priority tier is already being shed
-    # (best-effort dropped first, interactive last).  ``standard`` keeps
-    # fraction 1.0 — the exact flat cap — so tier-free runs are unchanged.
-    tier_admission_fractions: tuple[tuple[str, float], ...] = (
-        ("interactive", 1.5),
-        ("standard", 1.0),
-        ("best_effort", 0.5),
-    )
-
-    def __post_init__(self) -> None:
-        previous = None
-        for tier, fraction in self.tier_admission_fractions:
-            if fraction <= 0:
-                raise ValueError(f"tier {tier!r} admission fraction must be positive")
-            if previous is not None and fraction > previous:
-                raise ValueError(
-                    "tier_admission_fractions must be non-increasing in priority "
-                    f"order; {tier!r} got {fraction} after {previous}"
-                )
-            previous = fraction
-
-    def tier_fraction(self, tier: str) -> float:
-        """Admission headroom of ``tier`` (1.0 for unknown/absent tiers)."""
-        for name, fraction in self.tier_admission_fractions:
-            if name == tier:
-                return fraction
-        return 1.0
 
     def tier_inflight_limit(self, tier: str) -> int:
         """Effective degraded-mode in-flight cap for one tier."""
-        return tier_inflight_limit(
-            self.degraded_inflight_limit, tier, self.tier_admission_fractions
-        )
-
-    @property
-    def detection_delay_s(self) -> float:
-        """Worst-case time from crash to declaration by the monitor."""
-        return self.heartbeat_interval_s * (self.heartbeat_miss_threshold + 1)
+        return tier_inflight_limit(self.degraded_inflight_limit, tier, TIER_ADMISSION_FRACTIONS)
 
 
 def tier_inflight_limit(
@@ -84,9 +58,10 @@ def tier_inflight_limit(
     """Pure tier-cap policy: ``floor(limit * fraction)`` for ``tier``.
 
     Kept free of any object state so property-based tests can drive it
-    directly: with non-increasing fractions (enforced by
-    :class:`ResilienceConfig`), a tighter ``limit`` can never shed a
-    higher-priority tier while a lower-priority tier is still admitted.
+    directly: with non-increasing fractions (as
+    :data:`TIER_ADMISSION_FRACTIONS` are), a tighter ``limit`` can never
+    shed a higher-priority tier while a lower-priority tier is still
+    admitted.
     """
     for name, fraction in fractions:
         if name == tier:

@@ -15,6 +15,7 @@ horizon so the drain loop still terminates.
 
 from __future__ import annotations
 
+from repro.faults.config import DETECTION_DELAY_S, HEARTBEAT_INTERVAL_S, HEARTBEAT_MISS_THRESHOLD
 from repro.faults.detection import HeartbeatMonitor
 from repro.faults.links import LinkFaultModel
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
@@ -62,11 +63,10 @@ class FaultInjector:
         self._start_monitor()
 
     def _start_monitor(self) -> None:
-        res = self.scope.systems()[0].config.resilience
         self.monitor = HeartbeatMonitor(
-            self.target, res.heartbeat_interval_s, res.heartbeat_miss_threshold
+            self.target, HEARTBEAT_INTERVAL_S, HEARTBEAT_MISS_THRESHOLD
         )
-        until = self.plan.horizon + res.detection_delay_s + 2 * res.heartbeat_interval_s
+        until = self.plan.horizon + DETECTION_DELAY_S + 2 * HEARTBEAT_INTERVAL_S
         self.monitor.start(until)
 
     # -- crash / restart --------------------------------------------------------

@@ -47,6 +47,12 @@ from repro.sim.fingerprint import RunFingerprint, canonical_json, digest_lines, 
 from repro.sim.trace import TraceLog
 
 
+#: Warm-standby promotion timing of a cell's autoscaled fleet (with
+#: ``fleet_standby``): seconds to warm a standby up, and between load checks.
+STANDBY_STARTUP_DELAY = 1.0
+STANDBY_CHECK_INTERVAL = 0.5
+
+
 @dataclass(frozen=True)
 class Cell:
     """Every knob of one run; the defaults are the plain single-system run."""
@@ -96,32 +102,25 @@ class Cell:
     # Shared-prefix population plus a per-instance warm-prefix KV budget.
     prefix_mix: Optional[str] = None
     prefix_cache_tokens: int = 0
-    # Tenant population plus fair-share knobs (WFQ weights, budgets).
+    # Tenant population plus fair-share knobs (WFQ weights, in-flight budget).
     tenant_mix: Optional[str] = None
     tenant_weights: Optional[str] = None
     tenant_max_inflight: Optional[int] = None
-    tenant_max_tokens: Optional[int] = None
-    # Warm-standby promotion timing (with ``fleet_standby``).
-    startup_delay: float = 1.0
-    check_interval: float = 0.5
-    # Per-tenant gateway token bucket (submits/s, burst); 0 disables it.
+    # Per-tenant gateway token bucket (submits/s); 0 disables it.
     tenant_rate: float = 0.0
-    tenant_burst: float = 0.0
 
     @property
     def is_fleet(self) -> bool:
         return bool(self.fleet_nodes or self.fleet_shape)
 
     def fairshare(self) -> Optional[FairShareConfig]:
-        knobs = (self.tenant_weights, self.tenant_max_inflight, self.tenant_max_tokens)
-        if knobs == (None, None, None):
+        if self.tenant_weights is None and self.tenant_max_inflight is None:
             return None
         return FairShareConfig(
             weights=FairShareConfig.parse_weights(self.tenant_weights)
             if self.tenant_weights
             else (),
             max_inflight=self.tenant_max_inflight,
-            max_tokens=self.tenant_max_tokens,
         )
 
     @property
@@ -178,7 +177,7 @@ class Cell:
         fleet_factory = None
         if self.fleet_standby:
             autoscaler = AutoscalerConfig(
-                startup_delay=self.startup_delay, check_interval=self.check_interval
+                startup_delay=STANDBY_STARTUP_DELAY, check_interval=STANDBY_CHECK_INTERVAL
             )
 
             def fleet_factory(members, policy):
@@ -207,9 +206,7 @@ class Cell:
         if self.fleet_replan:
             fleet.replanner = FleetReplanner()
         if self.tenant_rate > 0:
-            fleet.rate_limiter = TenantRateLimiter(
-                rate=self.tenant_rate, burst=self.tenant_burst or None
-            )
+            fleet.rate_limiter = TenantRateLimiter(rate=self.tenant_rate)
         return fleet
 
     def gpus(self, target=None) -> int:

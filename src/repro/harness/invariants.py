@@ -243,17 +243,13 @@ def check_fleet_recovered(target) -> list[str]:
 
 
 def check_budget_watermarks(system, config) -> list[str]:
-    """Fair-share budgets never exceeded at any sim instant, per the peak
-    counters each system keeps."""
+    """The fair-share in-flight budget is never exceeded at any sim instant,
+    per the peak counters each system keeps."""
     problems = []
-    budgets = (
-        ("tenant_peak_inflight[", config.max_inflight),
-        ("tenant_peak_tokens[", config.max_tokens),
-    )
+    budget = config.max_inflight
     for key, peak in sorted(system.metrics.counters.items()):
-        for prefix, budget in budgets:
-            if budget and key.startswith(prefix) and peak > budget:
-                problems.append(f"{key} = {peak} exceeds budget {budget}")
+        if budget and key.startswith("tenant_peak_inflight[") and peak > budget:
+            problems.append(f"{key} = {peak} exceeds budget {budget}")
     return problems
 
 

@@ -105,7 +105,7 @@ def build_system(cell: "Cell", slo: Optional[SLO] = None) -> ServingSystem:
 
     ws = cell.ws_config or WindServeConfig()
     if cell.system == "windserve-no-split":
-        ws = replace(ws, sbd_enabled=False)
+        ws = replace(ws, colocation_mode="hybrid")
     elif cell.system == "windserve-no-resche":
         ws = replace(ws, rescheduling_enabled=False)
     elif cell.system == "windserve-static":

@@ -61,7 +61,6 @@ class KVTransferEngine:
         topology: NodeTopology,
         metrics: Optional["MetricsCollector"] = None,
         trace: Optional["TraceLog"] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
@@ -73,7 +72,7 @@ class KVTransferEngine:
         self.bytes_by_kind: dict[str, int] = {}
         self.metrics = metrics
         self.trace = trace
-        self.retry = retry or RetryPolicy()
+        self.retry = RetryPolicy()
         # Installed by the fault injector; None in fault-free runs.
         self.fault_model: Optional["LinkFaultModel"] = None
         # Permanent-failure escalation: kinds whose loss the owning system

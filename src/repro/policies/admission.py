@@ -54,7 +54,7 @@ class NestedCapsAdmission(AdmissionPolicy):
         the nested count equals the total and the ``standard`` fraction of
         1.0 reproduces the flat cap exactly."""
         res = system.config.resilience
-        if not res.shed_enabled or not system.known_failed:
+        if not system.known_failed:
             return False
         rank = TIER_PRIORITY[request.tier]
         in_flight = sum(

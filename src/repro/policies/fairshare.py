@@ -1,5 +1,5 @@
-"""Multi-tenant fair-share admission: WFQ + SRPT bias + aging, budgets,
-and token-bucket rate limiting.
+"""Multi-tenant fair-share admission: WFQ, a per-tenant budget, and
+token-bucket rate limiting.
 
 Tiers (PR 4) rank *how urgent* a request is; nothing stops one tenant from
 monopolising a tier and starving everyone else in it.  ``fair-share``
@@ -8,22 +8,14 @@ closes that hole with three independent mechanisms, all deterministic:
 * **WFQ virtual-time queueing** (start-time fair queueing).  Each admitted
   request gets a start tag ``S = max(V, F_tenant)`` and a finish tag
   ``F = S + size / weight``; the virtual clock ``V`` advances to the
-  largest start tag issued (monotone).  The queue key folds in an SRPT
-  bias (short jobs first) and an aging credit (waited seconds convert to
-  virtual service, so no request starves):
+  largest start tag issued (monotone).  The finish tag is the queue key:
+  static keys let the instance's existing tier-ordered insertion sort stay
+  the single queue discipline.
 
-      key = F + srpt_bias * size + aging_rate * now
-
-  The aging term looks inverted but is exact: the dynamic priority
-  ``F - aging_rate * waited`` differs from this static key only by a term
-  common to every queued request at comparison time, so the *ordering* is
-  identical — and static keys let the instance's existing tier-ordered
-  insertion sort stay the single queue discipline.
-
-* **Per-tenant budgets** — concurrency, tokens-in-flight, and KV bytes —
-  enforced at admission, *unconditionally* (unlike the degraded-mode
-  nested caps, which only engage once a failure is detected).  A tenant
-  over budget sheds its own arrivals; everyone else is untouched.
+* **A per-tenant in-flight budget** enforced at admission,
+  *unconditionally* (unlike the degraded-mode nested caps, which only
+  engage once a failure is detected).  A tenant over budget sheds its own
+  arrivals; everyone else is untouched.
 
 * **Token-bucket rate limiting** at the fleet gateway
   (:class:`TenantRateLimiter`), refilled deterministically from sim time.
@@ -48,10 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # -- configuration -------------------------------------------------------------
 
 
-def _parse_weights(text: str) -> tuple[tuple[str, float], ...]:
-    """Parse ``"heavy=1,light=4"`` into weight pairs (same grammar as mixes)."""
+def _weight_pairs(text: str) -> tuple[tuple[str, float], ...]:
+    """Split ``"heavy=1,light=4"`` into weight pairs (same grammar as mixes)."""
     weights = []
-    seen = set()
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -66,13 +57,6 @@ def _parse_weights(text: str) -> tuple[tuple[str, float], ...]:
             weight = float(raw)
         except ValueError:
             raise ValueError(f"tenant {tenant!r} has non-numeric weight {raw!r}")
-        if not tenant:
-            raise ValueError("tenant names must be non-empty")
-        if tenant in seen:
-            raise ValueError(f"tenant {tenant!r} appears twice in the weights")
-        if not weight > 0:
-            raise ValueError(f"tenant {tenant!r} needs a positive weight, got {weight}")
-        seen.add(tenant)
         weights.append((tenant, weight))
     return tuple(weights)
 
@@ -81,19 +65,13 @@ def _parse_weights(text: str) -> tuple[tuple[str, float], ...]:
 class FairShareConfig:
     """Knobs of the fair-share discipline.
 
-    All defaults are inert: unit weights, no SRPT bias, no aging, no
-    budgets — pure per-tenant WFQ.  Budgets are *per tenant*: each tenant
-    may hold at most ``max_inflight`` unresolved requests,
-    ``max_tokens`` prompt+output tokens in flight, and ``max_kv_bytes``
-    of (eventual) KV footprint at any sim instant.
+    All defaults are inert: unit weights and no budget — pure per-tenant
+    WFQ.  The budget is *per tenant*: each tenant may hold at most
+    ``max_inflight`` unresolved requests at any sim instant.
     """
 
     weights: tuple[tuple[str, float], ...] = ()
-    srpt_bias: float = 0.0
-    aging_rate: float = 0.0
     max_inflight: Optional[int] = None
-    max_tokens: Optional[int] = None
-    max_kv_bytes: Optional[float] = None
 
     def __post_init__(self) -> None:
         seen = set()
@@ -107,18 +85,13 @@ class FairShareConfig:
                     f"tenant {tenant!r} needs a positive weight, got {weight}"
                 )
             seen.add(tenant)
-        if self.srpt_bias < 0:
-            raise ValueError("srpt_bias must be non-negative")
-        if self.aging_rate < 0:
-            raise ValueError("aging_rate must be non-negative")
-        for name in ("max_inflight", "max_tokens", "max_kv_bytes"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive when set, got {value}")
+        if self.max_inflight is not None and not self.max_inflight > 0:
+            raise ValueError(f"max_inflight must be positive when set, got {self.max_inflight}")
 
     @classmethod
     def parse_weights(cls, text: str) -> tuple[tuple[str, float], ...]:
-        return _parse_weights(text)
+        """Parse ``"heavy=1,light=4"`` into validated weight pairs."""
+        return cls(weights=_weight_pairs(text)).weights
 
     def weight_for(self, tenant: str) -> float:
         for name, weight in self.weights:
@@ -134,16 +107,8 @@ class FairShareConfig:
         parts = []
         if self.weights:
             parts.append(f"w:{self.weights_spec()}")
-        if self.srpt_bias:
-            parts.append(f"srpt:{self.srpt_bias:g}")
-        if self.aging_rate:
-            parts.append(f"aging:{self.aging_rate:g}")
         if self.max_inflight is not None:
             parts.append(f"inflight:{self.max_inflight}")
-        if self.max_tokens is not None:
-            parts.append(f"tokens:{self.max_tokens}")
-        if self.max_kv_bytes is not None:
-            parts.append(f"kv:{self.max_kv_bytes:g}")
         return ";".join(parts) or "wfq"
 
 
@@ -173,19 +138,14 @@ class FairShareClock:
         self.virtual_time = 0.0
         self._finish: dict[str, float] = {}
 
-    def stamp(self, tenant: str, size: float, now: float) -> tuple[float, float]:
+    def stamp(self, tenant: str, size: float) -> tuple[float, float]:
         """Issue ``(queue key, start tag)`` for one admitted request."""
         if not size > 0:
             raise ValueError(f"request size must be positive, got {size}")
         start = max(self.virtual_time, self._finish.get(tenant, 0.0))
         finish = start + size / self.config.weight_for(tenant)
         self._finish[tenant] = finish
-        key = (
-            finish
-            + self.config.srpt_bias * size
-            + self.config.aging_rate * now
-        )
-        return key, start
+        return finish, start
 
     def record_service(self, start: float) -> None:
         """A request with start tag ``start`` was served: advance the clock.
@@ -215,8 +175,8 @@ class FairShareQueue:
     def __len__(self) -> int:
         return len(self._items)
 
-    def push(self, tenant: str, size: float, now: float = 0.0) -> float:
-        key, start = self.clock.stamp(tenant, size, now)
+    def push(self, tenant: str, size: float) -> float:
+        key, start = self.clock.stamp(tenant, size)
         self._items.append((key, self._seq, tenant, size, start))
         self._seq += 1
         return key
@@ -269,13 +229,13 @@ class TenantRateLimiter:
     """Per-tenant token buckets at the fleet gateway.
 
     Buckets are created lazily (full) on a tenant's first arrival; every
-    gateway submit costs one token.  Attach to a fleet via
-    ``fleet.rate_limiter = TenantRateLimiter(rate, burst)``.
+    gateway submit costs one token, and a bucket holds ``max(1, rate)``.
+    Attach to a fleet via ``fleet.rate_limiter = TenantRateLimiter(rate)``.
     """
 
-    def __init__(self, rate: float, burst: Optional[float] = None) -> None:
+    def __init__(self, rate: float) -> None:
         self.rate = rate
-        self.burst = burst if burst is not None else max(1.0, rate)
+        self.burst = max(1.0, rate)
         self.buckets: dict[str, TokenBucket] = {}
         self.denied: dict[str, int] = {}
 
@@ -298,8 +258,8 @@ class FairShareAdmission(NestedCapsAdmission):
 
     Order of checks on every arrival:
 
-    1. **Budgets** (unconditional): the arriving tenant's in-flight usage
-       — including this request — against ``FairShareConfig`` budgets.
+    1. **Budget** (unconditional): the arriving tenant's in-flight count
+       — including this request — against ``FairShareConfig.max_inflight``.
        Over budget ⇒ shed this arrival (never another tenant's work).
     2. **Nested tier caps** (degraded mode only): the inherited
        ``NestedCapsAdmission`` logic, unchanged.
@@ -346,11 +306,7 @@ class FairShareAdmission(NestedCapsAdmission):
             system.finish_listeners.append(self._observe_finish)
             self._wired = True
         size = float(request.prompt_tokens + request.output_tokens)
-        key, start = self.clock_for(system).stamp(
-            request.tenant, size, system.sim.now
-        )
-        request.fs_key = key
-        request.fs_start = start
+        request.fs_key, request.fs_start = self.clock_for(system).stamp(request.tenant, size)
         return True
 
     def _observe_finish(self, request: Request, instance=None) -> None:
@@ -364,18 +320,12 @@ class FairShareAdmission(NestedCapsAdmission):
         """Budget violated by this arrival?  Returns the reason or None.
 
         The system's tenant ledger is bumped before admission runs, so the
-        usage numbers already include the arriving request — strict ``>``
-        comparisons therefore admit exactly up to the budget.
+        usage numbers already include the arriving request — a strict ``>``
+        comparison therefore admits exactly up to the budget.
         """
-        count, tokens = system.tenant_usage(request.tenant)
+        count, _ = system.tenant_usage(request.tenant)
         if cfg.max_inflight is not None and count > cfg.max_inflight:
             return "inflight"
-        if cfg.max_tokens is not None and tokens > cfg.max_tokens:
-            return "tokens"
-        if cfg.max_kv_bytes is not None:
-            kv_bytes = tokens * system.config.model.kv_bytes_per_token
-            if kv_bytes > cfg.max_kv_bytes:
-                return "kv-bytes"
         return None
 
 

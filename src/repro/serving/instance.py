@@ -40,18 +40,25 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.serving.system import ServingSystem
 
 
+#: Tokens per KV block (vLLM's default).
+BLOCK_SIZE = 16
+#: HBM each GPU keeps for activations, outside the KV pool.
+ACTIVATION_RESERVE_GB = 8.0
+#: Most decode requests one lane batches.
+MAX_DECODE_BATCH_SIZE = 256
+#: Free KV blocks required before a swapped request comes back in (capped
+#: at a twentieth of small pools).
+SWAP_IN_FREE_BLOCKS = 64
+
+
 @dataclass(frozen=True)
 class InstanceConfig:
     """Tunables shared by all instance types."""
 
-    block_size: int = 16
-    activation_reserve_gb: float = 8.0
     cpu_swap_gb: float = 128.0
     max_prefill_tokens_per_batch: int = 8192
-    max_decode_batch_size: int = 256
     max_batched_tokens: int = 512  # chunked-prefill budget per hybrid iteration
     preemption_mode: str = "swap"  # "swap" (to CPU DRAM) or "recompute"
-    swap_in_free_blocks: int = 64
     kv_capacity_override_tokens: Optional[int] = None
     # Swap-victim selection policy name (see repro.policies.preemption).
     preemption_policy: str = "latest-arrived"
@@ -418,7 +425,7 @@ class Instance:
             cpu_capacity_tokens=int(
                 self.config.cpu_swap_gb * GB / self.spec.kv_bytes_per_token
             ),
-            block_size=self.config.block_size,
+            block_size=BLOCK_SIZE,
             bytes_per_token=self.spec.kv_bytes_per_token,
         )
 
@@ -441,7 +448,7 @@ class Instance:
         per_gpu_budget = (
             self.gpu.hbm_capacity_bytes
             - self.parallel.weight_bytes_per_gpu(self.spec)
-            - int(self.config.activation_reserve_gb * GB)
+            - int(ACTIVATION_RESERVE_GB * GB)
         )
         if per_gpu_budget <= 0:
             raise ValueError(
@@ -777,7 +784,7 @@ class Instance:
 
     def _swap_in_watermark(self) -> int:
         """Free blocks required before swapping back in (scaled for small pools)."""
-        return min(self.config.swap_in_free_blocks, max(1, self.kv.gpu_capacity_blocks // 20))
+        return min(SWAP_IN_FREE_BLOCKS, max(1, self.kv.gpu_capacity_blocks // 20))
 
     def _try_swap_in(self) -> None:
         # Drop entries whose allocation left this instance (e.g. migrated away).

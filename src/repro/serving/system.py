@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional
 from repro.faults.config import ResilienceConfig
 from repro.hardware.gpu import GPUSpec, A800_80GB
 from repro.hardware.topology import NodeTopology
-from repro.kvcache.transfer import KVTransferEngine, RetryPolicy, TransferJob
+from repro.kvcache.transfer import KVTransferEngine, TransferJob
 from repro.models.spec import ModelSpec
 from repro.policies.admission import ADMISSION_POLICIES
 from repro.policies.base import FINGERPRINT_BASELINES, policy_identity
@@ -47,8 +47,8 @@ class SystemConfig:
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     # Degraded-mode admission policy name (see repro.policies.admission).
     admission_policy: str = "nested-caps"
-    # Fair-share discipline knobs (weights, SRPT bias, aging, per-tenant
-    # budgets); only consulted by the ``fair-share`` admission policy.
+    # Fair-share discipline knobs (WFQ weights, per-tenant in-flight
+    # budget); only consulted by the ``fair-share`` admission policy.
     fairshare: Optional[FairShareConfig] = None
 
     @property
@@ -72,17 +72,8 @@ class ServingSystem:
         self.topology = topology or NodeTopology(gpu=config.gpu)
         self.metrics = MetricsCollector()
         self.trace = TraceLog(enabled=config.trace_enabled)
-        res = config.resilience
         self.transfers = KVTransferEngine(
-            self.sim,
-            self.topology,
-            metrics=self.metrics,
-            trace=self.trace,
-            retry=RetryPolicy(
-                backoff_s=res.transfer_retry_backoff_s,
-                multiplier=res.transfer_retry_multiplier,
-                max_retries=res.transfer_max_retries,
-            ),
+            self.sim, self.topology, metrics=self.metrics, trace=self.trace
         )
         self.transfers.on_failure = self.on_transfer_failed
         self.admission = ADMISSION_POLICIES.create(config.admission_policy)

@@ -25,11 +25,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             WindServeConfig(static_partition_fraction=0.99)
 
-    def test_no_split_flag_maps_to_hybrid(self):
-        cfg = WindServeConfig(sbd_enabled=False)
-        assert cfg.effective_colocation_mode == "hybrid"
-        assert WindServeConfig().effective_colocation_mode == "sbd"
-
 
 class TestStaticPartition:
     def test_decode_always_slowed_by_partition(self):

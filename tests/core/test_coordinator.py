@@ -46,11 +46,13 @@ class TestRouting:
 
 class TestAvailableSlots:
     def test_slots_bounded_by_budget(self):
-        system = make_system(ws_config=WindServeConfig(assist_budget_tokens=1000))
+        system = make_system()
+        system.assist_budget_tokens = 1000
         assert system.coordinator.available_slots() <= 1000
 
     def test_in_flight_assists_consume_budget(self):
-        system = make_system(ws_config=WindServeConfig(assist_budget_tokens=1000))
+        system = make_system()
+        system.assist_budget_tokens = 1000
         before = system.coordinator.available_slots()
         r = request(1, prompt=600, output=5)
         system.decode_instance.kv.allocate(1, 601)
@@ -65,7 +67,8 @@ class TestAvailableSlots:
         assert system.coordinator.available_slots() == 0
 
     def test_slots_never_negative(self):
-        system = make_system(ws_config=WindServeConfig(assist_budget_tokens=100))
+        system = make_system()
+        system.assist_budget_tokens = 100
         r = request(1, prompt=600, output=5)
         system.decode_instance.kv.allocate(1, 601)
         system.decode_instance.assist.submit(r)

@@ -19,7 +19,9 @@ from repro.faults import (
     FaultPlan,
     build_fleet_fault_plan,
 )
+from repro.faults.config import DETECTION_DELAY_S, HEARTBEAT_INTERVAL_S
 from repro.hardware.cluster import ClusterTopology
+from repro.harness import cell as cell_module
 from repro.harness.cell import Cell
 from repro.models.parallelism import ParallelConfig
 from repro.models.registry import get_model
@@ -97,8 +99,7 @@ class TestGpuHoursAccounting:
         # 4 members x 4 GPUs, all active.
         _advance(fleet, 10.0)
         assert fleet.gpu_hours_used() == pytest.approx(16 * 10.0)
-        fleet.autoscaler.replace_on_failure = False
-        fleet.fail_member(1)
+        fleet.fail_member(1)  # no standby to promote
         _advance(fleet, 10.0)
         assert fleet.gpu_hours_used() == pytest.approx(16 * 10.0 + 12 * 10.0)
 
@@ -132,7 +133,6 @@ class TestGpuHoursAccounting:
         fleet = AutoscalingFleet(
             [big, small],
             policy="round-robin",
-            autoscaler=AutoscalerConfig(replace_on_failure=False),
         )
         _advance(fleet, 10.0)
         assert fleet.gpu_hours_used() == pytest.approx((4 + 2) * 10.0)
@@ -179,10 +179,9 @@ class TestDetectionWindow:
     def test_detection_latency_is_positive_and_bounded(self):
         result = run_fleet_chaos(fault_plan="member-crash", num_requests=60)
         assert result.passed, result.violations
-        res = fleet_default_resilience()
         latency = result.target.fleet_resilience_summary()["member_detection_latency_s"]
         assert latency > 0
-        assert latency <= res.detection_delay_s + res.heartbeat_interval_s + 1e-9
+        assert latency <= DETECTION_DELAY_S + HEARTBEAT_INTERVAL_S + 1e-9
 
     def test_undetected_crash_restart_resubmits(self):
         fleet = make_fleet()
@@ -195,12 +194,6 @@ class TestDetectionWindow:
         assert all(r.finished for r in requests)
         assert fleet.retried > 0
         assert not fleet.crashed and not fleet.failed
-
-
-def fleet_default_resilience():
-    from repro.faults import ResilienceConfig
-
-    return ResilienceConfig()
 
 
 class TestFleetTargets:
@@ -275,10 +268,9 @@ class TestFleetChaosEndToEnd:
 
 
 class TestStandbyPromotion:
-    def test_replacement_within_startup_delay(self):
-        result = run_fleet_chaos(
-            fault_plan="member-crash", num_requests=60, fleet_standby=1, startup_delay=0.5
-        )
+    def test_replacement_within_startup_delay(self, monkeypatch):
+        monkeypatch.setattr(cell_module, "STANDBY_STARTUP_DELAY", 0.5)
+        result = run_fleet_chaos(fault_plan="member-crash", num_requests=60, fleet_standby=1)
         assert result.passed, result.violations
         lag = result.target.fleet_resilience_summary()["replacement_lag_s"]
         assert lag == pytest.approx(0.5, abs=1e-6)

@@ -190,16 +190,12 @@ class TestTypedBilling:
 
 
 class TestStandbyShapeMismatch:
-    def make_fleet(self, spec: str, **autoscaler_kwargs):
+    def make_fleet(self, spec: str):
         def factory(members, policy):
             return AutoscalingFleet(
                 members,
                 policy=policy,
-                autoscaler=AutoscalerConfig(
-                    startup_delay=0.5,
-                    check_interval=0.5,
-                    **autoscaler_kwargs,
-                ),
+                autoscaler=AutoscalerConfig(startup_delay=0.5, check_interval=0.5),
                 initially_active=len(members) - 1,
             )
 
@@ -221,16 +217,6 @@ class TestStandbyShapeMismatch:
         fleet.sim.run(until=0.1)
         fleet.crash_member(0)
         fleet.notice_member_failure(0)  # standby 2 matches member 0's shape
-        assert 2 in fleet._starting
-
-    def test_promote_mismatched_opt_in(self):
-        fleet = self.make_fleet(
-            "a800,h100,a800:1:1x1+1x1", promote_mismatched=True
-        )
-        fleet.load_workload(trace(2.0 * fleet.num_gpus, n=20))
-        fleet.sim.run(until=0.1)
-        fleet.crash_member(1)
-        fleet.notice_member_failure(1)
         assert 2 in fleet._starting
 
     def test_replanner_waives_the_mismatch(self):

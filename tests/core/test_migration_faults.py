@@ -116,11 +116,8 @@ class TestTransferRetry:
         migration transfers fail permanently; the abort path resumes the
         request on its source and nothing leaks."""
         system = pressured_system()
-        res = system.config.resilience
-        budget = sum(
-            res.transfer_retry_backoff_s * res.transfer_retry_multiplier**i
-            for i in range(res.transfer_max_retries)
-        )
+        retry = system.transfers.retry
+        budget = sum(retry.backoff_s * retry.multiplier**i for i in range(retry.max_retries))
         plan = FaultPlan(
             name="custom",
             events=(

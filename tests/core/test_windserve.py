@@ -67,10 +67,6 @@ class TestBasicLifecycle:
         system = make_system()
         assert system.assist_budget_tokens > 0
 
-    def test_assist_budget_respects_override(self):
-        system = make_system(ws_config=WindServeConfig(assist_budget_tokens=777))
-        assert system.assist_budget_tokens == 777
-
 
 class TestDynamicPrefillDispatch:
     def test_idle_prefill_no_dispatch(self):
@@ -264,7 +260,7 @@ class TestStreamBasedDisaggregation:
         assert system.metrics.counters.get("assist_prefill", 0) >= 1
 
     def test_no_split_uses_hybrid_batches(self):
-        system = make_system(ws_config=WindServeConfig(sbd_enabled=False))
+        system = make_system(ws_config=WindServeConfig(colocation_mode="hybrid"))
         for i in range(30):
             system.submit(request(i, prompt=1800, output=20))
         system.sim.run_until_idle()
@@ -280,6 +276,6 @@ class TestStreamBasedDisaggregation:
         m1 = sbd.run_to_completion(trace)
 
         trace2 = generate_trace(SHAREGPT, rate=16.0, num_requests=200, seed=9, model=model)
-        nosplit = make_system(ws_config=WindServeConfig(sbd_enabled=False))
+        nosplit = make_system(ws_config=WindServeConfig(colocation_mode="hybrid"))
         m2 = nosplit.run_to_completion(trace2)
         assert m1.tpot_stats().p90 < m2.tpot_stats().p90

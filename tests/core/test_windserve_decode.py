@@ -29,19 +29,16 @@ class TestAdmission:
         assert batch.kind == "decode"
         assert batch.decode_batch_size == 3
 
-    def test_batch_size_cap(self):
+    def test_batch_size_cap(self, monkeypatch):
+        from repro.core import instances
         from repro.core.windserve import WindServeSystem
         from repro.hardware.topology import NodeTopology
         from repro.models.registry import get_model
-        from repro.serving.instance import InstanceConfig
         from repro.serving.metrics import SLO
         from repro.serving.system import SystemConfig
 
-        cfg = SystemConfig(
-            model=get_model("opt-13b"),
-            slo=SLO(0.25, 0.1),
-            instance=InstanceConfig(max_decode_batch_size=2),
-        )
+        monkeypatch.setattr(instances, "MAX_DECODE_BATCH_SIZE", 2)
+        cfg = SystemConfig(model=get_model("opt-13b"), slo=SLO(0.25, 0.1))
         system = WindServeSystem(cfg, topology=NodeTopology(num_gpus=4))
         decode = system.decode_instance
         for i in range(5):
@@ -83,7 +80,7 @@ class TestSBDKinds:
         assert batch.kind == "sbd"
 
     def test_hybrid_kind_in_no_split_mode(self):
-        system = make_system(ws_config=WindServeConfig(sbd_enabled=False))
+        system = make_system(ws_config=WindServeConfig(colocation_mode="hybrid"))
         decode = system.decode_instance
         decode.waiting.append(decode_ready(system, 1))
         assist = request(99, prompt=1000, output=2)

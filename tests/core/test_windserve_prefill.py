@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import WindServeConfig
+from repro.core.config import ASYNC_PREFILL_SLOWDOWN, WindServeConfig
 from repro.serving.request import Phase
 
 from tests.core.test_windserve import make_system, request
@@ -64,7 +64,7 @@ class TestPureMode:
             p.waiting.append(request(1, prompt=600, output=5))
             durations[label] = p._form_batch(p.lanes[0]).duration
         assert durations["on"] == pytest.approx(
-            durations["off"] * on.ws_config.async_prefill_slowdown
+            durations["off"] * ASYNC_PREFILL_SLOWDOWN
         )
 
 

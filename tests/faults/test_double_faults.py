@@ -12,8 +12,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 
+import pytest
+
 from repro.faults import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.harness import cell as cell_module
 from repro.harness.cell import Cell
 from repro.harness.invariants import check_run
 from repro.models.registry import get_model
@@ -87,9 +90,13 @@ class TestCrashWhileRestarting:
 
 
 class TestCrashWhileStandbyWarming:
+    @pytest.fixture(autouse=True)
+    def _quarter_second_checks(self, monkeypatch):
+        monkeypatch.setattr(cell_module, "STANDBY_CHECK_INTERVAL", 0.25)
+
     def _spec(self) -> Cell:
         # 2 nodes x 2 pairs with one parked standby; promotion takes 1s.
-        return Cell(fleet_nodes=2, fleet_standby=1, startup_delay=1.0, check_interval=0.25)
+        return Cell(fleet_nodes=2, fleet_standby=1)
 
     def _plan(self) -> FaultPlan:
         # The first crash triggers failure-reactive promotion of the

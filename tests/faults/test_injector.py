@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.faults.config import DETECTION_DELAY_S, HEARTBEAT_INTERVAL_S, HEARTBEAT_MISS_THRESHOLD
 from repro.faults.detection import HeartbeatMonitor
 from repro.faults.injector import FaultInjector
 from repro.faults.links import LinkFaultModel
@@ -130,10 +131,9 @@ class TestCrashLifecycle:
         FaultInjector(system, plan_of(event)).arm()
         system.run_to_completion(workload())
         summary = system.metrics.resilience_summary()
-        res = system.config.resilience
-        stale = res.heartbeat_miss_threshold * res.heartbeat_interval_s
-        assert summary["detection_latency_s"] >= stale - res.heartbeat_interval_s - 1e-9
-        assert summary["detection_latency_s"] <= res.detection_delay_s + 1e-9
+        stale = HEARTBEAT_MISS_THRESHOLD * HEARTBEAT_INTERVAL_S
+        assert summary["detection_latency_s"] >= stale - HEARTBEAT_INTERVAL_S - 1e-9
+        assert summary["detection_latency_s"] <= DETECTION_DELAY_S + 1e-9
         assert summary["downtime_s"] >= 1.0 - 1e-9
 
     def test_crash_during_idle_is_harmless(self):

@@ -97,6 +97,18 @@ class TestBackupRestore:
         trace = generate_trace(SHAREGPT, rate=12.0, num_requests=100, seed=3, model=model)
         system.load_workload(trace)
         triggered = [False]
+        # The phase of each request a backup restore re-queues, read right
+        # after the restore: it rejoins ``prefilling``, so it is PREFILLING.
+        restored_phases = []
+        requeue = system._requeue_on_prefill
+
+        def watch_requeue(request):
+            before = system.metrics.counters.get("backup_restore", 0)
+            requeue(request)
+            if system.metrics.counters.get("backup_restore", 0) > before:
+                restored_phases.append(request.phase)
+
+        system._requeue_on_prefill = watch_requeue
 
         def crash_when_backed():
             decode = system.decode_instance
@@ -113,6 +125,8 @@ class TestBackupRestore:
         system.sim.run_until_idle()
         assert triggered[0], "workload never produced a retained backup"
         assert system.metrics.counters.get("backup_restore", 0) >= 1
+        assert restored_phases
+        assert all(phase is Phase.PREFILLING for phase in restored_phases), restored_phases
         assert_conserved(system, 100)
         restored = [r for r in system.metrics.completed if r.recompute_count > 0]
         assert restored
@@ -131,16 +145,6 @@ class TestShedding:
         for r in system.metrics.shed:
             assert r.phase is Phase.SHED
             assert r.shed_time is not None
-
-    def test_shedding_disabled(self):
-        system = make_system()
-        system.config.resilience = ResilienceConfig(
-            degraded_inflight_limit=2, shed_enabled=False
-        )
-        FaultInjector(system, crash_plan("decode", 0.1, 2.0)).arm()
-        system.run_to_completion(workload(n=80, spacing=0.01))
-        assert not system.metrics.shed
-        assert len(system.metrics.completed) == 80
 
     def test_no_shedding_without_detection(self):
         # Shedding keys off scheduler knowledge, not ground truth.

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from repro.cli import _parse_parallel, build_parser, main
+from repro.cli import CELL_FLAGS, RUN_BASE, _parse_parallel, _run_cell, build_parser, main
+from repro.harness.cell import Cell
 
 
 class TestParallelParsing:
@@ -139,3 +141,57 @@ class TestCommands:
     def test_parser_help_builds(self):
         parser = build_parser()
         assert parser.format_help()
+
+
+#: One non-default value per :data:`CELL_FLAGS` entry: the text after the
+#: flag (None for a switch) and the field value it must parse to.
+FLAG_SAMPLES = {
+    "model": ("llama2-7b", "llama2-7b"),
+    "dataset": ("longbench", "longbench"),
+    "rate_per_gpu": ("4.5", 4.5),
+    "num_requests": ("77", 77),
+    "seed": ("9", 9),
+    "prefill_parallel": ("tp4pp1", (4, 1)),
+    "decode_parallel": ("2,2", (2, 2)),
+    "num_node_gpus": ("4", 4),
+    "arrival_process": ("bursty", "bursty"),
+    "burstiness_cv": ("3.5", 3.5),
+    "tier_mix": ("interactive=0.5,standard=0.5", "interactive=0.5,standard=0.5"),
+    "prefix_mix": ("none=0.5,assistant=0.5:384", "none=0.5,assistant=0.5:384"),
+    "tenant_mix": ("acme=0.6,beta=0.4", "acme=0.6,beta=0.4"),
+    "tenant_weights": ("acme=1,beta=4", "acme=1,beta=4"),
+    "tenant_max_inflight": ("8", 8),
+    "admission_policy": ("fair-share", "fair-share"),
+    "fleet_policy": ("least-loaded", "least-loaded"),
+    "fleet_nodes": ("2", 2),
+    "fleet_pairs_per_node": ("1", 1),
+    "fleet_standby": ("1", 1),
+    "fleet_span_nodes": (None, True),
+    "fleet_shape": ("a800:2,h100", "a800:2,h100"),
+    "fault_plan": ("decode-crash", "decode-crash"),
+    "prefix_cache_tokens": ("2048", 2048),
+    "tenant_rate": ("4", 4.0),
+}
+
+
+class TestCellFlags:
+    def test_every_flag_has_a_sample(self):
+        assert set(FLAG_SAMPLES) == set(CELL_FLAGS)
+
+    @pytest.mark.parametrize("field", list(CELL_FLAGS))
+    def test_flag_sets_exactly_its_field(self, field):
+        flag = CELL_FLAGS[field][0]
+        text, value = FLAG_SAMPLES[field]
+        argv = ["run"] if field == "rate_per_gpu" else ["run", "--rate", "3"]
+        argv += [flag] if text is None else [flag, text]
+        args = build_parser().parse_args(argv)
+        cell = _run_cell(args, system=args.system)
+        changed = {f.name for f in fields(Cell) if getattr(cell, f.name) != getattr(RUN_BASE, f.name)}
+        assert changed == {field}
+        assert getattr(cell, field) == value
+
+    def test_non_positive_tenant_weight_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--rate", "3", "--tenant-weights", "a=0"])
+        assert exc.value.code == 2
+        assert "tenant 'a' needs a positive weight, got 0.0" in capsys.readouterr().err

@@ -40,7 +40,7 @@ class TestBuildSystem:
 
     def test_ablation_variants_configure_windserve(self):
         no_split = build_system(spec(system="windserve-no-split"))
-        assert not no_split.ws_config.sbd_enabled
+        assert no_split.ws_config.colocation_mode == "hybrid"
         no_resche = build_system(spec(system="windserve-no-resche"))
         assert not no_resche.ws_config.rescheduling_enabled
         static = build_system(spec(system="windserve-static"))

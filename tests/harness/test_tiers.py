@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, ResilienceConfig
-from repro.faults.config import should_shed_tier, tier_inflight_limit
+from repro.faults.config import TIER_ADMISSION_FRACTIONS, should_shed_tier, tier_inflight_limit
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.harness.invariants import check_run
 from repro.harness.cell import Cell
@@ -179,7 +179,7 @@ class TestTieredTraces:
 
 
 class TestShedPolicy:
-    FRACTIONS = ResilienceConfig().tier_admission_fractions
+    FRACTIONS = TIER_ADMISSION_FRACTIONS
 
     def test_nested_caps_shrink_with_priority(self):
         caps = [tier_inflight_limit(96, t, self.FRACTIONS) for t in TIERS]
@@ -192,18 +192,9 @@ class TestShedPolicy:
     def test_unknown_tier_gets_the_flat_cap(self):
         assert tier_inflight_limit(96, "gold", self.FRACTIONS) == 96
 
-    def test_increasing_fractions_rejected(self):
-        with pytest.raises(ValueError, match="non-increasing"):
-            ResilienceConfig(
-                tier_admission_fractions=(("interactive", 0.5), ("standard", 1.0))
-            )
-
-    def test_non_positive_fraction_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            ResilienceConfig(tier_admission_fractions=(("interactive", 0.0),))
-
     def test_unlisted_tier_fraction_defaults_to_one(self):
-        assert ResilienceConfig().tier_fraction("gold") == 1.0
+        res = ResilienceConfig()
+        assert res.tier_inflight_limit("gold") == res.degraded_inflight_limit
 
 
 @st.composite

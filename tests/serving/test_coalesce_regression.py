@@ -84,7 +84,10 @@ UNPINNED_SCENARIOS = {
     ),
     "no-split": (
         Cell(
-            seed=22, rate_per_gpu=3.5, num_requests=60, ws_config=WindServeConfig(sbd_enabled=False)
+            seed=22,
+            rate_per_gpu=3.5,
+            num_requests=60,
+            ws_config=WindServeConfig(colocation_mode="hybrid"),
         ),
         ("decode", "hybrid"),
     ),

@@ -13,14 +13,13 @@ scheduling a completion event, and only through ``events_processed``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import pytest
 
-from repro.faults import FaultInjector, ResilienceConfig
+from repro.faults import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.harness.cell import Cell, clone_requests
 from repro.harness.invariants import check_run
+from repro.kvcache.transfer import RetryPolicy
 
 # (cell, counter that must fire, pinned run fingerprint)
 CRASH_CASES = (
@@ -82,18 +81,11 @@ OUTAGE_FINGERPRINTS = {
 }
 
 
-@dataclass(frozen=True)
-class _OneRetryCell(Cell):
-    """A cell whose hand-off copies give up after a single retry."""
-
-    def resilience(self) -> ResilienceConfig:
-        return ResilienceConfig(transfer_max_retries=1)
-
-
 @pytest.mark.parametrize("system", sorted(OUTAGE_FINGERPRINTS))
 def test_permanent_handoff_failure_reprefills(system):
-    cell = _OneRetryCell(system=system)
+    cell = Cell(system=system)
     target = cell.build()
+    target.transfers.retry = RetryPolicy(max_retries=1)  # hand-offs give up after one retry
     workload = cell.workload()
     submitted = clone_requests(workload.rows)
     FaultInjector(target, PD_OUTAGE).arm()

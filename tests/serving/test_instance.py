@@ -12,7 +12,7 @@ from repro.kvcache.transfer import KVTransferEngine
 from repro.models.parallelism import ParallelConfig
 from repro.models.registry import OPT_13B
 from repro.serving.batching import Batch
-from repro.serving.instance import Instance, InstanceConfig, Lane
+from repro.serving.instance import MAX_DECODE_BATCH_SIZE, Instance, InstanceConfig, Lane
 from repro.serving.metrics import MetricsCollector
 from repro.serving.request import Phase, Request
 from repro.sim.engine import Simulator
@@ -23,7 +23,7 @@ class DecodeOnlyInstance(Instance):
     plain iterations fold into decode runs)."""
 
     def _form_batch(self, lane: Lane) -> Optional[Batch]:
-        while self.waiting and lane.batch_size < self.config.max_decode_batch_size:
+        while self.waiting and lane.batch_size < MAX_DECODE_BATCH_SIZE:
             request = self.waiting.popleft()
             if request.decode_start is None:
                 request.decode_start = self.sim.now

@@ -26,7 +26,7 @@ class TestConfig:
         assert cfg.decode_instance_config is cfg.instance
 
     def test_decode_instance_override(self):
-        override = InstanceConfig(max_decode_batch_size=7)
+        override = InstanceConfig(max_batched_tokens=7)
         cfg = SystemConfig(model=get_model("opt-13b"), decode_instance=override)
         assert cfg.decode_instance_config is override
 
