@@ -135,11 +135,6 @@ class AutoscalingFleet(ServingFleet):
         self._account()
         return self.active_gpu_time
 
-    def gpu_hours_by_type(self) -> dict:
-        """Active GPU-seconds per device registry key (mixed-fleet billing)."""
-        self._account()
-        return dict(self.gpu_type_time)
-
     def merged_metrics(self) -> MetricsCollector:
         merged = super().merged_metrics()
         # Counters are outside the fingerprint surface, so stamping the

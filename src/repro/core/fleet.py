@@ -387,13 +387,6 @@ class ServingFleet:
             counts[gpu_key(instance.gpu)] += len(instance.gpus)
         return counts
 
-    def gpu_counts_by_type(self) -> Counter:
-        """Fleet-wide GPU count per registry key (mixed fleets differ)."""
-        counts: Counter[str] = Counter()
-        for index in range(len(self.members)):
-            counts.update(self.member_gpu_counts(index))
-        return counts
-
     # -- autoscaler hooks -------------------------------------------------------
 
     def on_member_failure(self, index: int) -> None:

@@ -58,10 +58,6 @@ class Profiler:
         coeffs_d, *_ = np.linalg.lstsq(design_d, times, rcond=None)
         self.a_d, self.c_d = float(coeffs_d[0]), float(coeffs_d[1])
 
-    @property
-    def latency_model(self) -> LatencyModel:
-        return self._model
-
     # -- regression predictions ---------------------------------------------
 
     def predict_prefill(self, num_tokens: int) -> float:
@@ -93,39 +89,6 @@ class Profiler:
             self.predict_prefill(queued_prefill_tokens + new_prompt_tokens)
             + max(0.0, current_batch_remaining)
         )
-
-    # -- fit diagnostics ------------------------------------------------------
-
-    def fit_quality(self) -> dict[str, float]:
-        """Regression quality on a held-out grid (R^2 and MAPE per phase).
-
-        The paper notes prefill time is "more linearly related to N" than
-        the raw quadratic FLOP count suggests; good R^2 here confirms the
-        low-order fits the Global Scheduler relies on are adequate.
-        """
-        spec = self._model.spec
-        prefill_grid = [48, 200, 600, 1200, min(3000, spec.max_context)]
-        actual_p = np.array([self._model.prefill(n).duration for n in prefill_grid])
-        pred_p = np.array([self.predict_prefill(n) for n in prefill_grid])
-
-        decode_grid = [(2, 256), (8, 768), (24, 1536), (48, 1024)]
-        actual_d = np.array([self._model.decode(b, b * c).duration for b, c in decode_grid])
-        pred_d = np.array([self.predict_decode(b * c) for b, c in decode_grid])
-
-        def r2(actual: np.ndarray, pred: np.ndarray) -> float:
-            ss_res = float(np.sum((actual - pred) ** 2))
-            ss_tot = float(np.sum((actual - actual.mean()) ** 2))
-            return 1.0 - ss_res / ss_tot if ss_tot else 1.0
-
-        def mape(actual: np.ndarray, pred: np.ndarray) -> float:
-            return float(np.mean(np.abs(actual - pred) / actual))
-
-        return {
-            "prefill_r2": r2(actual_p, pred_p),
-            "prefill_mape": mape(actual_p, pred_p),
-            "decode_r2": r2(actual_d, pred_d),
-            "decode_mape": mape(actual_d, pred_d),
-        }
 
     # -- assist budget (§3.2.2) -----------------------------------------------
 

@@ -21,7 +21,7 @@ Recovery policy itself lives in the serving systems (see
 knowledge of them.
 """
 
-from repro.faults.config import ResilienceConfig, should_shed_tier, tier_inflight_limit
+from repro.faults.config import ResilienceConfig, tier_inflight_limit
 from repro.faults.detection import HeartbeatMonitor
 from repro.faults.injector import FaultInjector
 from repro.faults.links import LinkFaultModel
@@ -47,6 +47,5 @@ __all__ = [
     "ResilienceConfig",
     "build_fault_plan",
     "build_fleet_fault_plan",
-    "should_shed_tier",
     "tier_inflight_limit",
 ]

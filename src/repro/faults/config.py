@@ -67,10 +67,3 @@ def tier_inflight_limit(
         if name == tier:
             return int(limit * fraction)
     return int(limit)
-
-
-def should_shed_tier(
-    in_flight: int, limit: int, tier: str, fractions: tuple[tuple[str, float], ...]
-) -> bool:
-    """Degraded-mode admission decision for one arriving request."""
-    return in_flight > tier_inflight_limit(limit, tier, fractions)

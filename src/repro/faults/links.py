@@ -29,9 +29,6 @@ class LinkFaultModel:
         self._windows.setdefault(link_name, []).append((start, end))
         self._windows[link_name].sort()
 
-    def has_outages(self) -> bool:
-        return bool(self._windows)
-
     def is_down(self, time: float, links: Iterable[_Named]) -> bool:
         """True when any of ``links`` is inside an outage window at ``time``."""
         for link in links:

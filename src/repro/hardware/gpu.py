@@ -55,10 +55,6 @@ class GPUSpec:
     def hbm_capacity_bytes(self) -> int:
         return int(self.hbm_capacity_gb * GB)
 
-    def ridge_point_flops_per_byte(self) -> float:
-        """Roofline ridge: arithmetic intensity where compute == bandwidth."""
-        return self.effective_flops / self.effective_bandwidth
-
 
 # The paper's testbed GPU.  A800 is the export variant of the A100: identical
 # compute/HBM, NVLink capped at 400 GB/s bidirectional (200 GB/s per

@@ -108,9 +108,6 @@ class Link:
         self.busy_time += duration
         return TransferReservation(start=start, finish=finish)
 
-    def earliest_start(self, now: float) -> float:
-        return max(now, self.busy_until)
-
     def utilization(self, horizon: float) -> float:
         """Fraction of ``[0, horizon]`` the link spent busy."""
         if horizon <= 0:

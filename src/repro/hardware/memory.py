@@ -41,9 +41,6 @@ class MemoryPool:
             return 0.0
         return self._used / self._capacity
 
-    def can_reserve(self, nbytes: int) -> bool:
-        return nbytes <= self.free
-
     def reserve(self, nbytes: int) -> None:
         """Take ``nbytes`` from the pool; raises :class:`OutOfMemoryError` if short."""
         if nbytes < 0:

@@ -6,7 +6,7 @@ from repro.harness.report import format_table
 from repro.harness.placement_search import search_placement
 from repro.harness.timeline import TimelineReport, render_timeline, sparkline
 from repro.harness.capacity import CapacityResult, find_capacity
-from repro.harness.breakdown import aggregate_breakdown, breakdown_rows, render_breakdown
+from repro.harness.breakdown import aggregate_breakdown, breakdown_rows
 from repro.harness.cell import Cell, CellRun, Workload
 from repro.harness.golden import GOLDEN_MATRIX, GoldenDiff, check_goldens, record_goldens
 
@@ -24,7 +24,6 @@ __all__ = [
     "find_capacity",
     "aggregate_breakdown",
     "breakdown_rows",
-    "render_breakdown",
     "Cell",
     "CellRun",
     "Workload",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.harness.report import format_table
 from repro.serving.metrics import LatencyStats
 from repro.serving.request import Request
 
@@ -75,7 +74,3 @@ def breakdown_rows(
             row = {"system": label, **row}
         rows.append(row)
     return rows
-
-
-def render_breakdown(requests: Iterable[Request], title: str = "latency breakdown") -> str:
-    return format_table(breakdown_rows(requests), title=title, precision=4)

@@ -35,6 +35,7 @@ from repro.hardware.topology import NodeTopology
 from repro.harness import experiments
 from repro.harness.capacity import find_capacity
 from repro.harness.cell import Cell, CellRun, Workload
+from repro.harness.invariants import check_run
 from repro.harness.placement_search import search_placement
 from repro.harness.report import format_table
 from repro.harness.slo import PAPER_SLOS, derive_slo
@@ -51,6 +52,7 @@ from repro.models.registry import OPT_13B, get_model
 from repro.perf.interference import StreamContentionModel
 from repro.perf.roofline import LatencyModel
 from repro.serving.instance import InstanceConfig
+from repro.serving.metrics import MetricsCollector
 from repro.serving.placement import Placement, plan_pd_placement
 from repro.serving.system import SystemConfig
 from repro.sim.random import RandomStreams
@@ -105,6 +107,17 @@ def clean_run(cell: Cell, workload: Optional[Workload] = None) -> CellRun:
     if run.violations:
         raise AssertionError(f"invariant violations in {cell.meta()}: {run.violations}")
     return run
+
+
+def checked_run(target, trace) -> MetricsCollector:
+    """Drain ``trace`` through a hand-built system or fleet; like
+    :func:`clean_run`, the run must keep the invariant suite."""
+    submitted = list(trace)
+    metrics = target.run_to_completion(submitted)
+    violations = check_run(target, submitted)
+    if violations:
+        raise AssertionError(f"invariant violations in {type(target).__name__}: {violations}")
+    return metrics
 
 
 def sweep(points: Iterable[tuple[dict, Cell]], columns: Mapping[str, Column]) -> Rows:
@@ -1525,7 +1538,7 @@ def _ext_autoscaling_rows() -> Rows:
             seed=113,
             model=model,
         )
-        metrics = fleet.run_to_completion(trace)
+        metrics = checked_run(fleet, trace)
         rows.append(
             {
                 "fleet": label,
@@ -1596,7 +1609,7 @@ def _ext_fleet_scaleout_rows() -> Rows:
             seed=101,
             model=config.model,
         )
-        metrics = fleet.run_to_completion(trace)
+        metrics = checked_run(fleet, trace)
         rows.append(
             {
                 "nodes": nodes,
@@ -1626,7 +1639,7 @@ def _ext_fleet_router_rows() -> Rows:
             arrival_process="bursty",
             burstiness_cv=3.0,
         )
-        metrics = fleet.run_to_completion(trace)
+        metrics = checked_run(fleet, trace)
         rows.append(
             {
                 "router": policy,
@@ -1674,7 +1687,7 @@ def _ext_heterogeneous_rows() -> Rows:
         trace = generate_trace(
             dataset, rate=HETERO_RATE_PER_GPU * 4, num_requests=300, seed=89, model=model
         )
-        metrics = system.run_to_completion(trace)
+        metrics = checked_run(system, trace)
         cost = 2 * GPU_COST[prefill_gpu.name] + 2 * GPU_COST[A800_80GB.name]
         attainment = metrics.slo_attainment(slo)
         goodput = attainment * HETERO_RATE_PER_GPU * 4
@@ -1710,7 +1723,7 @@ def _ext_multinode_rows() -> Rows:
         for name, cls in (("windserve", WindServeSystem), ("distserve", DistServeSystem)):
             system = cls(SystemConfig(model=model, slo=slo), placement=placement, topology=topology)
             trace = generate_trace(dataset, rate=3.0 * 4, num_requests=400, seed=79, model=model)
-            metrics = system.run_to_completion(trace)
+            metrics = checked_run(system, trace)
             rows.append(
                 {
                     "deployment": deployment,
@@ -1752,7 +1765,7 @@ def _ext_replanning_rows() -> Rows:
             seed=97,
             model=model,
         )
-        metrics = system.run_to_completion(trace)
+        metrics = checked_run(system, trace)
         rows.append(
             {
                 "system": name,

@@ -19,7 +19,6 @@ from repro.models.parallelism import ParallelConfig
 from repro.models.spec import ModelSpec
 from repro.perf.roofline import LatencyModel
 from repro.serving.metrics import SLO
-from repro.serving.request import TIERS
 from repro.workloads.datasets import DatasetProfile
 
 # Table 4 of the paper.
@@ -33,17 +32,6 @@ PAPER_SLOS: dict[tuple[str, str], SLO] = {
 SLO_REFERENCE_BATCH = 16
 SLO_TPOT_MULTIPLIER = 4.0
 DEFAULT_TTFT_TPOT_RATIO = 5.0
-
-#: Per-tier scaling of the base (standard) SLO.  ``standard`` is exactly
-#: the tier-free SLO, so runs without a tier mix report unchanged numbers;
-#: ``interactive`` tightens both targets, ``best_effort`` relaxes them
-#: (batch traffic tolerates queueing behind the latency-sensitive classes).
-TIER_SLO_SCALE: dict[str, float] = {
-    "interactive": 0.8,
-    "standard": 1.0,
-    "best_effort": 2.5,
-}
-
 
 def paper_slo(model: ModelSpec, dataset: DatasetProfile) -> SLO:
     """The published Table 4 SLO for a (model, dataset) pair."""
@@ -82,19 +70,4 @@ def derive_slo(
     tpot = SLO_TPOT_MULTIPLIER * iteration
     ttft = ttft_tpot_ratio(model, dataset) * tpot
     return SLO(ttft=ttft, tpot=tpot)
-
-
-def tier_slo(base: SLO, tier: str) -> SLO:
-    """The per-tier SLO: the base (standard) targets scaled by the tier."""
-    if tier not in TIER_SLO_SCALE:
-        raise KeyError(f"no SLO scale for tier {tier!r}; known: {sorted(TIER_SLO_SCALE)}")
-    scale = TIER_SLO_SCALE[tier]
-    if scale == 1.0:
-        return base
-    return SLO(ttft=base.ttft * scale, tpot=base.tpot * scale)
-
-
-def tier_slos(base: SLO) -> dict[str, SLO]:
-    """Per-tier targets for every known tier, derived from one base SLO."""
-    return {tier: tier_slo(base, tier) for tier in TIERS}
 

@@ -59,22 +59,6 @@ class PrefixCacheStats:
     evictions: int = 0
     insert_skipped: int = 0  # publishes dropped for lack of pool space
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "tokens_served": self.tokens_served,
-            "inserted_tokens": self.inserted_tokens,
-            "evictions": self.evictions,
-            "insert_skipped": self.insert_skipped,
-        }
-
 
 @dataclass
 class PrefixCacheIndex:
@@ -102,15 +86,6 @@ class PrefixCacheIndex:
     @property
     def resident_tokens(self) -> int:
         return sum(entry.tokens for entry in self._entries.values())
-
-    @property
-    def num_entries(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, prefix_hash: int) -> int:
-        """Warm tokens cached for ``prefix_hash`` (0 if cold); no refcount."""
-        entry = self._entries.get(prefix_hash)
-        return entry.tokens if entry is not None else 0
 
     def holding(self, request_id: int) -> bool:
         return request_id in self._holders

@@ -101,7 +101,3 @@ class ParallelConfig:
     def weight_bytes_per_gpu(self, spec: ModelSpec) -> int:
         """Model weight bytes resident on each GPU of the instance."""
         return int(spec.weight_bytes / self.num_gpus)
-
-    def kv_bytes_per_token_per_gpu(self, spec: ModelSpec) -> float:
-        """KV bytes per cached token on each GPU (KV shards over TP and PP)."""
-        return spec.kv_bytes_per_token / self.num_gpus

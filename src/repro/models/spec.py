@@ -102,10 +102,3 @@ class ModelSpec:
     @cached_property
     def weight_bytes_per_layer(self) -> int:
         return self.params_per_layer * self.dtype_bytes
-
-    def kv_bytes(self, tokens: int) -> int:
-        """KV-cache footprint of ``tokens`` context tokens, all layers."""
-        return tokens * self.kv_bytes_per_token
-
-    def __str__(self) -> str:
-        return self.name

@@ -53,18 +53,6 @@ class SBDOutcome:
     def prefill_isolated(self) -> float:
         return self.prefill_isolated_timing.duration
 
-    @property
-    def decode_slowdown(self) -> float:
-        if self.decode_isolated == 0:
-            return 1.0
-        return self.decode_iteration / self.decode_isolated
-
-    @property
-    def prefill_slowdown(self) -> float:
-        if self.prefill_isolated == 0:
-            return 1.0
-        return self.prefill_duration / self.prefill_isolated
-
 
 class StreamContentionModel:
     """Resource-sharing model for concurrent CUDA streams.
@@ -182,23 +170,6 @@ class StreamContentionModel:
             done += chunk
         decode_iter = total / num_chunks if num_chunks else first_iter
         return total, decode_iter, num_chunks
-
-    def hybrid_step(
-        self,
-        model: LatencyModel,
-        chunk_tokens: int,
-        prior_context: int,
-        decode_batch: int,
-        decode_sum_context: int,
-    ) -> float:
-        """Duration of ONE fused chunked-prefill + decode iteration."""
-        base = model.hybrid(
-            chunk_tokens,
-            decode_batch,
-            decode_sum_context,
-            prefill_prior_context=prior_context,
-        ).duration
-        return base / self.chunked_prefill_decode_overlap
 
     # -- regular hybrid batch -------------------------------------------------
 

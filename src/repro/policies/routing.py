@@ -221,10 +221,6 @@ class PrefixAffinityRouting(RoutingPolicy):
         # member index -> ordered set of prefix hashes, LRU first.
         self._warm: dict[int, dict[int, None]] = {}
 
-    def warm_prefixes(self, index: int) -> tuple[int, ...]:
-        """The prefix hashes currently believed warm on member ``index``."""
-        return tuple(self._warm.get(index, ()))
-
     def _touch(self, index: int, prefix_hash: int) -> None:
         warm = self._warm.setdefault(index, {})
         warm.pop(prefix_hash, None)

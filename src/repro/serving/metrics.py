@@ -240,11 +240,6 @@ class MetricsCollector:
 
     # -- per-tier accounting ---------------------------------------------------
 
-    def completed_by_tier(self) -> dict[str, int]:
-        """Completed-request counts keyed by SLO tier (known tiers only)."""
-        counts = Counter(r.tier for r in self.completed)
-        return {tier: counts.get(tier, 0) for tier in TIERS}
-
     def shed_by_tier(self) -> dict[str, int]:
         """Shed-request counts keyed by SLO tier."""
         counts = Counter(r.tier for r in self.shed)
@@ -272,31 +267,6 @@ class MetricsCollector:
                 continue
             out[tier] = sum(slo.met_by(r) for r in done) / total
         return out
-
-    def tier_goodput(self, slos: Mapping[str, "SLO"]) -> dict[str, int]:
-        """Per-tier goodput: completions that met their own tier's SLO."""
-        out: dict[str, int] = {}
-        for tier in TIERS:
-            slo = slos.get(tier)
-            done = [r for r in self.completed if r.tier == tier]
-            out[tier] = sum(slo.met_by(r) for r in done) if slo is not None else 0
-        return out
-
-    def tier_report(self, slos: Mapping[str, "SLO"]) -> dict[str, dict]:
-        """One nested dict per tier: completed/shed/goodput/attainment."""
-        completed = self.completed_by_tier()
-        shed = self.shed_by_tier()
-        attainment = self.tier_attainment(slos)
-        goodput = self.tier_goodput(slos)
-        return {
-            tier: {
-                "completed": completed[tier],
-                "shed": shed[tier],
-                "goodput": goodput[tier],
-                "attainment": attainment[tier],
-            }
-            for tier in TIERS
-        }
 
     # -- resilience ----------------------------------------------------------
 

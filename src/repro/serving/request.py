@@ -241,12 +241,6 @@ class Request:
             return None
         return self.decode_start - self.decode_queue_enter
 
-    @property
-    def end_to_end_latency(self) -> Optional[float]:
-        if self.finish_time is None:
-            return None
-        return self.finish_time - self.arrival_time
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Request(id={self.request_id}, prompt={self.prompt_tokens}, "

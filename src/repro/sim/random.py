@@ -8,20 +8,18 @@ reproducible discrete-event simulations.
 Derivation discipline
 ---------------------
 All streams descend from a single root :class:`numpy.random.SeedSequence`
-through the ``spawn_key`` mechanism only: a stream named ``n`` inside a
-factory spawned along path ``p`` is seeded by
-``SeedSequence(entropy=root_seed, spawn_key=p + (key(n),))`` where ``key``
-is the first 8 bytes of SHA-256 of the name.  This is collision-free in
+through the ``spawn_key`` mechanism only: a stream named ``n`` is seeded by
+``SeedSequence(entropy=root_seed, spawn_key=(key(n),))`` where ``key`` is
+the first 8 bytes of SHA-256 of the name.  This is collision-free in
 practice (64-bit keys, cryptographic mixing) and — unlike ad-hoc integer
 hashes — guaranteed by numpy to yield statistically independent child
 states for distinct spawn keys.
 
-Every stream touched during a run is recorded in a registry shared by a
-factory and all factories spawned from it.  The registry is folded into the
-run fingerprint (:mod:`repro.sim.fingerprint`), so code that starts drawing
-from a new stream — or stops touching an old one — changes the fingerprint
-and trips the golden-trace check loudly instead of silently shifting
-results.
+Every stream touched during a run is recorded in its factory's registry.
+The registry is folded into the run fingerprint
+(:mod:`repro.sim.fingerprint`), so code that starts drawing from a new
+stream — or stops touching an old one — changes the fingerprint and trips
+the golden-trace check loudly instead of silently shifting results.
 """
 
 from __future__ import annotations
@@ -45,63 +43,36 @@ class RandomStreams:
 
     Streams are derived from a root seed via ``numpy`` ``SeedSequence``
     spawn keys, so ``RandomStreams(7).get("arrivals")`` is identical across
-    runs and independent of ``get("lengths")``.  :meth:`spawn` derives a
-    child factory (e.g. one per serving instance) along the same mechanism;
-    the child shares this factory's touch registry.
+    runs and independent of ``get("lengths")``.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        _spawn_path: tuple[int, ...] = (),
-        _lineage: str = "root",
-        _registry: list[str] | None = None,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
-        self._spawn_path = tuple(_spawn_path)
-        self._lineage = _lineage
         self._streams: dict[str, np.random.Generator] = {}
-        # First-touch-ordered names, shared with every spawned child.
-        self._registry: list[str] = _registry if _registry is not None else []
+        # First-touch-ordered names.
+        self._registry: list[str] = []
 
     @property
     def seed(self) -> int:
-        """Root seed every stream in this tree descends from."""
+        """Root seed every stream descends from."""
         return self._seed
-
-    @property
-    def lineage(self) -> str:
-        """Human-readable spawn path, e.g. ``root/instance-0``."""
-        return self._lineage
 
     def get(self, name: str) -> np.random.Generator:
         """Return (creating on first use) the stream for ``name``."""
         if name not in self._streams:
             sequence = np.random.SeedSequence(
-                entropy=self._seed, spawn_key=self._spawn_path + (stream_key(name),)
+                entropy=self._seed, spawn_key=(stream_key(name),)
             )
             self._streams[name] = np.random.default_rng(sequence)
-            self._registry.append(f"{self._lineage}/{name}")
+            # The "root/" prefix is part of every recorded name, and the
+            # names enter run fingerprints.
+            self._registry.append(f"root/{name}")
         return self._streams[name]
-
-    def spawn(self, name: str) -> "RandomStreams":
-        """Derive a child factory, e.g. one per serving instance.
-
-        The child's streams are independent of the parent's (distinct spawn
-        paths) but fully determined by (root seed, spawn path, name) — no
-        ad-hoc integer hashing, no touch-order dependence.
-        """
-        return RandomStreams(
-            self._seed,
-            _spawn_path=self._spawn_path + (stream_key(name),),
-            _lineage=f"{self._lineage}/{name}",
-            _registry=self._registry,
-        )
 
     def registry(self) -> tuple[str, ...]:
         """Every stream touched so far, in first-touch order.
 
-        Covers this factory and every factory spawned from it.  Recorded
-        into run fingerprints so new or vanished RNG draws are detected.
+        Recorded into run fingerprints so new or vanished RNG draws are
+        detected.
         """
         return tuple(self._registry)

@@ -138,9 +138,3 @@ class TraceLog:
 
         return [raw_row(*row) for row in self._rows()]
 
-    @staticmethod
-    def record_from_row(row: dict) -> TraceRecord:
-        """Rebuild a :class:`TraceRecord` from its canonical row form."""
-        return TraceRecord(
-            time=row["t"], component=row["c"], tag=row["g"], payload=dict(row["p"])
-        )

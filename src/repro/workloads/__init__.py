@@ -11,7 +11,7 @@ from repro.workloads.datasets import (
 from repro.workloads.arrivals import gamma_arrivals, poisson_arrivals
 from repro.workloads.prefixes import PrefixEntry, PrefixLibrary, PrefixMix
 from repro.workloads.tenants import TenantMix
-from repro.workloads.trace import Trace, TraceStats, generate_trace
+from repro.workloads.trace import Trace, generate_trace
 from repro.workloads.shifts import WorkloadPhase, generate_shifting_trace
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "PrefixMix",
     "TenantMix",
     "Trace",
-    "TraceStats",
     "generate_trace",
     "WorkloadPhase",
     "generate_shifting_trace",

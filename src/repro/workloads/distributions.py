@@ -30,14 +30,6 @@ class LengthDistribution:
     def mu(self) -> float:
         return float(np.log(self.median))
 
-    def mean(self) -> float:
-        """Analytic mean of the clipped distribution."""
-        return _clipped_lognormal_mean(self.mu, self.sigma, self.cap)
-
-    def p90(self) -> float:
-        raw = self.median * np.exp(Z90 * self.sigma)
-        return float(min(raw, self.cap))
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` integer lengths."""
         raw = rng.lognormal(mean=self.mu, sigma=self.sigma, size=n)

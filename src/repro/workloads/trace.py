@@ -1,13 +1,8 @@
-"""Request traces: generation, statistics, serialisation."""
+"""Request traces: the arrival-ordered container and its generator."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Optional
-
-import numpy as np
 
 from repro.models.spec import ModelSpec
 from repro.serving.request import DEFAULT_TENANT, DEFAULT_TIER, Request
@@ -18,20 +13,6 @@ from repro.workloads.prefixes import PrefixMix
 from repro.workloads.tenants import TenantMix
 
 
-@dataclass(frozen=True)
-class TraceStats:
-    """Table 2-style summary of a trace."""
-
-    num_requests: int
-    rate: float
-    prompt_avg: float
-    prompt_median: float
-    prompt_p90: float
-    output_avg: float
-    output_median: float
-    output_p90: float
-
-
 class Trace:
     """An ordered collection of requests with arrival timestamps."""
 
@@ -40,7 +21,7 @@ class Trace:
         self.rate = rate
         self.name = name
         # Named RNG streams touched while sampling this trace (empty for
-        # loaded/synthetic traces); folded into run fingerprints.
+        # hand-built traces); folded into run fingerprints.
         self.rng_registry: tuple[str, ...] = ()
 
     def __len__(self) -> int:
@@ -49,74 +30,11 @@ class Trace:
     def __iter__(self) -> Iterator[Request]:
         return iter(self.requests)
 
-    def __getitem__(self, idx: int) -> Request:
-        return self.requests[idx]
-
     @property
     def duration(self) -> float:
         if not self.requests:
             return 0.0
         return self.requests[-1].arrival_time - self.requests[0].arrival_time
-
-    def stats(self) -> TraceStats:
-        prompts = np.array([r.prompt_tokens for r in self.requests], dtype=float)
-        outputs = np.array([r.output_tokens for r in self.requests], dtype=float)
-        if len(prompts) == 0:
-            nan = float("nan")
-            return TraceStats(0, self.rate, nan, nan, nan, nan, nan, nan)
-        return TraceStats(
-            num_requests=len(prompts),
-            rate=self.rate,
-            prompt_avg=float(prompts.mean()),
-            prompt_median=float(np.median(prompts)),
-            prompt_p90=float(np.percentile(prompts, 90)),
-            output_avg=float(outputs.mean()),
-            output_median=float(np.median(outputs)),
-            output_p90=float(np.percentile(outputs, 90)),
-        )
-
-    # -- serialisation ---------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        rows = []
-        for r in self.requests:
-            row = {
-                "id": r.request_id,
-                "arrival": r.arrival_time,
-                "prompt": r.prompt_tokens,
-                "output": r.output_tokens,
-            }
-            # The tier key appears only when set: tier-free trace files
-            # stay byte-identical to pre-tier recordings.
-            if r.tier != DEFAULT_TIER:
-                row["tier"] = r.tier
-            # Likewise the prefix keys: only shared-prefix requests carry them.
-            if r.prefix_len:
-                row["prefix_hash"] = r.prefix_hash
-                row["prefix_len"] = r.prefix_len
-            # And the tenant: tenant-free traces stay byte-identical.
-            if r.tenant != DEFAULT_TENANT:
-                row["tenant"] = r.tenant
-            rows.append(row)
-        Path(path).write_text(json.dumps({"name": self.name, "rate": self.rate, "rows": rows}))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Trace":
-        data = json.loads(Path(path).read_text())
-        requests = [
-            Request(
-                request_id=row["id"],
-                prompt_tokens=row["prompt"],
-                output_tokens=row["output"],
-                arrival_time=row["arrival"],
-                tier=row.get("tier", DEFAULT_TIER),
-                prefix_hash=row.get("prefix_hash", 0),
-                prefix_len=row.get("prefix_len", 0),
-                tenant=row.get("tenant", DEFAULT_TENANT),
-            )
-            for row in data["rows"]
-        ]
-        return cls(requests, rate=data.get("rate", 0.0), name=data.get("name", "trace"))
 
 
 def generate_trace(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.autoscaler import (
@@ -135,7 +137,7 @@ class TestShapedConstruction:
 
     def test_gpu_counts_by_type(self):
         fleet = shaped_fleet("a800,h100,a800")
-        counts = fleet.gpu_counts_by_type()
+        counts = sum(map(fleet.member_gpu_counts, range(len(fleet.members))), Counter())
         assert counts == {"a800-80gb": 8, "h100-80gb": 4}
 
     def test_policy_identity_stamps_non_default_shape(self):
@@ -175,11 +177,12 @@ class TestTypedBilling:
     def test_gpu_hours_split_by_type(self):
         fleet = self.make_autoscaling("a800,h100")
         fleet.run_to_completion(trace(2.0 * fleet.num_gpus, n=40))
-        by_type = fleet.gpu_hours_by_type()
+        total = fleet.gpu_hours_used()  # brings the per-type bill up to date too
+        by_type = fleet.gpu_type_time
         assert set(by_type) == {"a800-80gb", "h100-80gb"}
         assert min(by_type.values()) > 0
         # The per-type bill decomposes the untyped one exactly.
-        assert sum(by_type.values()) == pytest.approx(fleet.gpu_hours_used())
+        assert sum(by_type.values()) == pytest.approx(total)
 
     def test_typed_bill_lands_in_merged_counters(self):
         fleet = self.make_autoscaling("a800,h100")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.profiler import Profiler
@@ -70,24 +71,41 @@ class TestTTFTPrediction:
         assert profiler.predict_ttft(100, 100, -1.0) == profiler.predict_ttft(100, 100, 0.0)
 
 
+#: Grids the regressions are judged on: prefill token counts and
+#: (decode batch, per-request context) pairs.
+PREFILL_GRID = (48, 200, 600, 1200, 2048)
+DECODE_GRID = ((2, 256), (8, 768), (24, 1536), (48, 1024))
+
+
+def _judged(profiler, latency):
+    """``(actual, predicted)`` arrays per phase on the judging grids."""
+    prefill = (
+        np.array([latency.prefill(n).duration for n in PREFILL_GRID]),
+        np.array([profiler.predict_prefill(n) for n in PREFILL_GRID]),
+    )
+    decode = (
+        np.array([latency.decode(b, b * c).duration for b, c in DECODE_GRID]),
+        np.array([profiler.predict_decode(b * c) for b, c in DECODE_GRID]),
+    )
+    return prefill, decode
+
+
 class TestFitQuality:
-    def test_r2_high_for_both_phases(self, profiler):
-        quality = profiler.fit_quality()
-        assert quality["prefill_r2"] > 0.98
-        assert quality["decode_r2"] > 0.90
+    def test_r2_high_for_both_phases(self, profiler, latency):
+        def r2(actual, pred):
+            return 1.0 - np.sum((actual - pred) ** 2) / np.sum((actual - actual.mean()) ** 2)
 
-    def test_mape_small(self, profiler):
-        quality = profiler.fit_quality()
-        assert quality["prefill_mape"] < 0.15
-        assert quality["decode_mape"] < 0.30
+        prefill, decode = _judged(profiler, latency)
+        assert r2(*prefill) > 0.98
+        assert r2(*decode) > 0.90
 
-    def test_quality_keys(self, profiler):
-        assert set(profiler.fit_quality()) == {
-            "prefill_r2",
-            "prefill_mape",
-            "decode_r2",
-            "decode_mape",
-        }
+    def test_mape_small(self, profiler, latency):
+        def mape(actual, pred):
+            return np.mean(np.abs(actual - pred) / actual)
+
+        prefill, decode = _judged(profiler, latency)
+        assert mape(*prefill) < 0.15
+        assert mape(*decode) < 0.30
 
 
 class TestAssistBudget:

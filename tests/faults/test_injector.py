@@ -193,6 +193,6 @@ class TestLinkOutage:
         FaultInjector(system, plan_of(event)).arm()
         # Windows are pre-installed so retry schedules stay synchronous.
         assert system.transfers.fault_model is not None
-        assert system.transfers.fault_model.has_outages()
+        assert system.transfers.fault_model._windows
         metrics = system.run_to_completion(workload())
         assert len(metrics.completed) + len(metrics.shed) == 30

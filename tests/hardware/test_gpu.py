@@ -32,9 +32,6 @@ class TestGPUSpecs:
     def test_hbm_capacity_bytes(self):
         assert A800_80GB.hbm_capacity_bytes == 80 * GB
 
-    def test_ridge_point_positive(self):
-        assert A800_80GB.ridge_point_flops_per_byte() > 0
-
     def test_rtx4090_profile_suits_prefill(self):
         """Paper's future-work claim: 4090 = strong compute, weak memory, no NVLink."""
         assert RTX_4090.nvlink_gbps == 0.0

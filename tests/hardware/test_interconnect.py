@@ -71,12 +71,6 @@ class TestReservation:
         assert 0.0 <= link.utilization(horizon=0.1) <= 1.0
         assert link.utilization(horizon=0.0) == 0.0
 
-    def test_earliest_start(self):
-        link = pcie_link()
-        res = link.reserve(0.0, GB)
-        assert link.earliest_start(0.0) == res.finish
-        assert link.earliest_start(res.finish + 1) == res.finish + 1
-
     def test_invalid_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             Link("bad", LinkType.PCIE_SWITCH, bandwidth_gbps=0.0)

@@ -64,12 +64,6 @@ class TestMemoryPool:
         pool.reserve(20)
         assert pool.peak_used == 80
 
-    def test_can_reserve(self):
-        pool = MemoryPool(10)
-        pool.reserve(7)
-        assert pool.can_reserve(3)
-        assert not pool.can_reserve(4)
-
 
 @given(
     ops=st.lists(

@@ -1,9 +1,9 @@
 """SLO-tier subsystem tests.
 
 Covers the tier primitives end to end: mix parsing and deterministic
-assignment, per-tier SLO derivation, trace round-trips, the pure shedding
-policy (with Hypothesis properties for priority monotonicity), and the
-acceptance scenario — under degraded-mode chaos with a three-tier mix,
+assignment, tier-free trace neutrality, the pure shedding policy (with
+Hypothesis properties for priority monotonicity), and the acceptance
+scenario — under degraded-mode chaos with a three-tier mix,
 per-tier attainment is ordered by priority and shed counts are ordered
 the opposite way.
 """
@@ -16,13 +16,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, ResilienceConfig
-from repro.faults.config import TIER_ADMISSION_FRACTIONS, should_shed_tier, tier_inflight_limit
+from repro.faults.config import TIER_ADMISSION_FRACTIONS, tier_inflight_limit
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.harness.invariants import check_run
 from repro.harness.cell import Cell
-from repro.harness.slo import TIER_SLO_SCALE, tier_slo, tier_slos
 from repro.models.registry import get_model
-from repro.serving.metrics import SLO
 from repro.serving.request import (
     DEFAULT_TIER,
     TIER_PRIORITY,
@@ -32,7 +30,7 @@ from repro.serving.request import (
 )
 from repro.workloads.arrivals import TierMix
 from repro.workloads.datasets import SHAREGPT
-from repro.workloads.trace import Trace, generate_trace
+from repro.workloads.trace import generate_trace
 
 MODEL = get_model("opt-13b")
 MIX = "interactive=0.25,standard=0.5,best_effort=0.25"
@@ -117,25 +115,6 @@ class TestTierMix:
         assert set(mix.sample(np.random.default_rng(0), 500)) == set(TIERS)
 
 
-class TestTierSLOs:
-    BASE = SLO(ttft=1.0, tpot=0.1)
-
-    def test_standard_returns_base_unchanged(self):
-        assert tier_slo(self.BASE, "standard") is self.BASE
-
-    def test_interactive_is_tighter_best_effort_looser(self):
-        slos = tier_slos(self.BASE)
-        assert slos["interactive"].ttft < self.BASE.ttft < slos["best_effort"].ttft
-        assert slos["interactive"].tpot < self.BASE.tpot < slos["best_effort"].tpot
-
-    def test_unknown_tier_raises(self):
-        with pytest.raises(KeyError):
-            tier_slo(self.BASE, "platinum")
-
-    def test_scales_cover_all_tiers(self):
-        assert set(TIER_SLO_SCALE) == set(TIERS)
-
-
 class TestTieredTraces:
     def test_trace_tiers_are_deterministic(self):
         kw = dict(rate=4.0, num_requests=60, seed=3, model=MODEL)
@@ -165,18 +144,6 @@ class TestTieredTraces:
         mixed = generate_trace(SHAREGPT, tier_mix=TierMix.parse(MIX), **kw)
         assert "root/tiers" in mixed.rng_registry
 
-    def test_save_load_round_trips_tiers(self, tmp_path):
-        trace = Trace([_req(0, "interactive", 0.1), _req(1, "standard", 0.2)])
-        path = tmp_path / "t.json"
-        trace.save(path)
-        loaded = Trace.load(path)
-        assert [r.tier for r in loaded] == ["interactive", "standard"]
-
-    def test_default_tier_not_serialised(self, tmp_path):
-        path = tmp_path / "t.json"
-        Trace([_req(0, arrival=0.1)]).save(path)
-        assert "tier" not in path.read_text()
-
 
 class TestShedPolicy:
     FRACTIONS = TIER_ADMISSION_FRACTIONS
@@ -205,6 +172,11 @@ def _nonincreasing_fractions(draw):
     return (("interactive", f_i), ("standard", f_s), ("best_effort", f_b))
 
 
+def _sheds(in_flight, limit, tier, fractions):
+    """The degraded-mode admission rule: shed above the tier's nested cap."""
+    return in_flight > tier_inflight_limit(limit, tier, fractions)
+
+
 class TestShedMonotonicity:
     """Priority shedding is monotone: a tier is only ever shed once every
     lower-priority tier is already being shed at the same pressure."""
@@ -217,7 +189,7 @@ class TestShedMonotonicity:
     def test_shedding_a_tier_implies_shedding_all_lower_tiers(
         self, fractions, in_flight, limit
     ):
-        sheds = [should_shed_tier(in_flight, limit, t, fractions) for t in TIERS]
+        sheds = [_sheds(in_flight, limit, t, fractions) for t in TIERS]
         for higher, lower in zip(sheds, sheds[1:]):
             assert not higher or lower
 
@@ -228,8 +200,8 @@ class TestShedMonotonicity:
         tier=st.sampled_from(TIERS),
     )
     def test_monotone_in_pressure(self, fractions, in_flight, limit, tier):
-        if should_shed_tier(in_flight, limit, tier, fractions):
-            assert should_shed_tier(in_flight + 1, limit, tier, fractions)
+        if _sheds(in_flight, limit, tier, fractions):
+            assert _sheds(in_flight + 1, limit, tier, fractions)
 
     @given(
         fractions=_nonincreasing_fractions(),
@@ -238,8 +210,8 @@ class TestShedMonotonicity:
         tier=st.sampled_from(TIERS),
     )
     def test_tighter_limit_never_sheds_less(self, fractions, in_flight, limit, tier):
-        if should_shed_tier(in_flight, limit, tier, fractions):
-            assert should_shed_tier(in_flight, limit - 1, tier, fractions)
+        if _sheds(in_flight, limit, tier, fractions):
+            assert _sheds(in_flight, limit - 1, tier, fractions)
 
 
 @pytest.fixture(scope="module")

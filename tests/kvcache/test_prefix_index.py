@@ -115,7 +115,7 @@ def test_referenced_entries_survive_eviction_pressure(ops):
             index.evict_unreferenced(tokens)
         elif op == "drain":
             continue  # drain drops holds by contract; excluded here
-        assert index.lookup(99) == 512, "held entry was evicted"
+        assert index._entries[99].tokens == 512, "held entry was evicted"
     index.release(1000)
 
 
@@ -139,7 +139,7 @@ def test_reset_forgets_without_freeing():
     alloc_id = index._entries[7].alloc_id
     index.kv.free(alloc_id)  # what Instance.fail() does to every resident
     index.reset()
-    assert index.num_entries == 0
+    assert not index._entries
     assert index.kv.redundant_frees == 0
     index.drain()  # drain after reset is a no-op, not a double free
     assert index.kv.redundant_frees == 0

@@ -39,12 +39,6 @@ class TestSharding:
             OPT_13B.weight_bytes / 4, rel=1e-6
         )
 
-    def test_kv_per_token_shards_over_all_gpus(self):
-        cfg = ParallelConfig(tp=2, pp=2)
-        assert cfg.kv_bytes_per_token_per_gpu(OPT_13B) == pytest.approx(
-            OPT_13B.kv_bytes_per_token / 4
-        )
-
 
 class TestCommunication:
     def test_tp1_no_allreduce(self):

@@ -57,7 +57,7 @@ class TestKVSizing:
 
     def test_opt13b_kv_matches_paper(self):
         """Paper §2.2: a 2048-token request on OPT-13B carries ~1.5 GB of KV."""
-        gb = OPT_13B.kv_bytes(2048) / 1024**3
+        gb = 2048 * OPT_13B.kv_bytes_per_token / 1024**3
         assert 1.4 <= gb <= 1.7
 
     def test_llama70b_gqa_kv_much_smaller(self):
@@ -65,10 +65,6 @@ class TestKVSizing:
         per_token_70b = LLAMA2_70B.kv_bytes_per_token
         per_token_13b = OPT_13B.kv_bytes_per_token
         assert per_token_70b < per_token_13b
-
-    def test_kv_bytes_scales_linearly(self):
-        spec = make_spec()
-        assert spec.kv_bytes(100) == 100 * spec.kv_bytes_per_token
 
 
 class TestParameterCounts:

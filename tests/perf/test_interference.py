@@ -45,12 +45,12 @@ class TestSBD:
     def test_decode_nearly_unaffected(self, lm, scm):
         """Fig. 8: SBD decode iteration ~= isolated decode."""
         out = scm.sbd(lm, 2048, 16, 16 * 2048)
-        assert 1.0 <= out.decode_slowdown <= 1.25
+        assert 1.0 <= out.decode_iteration / out.decode_isolated <= 1.25
 
     def test_prefill_moderately_slower(self, lm, scm):
         """Fig. 8: SBD prefill ~1.3-1.7x isolated (LLaMA2-70B: 0.75 vs ~0.5)."""
         out = scm.sbd(lm, 2048, 16, 16 * 2048)
-        assert 1.15 <= out.prefill_slowdown <= 1.9
+        assert 1.15 <= out.prefill_duration / out.prefill_isolated <= 1.9
 
     def test_no_decode_batch_prefill_isolated(self, lm, scm):
         out = scm.sbd(lm, 2048, 0, 0)
@@ -134,12 +134,3 @@ class TestFig8Ordering:
         regular = scm.regular_hybrid(lm, 2048, 16, 16 * 2048).duration
         assert iso_p < sbd.prefill_duration < chunked_total
         assert iso_d <= sbd.decode_iteration < chunked_iter < regular
-
-
-class TestHybridStep:
-    def test_step_includes_fusion_penalty(self):
-        lm = LatencyModel(OPT_13B, A800_80GB, ParallelConfig(tp=2))
-        scm = StreamContentionModel()
-        base = lm.hybrid(512, 16, 16 * 1024, prefill_prior_context=0).duration
-        step = scm.hybrid_step(lm, 512, 0, 16, 16 * 1024)
-        assert step == pytest.approx(base / scm.chunked_prefill_decode_overlap)

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.harness.cell import Cell
 from repro.harness.cell import Cell
-from repro.harness.slo import tier_slos
 from repro.harness.invariants import check_run
 from repro.models.registry import get_model
 from repro.policies import (
@@ -34,6 +33,7 @@ from repro.policies import (
 )
 from repro.policies.routing import PredictedTTFTRouting, TierAwareRouting
 from repro.serving.instance import InstanceConfig
+from repro.serving.metrics import SLO
 from repro.serving.request import Request
 from repro.sim.fingerprint import RunFingerprint
 
@@ -344,8 +344,29 @@ FLEET_KW = dict(
 )
 
 
+#: Each tier is judged against the run's SLO scaled by its tier:
+#: interactive tightens both targets, best_effort relaxes them.
+TIER_SLO_SCALE = {"interactive": 0.8, "standard": 1.0, "best_effort": 2.5}
+
+
 def _tier_report(run):
-    return run.metrics.tier_report(tier_slos(run.cell.slo()))
+    base = run.cell.slo()
+    slos = {
+        tier: SLO(ttft=base.ttft * scale, tpot=base.tpot * scale)
+        for tier, scale in TIER_SLO_SCALE.items()
+    }
+    metrics = run.metrics
+    attainment, shed = metrics.tier_attainment(slos), metrics.shed_by_tier()
+    report = {}
+    for tier, slo in slos.items():
+        done = [r for r in metrics.completed if r.tier == tier]
+        report[tier] = {
+            "completed": len(done),
+            "shed": shed[tier],
+            "goodput": sum(slo.met_by(r) for r in done),
+            "attainment": attainment[tier],
+        }
+    return report
 
 
 @pytest.fixture(scope="module")

@@ -37,6 +37,11 @@ def _req(rid: int, prefix_hash: int = 0, prefix_len: int = 0) -> Request:
     )
 
 
+def _warm_prefixes(policy, index):
+    """The prefix hashes ``policy`` believes warm on member ``index``."""
+    return tuple(policy._warm.get(index, ()))
+
+
 def test_registered():
     assert "prefix-affinity" in ROUTING_POLICIES.names()
     assert isinstance(ROUTING_POLICIES.create("prefix-affinity"), PrefixAffinityRouting)
@@ -58,7 +63,7 @@ def test_cold_prefix_falls_back_to_least_loaded_and_marks_warm():
     assert choice == 1  # least loaded
     # The choice is optimistically marked warm: it is about to compute and
     # publish the prefix, so the next arrival for hash 42 sticks to it.
-    assert 42 in policy.warm_prefixes(1)
+    assert 42 in _warm_prefixes(policy, 1)
     assert policy.select(fleet, [0, 1, 2], _req(2, prefix_hash=42, prefix_len=128)) == 1
 
 
@@ -66,7 +71,7 @@ def test_no_prefix_request_is_plain_least_loaded():
     policy = PrefixAffinityRouting()
     fleet = _fleet(3, 1, 2)
     assert policy.select(fleet, [0, 1, 2], _req(1)) == 1
-    assert policy.warm_prefixes(1) == ()  # nothing to remember
+    assert _warm_prefixes(policy, 1) == ()  # nothing to remember
 
 
 def test_warm_member_ties_break_by_load():
@@ -82,7 +87,7 @@ def test_failure_forgets_the_crashed_members_warm_set():
     fleet = _fleet(9, 0)
     policy.observe_completion(fleet, 0, _req(1, prefix_hash=42, prefix_len=128))
     policy.observe_failure(fleet, 0)
-    assert policy.warm_prefixes(0) == ()
+    assert _warm_prefixes(policy, 0) == ()
     # With the warm member forgotten, routing degrades to least-loaded.
     assert policy.select(fleet, [0, 1], _req(2, prefix_hash=42, prefix_len=128)) == 1
 
@@ -100,7 +105,7 @@ def test_warm_set_is_lru_bounded():
     fleet = _fleet(0)
     for prefix_hash in range(1, policy.WARM_CAPACITY + 2):
         policy.observe_completion(fleet, 0, _req(1, prefix_hash, prefix_len=64))
-    warm = policy.warm_prefixes(0)
+    warm = _warm_prefixes(policy, 0)
     assert len(warm) == policy.WARM_CAPACITY
     assert 1 not in warm  # the oldest was forgotten
     assert policy.WARM_CAPACITY + 1 in warm

@@ -83,11 +83,6 @@ class TestMetrics:
         r.decode_start = 9.5
         assert r.decode_queue_delay == pytest.approx(1.5)
 
-    def test_end_to_end_latency(self):
-        r = make_request(arrival_time=5.0)
-        r.finish_time = 25.0
-        assert r.end_to_end_latency == pytest.approx(20.0)
-
 
 #: Every lifecycle marker the serving paths write, with a non-default value.
 LIFECYCLE = {

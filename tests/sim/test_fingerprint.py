@@ -14,7 +14,6 @@ from repro.sim.fingerprint import (
     fingerprint_requests,
     fingerprint_rng,
     fingerprint_run,
-    record_row,
     request_row,
 )
 from repro.sim.trace import TraceLog, TraceRecord
@@ -80,11 +79,6 @@ class TestRecordFingerprints:
         for r in self.records():
             log.emit(r.time, r.component, r.tag, **r.payload)
         assert log.fingerprint() == fingerprint_records(self.records())
-
-    def test_row_round_trip(self):
-        original = self.records()[0]
-        rebuilt = TraceLog.record_from_row(record_row(original))
-        assert rebuilt == original
 
 
 class TestRequestFingerprints:

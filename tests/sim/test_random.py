@@ -35,39 +35,8 @@ class TestRandomStreams:
         fresh = RandomStreams(3).get("b").random(5)
         np.testing.assert_array_equal(after, fresh)
 
-    def test_spawn_is_deterministic(self):
-        a = RandomStreams(5).spawn("child").get("x").random(5)
-        b = RandomStreams(5).spawn("child").get("x").random(5)
-        np.testing.assert_array_equal(a, b)
-
-    def test_spawn_differs_from_parent(self):
-        parent = RandomStreams(5)
-        child = parent.spawn("child")
-        assert not np.array_equal(parent.get("x").random(5), child.get("x").random(5))
-
     def test_seed_property(self):
         assert RandomStreams(42).seed == 42
-
-    def test_sibling_spawns_independent(self):
-        parent = RandomStreams(5)
-        a = parent.spawn("inst-a").get("x").random(5)
-        b = parent.spawn("inst-b").get("x").random(5)
-        assert not np.array_equal(a, b)
-
-    def test_nested_spawn_deterministic(self):
-        a = RandomStreams(5).spawn("node").spawn("gpu-0").get("x").random(5)
-        b = RandomStreams(5).spawn("node").spawn("gpu-0").get("x").random(5)
-        np.testing.assert_array_equal(a, b)
-
-    def test_spawn_independent_of_touch_order(self):
-        """Derivation is keyed by name, never by first-touch order."""
-        early = RandomStreams(9)
-        early.get("a")  # touch another stream first
-        late = RandomStreams(9)
-        np.testing.assert_array_equal(
-            early.spawn("child").get("x").random(5),
-            late.spawn("child").get("x").random(5),
-        )
 
 
 class TestStreamRegistry:
@@ -77,15 +46,3 @@ class TestStreamRegistry:
         streams.get("lengths")
         streams.get("arrivals")  # cached; must not re-register
         assert streams.registry() == ("root/arrivals", "root/lengths")
-
-    def test_registry_shared_with_spawned_children(self):
-        streams = RandomStreams(0)
-        streams.get("arrivals")
-        child = streams.spawn("inst-0")
-        child.get("noise")
-        assert streams.registry() == ("root/arrivals", "root/inst-0/noise")
-        assert child.registry() == streams.registry()
-
-    def test_lineage_labels(self):
-        child = RandomStreams(0).spawn("node").spawn("gpu-1")
-        assert child.lineage == "root/node/gpu-1"

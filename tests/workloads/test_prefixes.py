@@ -14,7 +14,7 @@ from repro.workloads.prefixes import (
     PrefixMix,
     prefix_hash,
 )
-from repro.workloads.trace import Trace, generate_trace
+from repro.workloads.trace import generate_trace
 
 MIX_SPEC = "none=0.25,assistant=0.5:384,fewshot=0.25:640"
 
@@ -116,21 +116,3 @@ def test_prefix_mix_leaves_other_streams_untouched():
         assert a.arrival_time == b.arrival_time
         assert a.prompt_tokens == b.prompt_tokens
         assert a.output_tokens == b.output_tokens
-
-
-def test_trace_save_load_round_trips_prefix_fields(tmp_path):
-    dataset, model = get_dataset("sharegpt"), get_model("opt-13b")
-    trace = generate_trace(
-        dataset,
-        rate=8.0,
-        num_requests=20,
-        seed=1,
-        model=model,
-        prefix_mix=PrefixMix.parse(MIX_SPEC),
-    )
-    path = tmp_path / "trace.jsonl"
-    trace.save(path)
-    loaded = Trace.load(path)
-    assert len(loaded) == len(trace)
-    for a, b in zip(trace, loaded):
-        assert (a.prefix_hash, a.prefix_len) == (b.prefix_hash, b.prefix_len)

@@ -1,8 +1,8 @@
-"""TenantMix parsing, sampling determinism, and trace round-trips.
+"""TenantMix parsing, sampling determinism, and fingerprint neutrality.
 
 Tenancy must be strictly opt-in: a tenant-free generation draws nothing
-from the ``tenants`` RNG stream, carries no tenant keys in saved traces,
-and fingerprints byte-identically with or without the feature compiled in.
+from the ``tenants`` RNG stream and fingerprints byte-identically with or
+without the feature compiled in.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from repro.serving.request import DEFAULT_TENANT
 from repro.sim.fingerprint import request_row
 from repro.workloads.datasets import get_dataset
 from repro.workloads.tenants import TenantMix
-from repro.workloads.trace import Trace, generate_trace
+from repro.workloads.trace import generate_trace
 
 
 def _generate(tenant_mix=None, seed=3, num=40):
@@ -89,28 +89,6 @@ def test_tenant_draws_do_not_perturb_other_streams():
         (r.request_id, r.arrival_time, r.prompt_tokens, r.output_tokens)
         for r in mixed
     ]
-
-
-# -- trace save/load -----------------------------------------------------------
-
-
-def test_trace_round_trip_preserves_tenants(tmp_path):
-    mixed = _generate(TenantMix.parse("acme=0.5,beta=0.5"), seed=7)
-    path = tmp_path / "trace.jsonl"
-    mixed.save(path)
-    loaded = Trace.load(path)
-    assert [r.tenant for r in loaded] == [r.tenant for r in mixed]
-
-
-def test_tenant_free_trace_rows_carry_no_tenant_key(tmp_path):
-    plain = _generate(None, seed=7)
-    path = tmp_path / "trace.jsonl"
-    plain.save(path)
-    import json
-
-    rows = [json.loads(line) for line in path.read_text().splitlines() if line]
-    assert all("tenant" not in row for row in rows)
-    assert [r.tenant for r in Trace.load(path)] == [DEFAULT_TENANT] * len(plain)
 
 
 def test_fingerprint_row_serialises_tenant_only_when_set():
